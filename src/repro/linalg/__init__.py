@@ -36,7 +36,6 @@ from .generation import (
     empty_tlr_matrix,
     generate_and_factor_tile_matrix,
     generate_and_factor_tlr_matrix,
-    generate_tile_matrix,
     generate_tlr_matrix,
     insert_tile_generation_tasks,
     insert_tlr_generation_tasks,
@@ -47,7 +46,6 @@ __all__ = [
     "TileDistanceCache",
     "empty_tile_matrix",
     "empty_tlr_matrix",
-    "generate_tile_matrix",
     "generate_tlr_matrix",
     "generate_and_factor_tile_matrix",
     "generate_and_factor_tlr_matrix",

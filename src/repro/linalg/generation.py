@@ -17,12 +17,13 @@ implementation's serial regenerate-everything loop:
 2. **Generation is embarrassingly parallel and need not be a barrier.**
    The ExaGeoStat paper task-parallelizes generation on the same runtime
    that executes the factorization. :func:`insert_tile_generation_tasks`
-   / :func:`insert_tlr_generation_tasks` insert one generate(+compress)
-   task per tile into a :class:`~repro.runtime.Runtime` and hand back
-   the data handles, so the Cholesky task graph submitted on the *same*
-   handles depends on each tile's generation task individually — the
-   factorization of early panels starts while late tiles are still being
-   generated (sequential-task-flow, no global barrier).
+   / :func:`insert_tlr_generation_tasks` insert one generation task per
+   tile column (dense) or one generate+compress task per tile (TLR) into
+   a :class:`~repro.runtime.Runtime` and hand back the data handles, so
+   the Cholesky task graph submitted on the *same* handles depends on
+   each generation task individually — the factorization of early panels
+   starts while late columns are still being generated
+   (sequential-task-flow, no global barrier).
 
 Both pieces are value-preserving: cached-distance tiles are bit-identical
 to directly generated ones (they share the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +56,6 @@ __all__ = [
     "array_content_key",
     "insert_tile_generation_tasks",
     "insert_tlr_generation_tasks",
-    "generate_tile_matrix",
     "generate_tlr_matrix",
     "generate_and_factor_tile_matrix",
     "generate_and_factor_tlr_matrix",
@@ -290,18 +290,9 @@ class CrossDistanceCache:
 
 
 def empty_tile_matrix(n: int, nb: int, *, symmetric_lower: bool = True) -> TileMatrix:
-    """A :class:`TileMatrix` with uninitialized (empty) tile buffers.
-
-    Generation tasks fill the buffers in place; until then the contents
-    are undefined.
-    """
-    grid = TileGrid(n, nb)
-    tm = TileMatrix(grid, symmetric_lower=symmetric_lower)
-    for i in range(grid.nt):
-        jmax = i + 1 if symmetric_lower else grid.nt
-        for j in range(jmax):
-            tm.set_tile(i, j, np.empty((grid.tile_size(i), grid.tile_size(j))))
-    return tm
+    """A :class:`TileMatrix` with uninitialized storage, for generation
+    tasks to fill in place."""
+    return TileMatrix(TileGrid(n, nb), symmetric_lower=symmetric_lower)
 
 
 def empty_tlr_matrix(n: int, nb: int, acc: float) -> TLRMatrix:
@@ -378,30 +369,29 @@ def insert_tile_generation_tasks(
     runtime: Runtime,
     tiles: TileMatrix,
     generate: Callable[[slice, slice], np.ndarray],
-) -> Dict[Tuple[int, int], DataHandle]:
-    """Insert one generation task per stored tile of ``tiles``.
+) -> List[DataHandle]:
+    """Insert one generation task per tile column of ``tiles``.
 
-    Returns the ``(i, j) -> DataHandle`` map to pass to
+    Returns the per-column handles to pass to
     :func:`~repro.linalg.tile_cholesky.tile_cholesky` so factorization
-    tasks depend on each tile's generation task (no barrier). The caller
-    owns synchronization: the tiles are valid only after the runtime's
-    ``wait_all`` (which the fused Cholesky performs).
+    tasks depend on each column's generation task (no barrier). The
+    caller owns synchronization: the tiles are valid only after the
+    runtime's ``wait_all`` (which the fused Cholesky performs).
 
-    Generation tasks carry priorities above the factorization's panel
-    tasks, decreasing with the tile's column — the order in which the
-    right-looking Cholesky first consumes them.
+    Each task fills its column tile by tile through ``generate`` — the
+    calls, and with them the :class:`TileDistanceCache` keys, of the
+    serial loop. Priorities sit above the factorization's panel tasks
+    and decrease with the column, the order the Cholesky consumes them.
     """
-    grid = tiles.grid
-    nt = grid.nt
-    handles: Dict[Tuple[int, int], DataHandle] = {}
-    for i, j, tile in tiles.iter_stored():
-        handles[(i, j)] = runtime.register(tile, name=f"A[{i},{j}]")
-    for i, j, _ in tiles.iter_stored():
+    nt = tiles.nt
+    handles = [runtime.register(tiles.panel(j)) for j in range(nt)]
+    for j in range(nt):
         runtime.insert_task(
-            _fill_dense_codelet,
-            [(handles[(i, j)], AccessMode.READWRITE)],
-            args=(generate, grid.tile_slice(i), grid.tile_slice(j), i, j),
-            name=f"gen({i},{j})",
+            # The column payload only orders the task; the write goes
+            # through ``tiles``.
+            lambda _column, j=j: tiles.fill_column(j, generate),
+            [(handles[j], AccessMode.READWRITE)],
+            name=("gen", j),
             priority=4 * (nt - j),
         )
     return handles
@@ -509,7 +499,7 @@ def generate_and_factor_tile_matrix(
     path (:class:`~repro.mle.prediction_engine.PredictionEngine`):
     with ``fused`` (and a runtime), generation tasks are inserted via
     :func:`insert_tile_generation_tasks` and the factorization's task
-    graph depends on them per tile; otherwise generation is a serial
+    graph depends on them per column; otherwise generation is a serial
     loop and the factorization runs serially or on the runtime.
 
     ``times`` optionally accumulates the ``generation`` /
@@ -521,17 +511,15 @@ def generate_and_factor_tile_matrix(
     from .tile_cholesky import tile_cholesky  # local: avoid import cycle
 
     times = StageTimes() if times is None else times
-    if fused and runtime is not None:
-        with times.stage("generation"):
+    handles = None
+    with times.stage("generation"):
+        if fused and runtime is not None:
             tiles = empty_tile_matrix(n, nb, symmetric_lower=True)
             handles = insert_tile_generation_tasks(runtime, tiles, generate)
-        with times.stage("factorization"):
-            tile_cholesky(tiles, runtime=runtime, handles=handles)
-    else:
-        with times.stage("generation"):
+        else:
             tiles = TileMatrix.from_generator(n, nb, generate, symmetric_lower=True)
-        with times.stage("factorization"):
-            tile_cholesky(tiles, runtime=runtime)
+    with times.stage("factorization"):
+        tile_cholesky(tiles, runtime=runtime, handles=handles)
     return tiles
 
 
@@ -580,30 +568,6 @@ def generate_and_factor_tlr_matrix(
         with times.stage("factorization"):
             tlr_cholesky(tlr, runtime=runtime)
     return tlr
-
-
-def generate_tile_matrix(
-    n: int,
-    nb: int,
-    generate: Callable[[slice, slice], np.ndarray],
-    runtime: Runtime,
-    *,
-    symmetric_lower: bool = False,
-) -> TileMatrix:
-    """Task-parallel standalone generation of a dense :class:`TileMatrix`.
-
-    One generation task per tile, then a barrier (``wait_all``); used by
-    ``TileMatrix.from_generator(runtime=...)``. For barrier-free
-    generation fused with a factorization, use
-    :func:`insert_tile_generation_tasks` directly.
-    """
-    tm = empty_tile_matrix(n, nb, symmetric_lower=symmetric_lower)
-    insert_tile_generation_tasks(runtime, tm, generate)
-    try:
-        runtime.wait_all()
-    finally:
-        runtime.tracker.reset()
-    return tm
 
 
 def generate_tlr_matrix(

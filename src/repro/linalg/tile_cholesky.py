@@ -1,102 +1,53 @@
 """Task-based dense tile Cholesky (the paper's **Full-tile** variant).
 
-Right-looking factorization over a lower-symmetric :class:`TileMatrix`:
+Column-panel factorization over a lower-symmetric :class:`TileMatrix`,
+whose storage is one contiguous array ``P_j`` per tile column, diagonal
+tile first (see :mod:`~repro.linalg.tile_matrix`):
 
-    for k:  POTRF(A[k,k])
-            TRSM(A[k,k], A[i,k])            for i > k
-            SYRK(A[i,k], A[i,i])            for i > k
-            GEMM(A[i,k], A[j,k], A[i,j])    for k < j < i
+    for k:  PANEL(P_k)         POTRF of the diagonal tile, then one TRSM
+                               over the whole sub-diagonal panel
+            UPDATE(P_k, P_j)   for j > k: one stacked GEMM
+                               P_j -= P_k[off:] @ L_jk^T — the SYRK and
+                               every GEMM of column j at once
 
-Tasks in iteration ``k`` are given priority ``nt - k`` scaled by kernel
-criticality (POTRF > TRSM > updates), the standard look-ahead heuristic
-used by Chameleon so panel tasks of later iterations are not starved.
+The DAG has one data handle per column: ``PANEL(k)`` reads-writes column
+``k``; ``UPDATE(j, k)`` reads column ``k`` and reads-writes column ``j``.
+The updates of one step run concurrently while the updates of one column
+stay in ``k`` order, so every schedule accumulates in the serial loop's
+order and the factor is bit-identical for any worker count. That is
+``nt + nt(nt-1)/2`` tasks, each a BLAS-3 call 1..nt tiles tall; a
+per-tile graph (``O(nt^3/6)`` tasks of one ``nb x nb`` call each) spends
+more time handing tasks over than in BLAS once ``nb`` is small.
 
-The factorization can run serially (``runtime=None``) or through the
-:class:`~repro.runtime.Runtime`, which is exactly how ExaGeoStat drives
-Chameleon through StarPU.
+Priorities keep the look-ahead path short. Earlier steps outrank later
+ones; within a step ``PANEL(k)`` comes first, then ``UPDATE(k+1, k)`` —
+the only update ``PANEL(k+1)`` waits for — so the next panel is factored
+while the rest of the trailing matrix is still being updated.
+
+``runtime=None`` runs the same two kernels in program order; otherwise
+the graph goes through the :class:`~repro.runtime.Runtime`, which is how
+ExaGeoStat drives Chameleon through StarPU.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import NotPositiveDefiniteError, ShapeError
-from ..runtime import AccessMode, Runtime
+from ..runtime import AccessMode, DataHandle, Runtime
 from .tile_matrix import TileMatrix
-from .tile_ops import gemm_codelet, potrf_codelet, syrk_codelet, trsm_codelet
+from .tile_ops import panel_codelet, update_codelet
 
 __all__ = ["tile_cholesky", "logdet_from_tile_factor"]
-
-
-def _serial_tile_cholesky(a: TileMatrix) -> None:
-    nt = a.nt
-    for k in range(nt):
-        potrf_codelet(a.tile(k, k))
-        lkk = a.tile(k, k)
-        for i in range(k + 1, nt):
-            trsm_codelet(lkk, a.tile(i, k))
-        for i in range(k + 1, nt):
-            aik = a.tile(i, k)
-            syrk_codelet(aik, a.tile(i, i))
-            for j in range(k + 1, i):
-                gemm_codelet(aik, a.tile(j, k), a.tile(i, j))
-
-
-def _parallel_tile_cholesky(
-    a: TileMatrix,
-    runtime: Runtime,
-    handles: Optional[Dict[Tuple[int, int], object]] = None,
-) -> None:
-    nt = a.nt
-    if handles is None:
-        handles = {}
-        for i, j, tile in a.iter_stored():
-            handles[(i, j)] = runtime.register(tile, name=f"A[{i},{j}]")
-    R, RW = AccessMode.READ, AccessMode.READWRITE
-    for k in range(nt):
-        base = nt - k
-        runtime.insert_task(
-            potrf_codelet,
-            [(handles[(k, k)], RW)],
-            name=f"potrf({k})",
-            priority=3 * base,
-        )
-        for i in range(k + 1, nt):
-            runtime.insert_task(
-                trsm_codelet,
-                [(handles[(k, k)], R), (handles[(i, k)], RW)],
-                name=f"trsm({i},{k})",
-                priority=2 * base,
-            )
-        for i in range(k + 1, nt):
-            runtime.insert_task(
-                syrk_codelet,
-                [(handles[(i, k)], R), (handles[(i, i)], RW)],
-                name=f"syrk({i},{k})",
-                priority=base,
-            )
-            for j in range(k + 1, i):
-                runtime.insert_task(
-                    gemm_codelet,
-                    [(handles[(i, k)], R), (handles[(j, k)], R), (handles[(i, j)], RW)],
-                    name=f"gemm({i},{j},{k})",
-                    priority=base,
-                )
-    try:
-        runtime.wait_all()
-    finally:
-        # Drop the completed task graph so long-lived runtimes (one per MLE
-        # fit, many factorizations) do not accumulate bookkeeping.
-        runtime.tracker.reset()
 
 
 def tile_cholesky(
     a: TileMatrix,
     runtime: Optional[Runtime] = None,
     *,
-    handles: Optional[Dict[Tuple[int, int], object]] = None,
+    handles: Optional[Sequence[DataHandle]] = None,
 ) -> TileMatrix:
     """Factor a lower-symmetric tile matrix in place: ``A = L L^T``.
 
@@ -108,12 +59,11 @@ def tile_cholesky(
     runtime:
         Optional task runtime; serial loop when omitted.
     handles:
-        Pre-registered ``(i, j) -> DataHandle`` map for ``a``'s tiles
-        (requires ``runtime``). Pass the handles returned by
-        :func:`~repro.linalg.generation.insert_tile_generation_tasks` to
-        fuse generation into this factorization's task graph: each
-        factorization task then depends on its tile's generation task
-        rather than on a global barrier.
+        Pre-registered per-column handles of ``a`` (requires ``runtime``),
+        as returned by
+        :func:`~repro.linalg.generation.insert_tile_generation_tasks`:
+        each column's first factorization task then depends on that
+        column's generation task rather than on a global barrier.
 
     Returns
     -------
@@ -121,12 +71,38 @@ def tile_cholesky(
     """
     if not a.symmetric_lower:
         raise ShapeError("tile_cholesky expects a symmetric_lower TileMatrix")
+    nt, nb = a.nt, a.grid.nb
     if runtime is None:
         if handles is not None:
             raise ShapeError("handles require a runtime")
-        _serial_tile_cholesky(a)
-    else:
-        _parallel_tile_cholesky(a, runtime, handles)
+        for k in range(nt):
+            pk = a.panel(k)
+            panel_codelet(pk)
+            for j in range(k + 1, nt):
+                update_codelet(pk, a.panel(j), (j - k) * nb)
+        return a
+    if handles is None:
+        handles = [runtime.register(a.panel(j)) for j in range(nt)]
+    R, RW = AccessMode.READ, AccessMode.READWRITE
+    for k in range(nt):
+        base = nt - k
+        runtime.insert_task(
+            panel_codelet, [(handles[k], RW)], name=("panel", k), priority=3 * base
+        )
+        for j in range(k + 1, nt):
+            runtime.insert_task(
+                update_codelet,
+                [(handles[k], R), (handles[j], RW)],
+                args=((j - k) * nb,),
+                name=("update", j, k),
+                priority=2 * base if j == k + 1 else base,
+            )
+    try:
+        runtime.wait_all()
+    finally:
+        # Drop the completed task graph so long-lived runtimes (one per MLE
+        # fit, many factorizations) do not accumulate bookkeeping.
+        runtime.tracker.reset()
     return a
 
 

@@ -7,15 +7,22 @@ points relative to LAPACK's fork-join blocks and expose look-ahead — the
 motivation recalled in the paper's §V.
 
 :class:`TileGrid` is the index arithmetic; :class:`TileMatrix` is dense
-storage, one contiguous ndarray per tile (so each BLAS call runs on
-cache-friendly contiguous data, per the HPC guide's memory-layout
-advice). Symmetric matrices can store the lower triangle only.
+storage, one C-contiguous float64 array per tile *column*: column ``j``
+of a ``symmetric_lower`` matrix is a ``(n - j*nb) x nb_j`` array holding
+the diagonal tile and everything below it (a full matrix stores all
+``n`` rows), and tile ``(i, j)`` is ``nb_i`` consecutive rows of it. A
+row-slice of a C-contiguous array is itself C-contiguous, so every
+``tile(i, j)`` — and every run of tiles stacked below one another — is
+a contiguous writable view BLAS can use directly. That is what lets the
+column-panel Cholesky (:mod:`~repro.linalg.tile_cholesky`) and the panel
+solves issue one BLAS-3 call over 1..nt tiles instead of one per tile,
+in the same bytes as one array per tile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -108,7 +115,7 @@ class TileGrid:
 
 
 class TileMatrix:
-    """Dense matrix stored as a grid of contiguous tiles.
+    """Dense matrix stored as one contiguous array per tile column.
 
     Parameters
     ----------
@@ -118,32 +125,33 @@ class TileMatrix:
         When True only tiles with ``i >= j`` are stored; ``tile(i, j)``
         with ``i < j`` returns the transpose of the mirrored tile
         (a copy — callers must not mutate it).
+
+    The column arrays are allocated uninitialized; contents are undefined
+    until written through :meth:`set_tile` or a ``tile``/``panel`` view.
     """
 
     def __init__(self, grid: TileGrid, *, symmetric_lower: bool = False) -> None:
         self.grid = grid
         self.symmetric_lower = symmetric_lower
-        self._tiles: Dict[Tuple[int, int], np.ndarray] = {}
+        self._columns: List[np.ndarray] = [
+            np.empty((grid.n - self._row0(j), grid.tile_size(j)))
+            for j in range(grid.nt)
+        ]
+
+    def _row0(self, j: int) -> int:
+        """Global row where column ``j``'s storage starts."""
+        return j * self.grid.nb if self.symmetric_lower else 0
 
     # -------------------------------------------------------- constructors
     @classmethod
     def from_dense(
         cls, a: np.ndarray, nb: int, *, symmetric_lower: bool = False
     ) -> "TileMatrix":
-        """Tile an existing dense matrix (copies into per-tile buffers)."""
+        """Tile an existing dense matrix (copies into the column arrays)."""
         check_square(a, "a")
-        grid = TileGrid(a.shape[0], nb)
-        tm = cls(grid, symmetric_lower=symmetric_lower)
-        for i in range(grid.nt):
-            jmax = i + 1 if symmetric_lower else grid.nt
-            for j in range(jmax):
-                # copy=True: slices of `a` may alias the caller's buffer
-                # (a single-tile matrix would otherwise be factored in
-                # place over the input).
-                tile = np.array(
-                    a[grid.tile_slice(i), grid.tile_slice(j)], dtype=np.float64, copy=True
-                )
-                tm.set_tile(i, j, tile)
+        tm = cls(TileGrid(a.shape[0], nb), symmetric_lower=symmetric_lower)
+        for j, column in enumerate(tm._columns):
+            column[...] = a[tm._row0(j) :, tm.grid.tile_slice(j)]
         return tm
 
     @classmethod
@@ -159,32 +167,31 @@ class TileMatrix:
         """Build tiles by calling ``generate(row_slice, col_slice)``.
 
         This is the covariance *generation* stage of ExaGeoStat: the dense
-        matrix never exists as a single allocation.
-
-        Parameters
-        ----------
-        runtime:
-            Optional :class:`~repro.runtime.Runtime`. When given, one
-            generation task per tile is inserted (tiles are independent,
-            so all tasks run concurrently) and the call blocks until all
-            tiles are materialized. Tile contents are identical to the
-            serial path.
+        matrix never exists as a single allocation. With a
+        :class:`~repro.runtime.Runtime`, one generation task per tile
+        column runs on it (columns are independent) and the call blocks
+        until all are done; tile contents are identical either way.
         """
-        if runtime is not None:
-            from .generation import generate_tile_matrix  # local: avoid cycle
+        tm = cls(TileGrid(n, nb), symmetric_lower=symmetric_lower)
+        if runtime is None:
+            for j in range(tm.nt):
+                tm.fill_column(j, generate)
+            return tm
+        from .generation import insert_tile_generation_tasks  # local: avoid cycle
 
-            return generate_tile_matrix(
-                n, nb, generate, runtime, symmetric_lower=symmetric_lower
-            )
-        grid = TileGrid(n, nb)
-        tm = cls(grid, symmetric_lower=symmetric_lower)
-        for i in range(grid.nt):
-            jmax = i + 1 if symmetric_lower else grid.nt
-            for j in range(jmax):
-                raw = generate(grid.tile_slice(i), grid.tile_slice(j))
-                expected = (grid.tile_size(i), grid.tile_size(j))
-                tm.set_tile(i, j, materialize_tile(raw, expected, i, j))
+        insert_tile_generation_tasks(runtime, tm, generate)
+        try:
+            runtime.wait_all()
+        finally:
+            runtime.tracker.reset()
         return tm
+
+    def fill_column(self, j: int, generate: Callable[[slice, slice], np.ndarray]) -> None:
+        """Generate every stored tile of column ``j``, tile by tile."""
+        g = self.grid
+        cols = g.tile_slice(j)
+        for i in range(j if self.symmetric_lower else 0, g.nt):
+            self.set_tile(i, j, generate(g.tile_slice(i), cols))
 
     # ------------------------------------------------------------ accessors
     @property
@@ -197,52 +204,70 @@ class TileMatrix:
         """Tiles per dimension."""
         return self.grid.nt
 
+    def panel(self, j: int) -> np.ndarray:
+        """Column ``j`` from its diagonal tile down: ``(n - j*nb) x nb_j``.
+
+        A C-contiguous writable view (the whole column array of a
+        ``symmetric_lower`` matrix) — the operand of the panel kernels.
+        """
+        return self._columns[j][j * self.grid.nb - self._row0(j) :]
+
     def tile(self, i: int, j: int) -> np.ndarray:
-        """Tile ``(i, j)``; mirrored transpose copy for ``i < j`` when symmetric."""
+        """Tile ``(i, j)``: a C-contiguous view that writes through.
+
+        For ``i < j`` of a symmetric matrix, a transposed *copy* of the
+        mirrored tile.
+        """
         if self.symmetric_lower and i < j:
-            return self._tiles[(j, i)].T.copy()
-        return self._tiles[(i, j)]
+            return self.tile(j, i).T.copy()
+        rows = self.grid.tile_size(i)  # validates i
+        r0 = i * self.grid.nb - self._row0(j)
+        return self._columns[j][r0 : r0 + rows]
 
     def set_tile(self, i: int, j: int, tile: np.ndarray) -> None:
-        """Install a tile buffer (must match the grid's tile shape)."""
+        """Copy ``tile`` into position ``(i, j)`` (never aliases ``tile``)."""
         if self.symmetric_lower and i < j:
             raise ShapeError("symmetric_lower matrices store only i >= j tiles")
-        expected = (self.grid.tile_size(i), self.grid.tile_size(j))
-        if tile.shape != expected:
-            raise ShapeError(f"tile ({i},{j}) must have shape {expected}, got {tile.shape}")
-        self._tiles[(i, j)] = tile
+        out = self.tile(i, j)
+        if np.shape(tile) != out.shape:
+            raise ShapeError(
+                f"tile ({i},{j}) must have shape {out.shape}, got {np.shape(tile)}"
+            )
+        out[...] = tile
 
     def has_tile(self, i: int, j: int) -> bool:
         """True when tile ``(i, j)`` is physically stored."""
-        return (i, j) in self._tiles
+        return 0 <= j < self.nt and (j if self.symmetric_lower else 0) <= i < self.nt
 
     def iter_stored(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Iterate physically stored tiles as ``(i, j, buffer)``."""
-        for (i, j), tile in sorted(self._tiles.items()):
-            yield i, j, tile
+        """Iterate physically stored tiles as ``(i, j, view)``, row-major."""
+        for i in range(self.nt):
+            for j in range(i + 1 if self.symmetric_lower else self.nt):
+                yield i, j, self.tile(i, j)
 
     # ------------------------------------------------------------- exports
     def to_dense(self) -> np.ndarray:
         """Assemble the full dense matrix (symmetric mirror applied)."""
         g = self.grid
         out = np.zeros((g.n, g.n), dtype=np.float64)
-        for (i, j), tile in self._tiles.items():
-            out[g.tile_slice(i), g.tile_slice(j)] = tile
-            if self.symmetric_lower and i != j:
-                out[g.tile_slice(j), g.tile_slice(i)] = tile.T
+        for j, column in enumerate(self._columns):
+            cols = g.tile_slice(j)
+            out[self._row0(j) :, cols] = column
+            if self.symmetric_lower:
+                out[cols, cols.stop :] = column[cols.stop - cols.start :].T
         return out
 
     def copy(self) -> "TileMatrix":
-        """Deep copy (fresh tile buffers)."""
+        """Deep copy (fresh column arrays)."""
         tm = TileMatrix(self.grid, symmetric_lower=self.symmetric_lower)
-        for (i, j), tile in self._tiles.items():
-            tm._tiles[(i, j)] = tile.copy()
+        for dst, src in zip(tm._columns, self._columns):
+            dst[...] = src
         return tm
 
     @property
     def nbytes(self) -> int:
         """Bytes of stored tile payloads."""
-        return int(sum(t.nbytes for t in self._tiles.values()))
+        return int(sum(column.nbytes for column in self._columns))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,19 +1,21 @@
-"""Dense tile codelets: POTRF, TRSM, SYRK, GEMM (paper §V).
+"""Dense column-panel codelets: PANEL (POTRF + TRSM) and UPDATE (paper §V).
 
-These are the four kernels of the right-looking tile Cholesky, written as
-plain functions mutating their output tile in place so they can be used
-directly, or inserted as runtime tasks (the runtime passes tile payloads
-positionally). All operate on lower-triangular factors.
+The two kernels of the column-panel tile Cholesky, plain functions over
+the C-contiguous column arrays of a
+:class:`~repro.linalg.tile_matrix.TileMatrix`, mutating their output
+column in place — called directly by the serial loop or inserted as
+runtime tasks (the runtime passes the column payloads positionally).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 
 from ..exceptions import NotPositiveDefiniteError
 
-__all__ = ["potrf_codelet", "trsm_codelet", "syrk_codelet", "gemm_codelet"]
+__all__ = ["potrf_codelet", "panel_codelet", "update_codelet"]
 
 
 def potrf_codelet(dkk: np.ndarray) -> None:
@@ -29,20 +31,28 @@ def potrf_codelet(dkk: np.ndarray) -> None:
     dkk[:] = np.tril(factor)
 
 
-def trsm_codelet(lkk: np.ndarray, aik: np.ndarray) -> None:
-    """Right triangular solve: ``aik <- aik @ inv(lkk).T`` in place.
-
-    Implemented as ``X^T = lkk^{-1} aik^T`` (one LAPACK ``trtrs``-style
-    call), which is the TRSM of the tile Cholesky panel update.
+def panel_codelet(pk: np.ndarray) -> None:
+    """Factor column ``k`` in place: POTRF of its diagonal tile, then one
+    TRSM over the whole sub-diagonal panel, ``pk[nb:] <- pk[nb:] @ inv(lkk).T``.
     """
-    aik[:] = sla.solve_triangular(lkk, aik.T, lower=True, check_finite=False).T
+    nb = pk.shape[1]
+    lkk = pk[:nb]
+    potrf_codelet(lkk)
+    if pk.shape[0] > nb:
+        # Solve lkk @ X^T = pk[nb:]^T. The transposes of C-contiguous
+        # arrays are Fortran-contiguous, so BLAS gets them without a copy
+        # and ``overwrite_b`` lands in the caller's storage.
+        dtrsm(1.0, lkk.T, pk[nb:].T, side=0, lower=0, trans_a=1, overwrite_b=1)
 
 
-def syrk_codelet(aik: np.ndarray, dii: np.ndarray) -> None:
-    """Symmetric rank-``nb`` update: ``dii <- dii - aik @ aik.T`` in place."""
-    dii -= aik @ aik.T
+def update_codelet(pk: np.ndarray, pj: np.ndarray, off: int) -> None:
+    """Apply factored column ``k`` to column ``j``: ``pj -= pk[off:] @ ljk.T``.
 
-
-def gemm_codelet(aik: np.ndarray, ajk: np.ndarray, aij: np.ndarray) -> None:
-    """Trailing update: ``aij <- aij - aik @ ajk.T`` in place."""
-    aij -= aik @ ajk.T
+    ``off`` is the row of ``pk`` where column ``j``'s rows start, so
+    ``ljk = pk[off : off + nb_j]`` is tile ``(j, k)``. One stacked GEMM
+    covers the SYRK on the diagonal tile of column ``j`` and every GEMM
+    below it; ``numpy.matmul`` releases the GIL around it (the f2py BLAS
+    wrappers do not), which is what lets two updates overlap.
+    """
+    rows = pk[off:]
+    pj -= rows @ rows[: pj.shape[1]].T

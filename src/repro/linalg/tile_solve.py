@@ -1,9 +1,12 @@
 """Triangular solves against a dense tile Cholesky factor.
 
-Forward/backward block substitution over the tile grid. The right-hand
-side is partitioned with the same :class:`TileGrid`; each step is one
-small TRSM plus GEMM updates — the structure the paper's prediction
-operation (eq. (4)) executes after factorizing ``Sigma_22``.
+Forward/backward block substitution by column panel. The right-hand side
+is one contiguous copy; solving block ``j`` is one small TRSM, and its
+effect on everything below is one stacked product with the sub-diagonal
+panel of column ``j`` (``b[j+1:] -= P_j[nb:] @ x_j``; the transposed
+solve gathers with ``P_j[nb:].T`` instead) — ``nt`` GEMV/GEMM calls per
+sweep rather than one per tile. This is the structure the paper's
+prediction operation (eq. (4)) executes after factorizing ``Sigma_22``.
 """
 
 from __future__ import annotations
@@ -37,24 +40,21 @@ def tile_solve_triangular(
     g = factor.grid
     if b.shape[0] != g.n:
         raise ShapeError(f"rhs leading dimension {b.shape[0]} != {g.n}")
-    blocks = g.partition(np.asarray(b, dtype=np.float64))
-    nt = g.nt
-    if not trans:
-        for i in range(nt):
-            for j in range(i):
-                blocks[i] -= factor.tile(i, j) @ blocks[j]
-            blocks[i] = sla.solve_triangular(
-                factor.tile(i, i), blocks[i], lower=True, check_finite=False
-            )
-    else:
-        for i in range(nt - 1, -1, -1):
-            for j in range(i + 1, nt):
-                # L^T's (i, j) block is L(j, i)^T.
-                blocks[i] -= factor.tile(j, i).T @ blocks[j]
-            blocks[i] = sla.solve_triangular(
-                factor.tile(i, i), blocks[i], lower=True, trans="T", check_finite=False
-            )
-    return g.unpartition(blocks)
+    x = np.array(b, dtype=np.float64, copy=True)
+    order = range(g.nt - 1, -1, -1) if trans else range(g.nt)
+    for j in order:
+        panel = factor.panel(j)
+        nb = panel.shape[1]
+        xj, below = x[g.tile_slice(j)], x[g.offset(j) + nb :]
+        if trans:
+            # Block row j of L^T is [L_jj^T, P_j[nb:]^T].
+            xj -= panel[nb:].T @ below
+        xj[...] = sla.solve_triangular(
+            panel[:nb], xj, lower=True, trans="T" if trans else "N", check_finite=False
+        )
+        if not trans:
+            below -= panel[nb:] @ xj
+    return x
 
 
 def tile_cholesky_solve(factor: TileMatrix, b: np.ndarray) -> np.ndarray:

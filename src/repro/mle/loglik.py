@@ -20,10 +20,10 @@ the full-block variant caches the full distance matrix) — after the
 first evaluation, generation reduces to applying the correlation
 function to cached distances. When a :class:`~repro.runtime.Runtime` is
 attached and ``parallel_generation`` is on, tile/TLR generation is
-additionally *fused* into the factorization task graph: one
-generate(+compress) task per tile, and the Cholesky tasks on tile
-``(i, j)`` depend on that tile's generation task instead of a global
-barrier. In fused mode the ``generation`` stage time is task-submission
+additionally *fused* into the factorization task graph: one generation
+task per tile column (full-tile) or one generate+compress task per tile
+(TLR), and the Cholesky tasks depend on the generation task of the data
+they touch instead of a global barrier. In fused mode the ``generation`` stage time is task-submission
 time only — the generation work itself overlaps the factorization and
 is accounted in the ``factorization`` stage wait. Both knobs preserve
 values: cached tiles are bit-identical, and fused execution computes the

@@ -277,14 +277,19 @@ def run_probes(
             tlr_s,
             sum(c.flops for k, c in tlr_costs.items() if k != "potrf"),
             n=n0,
-            n_tasks=_dense_task_count(_PROBE_NT),
+            n_tasks=_tlr_task_count(_PROBE_NT),
             potrf_flops=tlr_costs["potrf"].flops,
         )
     return samples
 
 
 def _dense_task_count(nt: int) -> int:
-    """Task population of a tile Cholesky with ``nt`` tile rows."""
+    """Task population of the column-panel tile Cholesky: panels + updates."""
+    return nt + nt * (nt - 1) // 2
+
+
+def _tlr_task_count(nt: int) -> int:
+    """Task population of the per-tile TLR Cholesky with ``nt`` tile rows."""
     off = nt * (nt - 1) // 2
     gemm = sum((nt - a) * (a - 1) for a in range(2, nt))
     return nt + 2 * off + gemm

@@ -61,23 +61,32 @@ _ACCURACY_LADDER = (1e-5, 1e-7, 1e-9)
 def task_counts(n: int, nb: int, variant: str) -> Dict[str, float]:
     """Task population per phase — the multiplier on per-task overhead.
 
-    Mirrors the task graphs in :mod:`repro.linalg`: generation touches
-    every lower tile (plus one compression task per off-diagonal tile
-    for TLR), the Cholesky runs the classic ``O(nt^3)`` population, and
-    the solve sweeps lower tiles forward and backward.
+    Mirrors the task graphs in :mod:`repro.linalg` (a test holds
+    ``generation + factorization`` equal to the runtime's event count of
+    one evaluator call). Full-tile: one generation task per tile column,
+    the column-panel Cholesky's ``nt`` panels and ``nt(nt-1)/2`` stacked
+    updates, and per solve sweep one triangular solve plus one panel
+    product per column. TLR: one generation task per diagonal tile and
+    per ``compression_batch`` off-diagonal tiles, the classic ``O(nt^3)``
+    Cholesky population, and a solve that sweeps lower tiles forward and
+    backward.
     """
     if variant == "full-block":
         return {"generation": 1.0, "factorization": 1.0, "solve": 2.0}
     nt = -(-n // nb)
-    lower = nt * (nt + 1) / 2.0
     off = nt * (nt - 1) / 2.0
+    if variant == "full-tile":
+        return {
+            "generation": float(nt),
+            "factorization": nt + off,
+            "solve": 2.0 * (2 * nt - 1),
+        }
     gemm = float(sum((nt - a) * (a - 1) for a in range(2, nt)))
-    counts = {
-        "generation": lower + (off if variant == "tlr" else 0.0),
+    return {
+        "generation": float(nt + math.ceil(off / get_config().compression_batch)),
         "factorization": nt + 2.0 * off + gemm,
         "solve": 2.0 * (nt + off),
     }
-    return counts
 
 
 def predict_workload(

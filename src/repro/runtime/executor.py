@@ -7,11 +7,13 @@ engine): it registers accesses, infers dependencies via
 when its dependency count reaches zero. Workers pull from a pluggable
 ready queue; completion cascades decrement dependents' counters.
 
-Error model: a failing codelet marks the task FAILED, cancels nothing
-(already-ready tasks may still run — as in StarPU, data consistency is
-the submitter's problem at that point) but records the exception;
-``wait_all`` re-raises the *first* error so callers cannot silently lose
-failures.
+Error model: a failing codelet marks the task FAILED and records the
+exception. Until ``wait_all`` has re-raised that *first* error, a task
+that depends on a FAILED one still flows through the scheduler (so
+dependency counts stay exact) but its body is skipped and it is FAILED
+too: a factorization that hits a non-positive pivot in its first panel
+does not pay for the whole O(n^3) graph on garbage. Independent tasks
+run as usual, and once ``wait_all`` has raised the runtime is reusable.
 
 The ``serial`` engine runs each task synchronously inside ``insert_task``
 — program order is always a legal schedule under sequential task flow —
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from ..config import get_config
 from ..exceptions import RuntimeEngineError
@@ -126,24 +128,24 @@ class Runtime:
         *,
         args: Tuple[Any, ...] = (),
         kwargs: Optional[dict] = None,
-        name: Optional[str] = None,
+        name: Union[str, Tuple[Any, ...], None] = None,
         priority: int = 0,
     ) -> Task:
         """Submit a task; returns immediately with the ``threads`` engine.
 
         Dependencies on previously inserted tasks are inferred from the
-        access declarations (sequential-task-flow semantics).
+        access declarations (sequential-task-flow semantics). ``name`` is
+        a string or a ``(kind, *indices)`` tuple (see :class:`Task`).
         """
         self._check_alive()
         task = Task(fn, accesses, args=args, kwargs=kwargs, name=name, priority=priority)
         if self.engine == "serial":
-            self.tracker.register(task)
+            task.poisoned = self._inherits_failure(self.tracker.register(task))
             self._run_task(task, worker=0)
-            if task.error is not None and self._first_error is None:
-                self._first_error = task.error
             return task
         with self._lock:
             deps = self.tracker.register(task)
+            task.poisoned = self._inherits_failure(deps)
             open_deps = [d for d in deps if d.state not in (TaskState.DONE, TaskState.FAILED)]
             task.unresolved = len(open_deps)
             for d in open_deps:
@@ -224,6 +226,11 @@ class Runtime:
         if self._shutdown:
             raise RuntimeEngineError("runtime has been shut down")
 
+    def _inherits_failure(self, deps: Iterable[Task]) -> bool:
+        """True when an unreported error is pending and a dependency failed."""
+        pending = self._first_error is not None
+        return pending and any(d.state is TaskState.FAILED for d in deps)
+
     def _raise_pending(self) -> None:
         err = self._first_error
         if err is not None:
@@ -246,28 +253,35 @@ class Runtime:
             assert task is not None
             self._run_task(task, worker=worker_id)
             with self._lock:
+                failed = task.state is TaskState.FAILED
                 for dep in task.dependents:
+                    dep.poisoned |= failed
                     dep.unresolved -= 1
                     if dep.unresolved == 0:
                         dep.state = TaskState.READY
                         self._queue.push(dep)
                         self._work_available.notify()
-                if task.error is not None and self._first_error is None:
-                    self._first_error = task.error
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._all_done.notify_all()
 
     def _run_task(self, task: Task, worker: int) -> None:
+        if task.poisoned:
+            task.state = TaskState.FAILED  # a dependency failed: skip the body
+            return
         task.state = TaskState.RUNNING
         task.worker = worker
         task.t_start = time.perf_counter()
         try:
-            fault_point("runtime.task", path=task.name)
+            fault_point("runtime.task")
             task.result = task.execute()
             task.state = TaskState.DONE
         except BaseException as exc:  # noqa: BLE001 - error channel, re-raised in wait_all
             task.error = exc
+            with self._lock:
+                if self._first_error is None:
+                    self._first_error = exc
+            # Set after the error is recorded: _inherits_failure reads both.
             task.state = TaskState.FAILED
             logger.debug("task %s failed: %r", task.name, exc)
         finally:

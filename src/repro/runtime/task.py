@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .handle import DataHandle
 
@@ -63,7 +63,10 @@ class Task:
         Extra positional/keyword arguments forwarded to ``fn`` after the
         payloads (e.g. an accuracy threshold).
     name:
-        Label used in traces; defaults to the codelet's ``__name__``.
+        Label used in traces: a string, or a ``(kind, *indices)`` tuple
+        formatted into ``"kind(i,j)"`` only when :attr:`name` is read (by
+        a trace recorder or a log line). Defaults to the codelet's
+        ``__name__``.
     priority:
         Larger runs earlier under the ``priority`` ready-queue policy.
         Tile Cholesky assigns higher priority to critical-path (panel)
@@ -76,12 +79,13 @@ class Task:
         "accesses",
         "args",
         "kwargs",
-        "name",
+        "_name",
         "priority",
         "state",
         "deps",
         "dependents",
         "unresolved",
+        "poisoned",
         "result",
         "error",
         "t_start",
@@ -96,7 +100,7 @@ class Task:
         *,
         args: Tuple[Any, ...] = (),
         kwargs: Optional[Dict[str, Any]] = None,
-        name: Optional[str] = None,
+        name: Union[str, Tuple[Any, ...], None] = None,
         priority: int = 0,
     ) -> None:
         self.id: int = next(_task_counter)
@@ -109,17 +113,26 @@ class Task:
                 raise TypeError(f"expected AccessMode, got {type(mode).__name__}")
         self.args = tuple(args)
         self.kwargs = dict(kwargs or {})
-        self.name = name or getattr(fn, "__name__", "task")
+        self._name = name
         self.priority = int(priority)
         self.state = TaskState.PENDING
         self.deps: set[int] = set()
         self.dependents: List["Task"] = []
         self.unresolved = 0
+        self.poisoned = False  # a dependency failed; the executor skips the body
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.t_start = 0.0
         self.t_end = 0.0
         self.worker = -1
+
+    @property
+    def name(self) -> str:
+        """Trace label, formatted on demand from a ``(kind, *indices)`` name."""
+        name = self._name
+        if isinstance(name, tuple):
+            return f"{name[0]}({','.join(map(str, name[1:]))})"
+        return name or getattr(self.fn, "__name__", "task")
 
     def payloads(self) -> List[Any]:
         """Current payloads of the accessed handles, in declaration order."""

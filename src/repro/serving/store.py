@@ -267,7 +267,8 @@ class ModelBundle:
         """Rebuild a bundle from :meth:`to_payload` output (or from a
         decoded wire message / a read ``meta.json`` + ``arrays.npz``
         pair). Raises :class:`BundleError` on version or structure
-        problems."""
+        problems. The tiles of a dense tile factor are moved out of
+        ``arrays`` as they are copied into the factor's storage."""
         if not isinstance(meta, dict):
             raise BundleError(
                 f"bundle meta must be an object, got {type(meta).__name__}"
@@ -421,12 +422,20 @@ class ModelBundle:
         if kind == "dense":
             return arrays["factor"]
         if kind == "tile":
-            grid = TileGrid(n, nb)
-            tm = TileMatrix(grid, symmetric_lower=True)
-            for name, arr in arrays.items():
-                if name.startswith("factor_tile_"):
-                    _, _, i, j = name.split("_")
-                    tm.set_tile(int(i), int(j), np.ascontiguousarray(arr))
+            tm = TileMatrix(TileGrid(n, nb), symmetric_lower=True)
+            names = [name for name in arrays if name.startswith("factor_tile_")]
+            expected = tm.nt * (tm.nt + 1) // 2
+            if len(names) != expected:
+                raise BundleError(
+                    f"tile factor has {len(names)} tiles, expected {expected} "
+                    f"for n={n}, nb={nb}"
+                )
+            for name in names:
+                _, _, i, j = name.split("_")
+                # set_tile copies into the column array; popping releases
+                # each loaded tile as it lands, so the factor is never
+                # resident twice.
+                tm.set_tile(int(i), int(j), arrays.pop(name))
             return tm
         if kind == "tlr":
             grid = TileGrid(n, nb)

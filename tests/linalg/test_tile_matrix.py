@@ -113,6 +113,64 @@ class TestTileMatrix:
         stored = list(tm.iter_stored())
         assert len(stored) == 6  # nt=3 -> 3 diag + 3 lower
 
+    # ---------------------------------------------- column-storage contract
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_tile_views_are_contiguous_and_write_through(self, rng, symmetric):
+        x = rng.random((37, 37))
+        tm = TileMatrix.from_dense(x + x.T, 10, symmetric_lower=symmetric)
+        for i, j, tile in tm.iter_stored():
+            assert tile.flags["C_CONTIGUOUS"] and tile.flags["WRITEABLE"]
+            assert tile.dtype == np.float64
+            assert tile.shape == (tm.grid.tile_size(i), tm.grid.tile_size(j))
+        tm.tile(3, 1)[...] = -7.0  # ragged last row of tiles
+        assert (tm.to_dense()[30:37, 10:20] == -7.0).all()
+        assert (tm.tile(3, 1) == -7.0).all()
+        assert np.shares_memory(tm.tile(3, 1), tm.panel(1))
+
+    def test_panel_is_the_column_from_its_diagonal_down(self, rng):
+        x = rng.random((37, 37))
+        a = x + x.T
+        for symmetric in (False, True):
+            tm = TileMatrix.from_dense(a, 10, symmetric_lower=symmetric)
+            for j in range(tm.nt):
+                panel = tm.panel(j)
+                assert panel.flags["C_CONTIGUOUS"]
+                np.testing.assert_array_equal(panel, a[10 * j :, tm.grid.tile_slice(j)])
+                # stacked tiles are one contiguous run of the panel
+                np.testing.assert_array_equal(panel[: tm.grid.tile_size(j)], tm.tile(j, j))
+
+    def test_set_tile_copies_and_never_aliases(self, rng):
+        tm = TileMatrix(TileGrid(20, 8), symmetric_lower=True)
+        src = rng.random((8, 8))
+        tm.set_tile(1, 0, src)
+        assert not np.shares_memory(tm.tile(1, 0), src)
+        src[:] = 0.0
+        assert tm.tile(1, 0).min() > 0.0
+        tm.set_tile(2, 2, np.arange(16).reshape(4, 4))  # integer input is cast
+        assert tm.tile(2, 2).dtype == np.float64 and tm.tile(2, 2)[3, 3] == 15.0
+
+    def test_from_dense_does_not_alias_a_single_tile_input(self, rng):
+        a = rng.random((6, 6))
+        tm = TileMatrix.from_dense(a, 8, symmetric_lower=True)
+        assert not np.shares_memory(tm.tile(0, 0), a)
+
+    def test_copy_is_deep_per_column(self, rng):
+        x = rng.random((30, 30))
+        tm = TileMatrix.from_dense(x + x.T, 8, symmetric_lower=True)
+        dup = tm.copy()
+        for j in range(tm.nt):
+            assert not np.shares_memory(dup.panel(j), tm.panel(j))
+        np.testing.assert_array_equal(dup.to_dense(), tm.to_dense())
+
+    def test_nbytes_is_the_stored_tiles(self, rng):
+        n, nb = 37, 10
+        x = rng.random((n, n))
+        tm = TileMatrix.from_dense(x + x.T, nb, symmetric_lower=True)
+        sizes = [tm.grid.tile_size(i) for i in range(tm.nt)]
+        lower = sum(sizes[i] * sizes[j] for i in range(tm.nt) for j in range(i + 1))
+        assert tm.nbytes == 8 * lower
+        assert tm.nbytes == sum(tile.nbytes for _, _, tile in tm.iter_stored())
+
     @given(st.integers(4, 40), st.integers(2, 15))
     def test_property_roundtrip(self, n, nb):
         rng = np.random.default_rng(n * 100 + nb)

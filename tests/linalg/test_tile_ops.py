@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from repro.exceptions import NotPositiveDefiniteError
 from repro.linalg.compression import LowRank, svd_compress
-from repro.linalg.tile_ops import gemm_codelet, potrf_codelet, syrk_codelet, trsm_codelet
+from repro.linalg.tile_ops import panel_codelet, potrf_codelet, update_codelet
 from repro.linalg.tlr_ops import (
     tlr_gemm_codelet,
     tlr_potrf_codelet,
@@ -36,29 +36,46 @@ class TestDenseCodelets:
             potrf_codelet(-np.eye(4))
 
     def test_trsm_right_solve(self, spd_tile, rng):
+        """PANEL: POTRF of the diagonal tile + one TRSM over everything below."""
         lkk = np.linalg.cholesky(spd_tile)
-        a = rng.random((16, 24))
-        expected = a @ np.linalg.inv(lkk).T
-        tile = a.copy()
-        trsm_codelet(lkk, tile)
-        np.testing.assert_allclose(tile, expected, atol=1e-9)
+        a = rng.random((40, 24))  # 1 2/3 tiles tall: stacked, ragged
+        panel = np.vstack([spd_tile, a])
+        panel_codelet(panel)
+        np.testing.assert_allclose(panel[:24], lkk, atol=1e-10)
+        np.testing.assert_allclose(panel[24:], a @ np.linalg.inv(lkk).T, atol=1e-9)
+
+    def test_panel_single_tile_and_indefinite(self, spd_tile):
+        panel = spd_tile.copy()
+        panel_codelet(panel)  # nothing below the diagonal tile
+        np.testing.assert_allclose(panel, np.linalg.cholesky(spd_tile), atol=1e-10)
+        with pytest.raises(NotPositiveDefiniteError):
+            panel_codelet(np.vstack([-np.eye(4), np.ones((4, 4))]))
 
     def test_syrk_update(self, rng):
-        a = rng.random((12, 12))
-        d = rng.random((12, 12))
-        expected = d - a @ a.T
-        out = d.copy()
-        syrk_codelet(a, out)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        """UPDATE on the diagonal tile of column j is the SYRK."""
+        pk = rng.random((30, 12))  # column k from row (k) down; column j starts at row 6
+        pj = rng.random((24, 12))
+        expected = pj[:12] - pk[6:18] @ pk[6:18].T
+        update_codelet(pk, pj, 6)
+        np.testing.assert_allclose(pj[:12], expected, atol=1e-12)
 
     def test_gemm_update(self, rng):
-        aik = rng.random((10, 8))
-        ajk = rng.random((10, 8))
-        aij = rng.random((10, 10))
-        expected = aij - aik @ ajk.T
-        out = aij.copy()
-        gemm_codelet(aik, ajk, out)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        """UPDATE below the diagonal tile is every GEMM of the column at once."""
+        pk = rng.random((30, 8))
+        pj = rng.random((20, 5))  # ragged: narrower than column k
+        before = pj.copy()
+        update_codelet(pk, pj, 10)
+        np.testing.assert_allclose(pj, before - pk[10:] @ pk[10:15].T, atol=1e-12)
+
+    def test_codelets_write_in_place(self, spd_tile, rng):
+        """Both kernels mutate the caller's storage, including row-slice views."""
+        column = np.vstack([spd_tile, rng.random((48, 24))])
+        view = column[:]  # what TileMatrix.panel hands out
+        panel_codelet(view)
+        assert np.allclose(column[:24], np.tril(column[:24]))
+        target = np.zeros((48, 24))
+        update_codelet(column, target[:], 24)
+        np.testing.assert_allclose(target, -column[24:] @ column[24:48].T, atol=1e-12)
 
 
 class TestTLRCodelets:

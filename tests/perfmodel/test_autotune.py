@@ -241,6 +241,38 @@ def test_task_counts_positive_and_scale_with_nt():
         assert large[phase] > small[phase]
 
 
+@pytest.mark.parametrize("variant", ["full-tile", "tlr"])
+@pytest.mark.parametrize("n, nb", [(300, 64), (256, 64)])  # ragged and even, nt = 5 / 4
+def test_task_counts_match_the_runtime_event_count(variant, n, nb):
+    """Model and code cannot drift: one evaluator call on a tracing
+    runtime executes exactly generation + factorization tasks."""
+    from repro.runtime import Runtime
+
+    locs = generate_irregular_grid(n, seed=5)
+    z = np.random.default_rng(5).standard_normal(n)
+    counts = task_counts(n, nb, variant)
+    with Runtime(num_workers=2, trace=True) as rt:
+        est = MLEstimator(
+            locs, z, model=MaternCovariance(1.0, 0.1, 0.5), variant=variant,
+            tile_size=nb, acc=1e-7, runtime=rt,
+        )
+        est.evaluator(np.array([1.0, 0.1, 0.5]))
+        assert len(rt.trace) == counts["generation"] + counts["factorization"]
+
+
+def test_tlr_generation_count_follows_compression_batch():
+    nt = 8
+    off = nt * (nt - 1) // 2
+    assert task_counts(8 * 64, 64, "tlr")["generation"] == nt + off
+    with use_config(compression_batch=5):
+        assert task_counts(8 * 64, 64, "tlr")["generation"] == nt + -(-off // 5)
+
+
+def test_full_tile_counts_are_the_panel_graph():
+    counts = task_counts(2080, 80, "full-tile")  # the ledger's mle_tile_exp
+    assert counts["generation"] + counts["factorization"] == 26 + 26 + 325
+
+
 # ---------------------------------------------------------- config hooks
 def test_planned_tile_size_uses_default_profile():
     set_default_profile(_profile())

@@ -131,6 +131,13 @@ class TestTaskValidation:
         with pytest.raises(TypeError):
             Task(noop, [(h, "R")])
 
+    def test_tuple_name_is_formatted_on_demand(self):
+        h = DataHandle(0)
+        assert Task(noop, [(h, R)], name=("update", 3, 1)).name == "update(3,1)"
+        assert Task(noop, [(h, R)], name=("panel", 7)).name == "panel(7)"
+        assert Task(noop, [(h, R)], name="plain").name == "plain"
+        assert Task(noop, [(h, R)]).name == "noop"
+
     def test_payload_order(self):
         ha, hb = DataHandle("a"), DataHandle("b")
         t = Task(lambda a, b: (a, b), [(ha, R), (hb, R)])

@@ -71,22 +71,15 @@ class TestStress:
 
     def test_dag_export_of_real_factorization(self, small_sigma):
         from repro.linalg.tile_matrix import TileMatrix
-        from repro.linalg.tile_cholesky import tile_cholesky
+        from repro.linalg.tile_ops import panel_codelet, update_codelet
 
         tm = TileMatrix.from_dense(small_sigma, 64, symmetric_lower=True)
         with Runtime(num_workers=4) as rt:
-            # Snapshot the tracker's tasks before the post-wait reset.
-            import repro.linalg.tile_cholesky as tc
-
-            handles = {}
-            for i, j, tile in tm.iter_stored():
-                handles[(i, j)] = rt.register(tile)
+            handles = [rt.register(tm.panel(j)) for j in range(tm.nt)]
             # Build DAG manually via one panel step to verify acyclicity.
-            from repro.linalg.tile_ops import potrf_codelet, trsm_codelet
-
-            t0 = rt.insert_task(potrf_codelet, [(handles[(0, 0)], RW)])
+            t0 = rt.insert_task(panel_codelet, [(handles[0], RW)])
             t1 = rt.insert_task(
-                trsm_codelet, [(handles[(0, 0)], R), (handles[(1, 0)], RW)]
+                update_codelet, [(handles[0], R), (handles[1], RW)], args=(64,)
             )
             rt.wait_all()
             g = build_networkx_dag([t0, t1])
@@ -109,6 +102,32 @@ class TestFaultInjection:
             rt.insert_task(ok, [(h, RW)])
             with pytest.raises(ArithmeticError, match="injected"):
                 rt.wait_all()
+
+    @pytest.mark.parametrize("engine", ["threads", "serial"])
+    def test_dependents_of_a_failure_are_skipped_independents_run(self, engine):
+        """Bodies downstream of a failed task never execute; the rest of
+        the graph does, and after the error is reported nothing lingers."""
+        ran = []
+        with Runtime(num_workers=3, engine=engine) as rt:
+            a, b, c = (rt.register(np.zeros(1)) for _ in range(3))
+
+            def fail(x):
+                raise ArithmeticError("injected")
+
+            def mark(tag):
+                return lambda *payloads: ran.append(tag)
+
+            rt.insert_task(fail, [(a, RW)])
+            rt.insert_task(mark("direct"), [(a, RW)])
+            rt.insert_task(mark("transitive"), [(a, R), (b, RW)])
+            rt.insert_task(mark("second-hop"), [(b, R), (c, RW)])
+            rt.insert_task(mark("independent"), [(rt.register(np.zeros(1)), RW)])
+            with pytest.raises(ArithmeticError, match="injected"):
+                rt.wait_all()
+            assert ran == ["independent"]
+            rt.insert_task(mark("after"), [(a, RW), (b, RW), (c, RW)])
+            rt.wait_all()
+        assert ran == ["independent", "after"]
 
     def test_failure_in_serial_engine(self):
         with Runtime(engine="serial") as rt:
