@@ -52,7 +52,7 @@ def block_logdet_from_factor(factor: np.ndarray) -> float:
     """``log |A|`` from a lower Cholesky factor: ``2 * sum(log diag(L))``."""
     check_square(factor, "factor")
     diag = np.diagonal(factor)
-    if np.any(diag <= 0.0):
+    if not np.all(diag > 0.0):  # also catches NaN
         raise NotPositiveDefiniteError("factor has non-positive diagonal entries")
     return float(2.0 * np.sum(np.log(diag)))
 

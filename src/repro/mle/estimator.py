@@ -4,8 +4,16 @@
 does: (1) Morton-order the locations, (2) wrap a
 :class:`~repro.mle.loglik.LikelihoodEvaluator` for the chosen substrate
 (full-block / full-tile / TLR), (3) maximize with the bound-constrained
-Nelder-Mead optimizer, (4) expose prediction at new locations through the
-fitted model.
+Nelder-Mead optimizer, (4) predict at new locations through the fitted
+model.
+
+Fit and prediction run on **one**
+:class:`~repro.mle.prediction_engine.PredictionEngine` — the
+evaluator's. :meth:`MLEstimator.predictor` only rebinds that engine's
+model to ``fit.theta``, so prediction inherits the fit's distance
+caches, runtime and knobs with nothing handed over, and when the last
+likelihood evaluation was at ``fit.theta`` the engine's own cache key
+makes the first predict skip generation and factorization.
 """
 
 from __future__ import annotations
@@ -180,9 +188,7 @@ class MLEstimator:
             compression_method=compression_method,
             cache_distances=cache_distances,
             parallel_generation=parallel_generation,
-            keep_last_factor=True,
         )
-        self._engine: Optional[PredictionEngine] = None
 
     @classmethod
     def from_dataset(cls, dataset: GeoDataset, **kwargs: object) -> "MLEstimator":
@@ -302,48 +308,18 @@ class MLEstimator:
 
     # -------------------------------------------------------------- predict
     def predictor(self, fit: FitResult) -> PredictionEngine:
-        """The :class:`PredictionEngine` bound to this fit's model.
+        """The fit's own :class:`PredictionEngine`, bound to ``fit.theta``.
 
-        The engine is created once per estimator and shares the fit's
-        generation pipeline: the evaluator's
-        :class:`~repro.linalg.generation.TileDistanceCache` (or cached
-        full distance matrix), the runtime, and the
-        ``cache_distances``/``parallel_generation`` knobs. When the
-        evaluator's final factorization was computed at exactly
-        ``fit.theta`` (and is not already installed), the engine adopts
-        it, so the first ``predict`` skips generation *and*
-        factorization of ``Sigma_22`` entirely. Subsequent calls — new
-        target sets, batched realizations, conditional variances — reuse
-        the one cached factor until ``fit.theta`` changes.
+        This is the engine every likelihood evaluation ran on, so it
+        already holds the fit's distance caches, runtime and knobs — and
+        the factor of the last evaluated ``theta``. If that was
+        ``fit.theta`` the first ``predict`` skips generation *and*
+        factorization of ``Sigma_22``; otherwise it factors once.
+        Subsequent calls — new target sets, batched realizations,
+        conditional variances — reuse that one factor until ``theta``
+        changes (a further likelihood evaluation changes it).
         """
-        ev = self.evaluator
-        model = self.model.with_theta(fit.theta)
-        if self._engine is None:
-            self._engine = PredictionEngine(
-                self.locations,
-                self.z,
-                model,
-                variant=self.variant,
-                acc=ev.acc,
-                tile_size=ev.tile_size,
-                runtime=ev.runtime,
-                compression_method=ev.compression_method,
-                cache_distances=ev.cache_distances,
-                parallel_generation=ev.parallel_generation,
-                compression_batch=ev.compression_batch,
-                distance_cache=ev.distance_cache,
-                full_distances=ev._full_distances,
-            )
-        else:
-            self._engine.set_model(model)
-        if (
-            ev.last_factor is not None
-            and ev.last_theta is not None
-            and np.array_equal(ev.last_theta, np.asarray(fit.theta, dtype=np.float64))
-            and self._engine._factor is None
-        ):
-            self._engine.adopt_factor(ev.last_factor, model)
-        return self._engine
+        return self.evaluator.engine.set_model(self.model.with_theta(fit.theta))
 
     def predict(
         self,

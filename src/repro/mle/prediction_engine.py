@@ -1,44 +1,42 @@
-"""Cached, task-parallel kriging over a fixed training set (paper §III).
+"""The one owner of ``Sigma_22``: generate -> factor -> solve (paper §III).
 
-The prediction operation (eqs. (2)-(4)) is, like one likelihood
-evaluation, dominated by generating and factorizing ``Sigma_22`` — the
-paper's Figure 5 prediction curves mirror the Figure 4 MLE curves for
-exactly this reason. ExaGeoStat treats prediction as a first-class,
-*repeatedly invoked* operation over a fitted model: many realizations,
-many target sets, one training set. :class:`PredictionEngine` gives that
-workload the same treatment PR 1 gave the MLE hot loop:
+The paper's two operations — the Gaussian log-likelihood (eq. (1)) and
+the kriging predictor (eqs. (2)-(4)) — are the same pipeline: generate
+``Sigma_22(theta)`` on a substrate, Cholesky it, substitute (its Figure 5
+prediction curves mirror the Figure 4 MLE curves for exactly this
+reason). :class:`PredictionEngine` is that pipeline, bound to one
+training set and one substrate, and everything above it is a client:
 
-* **Distance caching.** A per-engine
-  :class:`~repro.linalg.generation.TileDistanceCache` (shareable with
-  the fit's evaluator, so ``fit -> predict`` pays for no distance block
-  twice) covers ``Sigma_22``; a new
-  :class:`~repro.linalg.generation.CrossDistanceCache` covers the
-  ``Sigma_12`` cross blocks, keyed by a content digest of the target
-  coordinates. Cached tiles are bit-identical to direct generation.
+* :class:`~repro.mle.loglik.LikelihoodEvaluator` calls
+  :meth:`~PredictionEngine.factor_at` once per trial ``theta`` and reads
+  ``l(theta)`` off :meth:`~PredictionEngine.half_solve` and
+  :meth:`~PredictionEngine.logdet`;
+* :meth:`~PredictionEngine.predict` / :meth:`~PredictionEngine.predict_many`
+  / :meth:`~PredictionEngine.conditional_variance` go through the cached
+  :meth:`~PredictionEngine.factor`, so many target sets, batched
+  realizations (``z`` of shape ``(n, k)``) and variances share one
+  factorization per parameter vector;
+* a persisted bundle hands its factor back with
+  :meth:`~PredictionEngine.adopt_factor`.
 
-* **Fused task-parallel generation.** With a
-  :class:`~repro.runtime.Runtime` attached and ``parallel_generation``
-  on, tile/TLR generation is inserted into the prediction Cholesky's
-  task graph exactly as the MLE loop does
-  (:func:`~repro.linalg.generation.insert_tile_generation_tasks` /
-  :func:`~repro.linalg.generation.insert_tlr_generation_tasks`): no
-  global barrier between generation and factorization.
+This module holds the only ``variant`` dispatch for generate+factor,
+triangular solve and log-determinant, so a numerics change (a new
+substrate, a jitter fallback, a concentrated likelihood) lands once.
 
-* **One factorization, many solves.** The Cholesky factor of
-  ``Sigma_22`` is cached per parameter vector: batched multi-RHS
-  prediction (``z`` with shape ``(n, k)``), repeated target sets, and
-  conditional variances all reuse one factorization. The engine can
-  also *adopt* the factorization left behind by the fit's final
-  likelihood evaluation, skipping even the first factorization.
-
-* **All substrates.** ``full-block``, ``full-tile`` and ``tlr`` share
-  the machinery, including :meth:`conditional_variance` (previously
-  dense-only).
-
-Values are preserved: with caching and/or fused generation the
-conditional means are bit-identical to the seed path for the dense
-substrates and within the compression accuracy for TLR (bit-identical
-with the deterministic SVD compressor).
+**Generation.** Locations are fixed, so ``Sigma_22`` distance blocks are
+cached across factorizations
+(:class:`~repro.linalg.generation.TileDistanceCache`; the full-block
+substrate caches the full distance matrix) and ``Sigma_12`` cross
+distances by a content digest of the targets
+(:class:`~repro.linalg.generation.CrossDistanceCache`). With a
+:class:`~repro.runtime.Runtime` attached and ``parallel_generation`` on,
+tile/TLR generation is *fused* into the Cholesky task graph — one
+generation task per tile column (full-tile) or one generate+compress
+task per tile batch (TLR), no barrier before the factorization; the
+``generation`` stage time is then submission time only and the work is
+accounted in the ``factorization`` stage. Both knobs preserve values:
+cached tiles are bit-identical and fused execution computes the same
+factorization.
 """
 
 from __future__ import annotations
@@ -49,27 +47,31 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..config import get_config
-from ..exceptions import ConfigurationError, NotPositiveDefiniteError, ShapeError
+from ..exceptions import ConfigurationError, ShapeError
 from ..kernels.covariance import CovarianceModel
 from ..kernels.distance import pairwise_distance
-from ..linalg.blocklapack import block_cholesky
+from ..linalg.blocklapack import block_cholesky, block_logdet_from_factor
 from ..linalg.generation import (
     CrossDistanceCache,
     TileDistanceCache,
     generate_and_factor_tile_matrix,
     generate_and_factor_tlr_matrix,
 )
+from ..linalg.tile_cholesky import logdet_from_tile_factor
 from ..linalg.tile_matrix import TileMatrix
 from ..linalg.tile_solve import tile_solve_triangular
+from ..linalg.tlr_cholesky import logdet_from_tlr_factor
 from ..linalg.tlr_matrix import TLRMatrix
 from ..linalg.tlr_solve import tlr_solve_triangular
 from ..runtime import Runtime
 from ..telemetry import spans as _telemetry
 from ..utils.timer import StageTimes
 from ..utils.validation import as_float_array, check_locations
-from .loglik import VARIANTS
 
-__all__ = ["PredictionEngine"]
+__all__ = ["PredictionEngine", "VARIANTS"]
+
+#: Supported computation variants.
+VARIANTS = ("full-block", "full-tile", "tlr")
 
 #: A Sigma_22 Cholesky factor in any of the three substrate formats.
 Factor = Union[np.ndarray, TileMatrix, TLRMatrix]
@@ -83,34 +85,6 @@ def _check_rhs(z: object, n: int, name: str = "z") -> np.ndarray:
     if arr.shape[0] != n:
         raise ShapeError(f"{name} must have leading dimension {n}, got {arr.shape[0]}")
     return arr
-
-
-def _validate_factor(factor: Factor) -> Factor:
-    """Guard a Cholesky factor's diagonal, as ``logdet_from_*_factor`` does.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If any diagonal entry of the factor is not strictly positive —
-        solving against such a factor would silently produce NaN/Inf
-        predictions instead of a diagnosable failure.
-    """
-    if isinstance(factor, TileMatrix):
-        for k in range(factor.nt):
-            if not np.all(np.diagonal(factor.tile(k, k)) > 0.0):
-                raise NotPositiveDefiniteError(
-                    f"tile Cholesky factor has a non-positive diagonal in tile ({k},{k})"
-                )
-    elif isinstance(factor, TLRMatrix):
-        for k in range(factor.nt):
-            if not np.all(np.diagonal(factor.diag[k]) > 0.0):
-                raise NotPositiveDefiniteError(
-                    f"TLR Cholesky factor has a non-positive diagonal in tile ({k},{k})"
-                )
-    else:
-        if not np.all(np.diagonal(factor) > 0.0):
-            raise NotPositiveDefiniteError("Cholesky factor has non-positive diagonal entries")
-    return factor
 
 
 class PredictionEngine:
@@ -131,9 +105,14 @@ class PredictionEngine:
         theta change, the factorization cache does not.
     variant:
         ``"full-block"`` (default), ``"full-tile"`` or ``"tlr"``.
-    acc, tile_size, runtime, compression_method:
-        Substrate controls, as in
-        :class:`~repro.mle.loglik.LikelihoodEvaluator`.
+    acc:
+        TLR accuracy threshold (TLR variant only; default configured).
+    tile_size:
+        Tile size ``nb`` (tile/TLR variants; default configured).
+    runtime:
+        Optional task runtime shared across factorizations (tile/TLR).
+    compression_method:
+        Per-tile compressor for the TLR variant.
     cache_distances:
         Cache ``Sigma_22`` distance blocks and ``Sigma_12`` cross-distance
         matrices across calls (default: configured ``cache_distances``).
@@ -147,14 +126,9 @@ class PredictionEngine:
         TLR tiles compressed per fused generation task (default:
         configured ``compression_batch``), resolved at construction so
         serving worker threads never consult their own config.
-    distance_cache:
-        An existing :class:`~repro.linalg.generation.TileDistanceCache`
-        to share (typically the fit evaluator's, so prediction reuses the
-        fit's distance work). Must be built over the same locations and
-        metric.
     full_distances:
         Pre-computed ``(n, n)`` distance matrix to seed the full-block
-        cache with (the full-block analogue of ``distance_cache``).
+        cache with (a bundle's persisted distances).
 
     Examples
     --------
@@ -186,7 +160,6 @@ class PredictionEngine:
         cache_distances: Optional[bool] = None,
         parallel_generation: Optional[bool] = None,
         compression_batch: Optional[int] = None,
-        distance_cache: Optional[TileDistanceCache] = None,
         full_distances: Optional[np.ndarray] = None,
     ) -> None:
         if variant not in VARIANTS:
@@ -216,18 +189,19 @@ class PredictionEngine:
 
         self.distance_cache: Optional[TileDistanceCache] = None
         self.cross_cache: Optional[CrossDistanceCache] = None
-        self._full_distances: Optional[np.ndarray] = None
+        self.full_distances: Optional[np.ndarray] = None
         if self.cache_distances:
             if variant in ("full-tile", "tlr"):
-                self.distance_cache = distance_cache or TileDistanceCache(
+                self.distance_cache = TileDistanceCache(
                     self.locations, self.tile_size, metric=model.metric
                 )
             else:
-                self._full_distances = full_distances
+                self.full_distances = full_distances
             self.cross_cache = CrossDistanceCache(self.locations, metric=model.metric)
 
         self._factor: Optional[Factor] = None
         self._factor_key: Optional[Tuple] = None
+        self._logdet: Optional[float] = None  # log|Sigma_22| of the current factor
         self._alpha: Optional[np.ndarray] = None  # Sigma_22^{-1} z for the bound z
         self.n_factorizations = 0
         self.n_predicts = 0
@@ -247,15 +221,13 @@ class PredictionEngine:
         were measured in the old metric).
         """
         if self._model_key(model) != self._model_key(self.model):
-            self._factor = None
-            self._factor_key = None
-            self._alpha = None
+            self.clear()
         if model.metric != self.model.metric and self.cache_distances:
             if self.distance_cache is not None:
                 self.distance_cache = TileDistanceCache(
                     self.locations, self.tile_size, metric=model.metric
                 )
-            self._full_distances = None
+            self.full_distances = None
             self.cross_cache = CrossDistanceCache(self.locations, metric=model.metric)
         self.model = model
         return self
@@ -269,11 +241,11 @@ class PredictionEngine:
     def adopt_factor(self, factor: Factor, model: CovarianceModel) -> "PredictionEngine":
         """Install an existing ``Sigma_22`` Cholesky factor for ``model``.
 
-        Used by :class:`~repro.mle.estimator.MLEstimator` to hand the fit's
-        final factorization to the prediction path when the training
-        locations are unchanged. The factor must come from this engine's
-        substrate (``variant``/``tile_size``/``acc``); ownership transfers
-        to the engine (the factor must not be mutated afterwards).
+        Used by :meth:`~repro.serving.store.ModelBundle.build_engine` to
+        hand a persisted factorization back. The factor must come from
+        this engine's substrate (``variant``/``tile_size``/``acc``);
+        ownership transfers to the engine (the factor must not be
+        mutated afterwards).
         """
         expected = {
             "full-block": np.ndarray,
@@ -285,64 +257,87 @@ class PredictionEngine:
                 f"adopted factor type {type(factor).__name__} does not match "
                 f"variant {self.variant!r}"
             )
-        self._factor = _validate_factor(factor)
-        self._factor_key = self._model_key(model)
-        self._alpha = None
-        self.model = model
+        self.clear()
+        self.set_model(model)
+        self._install(factor)
         return self
 
     # -------------------------------------------------------- factorization
-    def _tile_generator(self, model: CovarianceModel):
-        """Tile generator for ``Sigma_22``: cached distances when enabled."""
-        if self.distance_cache is not None:
-            return self.distance_cache.generator(model)
-        return lambda rs, cs: model.tile(self.locations, rs, cs)
-
-    @property
-    def _fused(self) -> bool:
-        """True when generation is fused into the factorization task graph."""
-        return self.runtime is not None and self.parallel_generation
-
     def factor(self) -> Factor:
         """The Cholesky factor of ``Sigma_22`` at the current model (cached)."""
-        key = self._model_key(self.model)
-        if self._factor is not None and self._factor_key == key:
-            return self._factor
+        if self._factor is None or self._factor_key != self._model_key(self.model):
+            self.factor_at(self.model)
+        return self._factor
+
+    def factor_at(self, model: CovarianceModel) -> Factor:
+        """Generate and factor ``Sigma_22`` at ``model`` — always recomputes.
+
+        The likelihood evaluator's entry point: the previous factor is
+        dropped *before* generation (two factors are never resident),
+        and the result becomes the engine's current factor for
+        ``model``, so a following :meth:`predict` at the same parameters
+        pays no second factorization. On
+        :class:`~repro.exceptions.NotPositiveDefiniteError` the engine
+        is left with no factor.
+        """
+        self.clear()
+        self.set_model(model)
         with _telemetry.span("engine.factor", variant=self.variant):
             # Runtime task events recorded during this factorization are
             # adopted as child spans, joining the task-level view (what
             # StarPU's FxT traces show) to the request-level one.
             rt_trace = self.runtime.trace if self.runtime is not None else None
             events_before = rt_trace.total_recorded if rt_trace is not None else 0
-            self._factor = _validate_factor(self._compute_factor(self.model))
+            factor = self._compute_factor(model)
             if rt_trace is not None:
                 _telemetry.adopt_trace_events(rt_trace.tail(events_before))
-        self._factor_key = key
-        self._alpha = None
+        self._install(factor)
         self.n_factorizations += 1
-        return self._factor
+        return factor
+
+    def _install(self, factor: Factor) -> None:
+        """Make ``factor`` the current one for ``self.model``.
+
+        Taking the log-determinant first is the diagonal guard: a factor
+        with a non-positive (or NaN) diagonal raises
+        :class:`~repro.exceptions.NotPositiveDefiniteError` here instead
+        of silently producing NaN/Inf solves later.
+        """
+        if self.variant == "full-block":
+            self._logdet = block_logdet_from_factor(factor)
+        elif self.variant == "full-tile":
+            self._logdet = logdet_from_tile_factor(factor)
+        else:
+            self._logdet = logdet_from_tlr_factor(factor)
+        self._factor = factor
+        self._factor_key = self._model_key(self.model)
 
     def _compute_factor(self, model: CovarianceModel) -> Factor:
         if self.variant == "full-block":
             with self.times.stage("generation"):
                 if self.cache_distances:
-                    if self._full_distances is None:
-                        self._full_distances = pairwise_distance(
+                    if self.full_distances is None:
+                        self.full_distances = pairwise_distance(
                             self.locations, metric=model.metric
                         )
-                    sigma = model.matrix_from_distances(self._full_distances)
+                    sigma = model.matrix_from_distances(self.full_distances)
                 else:
                     sigma = model.matrix(self.locations)
             with self.times.stage("factorization"):
                 return block_cholesky(sigma, overwrite=True)
-        generate = self._tile_generator(model)
+        generate = (
+            self.distance_cache.generator(model)
+            if self.distance_cache is not None
+            else lambda rs, cs: model.tile(self.locations, rs, cs)
+        )
+        fused = self.runtime is not None and self.parallel_generation
         if self.variant == "full-tile":
             return generate_and_factor_tile_matrix(
                 self._n,
                 self.tile_size,
                 generate,
                 runtime=self.runtime,
-                fused=self._fused,
+                fused=fused,
                 times=self.times,
             )
         return generate_and_factor_tlr_matrix(
@@ -353,33 +348,37 @@ class PredictionEngine:
             method=self.compression_method,
             rule=self.truncation_rule,
             runtime=self.runtime,
-            fused=self._fused,
+            fused=fused,
             times=self.times,
             compression_batch=self.compression_batch,
         )
 
     # --------------------------------------------------------------- solves
-    def _half_solve(self, factor: Factor, b: np.ndarray) -> np.ndarray:
-        """``L^{-1} b`` against ``factor`` (any substrate)."""
+    def _tri_solve(self, factor: Factor, b: np.ndarray, trans: bool) -> np.ndarray:
+        """``L^{-1} b`` (or ``L^{-T} b`` with ``trans``) against ``factor``."""
         if self.variant == "full-block":
-            return sla.solve_triangular(factor, b, lower=True, check_finite=False)
+            return sla.solve_triangular(
+                factor, b, lower=True, trans="T" if trans else "N", check_finite=False
+            )
         if self.variant == "full-tile":
-            return tile_solve_triangular(factor, b, trans=False)
-        return tlr_solve_triangular(factor, b, trans=False)
+            return tile_solve_triangular(factor, b, trans=trans)
+        return tlr_solve_triangular(factor, b, trans=trans)
+
+    def half_solve(self, b: np.ndarray) -> np.ndarray:
+        """``L^{-1} b`` via the cached factor: ``||L^{-1} z||^2 = z' Sigma_22^{-1} z``."""
+        return self._tri_solve(self.factor(), _check_rhs(b, self._n, "b"), False)
+
+    def logdet(self) -> float:
+        """``log |Sigma_22|`` at the current model, from the cached factor."""
+        self.factor()
+        return self._logdet
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``Sigma_22^{-1} b`` via the cached factor; ``b`` is ``(n,)`` or ``(n, k)``."""
         b = _check_rhs(b, self._n, "b")
         factor = self.factor()
         with self.times.stage("solve"):
-            if self.variant == "full-block":
-                y = sla.solve_triangular(factor, b, lower=True, check_finite=False)
-                return sla.solve_triangular(factor, y, lower=True, trans="T", check_finite=False)
-            if self.variant == "full-tile":
-                y = tile_solve_triangular(factor, b, trans=False)
-                return tile_solve_triangular(factor, y, trans=True)
-            y = tlr_solve_triangular(factor, b, trans=False)
-            return tlr_solve_triangular(factor, y, trans=True)
+            return self._tri_solve(factor, self._tri_solve(factor, b, False), True)
 
     def _weights(self) -> np.ndarray:
         """``Sigma_22^{-1} z`` for the bound observations (cached per factor)."""
@@ -487,7 +486,7 @@ class PredictionEngine:
         sigma12 = self.cross_covariance(new_locations)
         factor = self.factor()  # outside the solve stage: may generate+factorize
         with self.times.stage("solve"):
-            half = self._half_solve(factor, sigma12.T)
+            half = self._tri_solve(factor, sigma12.T, False)
             reduction = np.einsum("ij,ij->j", half, half)
         var_marginal = float(self.model(np.zeros(1))[0]) + self.model.nugget
         return np.maximum(var_marginal - reduction, 0.0)
@@ -553,6 +552,7 @@ class PredictionEngine:
         """Drop the factorization and solve caches (distance caches kept)."""
         self._factor = None
         self._factor_key = None
+        self._logdet = None
         self._alpha = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

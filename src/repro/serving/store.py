@@ -538,26 +538,23 @@ def bundle_from_fit(
     estimator from the bundle's data and substrate, replay ``fit`` with
     ``info["fit"]``'s settings, and the same theta comes back.
     """
-    ev = estimator.evaluator
-    model = estimator.model.with_theta(fit.theta)
-    factor = None
-    if include_factor:
-        factor = estimator.predictor(fit).factor()
+    engine = estimator.predictor(fit)
+    factor = engine.factor() if include_factor else None
     distance_blocks = None
     full_distances = None
     if include_distance_cache:
-        if ev.distance_cache is not None:
-            distance_blocks = ev.distance_cache.export_blocks()
-        full_distances = ev._full_distances
+        if engine.distance_cache is not None:
+            distance_blocks = engine.distance_cache.export_blocks()
+        full_distances = engine.full_distances
     return ModelBundle(
-        model=model,
+        model=engine.model,
         locations=estimator.locations,
         z=estimator.z,
         variant=estimator.variant,
-        acc=ev.acc,
-        tile_size=ev.tile_size,
-        compression_method=ev.compression_method,
-        truncation=ev.truncation_rule,
+        acc=engine.acc,
+        tile_size=engine.tile_size,
+        compression_method=engine.compression_method,
+        truncation=engine.truncation_rule,
         factor=factor,
         distance_blocks=distance_blocks,
         full_distances=full_distances,

@@ -45,16 +45,19 @@ class TestExactLoglikelihood:
         assert exact_loglikelihood(locs, z, model) == pytest.approx(ref, rel=1e-9)
 
 
+#: Substrate, TLR accuracy, and the relative bound on |l - l_exact| it buys.
+SUBSTRATE_BOUNDS = [
+    ("full-block", None, 1e-9),
+    ("full-tile", None, 1e-6),
+    ("tlr", 1e-9, 1e-3),
+    ("tlr", 1e-12, 1e-6),
+]
+#: A range so long that Sigma is numerically singular on every substrate.
+NPD_THETA = np.array([1.0, 50.0, 2.5])
+
+
 class TestEvaluatorVariants:
-    @pytest.mark.parametrize(
-        "variant,acc,tol",
-        [
-            ("full-block", None, 1e-9),
-            ("full-tile", None, 1e-6),
-            ("tlr", 1e-9, 1e-3),
-            ("tlr", 1e-12, 1e-6),
-        ],
-    )
+    @pytest.mark.parametrize("variant,acc,tol", SUBSTRATE_BOUNDS)
     def test_agreement_with_exact(self, problem, variant, acc, tol):
         locs, z, model = problem
         exact = exact_loglikelihood(locs, z, model)
@@ -120,3 +123,56 @@ class TestEvaluatorVariants:
             ev = LikelihoodEvaluator(locs, z, model, variant=variant, acc=acc, tile_size=49)
             ev(model.theta)
         np.testing.assert_array_equal(z, z0)
+
+
+class TestEngineSeam:
+    """The evaluator runs on its engine's generate -> factor -> solve seam."""
+
+    @pytest.mark.parametrize("variant,acc,tol", SUBSTRATE_BOUNDS)
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_agreement_with_exact_on_a_runtime(self, problem, variant, acc, tol, fused):
+        locs, z, model = problem
+        exact = exact_loglikelihood(locs, z, model)
+        with Runtime(num_workers=2) as rt:
+            ev = LikelihoodEvaluator(
+                locs, z, model, variant=variant, acc=acc, tile_size=49,
+                runtime=rt, parallel_generation=fused,
+            )
+            assert ev(model.theta) == pytest.approx(exact, abs=abs(exact) * tol + tol)
+
+    @pytest.mark.parametrize("variant", ["full-block", "full-tile", "tlr"])
+    def test_every_call_factors_exactly_once(self, problem, variant):
+        locs, z, model = problem
+        ev = LikelihoodEvaluator(locs, z, model, variant=variant, acc=1e-9, tile_size=49)
+        values = []
+        # The same theta twice in a row must not be served from the cache:
+        # one evaluation is one generation + factorization.
+        for k, theta in enumerate([model.theta, model.theta, model.theta * 1.1], start=1):
+            values.append(ev(theta))
+            assert ev.engine.n_factorizations == k
+        assert values[0] == values[1] != values[2]
+        assert ev.n_evals == 3
+
+    @pytest.mark.parametrize("variant", ["full-block", "full-tile", "tlr"])
+    def test_failed_evaluation_leaves_no_factor(self, problem, variant):
+        locs, z, model = problem
+        ev = LikelihoodEvaluator(locs, z, model, variant=variant, acc=1e-9, tile_size=49)
+        ev(model.theta)
+        assert ev(NPD_THETA) == PENALTY_LOGLIK
+        assert (ev.n_evals, ev.n_failures) == (2, 1)
+        engine = ev.engine
+        assert "cached_factor=False" in repr(engine)
+        # A predict after the failure factors afresh at the model it is
+        # given; it never solves against the earlier theta's factor.
+        nfact = engine.n_factorizations
+        got = engine.set_model(model).predict(locs[:5] + 0.01)
+        assert engine.n_factorizations == nfact + 1
+        fresh = LikelihoodEvaluator(locs, z, model, variant=variant, acc=1e-9, tile_size=49)
+        np.testing.assert_array_equal(got, fresh.engine.predict(locs[:5] + 0.01))
+
+    def test_evaluator_keeps_its_own_observations(self, problem):
+        locs, z, model = problem
+        ev = LikelihoodEvaluator(locs, z, model, variant="full-tile", tile_size=49)
+        want = ev(model.theta)
+        ev.engine.set_observations(2.0 * z)  # what a predictor sharing the engine may do
+        assert ev(model.theta) == want

@@ -13,7 +13,7 @@ compressor at a tight accuracy, so it is also held to near-bitwise
 agreement with its own seed path (and to ``acc``-level agreement with
 the dense answer). The suite also covers the engine-only behaviors:
 multi-RHS batching vs. looped single-RHS solves, factorization reuse
-across predict calls, and factor adoption after a fit.
+across predict calls, and reuse of the fit's last factor.
 """
 
 from __future__ import annotations
@@ -216,29 +216,43 @@ def test_predict_after_fit_skips_generation(problem):
     if engine.distance_cache is not None:
         assert engine.distance_cache.misses == misses_before
     np.testing.assert_array_equal(p1, p2)
-    # The engine shares the fit's distance cache object.
-    if est.evaluator.distance_cache is not None:
-        assert engine.distance_cache is est.evaluator.distance_cache
+    # Fit and prediction ran on one engine, so on one distance cache.
+    assert engine is est.evaluator.engine
+    assert engine.distance_cache is est.evaluator.distance_cache
 
 
 def test_factor_adoption_from_evaluator(problem):
+    """Predicting at the last evaluated theta reuses that evaluation's factor."""
     locs, z, xnew, model = problem
-    est = MLEstimator(locs, z, variant="full-tile", tile_size=NB, use_morton=False)
     theta = np.array([1.0, 0.1, 0.5])
-    ll = est.evaluator(theta)
-    assert np.isfinite(ll)
-    fit = FitResult(
-        theta=theta, loglik=ll, optimizer=None, n_evals=1, time_total=0.0,
-        time_per_iteration=0.0,
-    )
-    pred = est.predict(fit, xnew)
-    engine = est.predictor(fit)
-    # The evaluator's final factorization was adopted: the engine never
-    # generated nor factorized Sigma_22 itself.
-    assert engine.n_factorizations == 0
-    assert "factorization" not in engine.times.stages
-    ref = predict(locs, z, xnew, model.with_theta(theta), variant="full-tile", tile_size=NB)
-    np.testing.assert_array_equal(pred, ref)
+    for variant in VARIANTS:
+        est = MLEstimator(
+            locs, z, variant=variant, acc=ACC, tile_size=NB, use_morton=False
+        )
+        ll = est.evaluator(theta)
+        assert np.isfinite(ll)
+        fit = FitResult(
+            theta=theta, loglik=ll, optimizer=None, n_evals=1, time_total=0.0,
+            time_per_iteration=0.0,
+        )
+        engine = est.predictor(fit)
+        assert engine is est.evaluator.engine  # one owner of Sigma_22
+        assert engine.n_factorizations == 1  # the evaluation's
+        factorization_s = engine.times.stages["factorization"]
+        pred = est.predict(fit, xnew)
+        # No further generation or factorization: the engine's cache key
+        # recognised the evaluation's factor.
+        assert engine.n_factorizations == 1
+        assert engine.times.stages["factorization"] == factorization_s
+        ref = predict(
+            locs, z, xnew, model.with_theta(theta), variant=variant, acc=ACC, tile_size=NB
+        )
+        np.testing.assert_array_equal(pred, ref)
+        # A later evaluation elsewhere moves the factor with it; predicting
+        # at the fit's theta then refactors (once) to the same answer.
+        est.evaluator(theta * 1.05)
+        np.testing.assert_array_equal(est.predict(fit, xnew), ref)
+        assert engine.n_factorizations == 3
 
 
 def test_estimator_predict_substrate_override_falls_back(problem):
