@@ -1,26 +1,14 @@
-"""Ablation bench — runtime scheduler policy and parallel scaling.
-
-Compares ready-queue policies on the dense tile Cholesky DAG and
-benchmarks the parallel factorization against the serial loop.
-"""
+"""Ablation bench — parallel scaling of the task-parallel tile Cholesky."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.data import generate_irregular_grid, sort_locations
-from repro.experiments.ablation import scheduler_study
 from repro.experiments.common import bench_scale
 from repro.kernels import MaternCovariance
 from repro.linalg import TileMatrix, tile_cholesky
 from repro.runtime import Runtime
-
-
-def test_ablation_scheduler_table(benchmark, outdir):
-    """Writes the scheduler-policy comparison table."""
-    table = benchmark.pedantic(scheduler_study, rounds=1, iterations=1)
-    table.save("ablation_scheduler")
-    assert len(table.rows) == 3
 
 
 @pytest.mark.parametrize("workers", [1, 4])

@@ -8,8 +8,6 @@
   resulting ranks, and compression time.
 * **Morton ordering**: TLR compressibility with and without
   space-filling-curve ordering of the locations.
-* **Scheduler policy**: runtime ready-queue policies on the tile
-  Cholesky DAG.
 """
 
 from __future__ import annotations
@@ -23,13 +21,10 @@ from ..data.morton import sort_locations
 from ..data.synthetic import generate_irregular_grid
 from ..kernels.covariance import MaternCovariance
 from ..linalg.compression import compress
-from ..linalg.tile_matrix import TileMatrix
-from ..linalg.tile_cholesky import tile_cholesky
 from ..linalg.tlr_cholesky import tlr_cholesky
 from ..linalg.tlr_matrix import TLRMatrix
 from ..perfmodel.analytic import estimate_mle_iteration
 from ..perfmodel.cluster import shaheen2
-from ..runtime import Runtime
 from ..utils.timer import Stopwatch
 from .common import ResultTable, bench_scale
 
@@ -37,7 +32,6 @@ __all__ = [
     "tile_size_sweep",
     "compression_method_study",
     "ordering_study",
-    "scheduler_study",
 ]
 
 
@@ -142,37 +136,4 @@ def ordering_study(
             round(tlr.compression_ratio(), 2),
         )
     table.add_note("ExaGeoStat Morton-orders locations so tile separation tracks distance")
-    return table
-
-
-def scheduler_study(
-    *,
-    n: Optional[int] = None,
-    nb: int = 128,
-    policies: Sequence[str] = ("fifo", "lifo", "priority"),
-    num_workers: Optional[int] = None,
-    theta: Sequence[float] = (1.0, 0.1, 0.5),
-) -> ResultTable:
-    """Dense tile Cholesky wall-clock under different ready-queue policies."""
-    n = (1600 if bench_scale() == "quick" else 4096) if n is None else n
-    model = MaternCovariance(*theta)
-    locs = generate_irregular_grid(n, seed=9)
-    locs, _, _ = sort_locations(locs)
-    sigma = model.matrix(locs)
-    table = ResultTable(
-        title=f"Ablation — runtime scheduler policy, dense tile Cholesky (n={n}, nb={nb})",
-        headers=["policy", "wall [s]", "utilization", "tasks"],
-    )
-    for policy in policies:
-        tiles = TileMatrix.from_dense(sigma, nb, symmetric_lower=True)
-        with Runtime(num_workers=num_workers, scheduler=policy, trace=True) as rt:
-            sw = Stopwatch()
-            with sw:
-                tile_cholesky(tiles, runtime=rt)
-            trace = rt.trace
-            assert trace is not None
-            util = trace.utilization(rt.num_workers)
-            n_tasks = len(trace.events)
-        table.add_row(policy, sw.elapsed, round(util, 3), n_tasks)
-    table.add_note("priority = panel-first (Chameleon's look-ahead heuristic)")
     return table

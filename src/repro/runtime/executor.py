@@ -33,7 +33,7 @@ from ..telemetry import spans as _telemetry
 from ..utils.logging import get_logger
 from .graph import DependencyTracker
 from .handle import DataHandle
-from .scheduler import make_queue
+from .scheduler import PriorityReadyQueue
 from .task import AccessMode, Task, TaskState
 from .trace import TraceEvent, TraceRecorder
 
@@ -50,8 +50,6 @@ class Runtime:
     num_workers:
         Worker threads; ``None``/0 uses the configured default
         (``Config.resolved_workers``). Ignored by the serial engine.
-    scheduler:
-        Ready-queue policy: ``"fifo"``, ``"lifo"`` or ``"priority"``.
     engine:
         ``"threads"`` (asynchronous) or ``"serial"`` (synchronous,
         deterministic). ``None`` uses the configured default.
@@ -81,7 +79,6 @@ class Runtime:
         self,
         num_workers: Optional[int] = None,
         *,
-        scheduler: str = "priority",
         engine: Optional[str] = None,
         trace: bool = False,
     ) -> None:
@@ -99,7 +96,7 @@ class Runtime:
             self.trace = TraceRecorder(max_events=cfg.telemetry_max_spans)
         else:
             self.trace = None
-        self._queue = make_queue(scheduler)
+        self._queue = PriorityReadyQueue()
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._all_done = threading.Condition(self._lock)

@@ -1,25 +1,19 @@
-"""Ready-queue policies for the runtime.
+"""The runtime's ready queue.
 
-When several tasks are simultaneously ready, the policy decides execution
-order. The paper's stack relies on StarPU's schedulers; here we provide
-the three canonical policies and an ablation bench compares them:
-
-* ``fifo`` — submission order (StarPU ``eager``);
-* ``lifo`` — newest first (depth-first; smaller working set);
-* ``priority`` — user priority, ties broken by submission order
-  (Chameleon/HiCMA mark panel tasks high-priority to shorten the
-  critical path).
+When several tasks are simultaneously ready, the queue decides execution
+order: highest user priority first, ties broken by submission order
+(Chameleon/HiCMA mark panel tasks high-priority to shorten the critical
+path; the paper's stack gets the same from StarPU's priority scheduler).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Optional, Protocol
 
 from .task import Task
 
-__all__ = ["ReadyQueue", "FifoQueue", "LifoQueue", "PriorityReadyQueue", "make_queue"]
+__all__ = ["ReadyQueue", "PriorityReadyQueue"]
 
 
 class ReadyQueue(Protocol):
@@ -34,38 +28,6 @@ class ReadyQueue(Protocol):
         ...
 
     def __len__(self) -> int: ...
-
-
-class FifoQueue:
-    """First-in, first-out ready queue (StarPU's ``eager``)."""
-
-    def __init__(self) -> None:
-        self._q: deque[Task] = deque()
-
-    def push(self, task: Task) -> None:
-        self._q.append(task)
-
-    def pop(self) -> Optional[Task]:
-        return self._q.popleft() if self._q else None
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-
-class LifoQueue:
-    """Last-in, first-out ready queue (depth-first execution)."""
-
-    def __init__(self) -> None:
-        self._q: list[Task] = []
-
-    def push(self, task: Task) -> None:
-        self._q.append(task)
-
-    def pop(self) -> Optional[Task]:
-        return self._q.pop() if self._q else None
-
-    def __len__(self) -> int:
-        return len(self._q)
 
 
 class PriorityReadyQueue:
@@ -86,26 +48,3 @@ class PriorityReadyQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-_POLICIES = {
-    "fifo": FifoQueue,
-    "lifo": LifoQueue,
-    "priority": PriorityReadyQueue,
-}
-
-
-def make_queue(policy: str) -> ReadyQueue:
-    """Instantiate a ready queue by policy name.
-
-    Parameters
-    ----------
-    policy:
-        ``"fifo"``, ``"lifo"`` or ``"priority"``.
-    """
-    try:
-        return _POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler policy {policy!r}; expected one of {sorted(_POLICIES)}"
-        ) from None

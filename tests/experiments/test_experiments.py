@@ -121,11 +121,6 @@ class TestAblations:
         # Morton ordering compresses at least as well as a random shuffle.
         assert rows["morton"][2] <= rows["random permutation"][2]
 
-    def test_scheduler_study(self):
-        t = ablation.scheduler_study(n=256, nb=64, num_workers=4)
-        assert len(t.rows) == 3
-        assert all(row[1] > 0 for row in t.rows)
-
     def test_tile_size_sweep_tiny(self):
         t = ablation.tile_size_sweep(n=256, tile_sizes=(64, 128), acc=1e-6)
         assert len(t.rows) == 2

@@ -141,19 +141,6 @@ class TestThreadsEngine:
             counts = trace.by_codelet()
             assert counts["probe"][0] == 7
 
-    @pytest.mark.parametrize("policy", ["fifo", "lifo", "priority"])
-    def test_policies_produce_same_final_state(self, policy):
-        with Runtime(num_workers=4, scheduler=policy) as rt:
-            h = rt.register(np.zeros(4))
-
-            def add(x, v):
-                x += v
-
-            for v in (1.0, 2.0, 4.0):
-                rt.insert_task(add, [(h, RW)], args=(v,))
-            rt.wait_all()
-        np.testing.assert_allclose(h.get(), 7.0)
-
 
 class TestDeterminismOracle:
     """Random task programs must produce identical state under any engine.
@@ -200,7 +187,7 @@ class TestSchedulerQueues:
         # priority order regardless of insertion order.
         order: list[int] = []
         release = threading.Event()
-        with Runtime(num_workers=1, scheduler="priority") as rt:
+        with Runtime(num_workers=1) as rt:
             gate = rt.register(np.zeros(1))
 
             def block(x):

@@ -1,10 +1,10 @@
-"""Unit tests for ready-queue policies and the trace recorder."""
+"""Unit tests for the ready queue and the trace recorder."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.scheduler import FifoQueue, LifoQueue, PriorityReadyQueue, make_queue
+from repro.runtime.scheduler import PriorityReadyQueue
 from repro.runtime.task import AccessMode, Task
 from repro.runtime.trace import TraceEvent, TraceRecorder
 
@@ -14,21 +14,6 @@ def t(name, priority=0):
 
 
 class TestQueues:
-    def test_fifo_order(self):
-        q = FifoQueue()
-        a, b, c = t("a"), t("b"), t("c")
-        for x in (a, b, c):
-            q.push(x)
-        assert [q.pop(), q.pop(), q.pop()] == [a, b, c]
-        assert q.pop() is None
-
-    def test_lifo_order(self):
-        q = LifoQueue()
-        a, b, c = t("a"), t("b"), t("c")
-        for x in (a, b, c):
-            q.push(x)
-        assert [q.pop(), q.pop(), q.pop()] == [c, b, a]
-
     def test_priority_order_with_fifo_ties(self):
         q = PriorityReadyQueue()
         lo1, hi, lo2 = t("lo1", 1), t("hi", 9), t("lo2", 1)
@@ -40,17 +25,10 @@ class TestQueues:
         assert len(q) == 0
 
     def test_len(self):
-        q = FifoQueue()
+        q = PriorityReadyQueue()
         assert len(q) == 0
         q.push(t("x"))
         assert len(q) == 1
-
-    def test_factory(self):
-        assert isinstance(make_queue("fifo"), FifoQueue)
-        assert isinstance(make_queue("lifo"), LifoQueue)
-        assert isinstance(make_queue("priority"), PriorityReadyQueue)
-        with pytest.raises(ValueError):
-            make_queue("random")
 
 
 class TestTraceRecorder:
