@@ -2,22 +2,9 @@
 
 Paper-scale modeled series on Shaheen-2/256 nodes plus a measured
 host-scale prediction benchmark across variants.
-
-Also benchmarks the *prediction engine pipeline* (cached distances +
-fused task-parallel generation + factor reuse) against the seed
-regenerate-everything path, mirroring
-``bench_generation_pipeline.py``'s treatment of the MLE hot loop.
-Run as a script to write ``BENCH_prediction.json``:
-
-    PYTHONPATH=src python benchmarks/bench_fig5_prediction.py --n 900 --tile-size 150
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -26,8 +13,7 @@ from repro.data import generate_irregular_grid, sample_gaussian_field, sort_loca
 from repro.experiments.common import bench_scale
 from repro.experiments.fig5 import measured_series, model_series
 from repro.kernels import MaternCovariance
-from repro.mle import PredictionEngine, predict
-from repro.runtime import Runtime
+from repro.mle import predict
 
 
 def test_fig5_model_series(benchmark, outdir):
@@ -68,208 +54,3 @@ def test_fig5_prediction_kernel(benchmark, variant, acc):
         tile_size=128,
     )
     assert pred.shape == (m,)
-
-
-# --------------------------------------------------------------------------
-# Prediction-engine pipeline: cached vs uncached generation stage.
-# --------------------------------------------------------------------------
-
-
-def _engine_stage_deltas(engine: PredictionEngine, fn) -> dict:
-    """Run ``fn()`` and return the engine's per-stage time deltas."""
-    before = dict(engine.times.stages)
-    fn()
-    after = engine.times.stages
-    stages = {k: after.get(k, 0.0) - before.get(k, 0.0) for k in after}
-    stages["total"] = sum(stages.values())
-    return stages
-
-
-def run_prediction_bench(
-    n: int = 3600,
-    m: int = 100,
-    tile_size: int = 300,
-    acc: float = 1e-9,
-    n_predicts: int = 4,
-    num_workers: Optional[int] = None,
-    variant: str = "tlr",
-) -> dict:
-    """Repeated prediction against one fitted model, three configurations.
-
-    * ``seed``            — a fresh uncached engine per call: the
-      repository's original behavior (regenerate + refactor every time);
-    * ``cached``          — one engine, distance caches + factor reuse,
-      serial generation;
-    * ``cached+parallel`` — one engine with a runtime, generation fused
-      into the prediction Cholesky task graph.
-
-    Each call predicts the same ``m`` targets from a different
-    realization (multi-RHS-style workload); predictions are asserted
-    identical across configurations (within TLR accuracy).
-    """
-    locs = generate_irregular_grid(n + m, seed=0)
-    locs, _, _ = sort_locations(locs)
-    model = MaternCovariance(1.0, 0.1, 0.5)
-    train, targets = locs[:n], locs[n:]
-    rng = np.random.default_rng(3)
-    base = sample_gaussian_field(locs, model, seed=1)[:n]
-    zs = [base * (1.0 + 0.05 * k) + (0.01 * rng.standard_normal(n) if k else 0.0)
-          for k in range(n_predicts)]
-
-    common = dict(variant=variant, acc=acc, tile_size=tile_size)
-    results: dict = {}
-
-    def run_config(name: str, engine_factory) -> list:
-        preds = []
-        evals = []
-        for k, zk in enumerate(zs):
-            engine = engine_factory(k)
-            stages = _engine_stage_deltas(
-                engine, lambda: preds.append(engine.predict(targets, z=zk))
-            )
-            evals.append({"stages": stages})
-        results[name] = {"predicts": evals}
-        return preds
-
-    # seed: fresh engine per call -> nothing amortizes.
-    seed_preds = run_config(
-        "seed",
-        lambda k: PredictionEngine(
-            train, None, model, cache_distances=False, parallel_generation=False, **common
-        ),
-    )
-
-    cached_engine = PredictionEngine(
-        train, None, model, cache_distances=True, parallel_generation=False, **common
-    )
-    cached_preds = run_config("cached", lambda k: cached_engine)
-
-    with Runtime(num_workers=num_workers) as rt:
-        fused_engine = PredictionEngine(
-            train, None, model, runtime=rt,
-            cache_distances=True, parallel_generation=True, **common
-        )
-        fused_preds = run_config("cached+parallel", lambda k: fused_engine)
-        workers = rt.num_workers
-
-    # ---------------------------------------------------------------- parity
-    max_abs_err = 0.0
-    for preds in (cached_preds, fused_preds):
-        for p, ref in zip(preds, seed_preds):
-            max_abs_err = max(max_abs_err, float(np.max(np.abs(p - ref))))
-
-    # ------------------------------------------------------------- speedups
-    def stage_after_first(config: str, stage: str) -> float:
-        return sum(e["stages"].get(stage, 0.0) for e in results[config]["predicts"][1:])
-
-    def total_after_first(config: str) -> float:
-        return sum(e["stages"]["total"] for e in results[config]["predicts"][1:])
-
-    gen_seed = stage_after_first("seed", "generation") + stage_after_first("seed", "cross")
-    gen = {
-        c: stage_after_first(c, "generation") + stage_after_first(c, "cross")
-        for c in results
-    }
-    summary = {
-        "n": n,
-        "m": m,
-        "tile_size": tile_size,
-        "acc": acc,
-        "variant": variant,
-        "n_predicts": n_predicts,
-        "num_workers": workers,
-        "max_abs_prediction_err_vs_seed": max_abs_err,
-        "generation_stage_seconds_predicts_2plus": gen,
-        "factorization_stage_seconds_predicts_2plus": {
-            c: stage_after_first(c, "factorization") for c in results
-        },
-        "total_seconds_predicts_2plus": {c: total_after_first(c) for c in results},
-        "generation_speedup_cached_vs_seed": gen_seed / max(1e-12, gen["cached"]),
-        "generation_speedup_cached_parallel_vs_seed": gen_seed
-        / max(1e-12, gen["cached+parallel"]),
-        "total_speedup_cached_vs_seed": total_after_first("seed")
-        / max(1e-12, total_after_first("cached")),
-        "total_speedup_cached_parallel_vs_seed": total_after_first("seed")
-        / max(1e-12, total_after_first("cached+parallel")),
-    }
-    return {"summary": summary, "configs": results}
-
-
-def write_prediction_report(report: dict, out: Optional[str] = None) -> Path:
-    """Write the report JSON (default: ``results/BENCH_prediction.json``)."""
-    if out is None:
-        from repro.experiments.common import results_dir
-
-        path = results_dir() / "BENCH_prediction.json"
-    else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def test_prediction_pipeline(outdir):
-    """Benchmark-suite entry: small problem, parity + collapse assertions."""
-    report = run_prediction_bench(n=900, m=64, tile_size=150, n_predicts=3)
-    summary = report["summary"]
-    assert summary["max_abs_prediction_err_vs_seed"] <= 1e-6
-    # Predicts 2+ against a fitted model skip Sigma_22 generation entirely.
-    assert summary["generation_speedup_cached_vs_seed"] >= 2.0
-    write_prediction_report(report)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(
-        description="Prediction-engine pipeline benchmark (writes BENCH_prediction.json)"
-    )
-    parser.add_argument("--n", type=int, default=3600, help="training locations")
-    parser.add_argument("--m", type=int, default=100, help="prediction targets")
-    parser.add_argument("--tile-size", type=int, default=300, help="tile size nb")
-    parser.add_argument("--acc", type=float, default=1e-9, help="TLR accuracy")
-    parser.add_argument("--predicts", type=int, default=4, help="prediction calls per config")
-    parser.add_argument("--workers", type=int, default=None, help="runtime worker threads")
-    parser.add_argument("--variant", default="tlr", choices=("tlr", "full-tile", "full-block"))
-    parser.add_argument("--out", default=None, help="output JSON path")
-    args = parser.parse_args()
-
-    report = run_prediction_bench(
-        n=args.n,
-        m=args.m,
-        tile_size=args.tile_size,
-        acc=args.acc,
-        n_predicts=args.predicts,
-        num_workers=args.workers,
-        variant=args.variant,
-    )
-    path = write_prediction_report(report, args.out)
-    s = report["summary"]
-    print(f"wrote {path}")
-    print(
-        f"n={s['n']} m={s['m']} nb={s['tile_size']} variant={s['variant']} "
-        f"workers={s['num_workers']} predicts={s['n_predicts']}"
-    )
-    print(f"max abs prediction error vs seed: {s['max_abs_prediction_err_vs_seed']:.2e}")
-    for c, t in s["generation_stage_seconds_predicts_2plus"].items():
-        print(f"  generation+cross (predicts 2+) {c:>16}: {t:8.3f} s")
-    for c, t in s["factorization_stage_seconds_predicts_2plus"].items():
-        print(f"  factorization    (predicts 2+) {c:>16}: {t:8.3f} s")
-    print(
-        "generation speedup (cached vs seed):          "
-        f"{s['generation_speedup_cached_vs_seed']:.2f}x"
-    )
-    print(
-        "generation speedup (cached+parallel vs seed): "
-        f"{s['generation_speedup_cached_parallel_vs_seed']:.2f}x"
-    )
-    print(
-        "total speedup (cached vs seed):               "
-        f"{s['total_speedup_cached_vs_seed']:.2f}x"
-    )
-    print(
-        "total speedup (cached+parallel vs seed):      "
-        f"{s['total_speedup_cached_parallel_vs_seed']:.2f}x"
-    )
-
-
-if __name__ == "__main__":
-    main()

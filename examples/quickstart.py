@@ -23,7 +23,8 @@ factorization tasks start as soon as their own tile is generated:
     with Runtime() as rt:
         est = MLEstimator.from_dataset(train, variant="tlr", runtime=rt)
 
-See ``benchmarks/bench_generation_pipeline.py`` for the measured
+See the perf ledger (``python3 benchmarks/ledger/run.py``, rows
+``linalg.*`` and ``runtime.parallel_speedup``) for the measured
 per-stage effect.
 
 Run:  python examples/quickstart.py

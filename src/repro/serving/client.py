@@ -32,7 +32,7 @@ transport.
 Each client holds one persistent keep-alive connection guarded by a
 lock, so a client instance is thread-safe but serializes its own
 requests — concurrent load generators should use one client per
-logical client (see ``benchmarks/bench_http_serving.py``).
+logical client (see ``benchmarks/ledger/perfledger/traffic.py``).
 """
 
 from __future__ import annotations

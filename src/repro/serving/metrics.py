@@ -5,9 +5,9 @@ counters, a bounded reservoir of request latencies, and per-model
 arrival timestamps, all behind one lock so the asyncio event loop,
 executor worker threads, and benchmark readers can share a
 :class:`ServiceMetrics` instance. ``snapshot()`` returns the plain-dict
-form that ``benchmarks/bench_serving.py`` writes into
-``BENCH_serving.json`` and that the HTTP server's ``/v1/metrics``
-endpoint reports per worker.
+form that the HTTP server's ``/v1/metrics`` endpoint reports per worker
+(the perf ledger, ``benchmarks/ledger``, reads its per-request engine-call
+and coalescing counters from there).
 
 The arrival-timestamp window is what the adaptive batching policy
 learns from: :meth:`arrival_rate` estimates a model's recent request
