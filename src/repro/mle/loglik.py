@@ -170,11 +170,10 @@ class LikelihoodEvaluator:
                     # self.z, not engine.z: a predictor may have rebound
                     # the engine's observations.
                     half = engine.half_solve(self.z)
-                    logdet = engine.logdet()
         except NotPositiveDefiniteError:
             self.n_failures += 1
             return PENALTY_LOGLIK
-        return float(self._const - 0.5 * logdet - 0.5 * float(half @ half))
+        return float(self._const - 0.5 * engine.logdet() - 0.5 * float(half @ half))
 
     def negative(self, theta: np.ndarray) -> float:
         """``-loglik(theta)`` for minimizers."""

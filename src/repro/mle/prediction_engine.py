@@ -70,11 +70,19 @@ from ..utils.validation import as_float_array, check_locations
 
 __all__ = ["PredictionEngine", "VARIANTS"]
 
-#: Supported computation variants.
-VARIANTS = ("full-block", "full-tile", "tlr")
-
 #: A Sigma_22 Cholesky factor in any of the three substrate formats.
 Factor = Union[np.ndarray, TileMatrix, TLRMatrix]
+
+#: Per variant: the factor's type and its ``log |A|`` (which also guards
+#: the factor's diagonal, raising NotPositiveDefiniteError).
+_SUBSTRATES = {
+    "full-block": (np.ndarray, block_logdet_from_factor),
+    "full-tile": (TileMatrix, logdet_from_tile_factor),
+    "tlr": (TLRMatrix, logdet_from_tlr_factor),
+}
+
+#: Supported computation variants.
+VARIANTS = tuple(_SUBSTRATES)
 
 
 def _check_rhs(z: object, n: int, name: str = "z") -> np.ndarray:
@@ -247,12 +255,7 @@ class PredictionEngine:
         ownership transfers to the engine (the factor must not be
         mutated afterwards).
         """
-        expected = {
-            "full-block": np.ndarray,
-            "full-tile": TileMatrix,
-            "tlr": TLRMatrix,
-        }[self.variant]
-        if not isinstance(factor, expected):
+        if not isinstance(factor, _SUBSTRATES[self.variant][0]):
             raise ConfigurationError(
                 f"adopted factor type {type(factor).__name__} does not match "
                 f"variant {self.variant!r}"
@@ -303,12 +306,7 @@ class PredictionEngine:
         :class:`~repro.exceptions.NotPositiveDefiniteError` here instead
         of silently producing NaN/Inf solves later.
         """
-        if self.variant == "full-block":
-            self._logdet = block_logdet_from_factor(factor)
-        elif self.variant == "full-tile":
-            self._logdet = logdet_from_tile_factor(factor)
-        else:
-            self._logdet = logdet_from_tlr_factor(factor)
+        self._logdet = _SUBSTRATES[self.variant][1](factor)
         self._factor = factor
         self._factor_key = self._model_key(self.model)
 
