@@ -186,8 +186,14 @@ def pairwise_distance_block(
     direct generation produce bit-identical blocks.
 
     Both operands are passed explicitly (never the ``y=None`` symmetric
-    fast path), matching the historical per-tile behaviour even for
-    diagonal blocks.
+    fast path), so every block takes the same arithmetic; a diagonal
+    block's self-distances are then set to exactly 0, as the full
+    matrix's are — the GEMM-trick rounding (~1e-8) would otherwise make
+    the tile substrates disagree with full-block on ``Sigma``'s diagonal
+    and turn it into ``exp(-inf) = 0`` at a tiny range.
     """
     y_arr = x if y is None else y
-    return pairwise_distance(x[rows], y_arr[cols], metric=metric)
+    d = pairwise_distance(x[rows], y_arr[cols], metric=metric)
+    if y is None and rows == cols:
+        np.fill_diagonal(d, 0.0)
+    return d

@@ -15,6 +15,7 @@ from repro.kernels.distance import (
     great_circle_distance_matrix,
     haversine,
     pairwise_distance,
+    pairwise_distance_block,
 )
 
 
@@ -138,3 +139,26 @@ class TestDispatch:
     def test_unknown_metric(self, rng):
         with pytest.raises(ShapeError, match="unknown metric"):
             pairwise_distance(rng.random((4, 2)), metric="chebyshev")
+
+
+class TestBlock:
+    def test_diagonal_block_has_exact_zero_self_distances(self, rng):
+        # The GEMM-trick rounding leaves ~1e-8 on a tile's own diagonal;
+        # Sigma's diagonal must not depend on the substrate (regression).
+        x = rng.random((60, 2))
+        full = pairwise_distance(x)
+        for rows in (slice(0, 20), slice(20, 60)):
+            d = pairwise_distance_block(x, rows, rows)
+            assert np.all(np.diagonal(d) == 0.0)
+            np.testing.assert_allclose(d, full[rows, rows], atol=1e-7)
+
+    def test_other_blocks_are_the_plain_two_operand_distance(self, rng):
+        x, y = rng.random((40, 2)), rng.random((40, 2))
+        rows, cols = slice(0, 20), slice(20, 40)
+        np.testing.assert_array_equal(
+            pairwise_distance_block(x, rows, cols), pairwise_distance(x[rows], x[cols])
+        )
+        # Same slices over a *different* point set: not self-distances.
+        np.testing.assert_array_equal(
+            pairwise_distance_block(x, rows, rows, y), pairwise_distance(x[rows], y[rows])
+        )

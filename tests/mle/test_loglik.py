@@ -161,7 +161,6 @@ class TestEngineSeam:
         assert ev(NPD_THETA) == PENALTY_LOGLIK
         assert (ev.n_evals, ev.n_failures) == (2, 1)
         engine = ev.engine
-        assert "cached_factor=False" in repr(engine)
         # A predict after the failure factors afresh at the model it is
         # given; it never solves against the earlier theta's factor.
         nfact = engine.n_factorizations
@@ -176,3 +175,33 @@ class TestEngineSeam:
         want = ev(model.theta)
         ev.engine.set_observations(2.0 * z)  # what a predictor sharing the engine may do
         assert ev(model.theta) == want
+
+
+class TestSubstratesAgreeOnTheDiagonal:
+    """Regression: tile substrates saw ~1e-8 instead of 0 on Sigma's diagonal."""
+
+    @pytest.fixture(scope="class")
+    def values(self, problem):
+        locs, z, model = problem
+
+        def at(theta):
+            return {
+                variant: LikelihoodEvaluator(
+                    locs, z, model, variant=variant, acc=1e-12, tile_size=49
+                )(np.asarray(theta))
+                for variant in ("full-block", "full-tile", "tlr")
+            }
+
+        return at
+
+    def test_full_tile_matches_full_block_to_rounding(self, values):
+        got = values([1.0, 0.1, 0.5])
+        # Was ~4e-10 relative apart; now only summation order differs.
+        assert got["full-tile"] == pytest.approx(got["full-block"], rel=1e-13)
+
+    def test_tiny_range_is_not_a_false_penalty(self, values):
+        # exp(-1e-8 / 1e-300) = 0 on the diagonal made tile/TLR "non-SPD"
+        # where Sigma is simply sigma^2 I.
+        got = values([1.0, 1e-300, 0.5])
+        assert got["full-block"] > PENALTY_LOGLIK
+        assert got["full-tile"] == got["tlr"] == got["full-block"]
