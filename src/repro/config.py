@@ -108,18 +108,6 @@ class Config:
         Worker processes a :class:`~repro.serving.server.ServingServer`
         spawns; each hosts its own registry + service and owns the
         models hashed onto its shard.
-    serving_adaptive_window:
-        Learn each model's coalescing window from its recent arrival
-        rate (recorded in :class:`~repro.serving.metrics.ServiceMetrics`)
-        instead of using the fixed ``serving_batch_window``: the window
-        approximates the time a batch takes to fill at the observed
-        rate, capped at ``serving_max_window``. Models with no recent
-        traffic fall back to ``serving_batch_window``.
-    serving_max_window:
-        Upper bound on the *learned* adaptive coalescing window, so a
-        sparse arrival history can never hold requests open for long.
-        Explicitly configured windows (the service default and
-        per-model policies) are honored verbatim.
     fit_workers:
         Worker *processes* a
         :class:`~repro.fitting.orchestrator.FitOrchestrator` runs fit
@@ -158,19 +146,21 @@ class Config:
         payload is several times smaller and streamed.
     telemetry_enabled:
         Arm the :mod:`~repro.telemetry` layer in this process: ``with
-        span(...)`` blocks record into the bounded per-process ring,
-        ``ServiceMetrics`` mirrors into the metrics registry, and a
+        span(...)`` blocks and every :class:`~repro.runtime.Runtime`
+        task record into the bounded per-process span ring, and a
         :class:`~repro.serving.server.ServingServer` propagates the
-        setting to its worker processes (serving ``/v1/trace/<id>``
-        and ``/v1/metrics?format=prometheus``). Off by default: the
+        setting to its worker processes (serving ``/v1/trace/<id>``).
+        Serving counters and latencies are always on and do not depend
+        on this knob. Off by default: the
         disabled hooks cost nanoseconds, like the fault-injection
         sites. ``REPRO_TELEMETRY=1`` in the environment overrides this
         knob — that is how spawned workers and fit legs inherit it.
     telemetry_max_spans:
         Bound on spans kept per process (the in-memory ring drops the
         oldest and counts drops; the optional JSONL sink stops writing
-        past the bound). Also bounds the runtime's per-``Runtime``
-        task-event ring when telemetry arms it implicitly.
+        past the bound). Runtime ``task:*`` spans share this one ring;
+        a ``Runtime`` keeps no event storage of its own unless built
+        with ``trace=True``.
     auto_tune:
         Opt-in self-tuning: when the caller leaves ``tile_size`` at its
         default, :class:`~repro.mle.estimator.MLEstimator` and bundle
@@ -208,8 +198,6 @@ class Config:
     serving_queue_size: int = 256
     serving_max_models: int = 8
     serving_workers: int = 2
-    serving_adaptive_window: bool = False
-    serving_max_window: float = 0.05
     fit_workers: int = 2
     fit_checkpoint_every: int = 5
     fit_max_restarts: int = 2
@@ -275,10 +263,6 @@ class Config:
         if self.serving_workers < 1:
             raise ConfigurationError(
                 f"serving_workers must be >= 1, got {self.serving_workers}"
-            )
-        if self.serving_max_window < 0:
-            raise ConfigurationError(
-                f"serving_max_window must be >= 0, got {self.serving_max_window}"
             )
         if self.fit_workers < 1:
             raise ConfigurationError(

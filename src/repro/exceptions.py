@@ -239,3 +239,76 @@ class ServerError(ServingError):
     ...) which a worker produced deliberately and which cross the wire
     unchanged.
     """
+
+
+# --------------------------------------------------------------------------
+# Crossing the worker pipe / HTTP boundary: errors travel as
+# ``(type name, message)`` and are rebuilt by name on the other side.
+
+#: Every :class:`ReproError` subclass defined above, plus the three
+#: builtins request validation raises — the only classes a peer may name.
+_WIRE_EXCEPTIONS = {
+    name: obj
+    for name, obj in list(globals().items())
+    if isinstance(obj, type) and issubclass(obj, ReproError)
+}
+_WIRE_EXCEPTIONS.update(ValueError=ValueError, TypeError=TypeError, KeyError=KeyError)
+
+#: Looked up along ``type(exc).__mro__``, so the most specific entry wins
+#: regardless of order (BundleCorruptError is a server-side integrity
+#: failure, not the malformed request plain BundleError maps to).
+_HTTP_STATUS = {
+    ModelNotFoundError: 404,
+    JobNotFoundError: 404,
+    TraceNotFoundError: 404,
+    TelemetryError: 400,
+    ServiceOverloadedError: 429,
+    DeadlineExceededError: 504,
+    CircuitOpenError: 503,
+    LoadShedError: 503,
+    ServiceClosedError: 503,
+    BundleCorruptError: 500,
+    BundleError: 400,
+    ConfigurationError: 400,
+    CheckpointError: 500,
+    FittingError: 400,
+    InjectedFaultError: 500,
+    PayloadTooLargeError: 413,
+    PlanError: 400,
+    CalibrationError: 500,
+    PredictionError: 500,
+    WireFormatError: 400,
+    ShapeError: 400,
+    ValidationError: 400,
+    ServerError: 502,
+    # A model whose Sigma_22 cannot be factorized: deterministic for
+    # this (model, request) pair, so not a retryable 5xx.
+    NotPositiveDefiniteError: 422,
+    CompressionError: 500,
+    OptimizationError: 500,
+    RuntimeEngineError: 500,
+    ValueError: 400,
+    TypeError: 400,
+    KeyError: 400,
+}
+
+
+def status_for_exception(exc: BaseException) -> int:
+    """HTTP status code a failure maps to (500 for anything unknown)."""
+    for cls in type(exc).__mro__:
+        status = _HTTP_STATUS.get(cls)
+        if status is not None:
+            return status
+    return 500
+
+
+def exception_from_wire(type_name: str, message: str) -> BaseException:
+    """Rebuild a typed exception from its wire form (whitelisted names).
+
+    Unknown names come back as :class:`ServerError` so a worker can
+    never make the router raise an arbitrary class.
+    """
+    cls = _WIRE_EXCEPTIONS.get(type_name)
+    if cls is None:
+        return ServerError(f"{type_name}: {message}")
+    return cls(message)

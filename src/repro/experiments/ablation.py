@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from ..linalg.tlr_cholesky import tlr_cholesky
 from ..linalg.tlr_matrix import TLRMatrix
 from ..perfmodel.analytic import estimate_mle_iteration
 from ..perfmodel.cluster import shaheen2
-from ..utils.timer import Stopwatch
 from .common import ResultTable, bench_scale
 
 __all__ = [
@@ -62,14 +62,14 @@ def tile_size_sweep(
             continue
         tlr = TLRMatrix.from_generator(n, nb, lambda rs, cs: model.tile(locs, rs, cs), acc=acc)
         mean_rank = tlr.mean_rank()
-        sw = Stopwatch()
-        with sw:
-            tlr_cholesky(tlr)
+        t0 = time.perf_counter()
+        tlr_cholesky(tlr)
+        elapsed = time.perf_counter() - t0
         scale_nb = max(200, nb * 5)  # model probes a proportional paper-scale nb
         est = estimate_mle_iteration(
             1_000_000, variant="tlr", nb=scale_nb, acc=acc, cluster=cluster
         )
-        table.add_row(nb, sw.elapsed, round(mean_rank, 1), est.breakdown["factorization"])
+        table.add_row(nb, elapsed, round(mean_rank, 1), est.breakdown["factorization"])
     table.add_note("paper: nb=560 (dense) vs nb=1900 (TLR) on Shaheen-2")
     return table
 
@@ -97,11 +97,11 @@ def compression_method_study(
     for tname, dense in tiles.items():
         norm = np.linalg.norm(dense)
         for method in ("svd", "rsvd", "aca"):
-            sw = Stopwatch()
-            with sw:
-                lr = compress(dense, acc, method=method)
+            t0 = time.perf_counter()
+            lr = compress(dense, acc, method=method)
+            elapsed = time.perf_counter() - t0
             err = float(np.linalg.norm(dense - lr.to_dense()) / norm)
-            table.add_row(tname, method, lr.rank, err, sw.elapsed * 1e3)
+            table.add_row(tname, method, lr.rank, err, elapsed * 1e3)
     table.add_note("all methods must satisfy the accuracy contract; ranks/time differ")
     return table
 

@@ -14,6 +14,7 @@ Two complementary reproductions:
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 from ..data.morton import sort_locations
@@ -25,7 +26,6 @@ from ..perfmodel.analytic import estimate_mle_iteration
 from ..perfmodel.machine import get_machine
 from ..perfmodel.rankmodel import DEFAULT_RANK_MODEL, RankModel
 from ..runtime import Runtime
-from ..utils.timer import Stopwatch
 from .common import ResultTable, bench_scale
 
 __all__ = ["PAPER_N_VALUES", "PAPER_ACCURACIES", "model_series", "measured_series"]
@@ -112,11 +112,10 @@ def measured_series(
                     locs, z, model, variant=variant, acc=acc, tile_size=tile_size,
                     runtime=None if variant == "full-block" else rt,
                 )
-                sw = Stopwatch()
+                t0 = time.perf_counter()
                 for _ in range(max(1, repeats)):
-                    with sw:
-                        ev(model.theta)
-                row.append(sw.elapsed / max(1, repeats))
+                    ev(model.theta)
+                row.append((time.perf_counter() - t0) / max(1, repeats))
             table.add_row(*row)
     table.add_note(
         f"host measurement, nb={tile_size}; Python per-tile overhead favours dense BLAS "

@@ -8,6 +8,7 @@ series and measured host-scale predictions are produced.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,6 @@ from ..mle.prediction import predict
 from ..perfmodel.analytic import estimate_prediction
 from ..perfmodel.cluster import shaheen2
 from ..perfmodel.rankmodel import DEFAULT_RANK_MODEL, RankModel
-from ..utils.timer import Stopwatch
 from .common import ResultTable, bench_scale
 from .fig4 import PAPER_ACCURACIES, PAPER_N_256
 
@@ -92,12 +92,11 @@ def measured_series(
         variants: list[tuple[str, Optional[float]]] = [("full-block", None), ("full-tile", None)]
         variants += [("tlr", a) for a in accuracies]
         for variant, acc in variants:
-            sw = Stopwatch()
-            with sw:
-                predict(
-                    locs[mask], z[mask], locs[holdout], model,
-                    variant=variant, acc=acc, tile_size=tile_size,
-                )
-            row.append(sw.elapsed)
+            t0 = time.perf_counter()
+            predict(
+                locs[mask], z[mask], locs[holdout], model,
+                variant=variant, acc=acc, tile_size=tile_size,
+            )
+            row.append(time.perf_counter() - t0)
         table.add_row(*row)
     return table

@@ -56,7 +56,6 @@ from ..resilience.faults import fault_point
 from ..resilience.policy import RetryPolicy
 from ..telemetry import spans as _telemetry
 from ..utils.logging import get_logger
-from ..utils.timer import Stopwatch
 from .checkpoint import Checkpointer
 from .jobs import FitJobSpec, JobStore, merge_start_results
 
@@ -132,20 +131,20 @@ def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) ->
                     trace.write(_json_trace_line(it, theta, fun) + "\n")
                     trace.flush()
 
-                sw = Stopwatch()
-                with sw:
-                    result = nelder_mead(
-                        estimator.evaluator.negative,
-                        None if state is not None else resolved.starts[start_idx],
-                        resolved.lower,
-                        resolved.upper,
-                        ftol=spec.ftol,
-                        xtol=spec.xtol,
-                        maxiter=spec.maxiter,
-                        callback=on_iteration,
-                        state=state,
-                        state_callback=ckpt,
-                    )
+                t0 = time.perf_counter()
+                result = nelder_mead(
+                    estimator.evaluator.negative,
+                    None if state is not None else resolved.starts[start_idx],
+                    resolved.lower,
+                    resolved.upper,
+                    ftol=spec.ftol,
+                    xtol=spec.xtol,
+                    maxiter=spec.maxiter,
+                    callback=on_iteration,
+                    state=state,
+                    state_callback=ckpt,
+                )
+                elapsed = time.perf_counter() - t0
             store.write_start_result(
                 job_id,
                 start_idx,
@@ -156,7 +155,7 @@ def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) ->
                     "nit": int(result.nit),
                     "converged": bool(result.converged),
                     "message": result.message,
-                    "elapsed": float(sw.elapsed),
+                    "elapsed": elapsed,
                 },
             )
     except Exception as exc:  # deterministic failure: report, don't retry

@@ -18,6 +18,7 @@ makes the first predict skip generation and factorization.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -31,7 +32,6 @@ from ..optim.bounds import default_matern_bounds, empirical_start, validate_boun
 from ..optim.neldermead import multistart_nelder_mead, nelder_mead
 from ..optim.result import OptimizeResult
 from ..runtime import Runtime
-from ..utils.timer import Stopwatch
 from ..utils.validation import as_float_array, check_locations, check_vector
 from .loglik import LikelihoodEvaluator
 from .prediction import predict as _predict
@@ -256,38 +256,38 @@ class MLEstimator:
             x0 = empirical_start(self.z, lower, upper)
         resolved_seed = get_config().rng_seed if seed is None else int(seed)
 
-        sw = Stopwatch()
-        with sw:
-            if n_starts > 1:
-                result = multistart_nelder_mead(
-                    self.evaluator.negative,
-                    lower,
-                    upper,
-                    n_starts=n_starts,
-                    x0=x0,
-                    seed=resolved_seed,
-                    ftol=ftol,
-                    xtol=xtol,
-                    maxiter=maxiter,
-                )
-            else:
-                result = nelder_mead(
-                    self.evaluator.negative,
-                    x0,
-                    lower,
-                    upper,
-                    ftol=ftol,
-                    xtol=xtol,
-                    maxiter=maxiter,
-                )
+        t0 = time.perf_counter()
+        if n_starts > 1:
+            result = multistart_nelder_mead(
+                self.evaluator.negative,
+                lower,
+                upper,
+                n_starts=n_starts,
+                x0=x0,
+                seed=resolved_seed,
+                ftol=ftol,
+                xtol=xtol,
+                maxiter=maxiter,
+            )
+        else:
+            result = nelder_mead(
+                self.evaluator.negative,
+                x0,
+                lower,
+                upper,
+                ftol=ftol,
+                xtol=xtol,
+                maxiter=maxiter,
+            )
+        elapsed = time.perf_counter() - t0
         n_evals = max(1, self.evaluator.n_evals)
         return FitResult(
             theta=result.x.copy(),
             loglik=-result.fun,
             optimizer=result,
             n_evals=self.evaluator.n_evals,
-            time_total=sw.elapsed,
-            time_per_iteration=sw.elapsed / n_evals,
+            time_total=elapsed,
+            time_per_iteration=elapsed / n_evals,
             stage_times=dict(self.evaluator.times.stages),
             variant=self.variant,
             acc=self.acc,

@@ -286,14 +286,7 @@ class PredictionEngine:
         self.clear()
         self.set_model(model)
         with _telemetry.span("engine.factor", variant=self.variant):
-            # Runtime task events recorded during this factorization are
-            # adopted as child spans, joining the task-level view (what
-            # StarPU's FxT traces show) to the request-level one.
-            rt_trace = self.runtime.trace if self.runtime is not None else None
-            events_before = rt_trace.total_recorded if rt_trace is not None else 0
             factor = self._compute_factor(model)
-            if rt_trace is not None:
-                _telemetry.adopt_trace_events(rt_trace.tail(events_before))
         self._install(factor)
         self.n_factorizations += 1
         return factor

@@ -11,17 +11,17 @@ programming model in pure Python:
 * :class:`Runtime` — sequential-task-flow insertion with automatic
   dependency inference and out-of-order execution on a thread pool
   (numpy/scipy BLAS release the GIL, so tile tasks genuinely overlap);
-* ready-queue policies (FIFO / LIFO / priority) and execution tracing.
+* a priority ready queue, an optional per-task event list
+  (``Runtime(trace=True).trace``) and ``task:*`` telemetry spans.
 
 A ``serial`` engine executes tasks synchronously at insertion in program
 order, which is always a legal schedule — used for debugging and as a
 determinism oracle in tests.
 """
 
-from .task import AccessMode, Task, TaskState
+from .task import AccessMode, Task, TaskState, TraceEvent
 from .handle import DataHandle
 from .executor import Runtime
-from .trace import TraceEvent, TraceRecorder
 from .graph import DependencyTracker, build_networkx_dag
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "DataHandle",
     "Runtime",
     "TraceEvent",
-    "TraceRecorder",
     "DependencyTracker",
     "build_networkx_dag",
 ]

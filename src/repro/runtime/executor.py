@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..config import get_config
 from ..exceptions import RuntimeEngineError
 from ..resilience.faults import fault_point
+from ..telemetry import context as _trace_context
 from ..telemetry import spans as _telemetry
 from ..utils.logging import get_logger
 from .graph import DependencyTracker
 from .handle import DataHandle
 from .scheduler import PriorityReadyQueue
-from .task import AccessMode, Task, TaskState
-from .trace import TraceEvent, TraceRecorder
+from .task import AccessMode, Task, TaskState, TraceEvent
 
 __all__ = ["Runtime"]
 
@@ -54,12 +54,12 @@ class Runtime:
         ``"threads"`` (asynchronous) or ``"serial"`` (synchronous,
         deterministic). ``None`` uses the configured default.
     trace:
-        Record :class:`TraceEvent` rows for every executed task
-        (unbounded — the ablation/test mode). When telemetry is armed
-        (:func:`repro.telemetry.configure`) and ``trace`` is False, a
-        *bounded* ring recorder (``telemetry_max_spans`` events) is
-        created instead, so engine spans can adopt task events as
-        children without unbounded growth in long-lived runtimes.
+        Keep one :class:`TraceEvent` per executed task in the plain list
+        :attr:`trace` (unbounded — the ablation/test mode; ``None``
+        otherwise). Independent of telemetry: whenever telemetry is
+        armed, every task also records a ``task:<name>`` span into the
+        process span ring, parented to the span that was open on the
+        inserting thread, and the runtime itself stores nothing.
 
     Examples
     --------
@@ -90,12 +90,7 @@ class Runtime:
             1 if self.engine == "serial" else (num_workers or cfg.resolved_workers())
         )
         self.tracker = DependencyTracker()
-        if trace:
-            self.trace: Optional[TraceRecorder] = TraceRecorder()
-        elif _telemetry.enabled():
-            self.trace = TraceRecorder(max_events=cfg.telemetry_max_spans)
-        else:
-            self.trace = None
+        self.trace: Optional[List[TraceEvent]] = [] if trace else None
         self._queue = PriorityReadyQueue()
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
@@ -136,6 +131,8 @@ class Runtime:
         """
         self._check_alive()
         task = Task(fn, accesses, args=args, kwargs=kwargs, name=name, priority=priority)
+        if _telemetry.enabled():
+            task.trace_ctx = _trace_context.current()
         if self.engine == "serial":
             task.poisoned = self._inherits_failure(self.tracker.register(task))
             self._run_task(task, worker=0)
@@ -283,7 +280,11 @@ class Runtime:
             logger.debug("task %s failed: %r", task.name, exc)
         finally:
             task.t_end = time.perf_counter()
-            if self.trace is not None:
-                self.trace.record(
+            if self.trace is not None:  # list.append is atomic under the GIL
+                self.trace.append(
                     TraceEvent(task.id, task.name, worker, task.t_start, task.t_end)
+                )
+            if _telemetry.enabled():
+                _telemetry.record_span(
+                    f"task:{task.name}", task.duration, ctx=task.trace_ctx, worker=worker
                 )

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .handle import DataHandle
 
-__all__ = ["AccessMode", "Task", "TaskState"]
+__all__ = ["AccessMode", "Task", "TaskState", "TraceEvent"]
 
 _task_counter = itertools.count()
 
@@ -91,6 +92,7 @@ class Task:
         "t_start",
         "t_end",
         "worker",
+        "trace_ctx",
     )
 
     def __init__(
@@ -125,6 +127,9 @@ class Task:
         self.t_start = 0.0
         self.t_end = 0.0
         self.worker = -1
+        # The submitter's telemetry context (None when telemetry is off):
+        # worker threads never see the inserting thread's contextvar.
+        self.trace_ctx = None
 
     @property
     def name(self) -> str:
@@ -152,3 +157,19 @@ class Task:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(#{self.id} {self.name!r} {self.state.value})"
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """One executed task occurrence (a row of ``Runtime(trace=True).trace``)."""
+
+    task_id: int
+    name: str
+    worker: int
+    t_start: float
+    t_end: float
+
+    @property
+    def duration(self) -> float:
+        """Seconds spent executing."""
+        return self.t_end - self.t_start

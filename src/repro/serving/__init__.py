@@ -17,9 +17,9 @@ PredictionEngine` — fast but trapped inside the process that ran
 * :mod:`repro.serving.service` — :class:`PredictionService`, an asyncio
   micro-batcher that coalesces concurrent predict requests for one
   model into single stacked-target / multi-RHS engine calls, with
-  backpressure and per-request deadlines;
-* :mod:`repro.serving.metrics` — :class:`ServiceMetrics`, the counter,
-  latency, and arrival-rate surface the benchmarks report from;
+  backpressure and per-request deadlines; its counters and latency
+  histogram (``service.metrics``) are :mod:`repro.telemetry.metrics`
+  instruments;
 * :mod:`repro.serving.wire` — the ``application/x-repro-npy`` framed
   binary format: raw little-endian float64 payloads, streamed in
   bounded chunks, bit-identical where strict JSON cannot even
@@ -53,7 +53,6 @@ Over HTTP, across worker processes:
 """
 
 from .client import ServingClient
-from .metrics import ServiceMetrics
 from .registry import ModelRegistry
 from .server import ServingServer
 from .service import BatchPolicy, PredictionService
@@ -64,7 +63,6 @@ __all__ = [
     "ModelBundle",
     "ModelRegistry",
     "PredictionService",
-    "ServiceMetrics",
     "ServingClient",
     "ServingServer",
     "bundle_from_fit",

@@ -58,13 +58,13 @@ from ..exceptions import (
     ServiceOverloadedError,
     ValidationError,
     WireFormatError,
+    exception_from_wire,
 )
 from ..resilience.policy import RetryPolicy
 from ..telemetry import context as _trace_context
 from ..telemetry import spans as _telemetry
 from ..utils.validation import as_float_array, check_locations
 from . import wire
-from .server import exception_from_wire
 
 __all__ = ["ServingClient"]
 

@@ -117,30 +117,21 @@ import numpy as np
 
 from ..config import get_config
 from ..exceptions import (
-    BundleCorruptError,
-    BundleError,
     CalibrationError,
     CircuitOpenError,
     ConfigurationError,
-    DeadlineExceededError,
     FittingError,
-    InjectedFaultError,
-    JobNotFoundError,
     LoadShedError,
     ModelNotFoundError,
     PayloadTooLargeError,
     PlanError,
     PredictionError,
-    ReproError,
     ServerError,
     ServiceClosedError,
-    ServiceOverloadedError,
-    ServingError,
-    ShapeError,
-    TelemetryError,
     TraceNotFoundError,
-    ValidationError,
     WireFormatError,
+    exception_from_wire,
+    status_for_exception,
 )
 from ..fitting.jobs import FitJobSpec, JobStore
 from ..fitting.orchestrator import FitOrchestrator
@@ -154,10 +145,10 @@ from ..telemetry.export import assemble_trace, render_prometheus
 from ..utils.logging import get_logger
 from . import wire
 from .registry import ModelRegistry, _stable_shard
-from .service import PredictionService
+from .service import PredictionService, registry_view
 from .store import ModelBundle
 
-__all__ = ["ServingServer", "status_for_exception", "exception_from_wire"]
+__all__ = ["ServingServer"]
 
 logger = get_logger(__name__)
 
@@ -174,92 +165,7 @@ def _path_within(path: Union[str, Path], root: Union[str, Path]) -> bool:
     return path_s == root_s or path_s.startswith(root_s + os.sep)
 
 
-#: Exceptions allowed to cross the worker pipe / HTTP boundary by name.
-_WIRE_EXCEPTIONS: Dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        BundleCorruptError,
-        BundleError,
-        CalibrationError,
-        CircuitOpenError,
-        ConfigurationError,
-        DeadlineExceededError,
-        FittingError,
-        InjectedFaultError,
-        JobNotFoundError,
-        LoadShedError,
-        ModelNotFoundError,
-        PayloadTooLargeError,
-        PlanError,
-        PredictionError,
-        ReproError,
-        ServerError,
-        ServiceClosedError,
-        ServiceOverloadedError,
-        ServingError,
-        ShapeError,
-        TelemetryError,
-        TraceNotFoundError,
-        ValidationError,
-        WireFormatError,
-        ValueError,
-        TypeError,
-        KeyError,
-    )
-}
-
-# isinstance-ordered: subclasses must precede their parents
-# (BundleCorruptError is a server-side integrity failure, not the
-# client's malformed request that plain BundleError maps to).
-_STATUS_BY_EXCEPTION: Tuple[Tuple[type, int], ...] = (
-    (ModelNotFoundError, 404),
-    (JobNotFoundError, 404),
-    (TraceNotFoundError, 404),
-    (TelemetryError, 400),
-    (ServiceOverloadedError, 429),
-    (DeadlineExceededError, 504),
-    (CircuitOpenError, 503),
-    (LoadShedError, 503),
-    (ServiceClosedError, 503),
-    (BundleCorruptError, 500),
-    (BundleError, 400),
-    (ConfigurationError, 400),
-    (FittingError, 400),
-    (InjectedFaultError, 500),
-    (PayloadTooLargeError, 413),
-    (PlanError, 400),
-    (CalibrationError, 500),
-    (PredictionError, 500),
-    (WireFormatError, 400),
-    (ShapeError, 400),
-    (ValidationError, 400),
-    (ServerError, 502),
-    (ValueError, 400),
-    (TypeError, 400),
-    (KeyError, 400),
-)
-
 _READY = -1  # sentinel request id for the worker's startup handshake
-
-
-def status_for_exception(exc: BaseException) -> int:
-    """HTTP status code a failure maps to (500 for anything unknown)."""
-    for cls, status in _STATUS_BY_EXCEPTION:
-        if isinstance(exc, cls):
-            return status
-    return 500
-
-
-def exception_from_wire(type_name: str, message: str) -> BaseException:
-    """Rebuild a typed exception from its wire form (whitelisted names).
-
-    Unknown names come back as :class:`ServerError` so a worker can
-    never make the router raise an arbitrary class.
-    """
-    cls = _WIRE_EXCEPTIONS.get(type_name)
-    if cls is None:
-        return ServerError(f"{type_name}: {message}")
-    return cls(message)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +279,11 @@ def _worker_main(conn, config: dict) -> None:
                 if op == "models":
                     return registry.known_models
                 if op == "metrics":
-                    out = {
+                    return {
                         "service": service.metrics.snapshot(),
                         "registry": registry.stats(),
                         "breakers": service.breaker_states(),
                     }
-                    if _telemetry.enabled():
-                        out["telemetry"] = _registry_mod.get_registry().snapshot()
-                    return out
                 if op == "trace":
                     recorder = _telemetry.get_recorder()
                     spans = (
@@ -936,7 +839,7 @@ class ServingServer:
     registry_options, service_options:
         Keyword dicts forwarded to each worker's :class:`ModelRegistry`
         and :class:`PredictionService` — batching windows, LRU budget,
-        adaptive-window mode, shard runtimes, ... Validated here, at
+        shard runtimes, ... Validated here, at
         construction, by building throwaway instances, so a typo or a
         nonsense knob (``serving_max_batch=0``) fails in the parent
         process instead of crashing workers at first request.
@@ -1656,18 +1559,18 @@ class ServingServer:
     def metrics_prometheus(self) -> str:
         """Fleet metrics in Prometheus text exposition format 0.0.4.
 
-        The router's own registry snapshot is merged with every live
-        worker's (counters/gauges sum; histograms sum bucket-wise), so
-        one scrape sees the whole fleet. With telemetry disabled this
-        renders the (empty) router registry — a valid, boring
-        exposition rather than an error, so scrapers can probe before
-        arming.
+        Rendered from the same per-worker service snapshots the JSON
+        form reports — counters as ``service_<name>``, the latency
+        histogram as ``service_latency_seconds`` — summed over the fleet
+        (histograms bucket-wise) together with the router process's own
+        :func:`~repro.telemetry.get_registry` instruments, so one scrape
+        sees the whole server.
         """
         snapshots = [_registry_mod.get_registry().snapshot()]
         for snap in self.metrics()["workers"].values():
-            telem = snap.get("telemetry") if isinstance(snap, dict) else None
-            if telem:
-                snapshots.append(telem)
+            service = snap.get("service")
+            if service is not None:
+                snapshots.append(registry_view(service))
         return render_prometheus(_registry_mod.MetricsRegistry.merge(snapshots))
 
     def trace_request(self, trace_id: str) -> dict:

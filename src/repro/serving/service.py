@@ -34,7 +34,8 @@ micro-batcher:
   the GIL in the heavy kernels).
 
 The service is asyncio-native (``async with PredictionService(...)``)
-and owns nothing global: registry, metrics and executor are injectable.
+and owns nothing global: registry and executor are injectable, and
+its counters and latencies live in instruments it owns (``service.metrics``).
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from ..resilience.breaker import BreakerPool
 from ..resilience.faults import fault_point
 from ..telemetry import context as _trace_context
 from ..telemetry import spans as _telemetry
+from ..telemetry.metrics import Counter, Histogram
 from ..utils.validation import check_locations
-from .metrics import ServiceMetrics
 from .registry import ModelRegistry
 
 #: Failures caused by the *request* (bad shapes, expired deadlines,
@@ -79,6 +80,61 @@ _USER_ERRORS = (
 )
 
 __all__ = ["BatchPolicy", "PredictionService"]
+
+_LATENCY_HELP = "submit-to-answer request latency"
+
+_COUNTERS = (
+    "requests",  # accepted submissions
+    "completed",  # requests answered successfully
+    "engine_calls",  # PredictionEngine invocations (what micro-batching minimizes)
+    "batches",  # dispatch rounds that grouped >= 2 requests
+    "coalesced_requests",  # requests served through a grouped call
+    "rejected_overload",  # submissions refused by backpressure
+    "deadline_exceeded",  # requests expired before dispatch
+    "batch_retries",  # failed groups re-dispatched per request
+    "errors",  # requests failed by an engine error
+    "degraded",  # requests answered by a last-known-good engine
+)
+
+
+class ServiceInstruments:
+    """The one store of a service's counters and request latencies.
+
+    :class:`~repro.telemetry.metrics.Counter` / ``Histogram`` instruments
+    written once per event by :class:`PredictionService` (event loop and
+    executor threads alike). :meth:`snapshot` is what ``/v1/metrics``
+    reports per worker and what the router's Prometheus exposition is
+    rendered from.
+    """
+
+    def __init__(self) -> None:
+        self.counters: Dict[str, Counter] = {
+            name: Counter(f"service_{name}") for name in _COUNTERS
+        }
+        self.latency = Histogram("service_latency_seconds", help=_LATENCY_HELP)
+
+    def snapshot(self) -> dict:
+        """``{"counters": {name: int}, "latency_seconds": {...}}``.
+
+        The latency block is :meth:`Histogram.snapshot`: lifetime
+        ``count`` / ``sum`` / bucket counts, and ``mean`` / ``p50`` /
+        ``p95`` / ``max`` over the most recent samples.
+        """
+        return {
+            "counters": {name: c.value for name, c in self.counters.items()},
+            "latency_seconds": self.latency.snapshot(),
+        }
+
+
+def registry_view(snapshot: dict) -> dict:
+    """A :meth:`ServiceInstruments.snapshot` (possibly off a worker pipe)
+    in :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` shape,
+    under the ``service_*`` names the Prometheus exposition uses."""
+    return {
+        "counters": {f"service_{n}": v for n, v in snapshot["counters"].items()},
+        "histograms": {"service_latency_seconds": snapshot["latency_seconds"]},
+        "help": {"service_latency_seconds": _LATENCY_HELP},
+    }
 
 
 class _Request:
@@ -119,8 +175,7 @@ class _Request:
 class BatchPolicy:
     """Per-model batching knobs overriding the service-wide defaults.
 
-    ``None`` fields fall through to the service default (or, for the
-    window, to the learned adaptive value when that is enabled).
+    ``None`` fields fall through to the service default.
     """
 
     __slots__ = ("batch_window", "max_batch")
@@ -169,17 +224,6 @@ class PredictionService:
         Coalesce same-target explicit-``z`` requests into one multi-RHS
         solve (equal to sequential solves to solver rounding). Disable
         for strict bitwise reproducibility of explicit-``z`` traffic.
-    adaptive_window:
-        Learn each model's coalescing window from its recent arrival
-        rate (default: configured ``serving_adaptive_window``): the
-        window approximates the time ``max_batch`` requests take to
-        arrive at the observed rate, capped at ``max_window``. Models
-        with no recent traffic use ``batch_window``. An explicit
-        per-model :class:`BatchPolicy` window always wins.
-    max_window:
-        Cap on the learned adaptive window (default: configured
-        ``serving_max_window``). Explicit windows — the service default
-        and per-model policies — are honored verbatim.
     breaker_threshold:
         Consecutive infrastructure failures that open a model's circuit
         breaker (default: configured ``breaker_threshold``). While open,
@@ -189,8 +233,6 @@ class PredictionService:
     breaker_recovery:
         Seconds an open breaker waits before admitting probe traffic
         (default: configured ``breaker_recovery``).
-    metrics:
-        A :class:`ServiceMetrics` to record into (default: fresh).
     executor:
         Thread pool for engine calls (default: one owned worker per
         registry shard, minimum 2).
@@ -211,11 +253,8 @@ class PredictionService:
         max_queue: Optional[int] = None,
         default_deadline: Optional[float] = None,
         rhs_batching: bool = True,
-        adaptive_window: Optional[bool] = None,
-        max_window: Optional[float] = None,
         breaker_threshold: Optional[int] = None,
         breaker_recovery: Optional[float] = None,
-        metrics: Optional[ServiceMetrics] = None,
         executor: Optional[concurrent.futures.Executor] = None,
     ) -> None:
         cfg = get_config()
@@ -231,8 +270,6 @@ class PredictionService:
             raise ConfigurationError(
                 f"default_deadline must be > 0 seconds, got {default_deadline}"
             )
-        if max_window is not None and float(max_window) < 0:
-            raise ConfigurationError(f"max_window must be >= 0, got {max_window}")
         self.registry = registry
         self.batch_window = (
             cfg.serving_batch_window if batch_window is None else float(batch_window)
@@ -241,13 +278,8 @@ class PredictionService:
         self.max_queue = cfg.serving_queue_size if max_queue is None else int(max_queue)
         self.default_deadline = default_deadline
         self.rhs_batching = bool(rhs_batching)
-        self.adaptive_window = (
-            cfg.serving_adaptive_window if adaptive_window is None else bool(adaptive_window)
-        )
-        self.max_window = (
-            cfg.serving_max_window if max_window is None else float(max_window)
-        )
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceInstruments()
+        self._count = self.metrics.counters
         # Breaker knobs resolve against *this thread's* config now:
         # breakers are created lazily on executor threads whose
         # thread-local config is the default.
@@ -387,16 +419,15 @@ class PredictionService:
                 int(priority),
                 trace_ctx=_trace_context.current() if _telemetry.enabled() else None,
             )
-            self.metrics.record_arrival(model_id, now)
             queue = self._queue_for(model_id)
             try:
                 queue.put_nowait(req)
             except asyncio.QueueFull:
-                self.metrics.inc("rejected_overload")
+                self._count["rejected_overload"].inc()
                 raise ServiceOverloadedError(
                     f"model {model_id!r} has {self.max_queue} queued requests"
                 ) from None
-            self.metrics.inc("requests")
+            self._count["requests"].inc()
             value, flags = await req.future
         if detail:
             return value, flags
@@ -434,33 +465,16 @@ class PredictionService:
     def effective_policy(self, model_id: str) -> Tuple[float, int]:
         """The ``(batch_window, max_batch)`` the next round will use.
 
-        Resolution order for the window: explicit per-model policy,
-        then the learned arrival-rate window (when ``adaptive_window``),
-        then the service default. ``max_batch`` is per-model or default.
+        Each knob is the explicit per-model policy value when one is
+        set, else the service default.
         """
         policy = self._policies.get(model_id)
-        max_batch = self.max_batch
+        window, max_batch = self.batch_window, self.max_batch
         if policy is not None and policy.max_batch is not None:
             max_batch = policy.max_batch
         if policy is not None and policy.batch_window is not None:
-            # Explicit operator choices are honored verbatim, exactly
-            # like the service-wide default; max_window caps only the
-            # *learned* window.
-            return policy.batch_window, max_batch
-        if self.adaptive_window:
-            return self._learned_window(model_id, max_batch), max_batch
-        return self.batch_window, max_batch
-
-    def _learned_window(self, model_id: str, max_batch: int) -> float:
-        """Window sized to the time ``max_batch`` arrivals take at the
-        model's recent rate: hot models close their batches about when
-        they fill; quiet models (no rate estimate) fall back to the
-        default window exactly as documented — the same value the
-        non-adaptive path would use, uncapped."""
-        rate = self.metrics.arrival_rate(model_id)
-        if rate is None or rate <= 0.0:
-            return self.batch_window
-        return min(self.max_window, (max_batch - 1) / rate)
+            window = policy.batch_window
+        return window, max_batch
 
     # ------------------------------------------------------------- batching
     def _queue_for(self, model_id: str) -> "asyncio.Queue[_Request]":
@@ -521,7 +535,7 @@ class PredictionService:
                 live = []
                 for req in batch:
                     if req.deadline is not None and now > req.deadline:
-                        self.metrics.inc("deadline_exceeded")
+                        self._count["deadline_exceeded"].inc()
                         self._fail(req, DeadlineExceededError(
                             f"request expired {now - req.deadline:.3f}s before dispatch"
                         ))
@@ -530,7 +544,7 @@ class PredictionService:
                 if not live:
                     continue
                 if len(live) > 1:
-                    self.metrics.inc("batches")
+                    self._count["batches"].inc()
                 for kind, group in self._plan(live):
                     await self._dispatch(model_id, kind, group)
         except asyncio.CancelledError:
@@ -583,28 +597,28 @@ class PredictionService:
             if len(group) > 1:
                 # One malformed request must not poison its batch: retry
                 # each request alone so the error reaches only its owner.
-                self.metrics.inc("batch_retries")
+                self._count["batch_retries"].inc()
                 for req in group:
                     await self._dispatch(model_id, "single", [req])
                 return
             if isinstance(exc, DeadlineExceededError):
-                self.metrics.inc("deadline_exceeded")
+                self._count["deadline_exceeded"].inc()
             else:
-                self.metrics.inc("errors", len(group))
+                self._count["errors"].inc(len(group))
             for req in group:
                 self._fail(req, exc)
             return
         now = time.monotonic()
         if degraded:
-            self.metrics.inc("degraded", len(group))
+            self._count["degraded"].inc(len(group))
         for req, result in zip(group, results):
             # A caller may have cancelled its future (e.g. wait_for
             # timeout); only deliveries that actually happen count as
             # completed or contribute a latency sample.
             if not req.future.done():
                 req.future.set_result((result, {"degraded": degraded}))
-                self.metrics.inc("completed")
-                self.metrics.observe_latency(now - req.t_submit)
+                self._count["completed"].inc()
+                self.metrics.latency.observe(now - req.t_submit)
 
     def _execute(
         self, model_id: str, kind: str, group: Sequence[_Request]
@@ -674,12 +688,12 @@ class PredictionService:
     def _run_engine(
         self, engine, kind: str, group: Sequence[_Request]
     ) -> List[np.ndarray]:
-        self.metrics.inc("engine_calls")
+        self._count["engine_calls"].inc()
         if kind == "stack":
-            self.metrics.inc("coalesced_requests", len(group))
+            self._count["coalesced_requests"].inc(len(group))
             return engine.predict_many([req.targets for req in group])
         if kind == "rhs":
-            self.metrics.inc("coalesced_requests", len(group))
+            self._count["coalesced_requests"].inc(len(group))
             stacked = np.column_stack([req.z for req in group])
             out = engine.predict(group[0].targets, z=stacked)
             return [np.ascontiguousarray(out[:, j]) for j in range(len(group))]

@@ -1,9 +1,13 @@
 """Unified observability: trace context, spans, metrics, export.
 
-The four disconnected timing systems this repo grew (the runtime's
-:class:`~repro.runtime.trace.TraceRecorder`, serving's
-:class:`~repro.serving.metrics.ServiceMetrics`, ``utils/timer.py``
-stage times, and per-job loglik JSONL traces) now feed one layer:
+The one place the program records time and counts. Writers record
+here directly — there is no second store to bridge from:
+:class:`~repro.runtime.Runtime` emits a ``task:<name>`` span per
+executed task (parented to the span open on the inserting thread),
+:class:`~repro.utils.timer.StageTimes` emits ``stage:*`` spans next to
+its always-on per-stage totals, and
+:class:`~repro.serving.service.PredictionService` keeps its counters
+and latencies in :mod:`~repro.telemetry.metrics` instruments it owns.
 
 * :mod:`~repro.telemetry.context` — ``TraceContext`` carried in a
   contextvar, across HTTP via ``X-Repro-Trace``, and across the
@@ -16,7 +20,8 @@ stage times, and per-job loglik JSONL traces) now feed one layer:
 * :mod:`~repro.telemetry.export` — Prometheus text exposition and
   cross-process span-tree assembly.
 
-Telemetry is **off by default**; arm it with
+Spans are **off by default** (metric instruments are always on); arm
+them with
 :func:`~repro.telemetry.configure`, ``Config(telemetry_enabled=True)``,
 or ``REPRO_TELEMETRY=1`` (how spawned workers and fit legs inherit
 the setting). Answering "where did this slow predict spend its time"
@@ -48,7 +53,6 @@ from .metrics import (
 from .spans import (
     Span,
     SpanRecorder,
-    adopt_trace_events,
     annotate,
     configure,
     enabled,
@@ -66,7 +70,6 @@ __all__ = [
     "TRACE_HEADER",
     "TraceContext",
     "activate",
-    "adopt_trace_events",
     "annotate",
     "assemble_trace",
     "child_of",

@@ -1,29 +1,30 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Metric instruments — counters, gauges, histograms — and a registry.
 
-Each process (router, every serving worker, fit legs) owns one
-:class:`MetricsRegistry`; instruments are cheap enough to update
-unconditionally (a dict-free attribute add under the GIL). The router
-pulls worker snapshots over the existing ``metrics`` pipe op and
-:func:`MetricsRegistry.merge`\\ s them, so ``/v1/metrics`` shows fleet
-totals and ``?format=prometheus`` renders one exposition for the whole
+Instruments are cheap enough to update unconditionally (one short
+critical section). :class:`~repro.serving.service.PredictionService`
+owns a :class:`Counter` per serving event and one latency
+:class:`Histogram`, and writes nowhere else; the router pulls each
+worker's service snapshot over the ``metrics`` pipe op and
+:func:`MetricsRegistry.merge`\\ s them with the process-global registry
+(:func:`get_registry`, for instruments the embedding program adds), so
+``/v1/metrics?format=prometheus`` renders one exposition for the whole
 server.
 
 Histograms use **explicit** bucket upper bounds (Prometheus
 ``le``-style, cumulative at export time) so percentile-ish questions
 ("how many predicts were over 100 ms?") survive cross-process
 aggregation, which a quantile sketch would not without a merge
-protocol.
-
-:class:`~repro.serving.metrics.ServiceMetrics` remains the serving
-API, but is now a compatibility façade that mirrors into this
-registry — its snapshot/percentile behavior is unchanged.
+protocol. Each histogram also keeps its newest :data:`RECENT_WINDOW`
+samples, from which a snapshot reports the process-local recent
+``mean`` / ``p50`` / ``p95`` / ``max``.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import TelemetryError
 
@@ -53,20 +54,33 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class Counter:
-    """Monotonically increasing value. ``inc`` is GIL-atomic enough."""
+#: Newest samples a :class:`Histogram` keeps for its recent-latency
+#: statistics, so a long-running service reports *recent* percentiles.
+RECENT_WINDOW = 4096
 
-    __slots__ = ("name", "help", "_value")
+
+class Counter:
+    """Monotonically increasing value, safe to ``inc`` from any thread.
+
+    Integer increments keep the value an ``int`` (what the JSON metrics
+    surfaces report).
+    """
+
+    __slots__ = ("name", "help", "_value", "_lock")
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
-        self._value = 0.0
+        self._value = 0
+        self._lock = threading.Lock()
 
-    def inc(self, by: float = 1.0) -> None:
+    def inc(self, by: float = 1) -> None:
         if by < 0:
             raise TelemetryError(f"counter {self.name} cannot decrease (by={by})")
-        self._value += by
+        # ``+=`` is a read-modify-write: executor threads and the event
+        # loop increment the same serving counters.
+        with self._lock:
+            self._value += by
 
     @property
     def value(self) -> float:
@@ -97,10 +111,16 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Fixed explicit-bucket histogram (per-bucket counts + sum/count)."""
+def _nearest_rank(samples: List[float], p: float) -> float:
+    """Nearest-rank percentile of an already-sorted, non-empty sample."""
+    return samples[round(p / 100.0 * (len(samples) - 1))]
 
-    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_lock")
+
+class Histogram:
+    """Fixed explicit-bucket histogram (per-bucket counts + sum/count)
+    plus a bounded window of the newest samples."""
+
+    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_recent", "_lock")
 
     def __init__(
         self,
@@ -117,6 +137,7 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)  # +1: the +Inf overflow bucket
         self._sum = 0.0
         self._count = 0
+        self._recent: Deque[float] = deque(maxlen=RECENT_WINDOW)
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -125,15 +146,28 @@ class Histogram:
             self._counts[idx] += 1
             self._sum += value
             self._count += 1
+            self._recent.append(value)
 
     def snapshot(self) -> Dict[str, Any]:
+        """Lifetime ``buckets``/``counts``/``sum``/``count`` plus
+        ``mean``/``p50``/``p95``/``max`` over the recent window (all 0.0
+        while empty, so readers never need per-key existence checks)."""
         with self._lock:
-            return {
+            out = {
                 "buckets": list(self.buckets),
                 "counts": list(self._counts),
                 "sum": self._sum,
                 "count": self._count,
             }
+            recent = list(self._recent)
+        recent = sorted(recent) or [0.0]
+        out.update(
+            mean=sum(recent) / len(recent),
+            p50=_nearest_rank(recent, 50.0),
+            p95=_nearest_rank(recent, 95.0),
+            max=recent[-1],
+        )
+        return out
 
 
 class MetricsRegistry:

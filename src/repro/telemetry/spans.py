@@ -36,7 +36,7 @@ import threading
 import time
 from collections import deque
 from contextvars import ContextVar
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..config import get_config
 from . import context as _ctx
@@ -381,9 +381,10 @@ def record_span(
     """Record an already-measured interval as a span.
 
     For phases whose start/end were captured elsewhere: queue-wait
-    (measured from the request's submit timestamp) and
-    :class:`~repro.runtime.trace.TraceEvent` adoption (runtime worker
-    threads never see the request's contextvar).
+    (measured from the request's submit timestamp) and the runtime's
+    ``task:*`` spans (worker threads never see the submitter's
+    contextvar, so :class:`~repro.runtime.Runtime` passes the context
+    it captured at ``insert_task`` as *ctx*).
     """
     if not enabled():
         return None
@@ -409,29 +410,3 @@ def record_span(
         rec["attrs"] = attrs
     _emit(rec)
     return rec
-
-
-def adopt_trace_events(
-    events: Iterable[Any], *, ctx: Optional[_ctx.TraceContext] = None
-) -> int:
-    """Convert runtime :class:`TraceEvent`\\ s into child spans of *ctx*.
-
-    Task events carry ``perf_counter`` timestamps; they're shifted onto
-    the wall clock so they nest visually under their parent span. Used
-    by :class:`~repro.mle.prediction_engine.PredictionEngine` to join
-    the task-level and request-level views.
-    """
-    if not enabled():
-        return 0
-    offset = time.time() - time.perf_counter()
-    n = 0
-    for ev in events:
-        record_span(
-            f"task:{ev.name}",
-            max(0.0, ev.t_end - ev.t_start),
-            t_start=ev.t_start + offset,
-            ctx=ctx,
-            worker=ev.worker,
-        )
-        n += 1
-    return n

@@ -8,7 +8,7 @@ from .validation import (
     check_symmetric,
     check_vector,
 )
-from .timer import Stopwatch, StageTimes, timed
+from .timer import StageTimes
 from .rng import as_generator, spawn_generators
 from .logging import get_logger
 
@@ -19,9 +19,7 @@ __all__ = [
     "check_square",
     "check_symmetric",
     "check_vector",
-    "Stopwatch",
     "StageTimes",
-    "timed",
     "as_generator",
     "spawn_generators",
     "get_logger",

@@ -1,4 +1,4 @@
-"""Timing utilities used by the MLE drivers and the benchmark harness.
+"""The per-stage time accumulator of the MLE evaluators.
 
 The paper reports the time of *one iteration* of the MLE optimization,
 broken down implicitly into covariance generation, factorization, solve,
@@ -15,36 +15,7 @@ from typing import Dict, Iterator
 
 from ..telemetry import spans as _telemetry
 
-__all__ = ["Stopwatch", "StageTimes", "timed"]
-
-
-class Stopwatch:
-    """A simple cumulative stopwatch based on ``time.perf_counter``.
-
-    >>> sw = Stopwatch()
-    >>> with sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self.calls = 0
-        self._t0 = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed += time.perf_counter() - self._t0
-        self.calls += 1
-
-    def reset(self) -> None:
-        """Zero the accumulated time and call count."""
-        self.elapsed = 0.0
-        self.calls = 0
+__all__ = ["StageTimes"]
 
 
 @dataclass
@@ -73,34 +44,3 @@ class StageTimes:
                 yield
         finally:
             self.stages[name] = self.stages.get(name, 0.0) + time.perf_counter() - t0
-
-    def total(self) -> float:
-        """Sum of all recorded stages."""
-        return float(sum(self.stages.values()))
-
-    def merged_with(self, other: "StageTimes") -> "StageTimes":
-        """Return a new :class:`StageTimes` adding ``other``'s stages."""
-        out = StageTimes(dict(self.stages))
-        for k, v in other.stages.items():
-            out.stages[k] = out.stages.get(k, 0.0) + v
-        return out
-
-    def as_row(self) -> Dict[str, float]:
-        """Stages plus a ``total`` key, suitable for tabulation."""
-        row = dict(self.stages)
-        row["total"] = self.total()
-        return row
-
-
-@contextlib.contextmanager
-def timed() -> Iterator[Stopwatch]:
-    """Time a block and expose the elapsed seconds.
-
-    >>> with timed() as sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-    sw = Stopwatch()
-    with sw:
-        yield sw

@@ -282,7 +282,7 @@ class TestBatchedCompression:
                 compression_batch=batch,
             )
             rt.wait_all()
-            names = [e.name for e in rt.trace.events]
+            names = [e.name for e in rt.trace]
         for k in range(serial.nt):
             np.testing.assert_array_equal(batched.diag[k], serial.diag[k])
         assert set(batched.low) == set(serial.low)
@@ -315,7 +315,7 @@ class TestBatchedCompression:
                 tlr = empty_tlr_matrix(N, NB, 1e-8)
                 insert_tlr_generation_tasks(rt, tlr, gen, method="svd", rule="relative")
                 rt.wait_all()
-                names = [e.name for e in rt.trace.events]
+                names = [e.name for e in rt.trace]
         n_off = len(tlr.low)
         assert sum(1 for n in names if n.startswith("genb")) == -(-n_off // 5)
 

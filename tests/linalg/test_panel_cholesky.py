@@ -189,7 +189,7 @@ class TestPanelGraph:
             generate_and_factor_tile_matrix(
                 n, NB, lambda rs, cs: model.tile(locs, rs, cs), runtime=rt, fused=True
             )
-            names = [e.name for e in rt.trace.events]
+            names = [e.name for e in rt.trace]
         kinds = {}
         for name in names:
             kinds[name.split("(")[0]] = kinds.get(name.split("(")[0], 0) + 1

@@ -133,13 +133,10 @@ class TestThreadsEngine:
             for _ in range(7):
                 rt.insert_task(lambda x: None, [(h, R)], name="probe")
             rt.wait_all()
-            trace = rt.trace
-            assert trace is not None
-            assert len(trace.events) == 7
-            assert trace.makespan() >= 0.0
-            assert 0.0 <= trace.utilization(3) <= 1.0
-            counts = trace.by_codelet()
-            assert counts["probe"][0] == 7
+            assert len(rt.trace) == 7
+            for e in rt.trace:
+                assert e.name == "probe" and e.worker in (0, 1, 2)
+                assert e.t_end >= e.t_start and e.duration == e.t_end - e.t_start
 
 
 class TestDeterminismOracle:

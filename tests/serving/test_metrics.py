@@ -1,16 +1,25 @@
-"""ServiceMetrics regressions (empty latency window, arrival rates) and
-construction-time validation of serving knobs across the stack."""
+"""The service's instruments (``service.metrics``): empty-window latency
+regressions, thread-safe counters, and construction-time validation of
+serving knobs across the stack."""
 
 from __future__ import annotations
 
-import time
+import sys
+import threading
 
 import pytest
 
 from repro.config import Config
 from repro.exceptions import ConfigurationError
-from repro.serving import ModelRegistry, PredictionService, ServiceMetrics
+from repro.serving import ModelRegistry, PredictionService
 from repro.serving.service import BatchPolicy
+from repro.telemetry.metrics import RECENT_WINDOW
+
+
+@pytest.fixture
+def metrics():
+    with ModelRegistry(max_models=2) as registry:
+        yield PredictionService(registry).metrics
 
 
 # --------------------------------------------------------------------------
@@ -18,29 +27,26 @@ from repro.serving.service import BatchPolicy
 # --------------------------------------------------------------------------
 
 
-def test_percentiles_on_empty_window_are_zero_not_an_error():
-    """Regression: a fresh (or freshly reset) metrics object must answer
-    every percentile query with 0.0 — readers poll /v1/metrics before
-    the first request completes."""
-    metrics = ServiceMetrics()
-    for p in (0.0, 50.0, 95.0, 100.0):
-        assert metrics.percentile(p) == 0.0
-    metrics.observe_latency(0.25)
-    assert metrics.percentile(50.0) == 0.25
-    metrics.reset()
-    assert metrics.percentile(95.0) == 0.0
+def test_percentiles_on_empty_window_are_zero_not_an_error(metrics):
+    """Regression: a fresh service must answer every latency statistic
+    with 0.0 — readers poll /v1/metrics before the first request
+    completes."""
+    latency = metrics.snapshot()["latency_seconds"]
+    assert latency["p50"] == latency["p95"] == latency["max"] == 0.0
+    metrics.latency.observe(0.25)
+    assert metrics.snapshot()["latency_seconds"]["p50"] == 0.25
 
 
-def test_snapshot_always_carries_latency_keys():
+def test_snapshot_always_carries_latency_keys(metrics):
     """Regression: the latency block must carry count/mean/p50/p95/max
     even with zero samples, so snapshot consumers (benchmark writers,
     the HTTP /v1/metrics endpoint) never KeyError on a quiet service."""
-    snap = ServiceMetrics().snapshot()
-    latency = snap["latency_seconds"]
-    assert latency == {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    metrics = ServiceMetrics()
+    latency = metrics.snapshot()["latency_seconds"]
+    assert {k: latency[k] for k in ("count", "mean", "p50", "p95", "max")} == {
+        "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0
+    }
     for v in (0.1, 0.2, 0.3):
-        metrics.observe_latency(v)
+        metrics.latency.observe(v)
     latency = metrics.snapshot()["latency_seconds"]
     assert latency["count"] == 3
     assert latency["max"] == 0.3
@@ -48,49 +54,46 @@ def test_snapshot_always_carries_latency_keys():
     assert latency["mean"] == pytest.approx(0.2)
 
 
-def test_percentile_rejects_out_of_range():
-    metrics = ServiceMetrics()
-    with pytest.raises(ValueError):
-        metrics.percentile(-1.0)
-    with pytest.raises(ValueError):
-        metrics.percentile(101.0)
+def test_latency_window_is_bounded_and_recent(metrics):
+    """count/sum are lifetime totals; percentiles and max describe only
+    the newest RECENT_WINDOW samples, so memory stays bounded."""
+    metrics.latency.observe(9.0)  # ages out of the window below
+    for _ in range(RECENT_WINDOW):
+        metrics.latency.observe(0.01)
+    latency = metrics.snapshot()["latency_seconds"]
+    assert latency["count"] == RECENT_WINDOW + 1
+    assert latency["max"] == 0.01
+    assert sum(latency["counts"]) == latency["count"]
 
 
-# --------------------------------------------------------------------------
-# Arrival-rate window (feeds the adaptive batching policy).
-# --------------------------------------------------------------------------
+def test_every_counter_reads_zero_before_traffic(metrics):
+    counters = metrics.snapshot()["counters"]
+    assert {"requests", "completed", "engine_calls", "coalesced_requests"} <= set(counters)
+    assert all(v == 0 and isinstance(v, int) for v in counters.values())
 
 
-def test_arrival_rate_needs_two_samples_and_goes_stale():
-    metrics = ServiceMetrics()
-    now = time.monotonic()
-    assert metrics.arrival_rate("m", t=now) is None
-    metrics.record_arrival("m", now - 1.0)
-    assert metrics.arrival_rate("m", t=now) is None  # one sample: no rate
-    metrics.record_arrival("m", now - 0.5)
-    assert metrics.arrival_rate("m", t=now) == pytest.approx(2.0)  # 1 gap / 0.5 s
-    # A model that went quiet must not keep reporting its old rate.
-    assert metrics.arrival_rate("m", t=now + 1000.0) is None
+def test_concurrent_incs_are_never_lost(metrics):
+    """Executor threads and the event loop increment the same counters:
+    N threads x M incs must read exactly N*M."""
+    n_threads, n_incs = 8, 5000
+    counter = metrics.counters["engine_calls"]
 
+    def work():
+        for _ in range(n_incs):
+            counter.inc()
 
-def test_arrival_rate_estimates_requests_per_second():
-    metrics = ServiceMetrics()
-    base = time.monotonic()
-    for i in range(11):
-        metrics.record_arrival("hot", base + 0.01 * i)  # 100 req/s
-    rate = metrics.arrival_rate("hot", t=base + 0.1)
-    assert rate == pytest.approx(100.0, rel=1e-6)
-    snap = metrics.snapshot()
-    assert "hot" in snap["arrival_rates"]
-
-
-def test_metrics_constructor_validation():
-    with pytest.raises(ValueError):
-        ServiceMetrics(max_samples=0)
-    with pytest.raises(ValueError):
-        ServiceMetrics(max_arrivals=1)
-    with pytest.raises(ValueError):
-        ServiceMetrics(arrival_horizon=0.0)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert metrics.snapshot()["counters"]["engine_calls"] == n_threads * n_incs
 
 
 # --------------------------------------------------------------------------
@@ -110,8 +113,6 @@ def test_config_rejects_nonsense_serving_knobs():
         Config(serving_max_models=0)
     with pytest.raises(ConfigurationError):
         Config(serving_workers=0)
-    with pytest.raises(ConfigurationError):
-        Config(serving_max_window=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +124,6 @@ def test_config_rejects_nonsense_serving_knobs():
         {"max_queue": 0},
         {"default_deadline": 0.0},
         {"default_deadline": -2.0},
-        {"max_window": -0.1},
     ],
 )
 def test_service_rejects_nonsense_knobs_at_construction(kwargs):

@@ -17,9 +17,17 @@ import pytest
 
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import (
+    BundleCorruptError,
+    BundleError,
     ConfigurationError,
     ModelNotFoundError,
+    NotPositiveDefiniteError,
+    OutOfMemoryModelError,
+    ReproError,
+    ServerError,
     ServiceClosedError,
+    exception_from_wire,
+    status_for_exception,
 )
 from repro.kernels import MaternCovariance
 from repro.mle import PredictionEngine
@@ -187,6 +195,47 @@ def test_model_id_with_slash_routes_through_admin_endpoints(
 def test_unknown_model_maps_to_typed_exception(client, targets):
     with pytest.raises(ModelNotFoundError):
         client.predict("no-such-model", targets)
+
+
+def _repro_error_classes():
+    seen, todo = [], [ReproError]
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return [c for c in seen if c.__module__ == "repro.exceptions"]
+
+
+@pytest.mark.parametrize("cls", _repro_error_classes(), ids=lambda c: c.__name__)
+def test_every_library_error_round_trips_the_wire_by_name(cls):
+    back = exception_from_wire(cls.__name__, "why")
+    assert type(back) is cls and str(back) == "why"
+    assert 400 <= status_for_exception(back) < 600
+
+
+def test_wire_errors_unknown_names_and_most_specific_status():
+    back = exception_from_wire("SystemExit", "nope")
+    assert type(back) is ServerError and "SystemExit" in str(back)
+    assert type(exception_from_wire("KeyError", "k")) is KeyError
+    # MRO lookup: the subclass's own entry wins over its parent's.
+    assert status_for_exception(BundleCorruptError("x")) == 500
+    assert status_for_exception(BundleError("x")) == 400
+    assert status_for_exception(OutOfMemoryModelError("x")) == 500  # no entry
+    assert status_for_exception(RuntimeError("x")) == 500
+
+
+def test_non_spd_model_raises_its_typed_error_client_side(client, targets, tmp_path):
+    """A factor-less bundle whose theta is numerically non-SPD fails in
+    the worker's factorization; the client must see that class, not a
+    502 ServerError."""
+    locs = generate_irregular_grid(N, seed=0)
+    path = ModelBundle(
+        model=MaternCovariance(1.0, 50.0, 2.5), locations=locs, z=np.zeros(N),
+        variant="full-tile", tile_size=NB, acc=ACC,
+    ).save(tmp_path / "npd.bundle")
+    client.register("npd", str(path))
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        client.predict("npd", targets)
 
 
 def test_unknown_route_and_malformed_body(server):

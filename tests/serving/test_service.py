@@ -431,57 +431,6 @@ def test_per_model_policy_overrides_defaults(problem):
             svc.set_policy("m", max_batch=0)
 
 
-def test_adaptive_window_learned_from_arrival_rate(problem):
-    """With adaptive batching the window approximates the time max_batch
-    arrivals take at the recent rate, capped at max_window; quiet models
-    fall back to the default."""
-    registry = make_registry(problem)
-    with registry:
-        svc = PredictionService(
-            registry,
-            batch_window=0.003,
-            max_batch=8,
-            adaptive_window=True,
-            max_window=0.5,
-        )
-        # No traffic yet: default window.
-        assert svc.effective_policy("m") == (0.003, 8)
-        base = time.monotonic()
-        for i in range(21):
-            svc.metrics.record_arrival("m", base - 0.2 + 0.01 * i)  # 100 req/s
-        window, max_batch = svc.effective_policy("m")
-        assert max_batch == 8
-        assert window == pytest.approx((8 - 1) / 100.0, rel=1e-6)
-        # A slow model's learned window is capped by max_window.
-        for i in range(3):
-            svc.metrics.record_arrival("cold", base - 2.0 + 0.9 * i)  # ~1.1 req/s
-        window, _ = svc.effective_policy("cold")
-        assert window == 0.5
-        # An explicit per-model policy beats the learned window.
-        svc.set_policy("m", batch_window=0.001)
-        assert svc.effective_policy("m")[0] == pytest.approx(0.001)
-
-
-def test_adaptive_window_still_bit_identical(problem):
-    """Adaptive batching changes *when* requests dispatch, never what
-    they compute: answers stay bit-identical to sequential predicts."""
-    registry = make_registry(problem, "tlr")
-    rng = np.random.default_rng(17)
-    target_sets = [np.ascontiguousarray(rng.random((m, 2))) for m in (5, 9, 3, 7)]
-    sequential = [registry.engine("m").predict(t) for t in target_sets]
-
-    async def main():
-        async with PredictionService(
-            registry, batch_window=0.05, max_batch=16, adaptive_window=True
-        ) as svc:
-            return await asyncio.gather(*[svc.predict("m", t) for t in target_sets])
-
-    with registry:
-        outs = asyncio.run(main())
-    for got, ref in zip(outs, sequential):
-        np.testing.assert_array_equal(got, ref)
-
-
 def test_malformed_request_does_not_poison_batch(problem):
     """Regression: one bad request in a coalesced group fails alone; the
     group retries per-request so innocent callers still get answers."""

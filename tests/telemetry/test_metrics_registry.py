@@ -1,4 +1,5 @@
-"""MetricsRegistry: counters, gauges, histograms, merge, façade."""
+"""MetricsRegistry: counters, gauges, histograms, merge, and the
+service instruments rendered through it."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.telemetry.spans import configure
+from repro.telemetry.export import lint_prometheus, render_prometheus
 
 
 def test_counter_monotonic_and_typed():
@@ -82,27 +83,34 @@ def test_default_buckets_are_sorted():
     assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
 
 
-def test_service_metrics_facade_mirrors_when_armed():
-    from repro.serving.metrics import ServiceMetrics
+def test_service_snapshot_renders_the_service_exposition():
+    """The service's one snapshot feeds both the JSON view and, through
+    ``registry_view`` + ``merge``, the ``service_*`` Prometheus families
+    — armed or not."""
+    from repro.serving.service import ServiceInstruments, registry_view
 
-    configure(enabled=True)
-    m = ServiceMetrics()
-    m.inc("requests", 3)
-    m.observe_latency(0.02)
-    reg = get_registry()
-    snap = reg.snapshot()
-    assert snap["counters"]["service_requests"] == 3
-    assert snap["histograms"]["service_latency_seconds"]["count"] == 1
-    # the plain snapshot() surface is unchanged
-    assert m.snapshot()["counters"]["requests"] == 3
+    workers = []
+    for n in (3, 4):
+        m = ServiceInstruments()
+        m.counters["requests"].inc(n)
+        m.latency.observe(0.02)
+        assert m.snapshot()["counters"]["requests"] == n
+        workers.append(registry_view(m.snapshot()))
+    merged = MetricsRegistry.merge(workers)
+    assert merged["counters"]["service_requests"] == 7
+    assert merged["histograms"]["service_latency_seconds"]["count"] == 2
+    text = render_prometheus(merged)
+    lint_prometheus(text)
+    assert "repro_service_requests_total 7" in text
+    assert 'repro_service_latency_seconds_bucket{le="0.03"} 2' in text
 
 
-def test_service_metrics_facade_silent_when_disabled():
-    from repro.serving.metrics import ServiceMetrics
+def test_service_instruments_stay_out_of_the_global_registry():
+    from repro.serving.service import ServiceInstruments
 
-    m = ServiceMetrics()
-    m.inc("requests")
-    m.observe_latency(0.01)
+    m = ServiceInstruments()
+    m.counters["requests"].inc()
+    m.latency.observe(0.01)
     snap = get_registry().snapshot()
     assert snap["counters"] == {}
     assert snap["histograms"] == {}

@@ -8,11 +8,10 @@ import os
 import pytest
 
 from repro.config import use_config
-from repro.runtime.trace import TraceEvent
+from repro.runtime import AccessMode, Runtime
 from repro.telemetry import spans as tspans
 from repro.telemetry.spans import (
     SpanRecorder,
-    adopt_trace_events,
     annotate,
     configure,
     enabled,
@@ -93,23 +92,23 @@ def test_record_span_uses_explicit_ctx():
     assert rec["attrs"] == {"model": "m"}
 
 
-def test_adopt_trace_events_shifts_onto_wall_clock():
+def test_runtime_task_spans_sit_on_the_wall_clock():
     configure(enabled=True)
     from repro.telemetry import context as tctx
     import time
 
     ctx = tctx.new_trace()
-    t = time.perf_counter()
-    events = [
-        TraceEvent(task_id=0, name="potrf", worker=0, t_start=t - 0.5, t_end=t - 0.4),
-        TraceEvent(task_id=1, name="trsm", worker=1, t_start=t - 0.4, t_end=t - 0.1),
-    ]
-    assert adopt_trace_events(events, ctx=ctx) == 2
-    recs = get_recorder().for_trace(ctx.trace_id)
-    assert {r["name"] for r in recs} == {"task:potrf", "task:trsm"}
-    for r in recs:
-        assert r["parent_id"] == ctx.span_id
-        assert abs(r["t_start"] - time.time()) < 5.0  # wall clock, not perf ticks
+    with Runtime(num_workers=1) as rt:
+        h = rt.register(None)
+        with tctx.activate(ctx):  # captured at insert: workers never see it
+            rt.insert_task(lambda x: time.sleep(0.01), [(h, AccessMode.READ)], name="potrf")
+        rt.wait_all()
+    (rec,) = get_recorder().for_trace(ctx.trace_id)
+    assert rec["name"] == "task:potrf"
+    assert rec["parent_id"] == ctx.span_id
+    assert rec["attrs"] == {"worker": 0}
+    assert rec["duration"] >= 0.01
+    assert abs(rec["t_start"] - time.time()) < 5.0  # wall clock, not perf ticks
 
 
 def test_jsonl_sink_bounded(tmp_path):

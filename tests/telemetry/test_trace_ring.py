@@ -1,66 +1,26 @@
-"""Bounded runtime TraceRecorder ring + telemetry-armed Runtime wiring."""
+"""Runtime tasks record ``task:*`` spans straight into the telemetry
+span ring; a ``Runtime`` stores events of its own only under
+``trace=True`` (a plain list)."""
 
 from __future__ import annotations
 
-from repro.config import use_config
-from repro.runtime import Runtime
-from repro.runtime.trace import TraceEvent, TraceRecorder
-from repro.telemetry.spans import configure
+import numpy as np
+
+from repro.linalg import TileMatrix, tile_cholesky
+from repro.runtime import AccessMode, Runtime, TraceEvent
+from repro.telemetry import context as tctx
+from repro.telemetry.spans import configure, get_recorder, span
 
 
-def _ev(i, t=None):
-    t = float(i) if t is None else t
-    return TraceEvent(task_id=i, name=f"t{i}", worker=0, t_start=t, t_end=t + 0.5)
+def _spd_tiles(n=48, nb=16):
+    a = np.random.default_rng(0).random((n, n))
+    return TileMatrix.from_dense(a @ a.T + n * np.eye(n), nb, symmetric_lower=True)
 
 
-def test_unbounded_by_default():
-    rec = TraceRecorder()
-    for i in range(10):
-        rec.record(_ev(i))
-    assert len(rec) == 10
-    assert rec.dropped == 0
-    assert rec.total_recorded == 10
-
-
-def test_ring_drops_oldest_and_counts():
-    rec = TraceRecorder(max_events=3)
-    for i in range(5):
-        rec.record(_ev(i))
-    assert len(rec) == 3
-    assert rec.dropped == 2
-    assert rec.total_recorded == 5
-    assert [e.task_id for e in rec.events] == [2, 3, 4]
-    # analysis views still work on the surviving window
-    assert rec.makespan() == 2.5
-
-
-def test_tail_since_watermark():
-    rec = TraceRecorder(max_events=10)
-    rec.record(_ev(0))
-    mark = rec.total_recorded
-    rec.record(_ev(1))
-    rec.record(_ev(2))
-    assert [e.task_id for e in rec.tail(mark)] == [1, 2]
-    assert rec.tail(rec.total_recorded) == []
-
-
-def test_tail_best_effort_under_full_ring():
-    rec = TraceRecorder(max_events=2)
-    mark = rec.total_recorded  # 0
-    for i in range(5):
-        rec.record(_ev(i))
-    # 5 new events but only 2 survive: tail is clamped to what exists.
-    assert [e.task_id for e in rec.tail(mark)] == [3, 4]
-
-
-def test_clear_resets_all_counters():
-    rec = TraceRecorder(max_events=2)
-    for i in range(4):
-        rec.record(_ev(i))
-    rec.clear()
-    assert len(rec) == 0
-    assert rec.dropped == 0
-    assert rec.total_recorded == 0
+def _task_spans(trace_id):
+    return [
+        s for s in get_recorder().for_trace(trace_id) if s["name"].startswith("task:")
+    ]
 
 
 def test_runtime_trace_recorder_off_by_default():
@@ -68,16 +28,44 @@ def test_runtime_trace_recorder_off_by_default():
         assert rt.trace is None
 
 
-def test_runtime_gets_bounded_recorder_when_armed():
-    configure(enabled=True)
-    with use_config(telemetry_max_spans=77):
-        with Runtime(num_workers=1, engine="serial") as rt:
-            assert rt.trace is not None
-            assert rt.trace.max_events == 77
-
-
 def test_runtime_explicit_trace_stays_unbounded():
-    configure(enabled=True)
+    configure(enabled=True, max_spans=4)
     with Runtime(num_workers=1, engine="serial", trace=True) as rt:
-        assert rt.trace is not None
-        assert rt.trace.max_events is None
+        h = rt.register(np.zeros(1))
+        for _ in range(9):
+            rt.insert_task(lambda x: None, [(h, AccessMode.READ)], name="probe")
+        assert isinstance(rt.trace, list) and len(rt.trace) == 9
+        assert all(isinstance(e, TraceEvent) and e.name == "probe" for e in rt.trace)
+    assert len(get_recorder()) == 4  # the span ring is what stays bounded
+
+
+def test_armed_runtime_keeps_no_event_storage():
+    configure(enabled=True)
+    with Runtime(num_workers=2) as rt:
+        assert rt.trace is None
+        with span("user") as user:
+            tile_cholesky(_spd_tiles(), runtime=rt)
+        assert rt.trace is None
+    assert _task_spans(user.ctx.trace_id)
+
+
+def test_tasks_outside_factor_at_nest_under_the_open_span():
+    configure(enabled=True)
+    with Runtime(num_workers=2) as rt:
+        with span("user") as user:
+            tile_cholesky(_spd_tiles(), runtime=rt)
+    tasks = _task_spans(user.ctx.trace_id)
+    # 3 tile columns: 3 panels + 3 trailing updates
+    assert len(tasks) == 6
+    for t in tasks:
+        assert t["parent_id"] == user.ctx.span_id
+        assert t["attrs"]["worker"] in (0, 1)
+
+
+def test_runtime_built_before_arming_still_yields_task_spans():
+    with Runtime(num_workers=1, engine="serial") as rt:
+        configure(enabled=True)
+        ctx = tctx.new_trace()
+        with tctx.activate(ctx):
+            tile_cholesky(_spd_tiles(), runtime=rt)
+    assert len(_task_spans(ctx.trace_id)) == 6

@@ -10,7 +10,7 @@ import pytest
 from repro.config import Config, get_config, reset_config, set_config, use_config
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timer import StageTimes, Stopwatch, timed
+from repro.utils.timer import StageTimes
 from repro.utils.logging import get_logger
 from repro.utils.validation import (
     as_float_array,
@@ -70,39 +70,17 @@ class TestValidation:
 
 
 class TestTimers:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        with sw:
-            time.sleep(0.01)
-        assert sw.calls == 2
-        assert sw.elapsed >= 0.015
-        sw.reset()
-        assert sw.elapsed == 0.0 and sw.calls == 0
-
     def test_stage_times(self):
         st = StageTimes()
         with st.stage("a"):
             time.sleep(0.005)
         with st.stage("a"):
             pass
-        with st.stage("b"):
-            pass
+        with pytest.raises(KeyError):
+            with st.stage("b"):
+                raise KeyError("still timed")
         assert set(st.stages) == {"a", "b"}
-        assert st.total() == pytest.approx(sum(st.stages.values()))
-        row = st.as_row()
-        assert "total" in row
-
-    def test_merge(self):
-        a, b = StageTimes({"x": 1.0}), StageTimes({"x": 2.0, "y": 3.0})
-        merged = a.merged_with(b)
-        assert merged.stages == {"x": 3.0, "y": 3.0}
-
-    def test_timed_context(self):
-        with timed() as sw:
-            time.sleep(0.005)
-        assert sw.elapsed >= 0.004
+        assert st.stages["a"] >= 0.004 and st.stages["b"] >= 0.0
 
 
 class TestRng:
