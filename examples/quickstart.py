@@ -12,12 +12,13 @@ Reproduces the paper's core workflow (Figure 2 setup) end to end:
 
 Every fit below runs through the *generation pipeline*: locations are
 fixed during a fit, so per-tile distance blocks are computed once and
-cached across the optimizer's likelihood evaluations (the
-``cache_distances`` config knob, on by default — values are
-bit-identical to uncached generation). Passing a ``Runtime`` to
+cached across the optimizer's likelihood evaluations (on by default;
+``MLEstimator(..., cache_distances=False)`` trades the memory back —
+values are bit-identical either way). Passing a ``Runtime`` to
 ``MLEstimator`` additionally fuses tile generation (+ TLR compression)
-into the factorization task graph (``parallel_generation``), so
-factorization tasks start as soon as their own tile is generated:
+into the factorization task graph (``parallel_generation=True``, the
+default), so factorization tasks start as soon as their own tile is
+generated:
 
     from repro.runtime import Runtime
     with Runtime() as rt:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..config import get_config
 from ..exceptions import NotPositiveDefiniteError
 from ..kernels.covariance import CovarianceModel
 from ..utils.rng import SeedLike, as_generator
@@ -28,7 +27,7 @@ def sample_gaussian_field(
     *,
     n_samples: int = 1,
     mean: float = 0.0,
-    jitter: float | None = None,
+    jitter: float = 1e-10,
 ) -> np.ndarray:
     """Draw exact samples of a zero-mean GP at ``locations``.
 
@@ -46,9 +45,10 @@ def sample_gaussian_field(
     mean:
         Constant mean added to every sample (paper assumes zero).
     jitter:
-        Diagonal regularization for the factorization; defaults to the
-        configured ``cholesky_jitter``. The *returned field* is still a
-        draw from a valid covariance (Sigma + jitter*I).
+        Diagonal regularization (``>= 0``) that keeps the sampler's
+        factorization stable — a sampler constant; the MLE path has no
+        jitter. The *returned field* is still a draw from a valid
+        covariance (Sigma + jitter*I).
 
     Returns
     -------
@@ -63,8 +63,8 @@ def sample_gaussian_field(
     rng = as_generator(seed)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if jitter is None:
-        jitter = get_config().cholesky_jitter
+    if jitter < 0:
+        raise ValueError(f"jitter must be >= 0, got {jitter}")
     sigma = model.matrix(x)
     if jitter > 0.0:
         sigma[np.diag_indices_from(sigma)] += jitter

@@ -211,7 +211,7 @@ class PredictionError(ServingError):
 
 
 class PayloadTooLargeError(ServingError):
-    """A request body exceeds the configured ``serving_max_body`` cap.
+    """A request body exceeds the ``max_body`` cap of the server or client.
 
     Maps to HTTP 413. Raised server-side for oversized declared bodies
     (before reading them) and client-side when asked to JSON-encode a

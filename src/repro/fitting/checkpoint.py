@@ -16,7 +16,6 @@ file — the invariant the orchestrator's auto-restart relies on.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,6 +24,7 @@ import numpy as np
 from ..exceptions import CheckpointError
 from ..optim.neldermead import SimplexState
 from ..optim.result import HistoryEntry
+from ..utils.durable import atomic_write
 
 __all__ = ["save_state", "load_state", "Checkpointer"]
 
@@ -48,8 +48,7 @@ def save_state(path: Union[str, Path], state: SimplexState) -> Path:
         hist_thetas = np.stack([np.asarray(e.theta, dtype=np.float64) for e in state.history])
     else:
         hist_thetas = np.zeros((0, n), dtype=np.float64)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(
             fh,
             version=np.int64(CHECKPOINT_VERSION),
@@ -61,22 +60,6 @@ def save_state(path: Union[str, Path], state: SimplexState) -> Path:
             hist_funs=hist_funs,
             hist_thetas=hist_thetas,
         )
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    # Directory fsync so the rename itself survives a host crash — a
-    # replayed journal must not resurrect the previous checkpoint after
-    # the job state already advanced past it.
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
-        return path
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
     return path
 
 

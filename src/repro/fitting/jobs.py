@@ -32,7 +32,6 @@ them from their checkpoints.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from ..exceptions import FittingError, JobNotFoundError
 from ..optim.bounds import validate_bounds
 from ..optim.neldermead import multistart_points
 from ..optim.result import HistoryEntry
+from ..utils.durable import atomic_write
 
 __all__ = ["FitJobSpec", "ResolvedFit", "JobStore", "merge_start_results"]
 
@@ -59,35 +59,10 @@ BUNDLE_DIR = "bundle"
 JOB_STATES = ("queued", "running", "checkpointed", "done", "failed")
 
 
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename into it survives a host crash.
-
-    Without this, ``os.replace`` is atomic against *process* death but
-    a crashed host can replay the directory from its journal without
-    the rename — resurrecting the pre-transition job state. Tolerates
-    filesystems that refuse directory fsync (some network mounts).
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 def _write_json_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
 
 
 def _read_json(path: Path) -> dict:
@@ -446,14 +421,24 @@ class JobStore:
     def create(self, spec: FitJobSpec) -> str:
         """Persist ``spec`` as a new ``queued`` job; returns the job id.
 
-        An unset multistart ``seed`` is pinned to the *submitter's*
-        configured ``rng_seed`` here, before the spec hits disk — worker
-        processes (which may be spawned with default config, or belong
-        to a future orchestrator restarted under different config) must
-        all regenerate the identical start list.
+        Everything the spec leaves to the configuration is pinned to
+        the *submitter's* resolved values here, before the spec hits
+        disk: the multistart ``seed`` and — unless a bundle supplies
+        its own — the substrate (``tile_size``, ``acc``,
+        ``compression_method``). Legs and finalizers run in other
+        processes (with default config), possibly under an orchestrator
+        restarted later; they must all regenerate the identical start
+        list and factor on the identical substrate.
         """
+        cfg = get_config()
         if spec.seed is None:
-            spec.seed = get_config().rng_seed
+            spec.seed = cfg.rng_seed
+        if spec.bundle_path is None:
+            if spec.tile_size is None:
+                spec.tile_size = cfg.tile_size
+            if spec.acc is None:
+                spec.acc = cfg.tlr_accuracy
+            spec.compression_method = spec.compression_method or cfg.compression_method
         with self._lock:
             existing = [
                 int(p.name.split("-", 1)[1])

@@ -48,7 +48,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..exceptions import CheckpointError, FittingError
 from ..optim.neldermead import nelder_mead
 from ..optim.result import OptimizeResult
@@ -238,17 +237,20 @@ class FitOrchestrator:
     store:
         The job ledger (a :class:`JobStore` or a directory path).
     max_workers:
-        Concurrency cap across every job's start and finalize tasks
-        (default: configured ``fit_workers``).
+        Worker *processes*: the concurrency cap across every job's
+        start and finalize tasks, and the fan-out width of a single
+        job's multistart search.
     checkpoint_every:
-        Iterations between worker checkpoints (default: configured
-        ``fit_checkpoint_every``).
+        Iterations between a running leg's on-disk Nelder-Mead
+        checkpoints. ``1`` checkpoints every iteration (cheapest
+        resume, most I/O); larger values amortize the write.
     max_restarts:
         Respawns granted to each of a job's start legs whose worker
-        dies abnormally before the job is declared failed (default:
-        configured ``fit_max_restarts``). Restarts resume from
-        checkpoints; the job-level ``restarts`` counter in its state
-        records the total across legs.
+        dies abnormally (killed, OOM) before the job is declared
+        failed — counted per leg, so one machine-wide event that kills
+        every leg once does not exhaust the budget. Restarts resume
+        from checkpoints; the job-level ``restarts`` counter in its
+        state records the total across legs.
     start_method:
         :mod:`multiprocessing` start method (default ``fork`` where
         available, else ``spawn``).
@@ -271,29 +273,24 @@ class FitOrchestrator:
         self,
         store: Union[JobStore, str, Path],
         *,
-        max_workers: Optional[int] = None,
-        checkpoint_every: Optional[int] = None,
-        max_restarts: Optional[int] = None,
+        max_workers: int = 2,
+        checkpoint_every: int = 5,
+        max_restarts: int = 2,
         start_method: Optional[str] = None,
         on_complete: Optional[Callable[[dict], None]] = None,
     ) -> None:
-        cfg = get_config()
+        self.validate_options(
+            {
+                "max_workers": max_workers,
+                "checkpoint_every": checkpoint_every,
+                "max_restarts": max_restarts,
+                "start_method": start_method,
+            }
+        )
         self.store = store if isinstance(store, JobStore) else JobStore(store)
-        self.max_workers = cfg.fit_workers if max_workers is None else int(max_workers)
-        if self.max_workers < 1:
-            raise FittingError(f"max_workers must be >= 1, got {max_workers}")
-        self.checkpoint_every = (
-            cfg.fit_checkpoint_every if checkpoint_every is None else int(checkpoint_every)
-        )
-        if self.checkpoint_every < 1:
-            raise FittingError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        self.max_restarts = (
-            cfg.fit_max_restarts if max_restarts is None else int(max_restarts)
-        )
-        if self.max_restarts < 0:
-            raise FittingError(f"max_restarts must be >= 0, got {max_restarts}")
+        self.max_workers = int(max_workers)
+        self.checkpoint_every = int(checkpoint_every)
+        self.max_restarts = int(max_restarts)
         # The respawn budget expressed as the unified retry policy: the
         # first spawn plus ``max_restarts`` retries, consulted by the
         # reap paths as ``allows(used + 1)``. Backoff stays zero — the

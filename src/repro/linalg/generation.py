@@ -92,7 +92,7 @@ class TileDistanceCache:
     -----
     Memory: caching the lower triangle of an ``n x n`` problem costs
     ``~4 n^2`` bytes of float64 distance data (half the dense matrix).
-    Disable via the ``cache_distances`` config knob when memory-bound.
+    Disable with ``cache_distances=False`` on the engine when memory-bound.
 
     Thread safety: concurrent :meth:`block` calls are safe under the GIL.
     Distinct tiles never collide; duplicate keys at worst recompute the
@@ -338,8 +338,7 @@ def _fill_lowrank_codelet(
 ) -> None:
     """Codelet: generate + compress tile ``(i, j)`` into the LowRank payload.
 
-    ``method``/``rule``/``seed`` are resolved by the submitting thread —
-    workers must not consult the thread-local config.
+    ``method``/``rule``/``seed`` arrive resolved by the submitting thread.
     """
     dense = materialize_tile(generate(rows, cols), lr.shape, i, j)
     kwargs = {} if seed is None else {"seed": seed}
@@ -430,8 +429,7 @@ def insert_tlr_generation_tasks(
         else max(1, int(compression_batch))
     )
     # The adaptive randomized compressor seeds itself from the config when
-    # unseeded; resolve that here so worker threads never read their own
-    # (default-initialized) thread-local config.
+    # unseeded; resolve that here too, on the submitting thread.
     seed = get_config().rng_seed if method == "rsvd" else None
     dh: Dict[int, DataHandle] = {
         k: runtime.register(tlr.diag[k], name=f"D[{k}]") for k in range(nt)
@@ -541,7 +539,7 @@ def generate_and_factor_tlr_matrix(
     The TLR analogue of :func:`generate_and_factor_tile_matrix` (fused
     mode additionally folds per-tile compression into the task graph,
     ``compression_batch`` tiles per task). ``method``/``rule`` must be
-    pre-resolved — workers do not consult the thread-local config.
+    pre-resolved, as for :func:`insert_tlr_generation_tasks`.
     """
     from ..utils.timer import StageTimes  # local: utils must not import linalg
     from .tlr_cholesky import tlr_cholesky  # local: avoid import cycle

@@ -31,7 +31,6 @@ from ..kernels.covariance import CovarianceModel, MaternCovariance
 from ..optim.bounds import default_matern_bounds, empirical_start, validate_bounds
 from ..optim.neldermead import multistart_nelder_mead, nelder_mead
 from ..optim.result import OptimizeResult
-from ..runtime import Runtime
 from ..utils.validation import as_float_array, check_locations, check_vector
 from .loglik import LikelihoodEvaluator
 from .prediction import predict as _predict
@@ -115,13 +114,13 @@ class MLEstimator:
     use_morton:
         Reorder locations along the Morton curve before assembling
         covariances (ExaGeoStat always does; disabling it is an ablation).
-    runtime:
-        Optional shared task runtime for parallel factorizations (and,
-        with ``parallel_generation``, fused parallel generation).
-    cache_distances, parallel_generation:
-        Generation-pipeline overrides forwarded to
-        :class:`~repro.mle.loglik.LikelihoodEvaluator` (``None`` uses the
-        configured defaults).
+    **engine_options:
+        The remaining keywords of the fit's
+        :class:`~repro.mle.prediction_engine.PredictionEngine` —
+        ``runtime`` (shared task runtime for parallel factorizations
+        and fused generation), ``compression_method``,
+        ``cache_distances``, ``parallel_generation``,
+        ``compression_batch``.
 
     Examples
     --------
@@ -147,10 +146,7 @@ class MLEstimator:
         tile_size: Optional[int] = None,
         metric: str = "euclidean",
         use_morton: bool = True,
-        runtime: Optional[Runtime] = None,
-        compression_method: Optional[str] = None,
-        cache_distances: Optional[bool] = None,
-        parallel_generation: Optional[bool] = None,
+        **engine_options: object,
     ) -> None:
         locations = check_locations(locations, "locations")
         z = check_vector(as_float_array(z, "z"), locations.shape[0], "z")
@@ -184,10 +180,7 @@ class MLEstimator:
             variant=variant,
             acc=acc,
             tile_size=tile_size,
-            runtime=runtime,
-            compression_method=compression_method,
-            cache_distances=cache_distances,
-            parallel_generation=parallel_generation,
+            **engine_options,
         )
 
     @classmethod

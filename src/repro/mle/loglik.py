@@ -24,15 +24,12 @@ generation or factorization.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
 import numpy as np
 import scipy.linalg as sla
 
 from ..exceptions import NotPositiveDefiniteError
 from ..kernels.covariance import CovarianceModel
 from ..linalg.blocklapack import block_cholesky, block_logdet_from_factor
-from ..runtime import Runtime
 from ..telemetry import spans as _telemetry
 from ..utils.validation import as_float_array, check_locations, check_vector
 from .prediction_engine import VARIANTS, PredictionEngine
@@ -92,12 +89,12 @@ class LikelihoodEvaluator:
     model:
         Template covariance model; each evaluation rebinds ``theta`` via
         ``model.with_theta``.
-    variant, acc, tile_size, runtime, compression_method, cache_distances,
-    parallel_generation, compression_batch:
-        Substrate and generation-pipeline controls, passed to (and
-        resolved by) the :class:`~repro.mle.prediction_engine.PredictionEngine`
-        this evaluator builds as :attr:`engine`; the resolved values
-        read back as attributes of the evaluator.
+    **engine_options:
+        Substrate and generation-pipeline keywords (``variant``, ``acc``,
+        ``tile_size``, ``runtime``, ...) of the
+        :class:`~repro.mle.prediction_engine.PredictionEngine` this
+        evaluator builds as :attr:`engine`; the resolved values read
+        back as attributes of the evaluator.
 
     Notes
     -----
@@ -125,33 +122,13 @@ class LikelihoodEvaluator:
         locations: np.ndarray,
         z: np.ndarray,
         model: CovarianceModel,
-        *,
-        variant: str = "full-block",
-        acc: Optional[float] = None,
-        tile_size: Optional[int] = None,
-        runtime: Optional[Runtime] = None,
-        compression_method: Optional[str] = None,
-        cache_distances: Optional[bool] = None,
-        parallel_generation: Optional[bool] = None,
-        compression_batch: Optional[int] = None,
+        **engine_options: object,
     ) -> None:
         self.locations = check_locations(locations, "locations")
         self.z = check_vector(as_float_array(z, "z"), self.locations.shape[0], "z")
         self.model = model
         #: The generate -> factor -> solve pipeline every evaluation runs on.
-        self.engine = PredictionEngine(
-            self.locations,
-            self.z,
-            model,
-            variant=variant,
-            acc=acc,
-            tile_size=tile_size,
-            runtime=runtime,
-            compression_method=compression_method,
-            cache_distances=cache_distances,
-            parallel_generation=parallel_generation,
-            compression_batch=compression_batch,
-        )
+        self.engine = PredictionEngine(self.locations, self.z, model, **engine_options)
         self.n_evals = 0
         self.n_failures = 0
         self._const = -0.5 * self.z.shape[0] * math.log(2.0 * math.pi)

@@ -20,18 +20,14 @@ fitted model: it caches distance blocks and the ``Sigma_22``
 factorization across calls, fuses tile/TLR generation into the
 factorization task graph when a runtime is attached, and supports
 batched multi-RHS prediction. The wrappers build a fresh engine per
-call, so their values match the engine's exactly while keeping the
-historical stateless signatures.
+call, so their values match the engine's exactly.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..kernels.covariance import CovarianceModel
-from ..runtime import Runtime
 from .prediction_engine import PredictionEngine
 
 __all__ = ["predict", "conditional_variance"]
@@ -42,14 +38,7 @@ def predict(
     z: np.ndarray,
     new_locations: np.ndarray,
     model: CovarianceModel,
-    *,
-    variant: str = "full-block",
-    acc: Optional[float] = None,
-    tile_size: Optional[int] = None,
-    runtime: Optional[Runtime] = None,
-    compression_method: Optional[str] = None,
-    cache_distances: Optional[bool] = None,
-    parallel_generation: Optional[bool] = None,
+    **engine_options: object,
 ) -> np.ndarray:
     """Conditional-mean prediction ``Z1 = Sigma_12 Sigma_22^{-1} Z2``.
 
@@ -66,73 +55,34 @@ def predict(
     model:
         Fitted covariance model (defines both ``Sigma_22`` and
         ``Sigma_12``).
-    variant, acc, tile_size, runtime, compression_method:
-        Substrate controls, as in
-        :class:`~repro.mle.loglik.LikelihoodEvaluator`.
-    cache_distances, parallel_generation:
-        Generation-pipeline knobs forwarded to
-        :class:`~repro.mle.prediction_engine.PredictionEngine` (``None``
-        uses the configured defaults). Values are identical either way;
-        for repeated predictions hold a ``PredictionEngine`` instead so
-        the caches actually amortize.
+    **engine_options:
+        Substrate and generation-pipeline keywords of
+        :class:`~repro.mle.prediction_engine.PredictionEngine`. For
+        repeated predictions hold a ``PredictionEngine`` instead so its
+        caches actually amortize.
 
     Returns
     -------
     ``(m,)`` predicted values (``(m, k)`` for a batched ``z``).
     """
-    engine = PredictionEngine(
-        locations,
-        z,
-        model,
-        variant=variant,
-        acc=acc,
-        tile_size=tile_size,
-        runtime=runtime,
-        compression_method=compression_method,
-        cache_distances=cache_distances,
-        parallel_generation=parallel_generation,
-    )
-    return engine.predict(new_locations)
+    return PredictionEngine(locations, z, model, **engine_options).predict(new_locations)
 
 
 def conditional_variance(
     locations: np.ndarray,
     new_locations: np.ndarray,
     model: CovarianceModel,
-    *,
-    variant: str = "full-block",
-    acc: Optional[float] = None,
-    tile_size: Optional[int] = None,
-    runtime: Optional[Runtime] = None,
-    compression_method: Optional[str] = None,
-    cache_distances: Optional[bool] = None,
-    parallel_generation: Optional[bool] = None,
+    **engine_options: object,
 ) -> np.ndarray:
     """Diagonal of the conditional covariance (eq. (3)), any substrate.
 
     ``diag(Sigma_11 - Sigma_12 Sigma_22^{-1} Sigma_21)`` — the pointwise
     kriging variance. Exposed for the examples' uncertainty maps; the
-    paper's evaluation uses only the conditional mean. Historically
-    dense-only; the ``variant`` argument now selects the full-tile or TLR
-    substrate through the shared
-    :class:`~repro.mle.prediction_engine.PredictionEngine` machinery
-    (TLR variances carry the factor's compression accuracy). The
-    factorization is guarded against non-positive-definite covariances
-    consistently with
-    :func:`~repro.linalg.tile_cholesky.logdet_from_tile_factor` — a
-    :class:`~repro.exceptions.NotPositiveDefiniteError` is raised rather
-    than NaNs propagated.
+    paper's evaluation uses only the conditional mean. ``engine_options``
+    are as for :func:`predict` (TLR variances carry the factor's
+    compression accuracy). A non-positive-definite covariance raises
+    :class:`~repro.exceptions.NotPositiveDefiniteError` rather than
+    propagating NaNs.
     """
-    engine = PredictionEngine(
-        locations,
-        None,
-        model,
-        variant=variant,
-        acc=acc,
-        tile_size=tile_size,
-        runtime=runtime,
-        compression_method=compression_method,
-        cache_distances=cache_distances,
-        parallel_generation=parallel_generation,
-    )
+    engine = PredictionEngine(locations, None, model, **engine_options)
     return engine.conditional_variance(new_locations)

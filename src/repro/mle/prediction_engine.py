@@ -37,6 +37,10 @@ task per tile batch (TLR), no barrier before the factorization; the
 accounted in the ``factorization`` stage. Both knobs preserve values:
 cached tiles are bit-identical and fused execution computes the same
 factorization.
+
+**Options.** :class:`PredictionEngine`'s constructor is the one place
+the substrate and generation options are named, documented, defaulted
+and validated; every layer above forwards ``**engine_options`` to it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from ..telemetry import spans as _telemetry
 from ..utils.timer import StageTimes
 from ..utils.validation import as_float_array, check_locations
 
-__all__ = ["PredictionEngine", "VARIANTS"]
+__all__ = ["PredictionEngine", "VARIANTS", "GENERATION_OPTIONS"]
 
 #: A Sigma_22 Cholesky factor in any of the three substrate formats.
 Factor = Union[np.ndarray, TileMatrix, TLRMatrix]
@@ -83,6 +87,11 @@ _SUBSTRATES = {
 
 #: Supported computation variants.
 VARIANTS = tuple(_SUBSTRATES)
+
+#: The engine options a persisted bundle does not fix (they change how
+#: Sigma_22 is generated, never its values) — what a serving registry may
+#: set for the engines it builds.
+GENERATION_OPTIONS = ("cache_distances", "parallel_generation", "compression_batch")
 
 
 def _check_rhs(z: object, n: int, name: str = "z") -> np.ndarray:
@@ -114,26 +123,31 @@ class PredictionEngine:
     variant:
         ``"full-block"`` (default), ``"full-tile"`` or ``"tlr"``.
     acc:
-        TLR accuracy threshold (TLR variant only; default configured).
+        TLR accuracy threshold (TLR variant only). ``None`` takes the
+        constructing thread's ``Config.tlr_accuracy``.
     tile_size:
-        Tile size ``nb`` (tile/TLR variants; default configured).
+        Tile size ``nb`` (tile/TLR variants). ``None`` takes
+        ``Config.tile_size``.
     runtime:
         Optional task runtime shared across factorizations (tile/TLR).
     compression_method:
-        Per-tile compressor for the TLR variant.
+        Per-tile compressor for the TLR variant (``"svd"``, ``"rsvd"``
+        or ``"aca"``). ``None`` takes ``Config.compression_method``.
     cache_distances:
         Cache ``Sigma_22`` distance blocks and ``Sigma_12`` cross-distance
-        matrices across calls (default: configured ``cache_distances``).
-        Values are bit-identical either way.
+        matrices across calls: locations are fixed while theta varies,
+        so the distance work is a one-time cost, paid for with one extra
+        copy of the lower-triangular distance data. Values are
+        bit-identical either way; turn it off when memory-bound.
     parallel_generation:
-        With a runtime attached, fuse tile/TLR generation into the
-        prediction Cholesky task graph (default: configured
-        ``parallel_generation``). No effect without a runtime or for the
-        full-block variant.
+        With a runtime attached, generate (and, for TLR, compress) tiles
+        as tasks fused into the Cholesky task graph instead of a serial
+        loop with a barrier before the factorization. No effect without
+        a runtime or for the full-block variant.
     compression_batch:
-        TLR tiles compressed per fused generation task (default:
-        configured ``compression_batch``), resolved at construction so
-        serving worker threads never consult their own config.
+        TLR tiles compressed per fused generation task (``>= 1``; values
+        are identical for any batch size). ``None`` takes
+        ``Config.compression_batch``.
     full_distances:
         Pre-computed ``(n, n)`` distance matrix to seed the full-block
         cache with (a bundle's persisted distances).
@@ -165,13 +179,15 @@ class PredictionEngine:
         tile_size: Optional[int] = None,
         runtime: Optional[Runtime] = None,
         compression_method: Optional[str] = None,
-        cache_distances: Optional[bool] = None,
-        parallel_generation: Optional[bool] = None,
+        cache_distances: bool = True,
+        parallel_generation: bool = True,
         compression_batch: Optional[int] = None,
         full_distances: Optional[np.ndarray] = None,
     ) -> None:
         if variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        # The one read of the config, on the constructing thread: every
+        # later factor()/predict() — on whatever thread — uses these.
         cfg = get_config()
         self.locations = check_locations(locations, "locations")
         self._n = self.locations.shape[0]
@@ -183,17 +199,15 @@ class PredictionEngine:
         self.runtime = runtime
         self.compression_method = compression_method or cfg.compression_method
         self.truncation_rule = cfg.truncation
-        # Resolved at construction: serving executes factor() on worker
-        # threads whose thread-local config is the default.
         self.compression_batch = (
-            cfg.compression_batch if compression_batch is None else max(1, int(compression_batch))
+            cfg.compression_batch if compression_batch is None else int(compression_batch)
         )
-        self.cache_distances = (
-            cfg.cache_distances if cache_distances is None else bool(cache_distances)
-        )
-        self.parallel_generation = (
-            cfg.parallel_generation if parallel_generation is None else bool(parallel_generation)
-        )
+        if self.compression_batch < 1:
+            raise ConfigurationError(
+                f"compression_batch must be >= 1, got {compression_batch}"
+            )
+        self.cache_distances = bool(cache_distances)
+        self.parallel_generation = bool(parallel_generation)
 
         self.distance_cache: Optional[TileDistanceCache] = None
         self.cross_cache: Optional[CrossDistanceCache] = None
@@ -484,15 +498,7 @@ class PredictionEngine:
 
     # -------------------------------------------------------------- serving
     @classmethod
-    def from_bundle(
-        cls,
-        bundle: object,
-        *,
-        runtime: Optional[Runtime] = None,
-        cache_distances: Optional[bool] = None,
-        parallel_generation: Optional[bool] = None,
-        compression_batch: Optional[int] = None,
-    ) -> "PredictionEngine":
+    def from_bundle(cls, bundle: object, **engine_options: object) -> "PredictionEngine":
         """Build an engine from a persisted model bundle — no re-fit.
 
         ``bundle`` is a :class:`~repro.serving.store.ModelBundle` or a
@@ -504,18 +510,14 @@ class PredictionEngine:
         distance blocks rehydrate the caches, so the first ``predict``
         after a process restart can skip generation *and* factorization
         entirely — predictions are bit-identical to the process that
-        ran the fit.
+        ran the fit. ``engine_options`` are ``runtime=`` and the
+        :data:`GENERATION_OPTIONS` keywords of the constructor.
         """
         from ..serving.store import ModelBundle, load_model  # local: serving imports mle
 
         if not isinstance(bundle, ModelBundle):
             bundle = load_model(bundle)
-        return bundle.build_engine(
-            runtime=runtime,
-            cache_distances=cache_distances,
-            parallel_generation=parallel_generation,
-            compression_batch=compression_batch,
-        )
+        return bundle.build_engine(**engine_options)
 
     # ------------------------------------------------------------- plumbing
     def stats(self) -> dict:

@@ -250,20 +250,24 @@ def _class_seconds(
 def _critical_path_seconds(
     nt: int, nb: int, variant: str, ranks: np.ndarray, machine: MachineSpec
 ) -> float:
-    """Panel critical path: one POTRF + one TRSM per iteration.
+    """Panel critical path: ``nt`` POTRFs chained by ``nt - 1`` TRSMs.
 
     The asynchronous runtime's lookahead overlaps each iteration's
     trailing updates with subsequent panels (the design point of tile
-    algorithms, §V), so only the panel chain serializes. POTRF runs at
-    dense single-core rate; the TLR TRSM at the low-rank rate.
+    algorithms, §V), so only the panel chain serializes — and the last
+    diagonal tile has no panel below it. POTRF runs at dense single-core
+    rate; the TLR TRSM at the low-rank rate.
     """
     per_core_dense = machine.peak_gflops / machine.cores * machine.eff_dense * 1e9
-    per_core_lr = machine.peak_gflops / machine.cores * machine.eff_lr * 1e9
-    if variant == "tlr" and ranks.size:
-        step = potrf_flops(nb) / per_core_dense + lr_trsm_flops(nb, float(ranks[0])) / per_core_lr
+    potrf = potrf_flops(nb) / per_core_dense
+    if nt == 1:
+        return potrf
+    if variant == "tlr":
+        per_core_lr = machine.peak_gflops / machine.cores * machine.eff_lr * 1e9
+        trsm = lr_trsm_flops(nb, float(ranks[0])) / per_core_lr
     else:
-        step = (potrf_flops(nb) + trsm_flops(nb)) / per_core_dense
-    return nt * step
+        trsm = trsm_flops(nb) / per_core_dense
+    return nt * potrf + (nt - 1) * trsm
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,7 @@ import numpy as np
 
 from .. import telemetry as _telemetry
 from ..exceptions import CalibrationError
+from ..utils.durable import atomic_write
 from .analytic import _dense_tile_costs, _tlr_tile_costs
 from .flops import (
     KERNEL_EVAL_FLOPS,
@@ -551,16 +552,11 @@ class CalibrationProfile:
             ) from None
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Atomically persist: write a sibling temp file, fsync, rename."""
+        """Atomically and durably persist the profile at ``path``."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-        data = self.to_json().encode("utf-8") + b"\n"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        with atomic_write(path) as fh:
+            fh.write(self.to_json() + "\n")
         return path
 
     @classmethod

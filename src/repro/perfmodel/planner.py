@@ -224,7 +224,7 @@ class Planner:
         """
         pred = predicted.get("predict")
         if not isinstance(pred, dict):
-            return float(get_config().serving_batch_window)
+            return 0.002  # fit-only plan (m = 0): PredictionService's default
         phases = pred.get("phases", {})
         assert isinstance(phases, dict)
         warm_s = sum(

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
-from ..config import get_config
 from ..exceptions import ConfigurationError, LoadShedError
 from ..telemetry import spans as _telemetry
 
@@ -48,11 +47,12 @@ class CircuitBreaker:
     Parameters
     ----------
     failure_threshold:
-        Consecutive failures that trip the breaker (default: configured
-        ``breaker_threshold``).
+        Consecutive infrastructure failures that trip the breaker from
+        closed to open. Typed per-request errors (bad shapes, unknown
+        models, expired deadlines) are not reported to it.
     recovery_time:
-        Seconds the breaker stays open before admitting probes
-        (default: configured ``breaker_recovery``).
+        Seconds the breaker stays open before moving to half-open and
+        admitting probes.
     half_open_max:
         Concurrent probes admitted while half-open. One is the safe
         default: a single request decides re-close vs re-open.
@@ -68,22 +68,17 @@ class CircuitBreaker:
     def __init__(
         self,
         *,
-        failure_threshold: Optional[int] = None,
-        recovery_time: Optional[float] = None,
+        failure_threshold: int = 5,
+        recovery_time: float = 2.0,
         half_open_max: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        cfg = get_config()
-        self.failure_threshold = (
-            cfg.breaker_threshold if failure_threshold is None else int(failure_threshold)
-        )
+        self.failure_threshold = int(failure_threshold)
         if self.failure_threshold < 1:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
-        self.recovery_time = (
-            cfg.breaker_recovery if recovery_time is None else float(recovery_time)
-        )
+        self.recovery_time = float(recovery_time)
         if self.recovery_time <= 0:
             raise ConfigurationError(
                 f"recovery_time must be > 0, got {recovery_time}"
@@ -206,8 +201,8 @@ class AdmissionGate:
     Parameters
     ----------
     max_inflight:
-        Requests allowed inside the gate at once (default: configured
-        ``serving_max_inflight``).
+        Requests allowed inside the gate at once; beyond it requests
+        are shed immediately instead of queueing without bound.
     retry_after:
         The ``Retry-After`` hint (seconds) attached to shed requests.
 
@@ -220,13 +215,10 @@ class AdmissionGate:
     def __init__(
         self,
         *,
-        max_inflight: Optional[int] = None,
+        max_inflight: int = 128,
         retry_after: float = 0.1,
     ) -> None:
-        cfg = get_config()
-        self.max_inflight = (
-            cfg.serving_max_inflight if max_inflight is None else int(max_inflight)
-        )
+        self.max_inflight = int(max_inflight)
         if self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"

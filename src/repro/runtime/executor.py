@@ -51,8 +51,8 @@ class Runtime:
         Worker threads; ``None``/0 uses the configured default
         (``Config.resolved_workers``). Ignored by the serial engine.
     engine:
-        ``"threads"`` (asynchronous) or ``"serial"`` (synchronous,
-        deterministic). ``None`` uses the configured default.
+        ``"threads"`` (the asynchronous pool, default) or ``"serial"``
+        (synchronous in-order execution — debugging, tests).
     trace:
         Keep one :class:`TraceEvent` per executed task in the plain list
         :attr:`trace` (unbounded — the ablation/test mode; ``None``
@@ -79,15 +79,14 @@ class Runtime:
         self,
         num_workers: Optional[int] = None,
         *,
-        engine: Optional[str] = None,
+        engine: str = "threads",
         trace: bool = False,
     ) -> None:
-        cfg = get_config()
-        self.engine = engine or cfg.runtime_engine
+        self.engine = engine
         if self.engine not in ("threads", "serial"):
             raise RuntimeEngineError(f"unknown engine {self.engine!r}")
         self.num_workers = (
-            1 if self.engine == "serial" else (num_workers or cfg.resolved_workers())
+            1 if self.engine == "serial" else (num_workers or get_config().resolved_workers())
         )
         self.tracker = DependencyTracker()
         self.trace: Optional[List[TraceEvent]] = [] if trace else None

@@ -47,7 +47,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..exceptions import (
     CircuitOpenError,
     ConfigurationError,
@@ -122,8 +121,8 @@ class ServingClient:
         the module docstring). Overridable per call.
     max_body:
         Byte cap the client enforces on its *own* JSON bodies before
-        sending (default: configured ``serving_max_body``, matching
-        the server's 413 threshold). Binary bodies are not capped
+        sending (default: :data:`repro.serving.wire.MAX_BODY`, the
+        server's default 413 threshold). Binary bodies are not capped
         client-side — the binary transport is the remedy the cap's
         error message prescribes.
 
@@ -141,7 +140,7 @@ class ServingClient:
         timeout: float = 120.0,
         retry_policy: Optional[RetryPolicy] = None,
         transport: str = "json",
-        max_body: Optional[int] = None,
+        max_body: int = wire.MAX_BODY,
     ) -> None:
         if url.startswith("https://"):
             raise ServerError("ServingClient speaks plain http only")
@@ -160,9 +159,7 @@ class ServingClient:
                 f"transport must be 'json' or 'binary', got {transport!r}"
             )
         self.transport = transport
-        self.max_body = (
-            get_config().serving_max_body if max_body is None else int(max_body)
-        )
+        self.max_body = int(max_body)
         self.timeout = float(timeout)
         self.retry_policy = retry_policy
         self.n_retries = 0  # response-level (shed/breaker) resubmissions

@@ -28,9 +28,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..config import get_config
 from ..exceptions import BundleCorruptError, ConfigurationError, ModelNotFoundError
-from ..mle.prediction_engine import PredictionEngine
+from ..mle.prediction_engine import GENERATION_OPTIONS, PredictionEngine
 from ..resilience.faults import fault_point
 from ..runtime import Runtime
 from ..telemetry import spans as _telemetry
@@ -51,8 +50,8 @@ class ModelRegistry:
     Parameters
     ----------
     max_models:
-        Engines kept warm (default: configured ``serving_max_models``);
-        least-recently-used eviction beyond that.
+        Engines kept warm; least-recently-used eviction beyond that
+        (an evicted model rehydrates from its bundle on the next request).
     num_shards:
         Shards the model space is hashed into. Only meaningful together
         with ``workers_per_shard``.
@@ -62,10 +61,11 @@ class ModelRegistry:
         by every engine on the shard (task-parallel factorizations).
         ``None`` (default) builds serial engines — the right choice for
         many small models.
-    cache_distances, parallel_generation, compression_batch:
-        Engine knobs, resolved against *this thread's* config at
-        construction — engines may later be built on executor threads
-        whose thread-local config is the default.
+    **engine_options:
+        Any of :data:`~repro.mle.prediction_engine.GENERATION_OPTIONS`,
+        forwarded to every
+        :meth:`~repro.serving.store.ModelBundle.build_engine` call; see
+        :class:`~repro.mle.prediction_engine.PredictionEngine`.
 
     Examples
     --------
@@ -78,22 +78,17 @@ class ModelRegistry:
     def __init__(
         self,
         *,
-        max_models: Optional[int] = None,
+        max_models: int = 8,
         num_shards: int = 1,
         workers_per_shard: Optional[int] = None,
-        cache_distances: Optional[bool] = None,
-        parallel_generation: Optional[bool] = None,
-        compression_batch: Optional[int] = None,
+        **engine_options: object,
     ) -> None:
-        cfg = get_config()
         # Nonsense knobs are rejected here, at construction, instead of
         # being silently clamped or surfacing as a confusing failure on
         # the first request.
-        if max_models is not None and int(max_models) < 1:
+        if int(max_models) < 1:
             raise ConfigurationError(f"max_models must be >= 1, got {max_models}")
-        self.max_models = (
-            cfg.serving_max_models if max_models is None else int(max_models)
-        )
+        self.max_models = int(max_models)
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = int(num_shards)
@@ -102,15 +97,13 @@ class ModelRegistry:
                 f"workers_per_shard must be >= 1, got {workers_per_shard}"
             )
         self.workers_per_shard = workers_per_shard
-        self.cache_distances = (
-            cfg.cache_distances if cache_distances is None else bool(cache_distances)
-        )
-        self.parallel_generation = (
-            cfg.parallel_generation if parallel_generation is None else bool(parallel_generation)
-        )
-        self.compression_batch = (
-            cfg.compression_batch if compression_batch is None else max(1, int(compression_batch))
-        )
+        unknown = sorted(set(engine_options) - set(GENERATION_OPTIONS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown registry options {unknown}; engine options are "
+                f"{GENERATION_OPTIONS}"
+            )
+        self.engine_options = engine_options
         self._lock = threading.RLock()
         self._load_locks: Dict[str, threading.Lock] = {}  # per-model cold loads
         self._paths: Dict[str, Path] = {}
@@ -235,12 +228,7 @@ class ModelRegistry:
                             )
                         fault_point("registry.rehydrate")
                         bundle = load_model(path)
-                    engine = bundle.build_engine(
-                        runtime=runtime,
-                        cache_distances=self.cache_distances,
-                        parallel_generation=self.parallel_generation,
-                        compression_batch=self.compression_batch,
-                    )
+                    engine = bundle.build_engine(runtime=runtime, **self.engine_options)
             except BundleCorruptError:
                 # The persisted bundle is gone (quarantined), but a
                 # previous engine generation may still be in memory —
@@ -369,12 +357,7 @@ class ModelRegistry:
                 runtime = self._shard_runtime(model_id)
             if src_bundle is None:
                 src_bundle = load_model(src_path)
-            engine = src_bundle.build_engine(
-                runtime=runtime,
-                cache_distances=self.cache_distances,
-                parallel_generation=self.parallel_generation,
-                compression_batch=self.compression_batch,
-            )
+            engine = src_bundle.build_engine(runtime=runtime, **self.engine_options)
             with self._lock:
                 self._check_open()
                 # Commit only now: a load/build failure above leaves the

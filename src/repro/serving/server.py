@@ -115,7 +115,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..exceptions import (
     CalibrationError,
     CircuitOpenError,
@@ -349,13 +348,11 @@ class _WorkerHandle:
     what lets its micro-batcher coalesce them.
     """
 
-    def __init__(
-        self, ctx, worker_id: int, config: dict, breaker_options: Optional[dict] = None
-    ) -> None:
+    def __init__(self, ctx, worker_id: int, config: dict) -> None:
         self.worker_id = worker_id
         # A fresh handle starts with a fresh, closed breaker: respawning
         # a dead worker resets its transport-failure history.
-        self.breaker = CircuitBreaker(**(breaker_options or {}))
+        self.breaker = CircuitBreaker()
         parent_conn, child_conn = ctx.Pipe()
         config = dict(config, worker_id=worker_id)
         self.process = ctx.Process(
@@ -518,7 +515,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             raise PayloadTooLargeError(
                 f"request body of {length} bytes exceeds the server's "
-                f"{server.max_body}-byte cap (serving_max_body){hint}"
+                f"{server.max_body}-byte cap (max_body=){hint}"
             )
         return length
 
@@ -830,7 +827,7 @@ class ServingServer:
         each id before startup. More models can be registered later via
         :meth:`register_request` / ``POST /v1/models/<id>``.
     num_workers:
-        Worker processes (default: configured ``serving_workers``).
+        Worker processes, each hosting its own registry + service.
         Model ids are sharded onto workers by the same stable hash the
         registry uses, so placement is reproducible everywhere.
     host, port:
@@ -841,8 +838,9 @@ class ServingServer:
         and :class:`PredictionService` — batching windows, LRU budget,
         shard runtimes, ... Validated here, at
         construction, by building throwaway instances, so a typo or a
-        nonsense knob (``serving_max_batch=0``) fails in the parent
-        process instead of crashing workers at first request.
+        nonsense knob (``max_batch=0``) fails in the parent process
+        instead of crashing workers at first request. They ship verbatim
+        in every spawn config: start or respawn, fork or spawn, same settings.
     start_method:
         :mod:`multiprocessing` start method (default: ``fork`` where
         available, else ``spawn``).
@@ -874,13 +872,15 @@ class ServingServer:
         worker.
     max_inflight:
         Server-wide cap on concurrently in-flight predict requests
-        (default: configured ``serving_max_inflight``). Requests beyond
+        (an :class:`~repro.resilience.AdmissionGate`). Requests beyond
         the cap are shed immediately with 503 + ``Retry-After``
         (:class:`~repro.exceptions.LoadShedError`) instead of queueing
         without bound; admin and fit routes are never shed.
     max_body:
-        Byte cap on a single request body (default: configured
-        ``serving_max_body``). Larger declared bodies are answered 413
+        Byte cap on a single request body, JSON or binary (default:
+        :data:`repro.serving.wire.MAX_BODY`, which is also the
+        :class:`~repro.serving.client.ServingClient` default). Larger
+        declared bodies are answered 413
         (:class:`~repro.exceptions.PayloadTooLargeError`) before a
         single body byte is read.
     upload_dir:
@@ -909,7 +909,7 @@ class ServingServer:
         self,
         models: Optional[Dict[str, Union[str, Path]]] = None,
         *,
-        num_workers: Optional[int] = None,
+        num_workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
         registry_options: Optional[dict] = None,
@@ -920,13 +920,12 @@ class ServingServer:
         jobs_dir: Optional[Union[str, Path]] = None,
         fit_options: Optional[dict] = None,
         max_worker_restarts: int = 2,
-        max_inflight: Optional[int] = None,
-        max_body: Optional[int] = None,
+        max_inflight: int = 128,
+        max_body: int = wire.MAX_BODY,
         upload_dir: Optional[Union[str, Path]] = None,
         calibration_profile: Optional[Union[str, Path, "CalibrationProfile"]] = None,
     ) -> None:
-        cfg = get_config()
-        self.num_workers = cfg.serving_workers if num_workers is None else int(num_workers)
+        self.num_workers = int(num_workers)
         if self.num_workers < 1:
             raise ConfigurationError(f"num_workers must be >= 1, got {self.num_workers}")
         if request_timeout <= 0:
@@ -937,7 +936,7 @@ class ServingServer:
             raise ConfigurationError(
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
             )
-        self.max_body = cfg.serving_max_body if max_body is None else int(max_body)
+        self.max_body = int(max_body)
         if self.max_body < 1024:
             raise ConfigurationError(
                 f"max_body must be >= 1024 bytes, got {self.max_body}"
@@ -980,24 +979,17 @@ class ServingServer:
         self.n_worker_restarts = 0
         self._restarts_by_worker: Dict[int, int] = {}
         self._respawn_lock = threading.Lock()
-        # Resilience plumbing, resolved against this thread's config now
-        # (handles are later created on HTTP handler threads whose
-        # thread-local config is the default): the admission gate sheds
-        # predict load past the in-flight cap, the per-worker breakers
-        # fail fast on hung workers, and the retry policy is the single
+        # Resilience plumbing: the admission gate sheds predict load
+        # past the in-flight cap, each worker handle's breaker fails
+        # fast on a hung worker, and the retry policy is the single
         # statement of "dead worker → respawn → retry exactly once".
         self._gate = AdmissionGate(max_inflight=max_inflight)
-        self._breaker_options = {
-            "failure_threshold": cfg.breaker_threshold,
-            "recovery_time": cfg.breaker_recovery,
-        }
         self._worker_retry = RetryPolicy(
             max_attempts=2, base_delay=0.0, jitter=0.0, retry_on=(ServerError,)
         )
-        # Telemetry settings resolved once, against this thread's
-        # config, and shipped in every worker's spawn config — a
-        # respawn on a handler thread must arm the fresh worker the
-        # same way the original was armed.
+        # Telemetry settings resolved once, here, and shipped in every
+        # worker's spawn config — a respawn on a handler thread must
+        # arm the fresh worker the same way the original was armed.
         self._telemetry_settings = _telemetry.settings()
         # Planner state for GET /v1/plan: resolved lazily on the first
         # plan request so servers that never plan pay nothing.
@@ -1033,12 +1025,7 @@ class ServingServer:
             return self
         for worker_id in range(self.num_workers):
             self._workers.append(
-                _WorkerHandle(
-                    self._ctx,
-                    worker_id,
-                    self._worker_config(worker_id),
-                    self._breaker_options,
-                )
+                _WorkerHandle(self._ctx, worker_id, self._worker_config(worker_id))
             )
         for handle in self._workers:
             ready = handle.ready.wait(ready_timeout)
@@ -1164,9 +1151,7 @@ class ServingServer:
                 "serving worker %d died; respawning (restart %d/%d)",
                 worker_id, used + 1, self.max_worker_restarts,
             )
-            fresh = _WorkerHandle(
-                self._ctx, worker_id, self._worker_config(worker_id), self._breaker_options
-            )
+            fresh = _WorkerHandle(self._ctx, worker_id, self._worker_config(worker_id))
             if not fresh.ready.wait(ready_timeout) or not fresh.alive:
                 fresh.stop()
                 raise ServerError(f"worker {worker_id} failed to restart")
@@ -1192,7 +1177,7 @@ class ServingServer:
         never outlive the budget its client set.
 
         Transport outcomes feed the worker's circuit breaker: after
-        ``breaker_threshold`` consecutive :class:`ServerError` failures
+        its ``failure_threshold`` consecutive :class:`ServerError` failures
         (a hung-but-alive worker), requests fail fast with
         :class:`CircuitOpenError` instead of each waiting out the full
         pipe timeout. Respawned workers start with a fresh breaker.

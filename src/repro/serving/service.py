@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg.generation import array_content_key
 from ..exceptions import (
     CircuitOpenError,
@@ -206,16 +205,15 @@ class PredictionService:
     registry:
         Source of warm engines (not owned: :meth:`stop` does not close it).
     batch_window:
-        Seconds to keep coalescing after the first queued request
-        (default: configured ``serving_batch_window``). ``0`` dispatches
-        immediately — the "unbatched" baseline of the benchmarks.
+        Seconds to keep coalescing concurrent requests for one model
+        into one engine call after the first queued request. ``0``
+        dispatches immediately — the "unbatched" baseline of the
+        benchmarks.
     max_batch:
-        Cap on requests per dispatch round (default: configured
-        ``serving_max_batch``).
+        Cap on requests coalesced into one dispatch round.
     max_queue:
         Per-model queue bound; beyond it submissions are rejected with
-        :class:`ServiceOverloadedError` (default: configured
-        ``serving_queue_size``).
+        :class:`ServiceOverloadedError` (backpressure).
     default_deadline:
         Default per-request deadline in seconds from submission
         (``None``: no deadline). A request whose deadline passes before
@@ -226,13 +224,11 @@ class PredictionService:
         for strict bitwise reproducibility of explicit-``z`` traffic.
     breaker_threshold:
         Consecutive infrastructure failures that open a model's circuit
-        breaker (default: configured ``breaker_threshold``). While open,
-        the model serves from its last-known-good engine generation with
+        breaker. While open, the model serves from its last-known-good engine generation with
         ``degraded: true`` — or fails fast with
         :class:`~repro.exceptions.CircuitOpenError` when none exists.
     breaker_recovery:
-        Seconds an open breaker waits before admitting probe traffic
-        (default: configured ``breaker_recovery``).
+        Seconds an open breaker waits before admitting probe traffic.
     executor:
         Thread pool for engine calls (default: one owned worker per
         registry shard, minimum 2).
@@ -248,48 +244,37 @@ class PredictionService:
         self,
         registry: ModelRegistry,
         *,
-        batch_window: Optional[float] = None,
-        max_batch: Optional[int] = None,
-        max_queue: Optional[int] = None,
+        batch_window: float = 0.002,
+        max_batch: int = 64,
+        max_queue: int = 256,
         default_deadline: Optional[float] = None,
         rhs_batching: bool = True,
-        breaker_threshold: Optional[int] = None,
-        breaker_recovery: Optional[float] = None,
+        breaker_threshold: int = 5,
+        breaker_recovery: float = 2.0,
         executor: Optional[concurrent.futures.Executor] = None,
     ) -> None:
-        cfg = get_config()
         # Nonsense knobs fail here, at construction — not by silent
         # clamping, and not as a confusing error on the first request.
-        if batch_window is not None and float(batch_window) < 0:
+        if float(batch_window) < 0:
             raise ConfigurationError(f"batch_window must be >= 0, got {batch_window}")
-        if max_batch is not None and int(max_batch) < 1:
+        if int(max_batch) < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_queue is not None and int(max_queue) < 1:
+        if int(max_queue) < 1:
             raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
         if default_deadline is not None and float(default_deadline) <= 0:
             raise ConfigurationError(
                 f"default_deadline must be > 0 seconds, got {default_deadline}"
             )
         self.registry = registry
-        self.batch_window = (
-            cfg.serving_batch_window if batch_window is None else float(batch_window)
-        )
-        self.max_batch = cfg.serving_max_batch if max_batch is None else int(max_batch)
-        self.max_queue = cfg.serving_queue_size if max_queue is None else int(max_queue)
+        self.batch_window = float(batch_window)
+        self.max_batch = int(max_batch)
+        self.max_queue = int(max_queue)
         self.default_deadline = default_deadline
         self.rhs_batching = bool(rhs_batching)
         self.metrics = ServiceInstruments()
         self._count = self.metrics.counters
-        # Breaker knobs resolve against *this thread's* config now:
-        # breakers are created lazily on executor threads whose
-        # thread-local config is the default.
         self._breakers = BreakerPool(
-            failure_threshold=(
-                cfg.breaker_threshold if breaker_threshold is None else int(breaker_threshold)
-            ),
-            recovery_time=(
-                cfg.breaker_recovery if breaker_recovery is None else float(breaker_recovery)
-            ),
+            failure_threshold=breaker_threshold, recovery_time=breaker_recovery
         )
         self._policies: Dict[str, BatchPolicy] = {}
         self._executor = executor

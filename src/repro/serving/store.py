@@ -48,7 +48,7 @@ from ..linalg.generation import TileDistanceCache
 from ..linalg.tile_matrix import TileGrid, TileMatrix
 from ..linalg.tlr_matrix import TLRMatrix
 from ..mle.prediction_engine import Factor, PredictionEngine
-from ..runtime import Runtime
+from ..utils.durable import atomic_write
 
 __all__ = [
     "ModelBundle",
@@ -80,20 +80,6 @@ def _sha256_file(path: Path, chunk: int = 1 << 20) -> str:
                 break
             digest.update(block)
     return digest.hexdigest()
-
-
-def _fsync_path(path: Path) -> None:
-    """fsync a file or directory, tolerating filesystems that refuse."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def _quarantine(path: Path) -> Path:
@@ -330,24 +316,15 @@ class ModelBundle:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         meta, arrays = self.to_payload()
-        arrays_tmp = path / (ARRAYS_NAME + ".tmp")
-        with arrays_tmp.open("wb") as fh:
+        with atomic_write(path / ARRAYS_NAME, "wb") as fh:
             np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(arrays_tmp, path / ARRAYS_NAME)
         # The checksum is computed over the *renamed* payload so a read-back
         # verifies exactly what load() will see; meta.json still lands last
         # as the commit marker.
         meta["checksums"] = {ARRAYS_NAME: _sha256_file(path / ARRAYS_NAME)}
-        meta_tmp = path / (META_NAME + ".tmp")
-        with meta_tmp.open("w") as fh:
+        with atomic_write(path / META_NAME) as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(meta_tmp, path / META_NAME)
-        _fsync_path(path)
         return path
 
     def _pack_factor(self, arrays: Dict[str, np.ndarray]) -> Optional[str]:
@@ -456,20 +433,16 @@ class ModelBundle:
         raise BundleError(f"unknown factor kind {kind!r}")
 
     # --------------------------------------------------------------- engine
-    def build_engine(
-        self,
-        *,
-        runtime: Optional[Runtime] = None,
-        cache_distances: Optional[bool] = None,
-        parallel_generation: Optional[bool] = None,
-        compression_batch: Optional[int] = None,
-    ) -> PredictionEngine:
+    def build_engine(self, **engine_options: object) -> PredictionEngine:
         """A ready-to-serve :class:`PredictionEngine` for this bundle.
 
         The engine is bound to the bundle's training set, observations
         and substrate; a persisted factor is adopted (first predict
         skips generation + factorization) and persisted distance data
         rehydrates the engine's caches. No fitting, no data pipeline.
+        ``engine_options`` are the engine keywords the bundle does not
+        fix: ``runtime=`` and
+        :data:`~repro.mle.prediction_engine.GENERATION_OPTIONS`.
         """
         engine = PredictionEngine(
             self.locations,
@@ -478,12 +451,9 @@ class ModelBundle:
             variant=self.variant,
             acc=self.acc,
             tile_size=self.tile_size,
-            runtime=runtime,
             compression_method=self.compression_method,
-            cache_distances=cache_distances,
-            parallel_generation=parallel_generation,
-            compression_batch=compression_batch,
             full_distances=self.full_distances,
+            **engine_options,
         )
         if self.distance_blocks and engine.distance_cache is not None:
             engine.distance_cache.load_blocks(self.distance_blocks)

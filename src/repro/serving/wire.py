@@ -142,6 +142,10 @@ _HEAD = struct.Struct("<4sBBHIQ")
 #: Streaming granularity: large payloads cross in slices of this size.
 CHUNK_SIZE = 256 * 1024
 
+#: Default byte cap on one HTTP request body, JSON or binary — the
+#: ``max_body=`` default of both ``ServingServer`` and ``ServingClient``.
+MAX_BODY = 64 * 1024 * 1024
+
 #: Sanity cap on a frame's JSON header — headers carry names and shapes,
 #: never data, so anything bigger is a malformed (or hostile) stream.
 _MAX_HEADER = 1 << 20
@@ -373,7 +377,7 @@ class _Budget:
         if self.limit is not None and self.used > self.limit:
             raise PayloadTooLargeError(
                 f"binary message exceeds the {self.limit}-byte cap while "
-                f"reading {what} (serving_max_body governs the server side)"
+                f"reading {what} (the server's max_body= governs its side)"
             )
 
 

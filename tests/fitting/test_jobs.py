@@ -144,6 +144,29 @@ class TestFitJobSpec:
         resolved = loaded.resolve()  # default config: must still use 777
         assert resolved.seed == 777
 
+    def test_substrate_pinned_at_submit_time(self, data, tmp_path):
+        """Like the seed: a leg runs on another thread/process with
+        default config, and must factor on the substrate its submitter
+        resolved (regression: it read 250 / 1e-9)."""
+        import threading
+
+        from repro.config import use_config
+
+        locs, z = data
+        store = JobStore(tmp_path)
+        with use_config(tile_size=32, tlr_accuracy=1e-5, compression_method="rsvd"):
+            job = store.create(FitJobSpec(locations=locs, z=z, variant="tlr"))
+        seen = {}
+
+        def leg():  # a fresh thread starts from the default config
+            ev = store.spec(job).resolve().estimator.evaluator
+            seen.update(nb=ev.tile_size, acc=ev.acc, method=ev.compression_method)
+
+        thread = threading.Thread(target=leg)
+        thread.start()
+        thread.join()
+        assert seen == {"nb": 32, "acc": 1e-5, "method": "rsvd"}
+
     def test_validation_errors(self, data):
         locs, z = data
         with pytest.raises(FittingError):
@@ -274,12 +297,13 @@ class TestJobStore:
         )
         save_state(store.checkpoint_path(job, 0), state)
 
-        # Simulate kills mid-write: truncated temp files next to the
+        # Simulate kills mid-write: truncated temp files (named as
+        # atomic_write names them, <name>.<pid>.tmp) next to the
         # committed state.json and checkpoint.
-        torn_state = store.job_dir(job) / "state.json.tmp"
+        torn_state = store.job_dir(job) / "state.json.4242.tmp"
         torn_state.write_text('{"status": "don')  # cut mid-token
         ckpt = store.checkpoint_path(job, 0)
-        torn_ckpt = ckpt.with_name(ckpt.name + ".tmp")
+        torn_ckpt = ckpt.with_name(ckpt.name + ".4242.tmp")
         torn_ckpt.write_bytes(ckpt.read_bytes()[:40])
 
         recovered = JobStore(tmp_path)

@@ -218,12 +218,17 @@ class TestEvaluatorPipeline:
 
     def test_config_knobs_respected(self, problem):
         locs, z, model = problem
-        with use_config(cache_distances=False, parallel_generation=False):
-            ev = LikelihoodEvaluator(locs, z, model, variant="tlr", tile_size=NB)
-        assert ev.distance_cache is None and not ev.parallel_generation
-        with use_config(cache_distances=True, parallel_generation=True):
-            ev = LikelihoodEvaluator(locs, z, model, variant="tlr", tile_size=NB)
+        # Substrate defaults come from the constructing thread's config ...
+        with use_config(tile_size=NB, tlr_accuracy=1e-6, compression_batch=3):
+            ev = LikelihoodEvaluator(locs, z, model, variant="tlr")
+        assert (ev.tile_size, ev.acc, ev.compression_batch) == (NB, 1e-6, 3)
         assert ev.distance_cache is not None and ev.parallel_generation
+        # ... the generation switches are constructor keywords only.
+        ev = LikelihoodEvaluator(
+            locs, z, model, variant="tlr", tile_size=NB,
+            cache_distances=False, parallel_generation=False,
+        )
+        assert ev.distance_cache is None and not ev.parallel_generation
 
     def test_penalty_path_survives_fusion(self):
         # Duplicate locations -> exactly singular covariance for any theta.

@@ -128,14 +128,6 @@ def test_snapshot_reports_state_and_cumulative_counters(clock):
     }
 
 
-def test_defaults_come_from_config(clock):
-    from repro.config import get_config
-
-    brk = CircuitBreaker(clock=clock)
-    assert brk.failure_threshold == get_config().breaker_threshold
-    assert brk.recovery_time == get_config().breaker_recovery
-
-
 def test_invalid_settings_rejected(clock):
     with pytest.raises(ConfigurationError):
         CircuitBreaker(failure_threshold=0, clock=clock)

@@ -3,7 +3,7 @@
 The satellite fixes around the transport work: the router must answer
 malformed or hostile ``Content-Length`` declarations with typed 4xx
 responses *before* reading (or allocating for) the body, the
-``serving_max_body`` knob must govern both transports, and the client
+``max_body`` cap must govern both transports, and the client
 must reject un-encodable inputs (ragged lists, non-finite floats,
 oversized JSON bodies) with typed errors *before* any bytes hit the
 socket.
@@ -17,7 +17,6 @@ import socket
 import numpy as np
 import pytest
 
-from repro.config import Config
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import (
     ConfigurationError,
@@ -103,7 +102,7 @@ def test_oversized_content_length_is_413_before_body_read(server):
     status, error = _raw_request(server, _post_head(server, str(1 << 40)))
     assert status == 413
     assert error.get("type") == "PayloadTooLargeError"
-    assert "serving_max_body" in error.get("message", "")
+    assert "max_body" in error.get("message", "")
     # A JSON request over the cap is pointed at the binary transport.
     assert wire.CONTENT_TYPE in error.get("message", "")
 
@@ -129,12 +128,6 @@ def test_malformed_deadline_header_is_400(server):
 def test_server_rejects_silly_max_body():
     with pytest.raises(ConfigurationError, match="max_body"):
         ServingServer({}, max_body=512)
-
-
-def test_config_knob_validates():
-    with pytest.raises(ConfigurationError, match="serving_max_body"):
-        Config(serving_max_body=100)
-    assert Config().serving_max_body == 64 * 1024 * 1024
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +220,7 @@ def test_json_over_cap_fails_typed_but_binary_fits(server):
     through as binary framing — the error message's own advice."""
     targets = np.random.default_rng(0).random((600, 2))  # ~26 kB JSON, ~10 kB binary
     with ServingClient(server.url) as cli:
-        with pytest.raises(PayloadTooLargeError, match="serving_max_body"):
+        with pytest.raises(PayloadTooLargeError, match="max_body"):
             cli.predict("m", targets)
         prediction = cli.predict("m", targets, transport="binary")
     assert prediction.shape == (600,)

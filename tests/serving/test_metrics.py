@@ -9,7 +9,6 @@ import threading
 
 import pytest
 
-from repro.config import Config
 from repro.exceptions import ConfigurationError
 from repro.serving import ModelRegistry, PredictionService
 from repro.serving.service import BatchPolicy
@@ -97,22 +96,9 @@ def test_concurrent_incs_are_never_lost(metrics):
 
 
 # --------------------------------------------------------------------------
-# Construction-time rejection of nonsensical serving knobs — config,
-# service, registry, and policy all fail at build time, not first request.
+# Construction-time rejection of nonsensical serving knobs — service,
+# registry, and policy all fail at build time, not first request.
 # --------------------------------------------------------------------------
-
-
-def test_config_rejects_nonsense_serving_knobs():
-    with pytest.raises(ConfigurationError):
-        Config(serving_max_batch=0)
-    with pytest.raises(ConfigurationError):
-        Config(serving_batch_window=-0.001)
-    with pytest.raises(ConfigurationError):
-        Config(serving_queue_size=0)
-    with pytest.raises(ConfigurationError):
-        Config(serving_max_models=0)
-    with pytest.raises(ConfigurationError):
-        Config(serving_workers=0)
 
 
 @pytest.mark.parametrize(

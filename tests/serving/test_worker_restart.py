@@ -7,6 +7,7 @@ SIGKILL worker processes — they get their own server.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -144,6 +145,31 @@ def test_runtime_policies_survive_a_respawn(server, targets):
         restored = cli.set_policy("m")
         assert restored["batch_window"] == 0.015
         assert restored["max_batch"] == 3
+
+
+@pytest.mark.parametrize(
+    "start_method",
+    [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
+)
+def test_service_options_survive_a_respawn(tmp_path, targets, start_method):
+    """A worker's settings are the option dicts the router ships, under
+    either start method and after a respawn from an HTTP handler thread
+    (regression: a thread-local default used to reach fork-started
+    workers only, and only until their first respawn)."""
+    path = _bundle().save(tmp_path / "m.bundle")
+    with ServingServer(
+        {"m": str(path)},
+        num_workers=1,
+        enable_fitting=False,
+        start_method=start_method,
+        service_options={"batch_window": 0.05, "max_batch": 3},
+    ) as srv, ServingClient(srv.url) as cli:
+        before = cli.set_policy("m")  # no arguments: report the effective policy
+        assert (before["batch_window"], before["max_batch"]) == (0.05, 3)
+        _kill_worker(srv, "m")
+        cli.predict("m", targets)  # triggers the respawn
+        assert srv.n_worker_restarts == 1
+        assert cli.set_policy("m") == before
 
 
 def test_restart_budget_exhausts_into_server_error(server, targets):

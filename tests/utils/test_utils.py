@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import Config, get_config, reset_config, set_config, use_config
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.utils.durable import atomic_write
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timer import StageTimes
 from repro.utils.logging import get_logger
@@ -129,11 +130,19 @@ class TestConfig:
             dict(compression_method="qr"),
             dict(truncation="weird"),
             dict(num_workers=-1),
-            dict(runtime_engine="gpu"),
-            dict(cholesky_jitter=-1e-3),
+            dict(compression_batch=0),
         ):
             with pytest.raises(ConfigurationError):
                 Config(**bad)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count_in_environment_is_typed(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_NUM_WORKERS", value)
+        with pytest.raises(ConfigurationError, match=f"REPRO_NUM_WORKERS.*{value}"):
+            Config().resolved_workers()
+        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
+        assert Config().resolved_workers() == 3
+        assert Config(num_workers=2).resolved_workers() == 2  # explicit wins
 
     def test_use_config_scoped(self):
         reset_config()
@@ -159,6 +168,29 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             set_config(cfg)
         reset_config()
+
+
+class TestAtomicWrite:
+    def test_commits_on_clean_exit(self, tmp_path):
+        target = tmp_path / "state.json"
+        with atomic_write(target) as fh:
+            fh.write("v1")
+            assert not target.exists()  # nothing visible before the rename
+        assert target.read_text() == "v1"
+        with atomic_write(target, "wb") as fh:
+            fh.write(b"v2")
+        assert target.read_bytes() == b"v2"
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_failure_leaves_previous_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "state.json"
+        target.write_bytes(b"committed")
+        with pytest.raises(RuntimeError, match="boom"):
+            with atomic_write(target) as fh:
+                fh.write("half a reco")
+                raise RuntimeError("boom")
+        assert target.read_bytes() == b"committed"
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
 class TestLogging:
