@@ -302,13 +302,20 @@ def status_for_exception(exc: BaseException) -> int:
     return 500
 
 
-def exception_from_wire(type_name: str, message: str) -> BaseException:
+def exception_from_wire(
+    type_name: str, message: str, retry_after: float = None
+) -> BaseException:
     """Rebuild a typed exception from its wire form (whitelisted names).
 
     Unknown names come back as :class:`ServerError` so a worker can
-    never make the router raise an arbitrary class.
+    never make the router raise an arbitrary class. ``retry_after`` is
+    restored on the classes that carry it (:class:`CircuitOpenError`,
+    :class:`LoadShedError`) and ignored elsewhere.
     """
     cls = _WIRE_EXCEPTIONS.get(type_name)
     if cls is None:
         return ServerError(f"{type_name}: {message}")
-    return cls(message)
+    exc = cls(message)
+    if retry_after is not None and hasattr(exc, "retry_after"):
+        exc.retry_after = float(retry_after)
+    return exc

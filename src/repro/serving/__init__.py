@@ -30,7 +30,9 @@ PredictionEngine` — fast but trapped inside the process that ran
   service), shards model ids onto them with the registry's stable
   hash, and exposes predict / metrics / hot-reload endpoints over
   JSON or the negotiated binary transport, including model
-  register-by-upload;
+  register-by-upload (:mod:`repro.serving.edge` holds its HTTP route
+  table and handler, :mod:`repro.serving.worker` the worker process
+  and the pipe protocol);
 * :mod:`repro.serving.client` — :class:`ServingClient`, the matching
   stdlib HTTP client with typed error mapping, per-call transport
   selection, and pipelined keep-alive predicts.

@@ -154,11 +154,7 @@ class ServingClient:
             self.port = 80 if parts.port is None else int(parts.port)
         except ValueError as exc:
             raise ServerError(f"invalid serving URL {url!r}: {exc}") from exc
-        if transport not in ("json", "binary"):
-            raise ConfigurationError(
-                f"transport must be 'json' or 'binary', got {transport!r}"
-            )
-        self.transport = transport
+        self.transport = self._check_transport(transport)
         self.max_body = int(max_body)
         self.timeout = float(timeout)
         self.retry_policy = retry_policy
@@ -193,10 +189,65 @@ class ServingClient:
         path: str,
         body: Optional[dict] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> dict:
+        transport: str = "json",
+    ):
+        if transport == "json":
+            return self._with_policy(
+                lambda: self._request_once(method, path, body, headers)
+            )
         return self._with_policy(
-            lambda: self._request_once(method, path, body, headers)
+            lambda: self._exchange(method, path, transport, body, headers)
         )
+
+    def _check_transport(self, transport: Optional[str]) -> str:
+        """``transport`` (``None``: the client default) validated."""
+        transport = self.transport if transport is None else str(transport)
+        if transport not in ("json", "binary"):
+            raise ConfigurationError(
+                f"transport must be 'json' or 'binary', got {transport!r}"
+            )
+        return transport
+
+    def _encode(self, transport: str, body: dict):
+        """A request body on ``transport``: ``(headers, data)``.
+
+        The one place a body becomes bytes, for every route and for
+        both :meth:`predict` and :meth:`predict_pipelined`. ``body`` is
+        a flat dict whose ndarray values are the message's arrays: JSON
+        sends them as lists, binary frames them raw (everything else is
+        the frame's meta) and asks for a binary answer. Binary ``data``
+        is a zero-argument factory of the chunk iterator, so a streamed
+        body can be rebuilt for a stale-keepalive resend.
+        """
+        arrays = {k: v for k, v in body.items() if isinstance(v, np.ndarray)}
+        if transport == "binary":
+            meta = {k: v for k, v in body.items() if k not in arrays}
+            plan = wire.plan_message(meta, arrays)
+            return {
+                "Content-Type": wire.CONTENT_TYPE,
+                "Content-Length": str(plan.length),
+                "Accept": wire.CONTENT_TYPE,
+            }, plan.chunks
+        data = self._encode_json(
+            dict(body, **{k: v.tolist() for k, v in arrays.items()})
+        )
+        return {
+            "Content-Type": "application/json",
+            "Content-Length": str(len(data)),
+        }, data
+
+    @staticmethod
+    def _predict_body(
+        model_id: str, targets: np.ndarray, z: Optional[np.ndarray], priority: int
+    ) -> dict:
+        """The predict request as :meth:`_encode` takes it (validated
+        arrays) — the one place its fields are laid out."""
+        body: dict = {"model_id": str(model_id), "targets": targets}
+        if z is not None:
+            body["z"] = z
+        if priority:
+            body["priority"] = int(priority)
+        return body
 
     def _encode_json(self, body: dict) -> bytes:
         """Strict JSON encoding of a request body.
@@ -293,16 +344,14 @@ class ServingClient:
             raise ServerError(f"malformed response from server: {exc}") from exc
         if status >= 400:
             error = payload.get("error", {}) if isinstance(payload, dict) else {}
-            exc = exception_from_wire(
+            retry_after = error.get("retry_after")
+            if retry_after is None:
+                retry_after = retry_after_header
+            raise exception_from_wire(
                 error.get("type", "ServerError"),
                 error.get("message", f"HTTP {status}"),
+                retry_after,
             )
-            retry_after = error.get("retry_after")
-            if retry_after is None and retry_after_header is not None:
-                retry_after = float(retry_after_header)
-            if retry_after is not None and isinstance(exc, _NOT_EXECUTED):
-                exc.retry_after = float(retry_after)
-            raise exc
         return payload
 
     def _request_once(
@@ -312,74 +361,51 @@ class ServingClient:
         body: Optional[dict] = None,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> dict:
-        data = None if body is None else self._encode_json(body)
-        headers = {"Content-Type": "application/json"} if data is not None else {}
+        """One JSON-transport request (the seam the retry tests stub)."""
+        return self._exchange(method, path, "json", body, extra_headers)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        transport: str,
+        body: Optional[dict] = None,
+        extra_headers: Optional[Dict[str, str]] = None,
+    ):
+        """One request on ``transport``, decoded by what came back.
+
+        A binary body is streamed (explicit Content-Length, chunk by
+        chunk — never concatenated). A binary response is decoded
+        incrementally into preallocated arrays and returned as one dict
+        (meta plus arrays, the shape of the JSON answer it replaces);
+        ``text/plain`` comes back as ``str``; anything else is JSON —
+        including every error, re-raised typed. A response cut off
+        mid-stream raises :class:`ServerError` and is never retried:
+        the request executed.
+        """
+        headers, data = ({}, None) if body is None else self._encode(transport, body)
         headers.update(extra_headers or {})
         with self._lock:
             response = self._send_once(path, data, headers, method=method)
-            raw = response.read()
-        return self._finish_json(
-            response.status, raw, response.getheader("Retry-After")
-        )
-
-    def _request_binary_once(
-        self,
-        path: str,
-        meta: dict,
-        arrays: Dict[str, np.ndarray],
-        extra_headers: Optional[Dict[str, str]] = None,
-        *,
-        accept_binary: bool = True,
-    ) -> Tuple[dict, Optional[Dict[str, np.ndarray]]]:
-        """One binary-transport request: the framed message is streamed
-        as the request body (explicit Content-Length, chunk by chunk —
-        never concatenated), and a binary response is decoded
-        incrementally into preallocated arrays.
-
-        Returns ``(meta, arrays)`` for a binary response or
-        ``(payload, None)`` for a JSON one (success on a JSON-only
-        route, or any error — errors are always JSON). A response cut
-        off mid-stream raises :class:`ServerError` and is never
-        retried: the request executed.
-        """
-        plan = wire.plan_message(meta, arrays)
-        headers = {
-            "Content-Type": wire.CONTENT_TYPE,
-            "Content-Length": str(plan.length),
-        }
-        if accept_binary:
-            headers["Accept"] = wire.CONTENT_TYPE
-        headers.update(extra_headers or {})
-        with self._lock:
-            # http.client sends an iterable body verbatim when
-            # Content-Length is explicit; the factory rebuilds the
-            # generator if the stale-keepalive retry needs a second send.
-            response = self._send_once(path, plan.chunks, headers)
             # Past this point the request EXECUTED — no retries below.
             status = response.status
-            ctype = (response.getheader("Content-Type") or "")
-            ctype = ctype.split(";")[0].strip().lower()
-            if status < 400 and ctype == wire.CONTENT_TYPE:
-                try:
-                    message = wire.read_message(response.read)
-                    response.read()  # drain the chunked terminator so the
-                    return message   # keep-alive connection stays reusable
-                except (WireFormatError, http.client.HTTPException, OSError) as exc:
-                    self.close_locked()
-                    raise ServerError(
-                        f"binary response from {self.host}:{self.port}{path} "
-                        f"was cut short: {exc}"
-                    ) from exc
+            ctype = response.getheader("Content-Type") or ""
             try:
+                if status < 400 and wire.is_binary(ctype):
+                    meta, arrays = wire.read_message(response.read)
+                    response.read()  # drain the chunked terminator so the
+                    return dict(meta, **arrays)  # connection stays reusable
                 raw = response.read()
-            except (http.client.HTTPException, OSError) as exc:
+            except (WireFormatError, http.client.HTTPException, OSError) as exc:
                 self.close_locked()
                 raise ServerError(
-                    f"reading response from {self.host}:{self.port}{path} "
-                    f"failed: {exc}"
+                    f"response from {self.host}:{self.port}{path} "
+                    f"was cut short: {exc}"
                 ) from exc
             retry_after = response.getheader("Retry-After")
-        return self._finish_json(status, raw, retry_after), None
+        if status < 400 and ctype.startswith("text/plain"):
+            return raw.decode("utf-8")
+        return self._finish_json(status, raw, retry_after)
 
     def close_locked(self) -> None:
         """Drop the pooled connection (caller holds the lock)."""
@@ -443,11 +469,7 @@ class ServingClient:
         the wire and streamed).
         """
         targets, z = self._validate_predict_args(targets, z)
-        transport = self.transport if transport is None else str(transport)
-        if transport not in ("json", "binary"):
-            raise ConfigurationError(
-                f"transport must be 'json' or 'binary', got {transport!r}"
-            )
+        transport = self._check_transport(transport)
         headers = {}
         if deadline is not None:
             headers["X-Repro-Deadline"] = f"{float(deadline):.6f}"
@@ -478,30 +500,11 @@ class ServingClient:
         headers: Optional[Dict[str, str]],
     ):
         """One predict over the chosen transport (validated arguments)."""
-        if transport == "binary":
-            meta: dict = {"model_id": str(model_id)}
-            if priority:
-                meta["priority"] = int(priority)
-            arrays: Dict[str, np.ndarray] = {"targets": targets}
-            if z is not None:
-                arrays["z"] = z
-            payload, rarrays = self._with_policy(
-                lambda: self._request_binary_once(
-                    "/v1/predict", meta, arrays, headers
-                )
-            )
-            if rarrays is not None:
-                prediction = rarrays["prediction"]
-            else:  # a JSON 200 from a server that ignored Accept
-                prediction = np.asarray(payload["prediction"], dtype=np.float64)
-        else:
-            body = {"model_id": model_id, "targets": targets.tolist()}
-            if z is not None:
-                body["z"] = z.tolist()
-            if priority:
-                body["priority"] = int(priority)
-            payload = self._request("POST", "/v1/predict", body, headers)
-            prediction = np.asarray(payload["prediction"], dtype=np.float64)
+        body = self._predict_body(model_id, targets, z, priority)
+        payload = self._request("POST", "/v1/predict", body, headers, transport)
+        # A list from JSON (also when a server ignored Accept), the
+        # decoded float64 array itself from a binary answer.
+        prediction = np.asarray(payload["prediction"], dtype=np.float64)
         if detail:
             return prediction, {"degraded": bool(payload.get("degraded", False))}
         return prediction
@@ -532,11 +535,7 @@ class ServingClient:
         :class:`ServerError` — any request already written may have
         executed.
         """
-        transport = self.transport if transport is None else str(transport)
-        if transport not in ("json", "binary"):
-            raise ConfigurationError(
-                f"transport must be 'json' or 'binary', got {transport!r}"
-            )
+        transport = self._check_transport(transport)
         prepared = []
         for req in requests:
             try:
@@ -547,22 +546,24 @@ class ServingClient:
                     f"pipelined request is missing required key {exc}"
                 ) from None
             targets, z = self._validate_predict_args(raw_targets, req.get("z"))
-            prepared.append((model_id, targets, z, int(req.get("priority", 0))))
+            prepared.append(
+                self._encode(
+                    transport,
+                    self._predict_body(model_id, targets, z, req.get("priority", 0)),
+                )
+            )
         if not prepared:
             return []
         host_header = f"{self.host}:{self.port}"
-        deadline_line = (
-            f"X-Repro-Deadline: {float(deadline):.6f}\r\n" if deadline is not None else ""
-        )
-        trace_line = ""
+        shared = {"Host": host_header}
+        if deadline is not None:
+            shared["X-Repro-Deadline"] = f"{float(deadline):.6f}"
         if _telemetry.enabled():
             # One trace for the whole batch: every pipelined request
             # carries the same ids, so /v1/trace/<id> shows all N
             # router.predict spans side by side under one root.
             ctx = _trace_context.current() or _trace_context.new_trace()
-            trace_line = (
-                f"{_trace_context.TRACE_HEADER}: {_trace_context.to_header(ctx)}\r\n"
-            )
+            shared[_trace_context.TRACE_HEADER] = _trace_context.to_header(ctx)
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
@@ -573,44 +574,15 @@ class ServingClient:
             ) from exc
         try:
             # ---- write phase: every request, back to back ------------
-            for model_id, targets, z, priority in prepared:
-                if transport == "binary":
-                    meta = {"model_id": model_id}
-                    if priority:
-                        meta["priority"] = priority
-                    arrays = {"targets": targets}
-                    if z is not None:
-                        arrays["z"] = z
-                    plan = wire.plan_message(meta, arrays)
-                    head = (
-                        f"POST /v1/predict HTTP/1.1\r\n"
-                        f"Host: {host_header}\r\n"
-                        f"Content-Type: {wire.CONTENT_TYPE}\r\n"
-                        f"Accept: {wire.CONTENT_TYPE}\r\n"
-                        f"{deadline_line}"
-                        f"{trace_line}"
-                        f"Content-Length: {plan.length}\r\n"
-                        f"\r\n"
-                    ).encode("latin-1")
+            for headers, data in prepared:
+                lines = [f"{k}: {v}" for k, v in {**shared, **headers}.items()]
+                head = "\r\n".join(["POST /v1/predict HTTP/1.1", *lines, "", ""])
+                head = head.encode("latin-1")
+                if callable(data):  # binary: streamed, never concatenated
                     sock.sendall(head)
-                    for chunk in plan.chunks():
+                    for chunk in data():
                         sock.sendall(chunk)
                 else:
-                    body = {"model_id": model_id, "targets": targets.tolist()}
-                    if z is not None:
-                        body["z"] = z.tolist()
-                    if priority:
-                        body["priority"] = priority
-                    data = self._encode_json(body)
-                    head = (
-                        f"POST /v1/predict HTTP/1.1\r\n"
-                        f"Host: {host_header}\r\n"
-                        f"Content-Type: application/json\r\n"
-                        f"{deadline_line}"
-                        f"{trace_line}"
-                        f"Content-Length: {len(data)}\r\n"
-                        f"\r\n"
-                    ).encode("latin-1")
                     sock.sendall(head + data)
             # ---- read phase: all responses off ONE shared reader -----
             # (separate http.client responses would each buffer ahead
@@ -626,8 +598,7 @@ class ServingClient:
                     reader = wire.BoundedReader(
                         fp, int(headers.get("content-length", 0) or 0)
                     )
-                ctype = headers.get("content-type", "").split(";")[0].strip().lower()
-                if status < 400 and ctype == wire.CONTENT_TYPE:
+                if status < 400 and wire.is_binary(headers.get("content-type")):
                     _, rarrays = wire.read_message(reader.read)
                     reader.drain()
                     results.append(rarrays["prediction"])
@@ -677,15 +648,12 @@ class ServingClient:
         required. The server persists it into its upload directory and
         registers the saved copy on the owning worker atomically."""
         meta, arrays = bundle.to_payload()
-        payload, _ = self._with_policy(
-            lambda: self._request_binary_once(
-                f"/v1/models/{self._quote(model_id)}",
-                meta,
-                arrays,
-                accept_binary=False,
-            )
+        return self._request(
+            "POST",
+            f"/v1/models/{self._quote(model_id)}",
+            {**meta, **arrays},
+            transport="binary",
         )
-        return payload
 
     def reload(self, model_id: str, path: Optional[Union[str, "object"]] = None) -> dict:
         """Hot-swap ``model_id``'s bundle (default: re-read its registered path)."""
@@ -823,7 +791,7 @@ class ServingClient:
         the JSON dict.
         """
         if format == "prometheus":
-            return self._request_text("GET", "/v1/metrics?format=prometheus")
+            return self._request("GET", "/v1/metrics?format=prometheus")
         return self._request("GET", "/v1/metrics")
 
     def plan(
@@ -865,15 +833,6 @@ class ServingClient:
         :class:`~repro.exceptions.TraceNotFoundError` for unknown ids.
         """
         return self._request("GET", f"/v1/trace/{self._quote(trace_id)}")
-
-    def _request_text(self, method: str, path: str) -> str:
-        """A request whose success body is plain text, not JSON."""
-        with self._lock:
-            response = self._send_once(path, None, {}, method=method)
-            raw = response.read()
-        if response.status >= 400:
-            self._finish_json(response.status, raw, response.getheader("Retry-After"))
-        return raw.decode("utf-8")
 
     def health(self) -> dict:
         """Router + worker liveness."""

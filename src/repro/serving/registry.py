@@ -145,12 +145,7 @@ class ModelRegistry:
         fit just happened in this process, and for tests.
         """
         with self._lock:
-            self._check_open()
-            self._engines[model_id] = engine
-            self._engines.move_to_end(model_id)
-            self._lkg[model_id] = engine
-            self._degraded.discard(model_id)
-            self._evict_over_budget()
+            self._install_locked(model_id, engine)
         return self
 
     # --------------------------------------------------------------- lookup
@@ -238,14 +233,26 @@ class ModelRegistry:
                     raise
                 return fallback
             with self._lock:
-                self._check_open()
-                self._engines[model_id] = engine
-                self._engines.move_to_end(model_id)
-                self._lkg[model_id] = engine
-                self._degraded.discard(model_id)
+                self._install_locked(model_id, engine)
                 self.n_loads += 1
-                self._evict_over_budget()
                 return engine
+
+    def _install_locked(
+        self, model_id: str, engine: PredictionEngine, *, degraded: bool = False
+    ) -> None:
+        """Make ``engine`` the warm (most recently used) engine of
+        ``model_id`` — the caller holds the lock. A healthy install also
+        becomes the last-known-good generation; a ``degraded`` one is
+        that generation being put back in service."""
+        self._check_open()
+        self._engines[model_id] = engine
+        self._engines.move_to_end(model_id)
+        if degraded:
+            self._degraded.add(model_id)
+        else:
+            self._lkg[model_id] = engine
+            self._degraded.discard(model_id)
+        self._evict_over_budget()
 
     def _install_fallback_locked(self, model_id: str) -> Optional[PredictionEngine]:
         """Re-install the last-known-good engine as the warm engine,
@@ -254,11 +261,8 @@ class ModelRegistry:
             engine = self._lkg.get(model_id)
             if engine is None:
                 return None
-            self._engines[model_id] = engine
-            self._engines.move_to_end(model_id)
-            self._degraded.add(model_id)
+            self._install_locked(model_id, engine, degraded=True)
             self.n_fallbacks += 1
-            self._evict_over_budget()
             return engine
 
     def fallback_engine(self, model_id: str) -> Optional[PredictionEngine]:
@@ -370,12 +374,8 @@ class ModelRegistry:
                 elif path is not None:
                     self._paths[model_id] = Path(path)
                     self._bundles.pop(model_id, None)
-                self._engines[model_id] = engine
-                self._engines.move_to_end(model_id)
-                self._lkg[model_id] = engine
-                self._degraded.discard(model_id)
+                self._install_locked(model_id, engine)
                 self.n_reloads += 1
-                self._evict_over_budget()
                 return engine
 
     # ------------------------------------------------------------ lifecycle

@@ -3,22 +3,29 @@
 The PR-3 serving stack — :class:`~repro.serving.store.ModelBundle`,
 :class:`~repro.serving.registry.ModelRegistry`,
 :class:`~repro.serving.service.PredictionService` — lives inside one
-process. This module scales it out with nothing but the standard
-library:
+process. The serving tier scales it out with nothing but the standard
+library, in three modules cut where the protocol's seams are:
 
-* :class:`ServingServer` spawns ``num_workers`` processes via
-  :mod:`multiprocessing`. Each worker hosts its own registry + asyncio
-  micro-batching service and owns the models whose stable hash
+* :mod:`repro.serving.edge` — HTTP: the ``ROUTES`` table, the one path
+  matcher, the body readers and reply writers of a stdlib
+  :class:`~http.server.ThreadingHTTPServer`.
+* :mod:`repro.serving.worker` — the pipe: the ``Message`` shape, the
+  ``OPS`` table, the worker process (its own registry + asyncio
+  micro-batching service) and the router-side handle.
+* this module — :class:`ServingServer`: lifecycle, sharding, respawn /
+  retry / breakers, and the operation behind every route. A model is
+  owned by the worker its stable hash
   (:func:`~repro.serving.registry._stable_shard` — the same function
-  the registry uses for runtime shards) lands on its index, so a model
-  id maps to the same worker across restarts and across the fleet.
-* An HTTP front-end (stdlib :class:`~http.server.ThreadingHTTPServer`)
-  routes requests to the owning worker over a :class:`multiprocessing
-  .connection.Connection` pipe. Arrays cross the pipe pickled — bit
-  exact — and cross HTTP as JSON, whose ``repr``-based float encoding
-  round-trips every finite ``float64`` exactly, so served predictions
-  are **bit-identical** to in-process
+  the registry uses for runtime shards) lands on, so a model id maps to
+  the same worker across restarts and across the fleet. Arrays cross
+  the pipe pickled and HTTP as JSON, whose ``repr``-based float
+  encoding round-trips every finite ``float64`` exactly (or as raw
+  binary frames), so served predictions are **bit-identical** to
+  in-process
   :meth:`~repro.mle.prediction_engine.PredictionEngine.predict`.
+
+What the router adds over a single process:
+
 * **Hot-reload**: ``POST /v1/models/<id>/reload`` calls
   :meth:`ModelRegistry.reload` inside the owning worker — the
   replacement engine is built off-lock and swapped atomically, so
@@ -101,41 +108,31 @@ re-raises the matching typed exception.
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
 import shutil
 import tempfile
 import threading
-import urllib.parse
-from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..exceptions import (
-    CalibrationError,
     CircuitOpenError,
     ConfigurationError,
     FittingError,
-    LoadShedError,
     ModelNotFoundError,
-    PayloadTooLargeError,
     PlanError,
     PredictionError,
     ServerError,
     ServiceClosedError,
     TraceNotFoundError,
-    WireFormatError,
-    exception_from_wire,
-    status_for_exception,
 )
 from ..fitting.jobs import FitJobSpec, JobStore
 from ..fitting.orchestrator import FitOrchestrator
-from ..resilience.breaker import AdmissionGate, CircuitBreaker
-from ..resilience.faults import fault_point
+from ..resilience.breaker import AdmissionGate
 from ..resilience.policy import Deadline, RetryPolicy
 from ..telemetry import context as _trace_context
 from ..telemetry import metrics as _registry_mod
@@ -143,9 +140,11 @@ from ..telemetry import spans as _telemetry
 from ..telemetry.export import assemble_trace, render_prometheus
 from ..utils.logging import get_logger
 from . import wire
+from .edge import _Server
 from .registry import ModelRegistry, _stable_shard
 from .service import PredictionService, registry_view
 from .store import ModelBundle
+from .worker import _WorkerHandle
 
 __all__ = ["ServingServer"]
 
@@ -164,657 +163,23 @@ def _path_within(path: Union[str, Path], root: Union[str, Path]) -> bool:
     return path_s == root_s or path_s.startswith(root_s + os.sep)
 
 
-_READY = -1  # sentinel request id for the worker's startup handshake
+#: What a ``POST /v1/fit`` body may carry besides ``from_model``: the
+#: :class:`FitJobSpec` fields by name, ``model_spec`` spelled ``model``.
+_FIT_BODY = ({f.name for f in fields(FitJobSpec)} - {"model_spec"}) | {"model"}
 
 
-# ---------------------------------------------------------------------------
-# Worker process
-# ---------------------------------------------------------------------------
-
-
-def _worker_main(conn, config: dict) -> None:
-    """Entry point of one worker process: registry + service + pipe loop."""
-    import asyncio
-
-    # Arm telemetry from the router's resolved settings (not this
-    # process's env/config): a spawn-started worker has no inherited
-    # globals, and a fork-started one must get a *fresh* recorder
-    # rather than the router's copied span ring.
-    telem = config.get("telemetry")
-    if telem is not None:
-        _telemetry.configure(
-            enabled=telem.get("enabled", False),
-            max_spans=telem.get("max_spans"),
-            sink_dir=telem.get("sink_dir"),
-        )
-
-    async def run() -> None:
-        registry = ModelRegistry(**config.get("registry", {}))
-        for model_id, path in config.get("models", {}).items():
-            registry.register(model_id, path)
-        policies = config.get("policies", {})
-        loop = asyncio.get_running_loop()
-        stop_event = asyncio.Event()
-        send_lock = threading.Lock()
-
-        def send(msg: tuple) -> None:
-            with send_lock:
-                try:
-                    conn.send(msg)
-                except (BrokenPipeError, OSError):  # router is gone; shut down
-                    loop.call_soon_threadsafe(stop_event.set)
-
-        async with PredictionService(registry, **config.get("service", {})) as service:
-            # Reinstall per-model policies on (re)spawn — the router's
-            # map is the source of truth, so a worker crash cannot
-            # silently revert a model to default batching.
-            for model_id, policy in policies.items():
-                service.set_policy(model_id, **policy)
-
-            async def handle(op: str, req_id: int, payload: dict) -> None:
-                try:
-                    fault_point("worker.pipe")
-                    result = await dispatch(op, payload)
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - forwarded to router
-                    send((req_id, "err", (type(exc).__name__, str(exc))))
-                else:
-                    send((req_id, "ok", result))
-
-            async def do_predict(payload: dict) -> dict:
-                value, flags = await service.predict(
-                    payload["model_id"],
-                    payload["targets"],
-                    z=payload.get("z"),
-                    deadline=payload.get("deadline"),
-                    priority=payload.get("priority", 0),
-                    detail=True,
-                )
-                return {"prediction": value, "degraded": flags["degraded"]}
-
-            async def dispatch(op: str, payload: dict) -> Any:
-                if op == "predict":
-                    ctx = (
-                        _trace_context.from_wire(payload.get("trace"))
-                        if _telemetry.enabled()
-                        else None
-                    )
-                    if ctx is None:
-                        return await do_predict(payload)
-                    # Each dispatched coroutine runs in its own copied
-                    # context (run_coroutine_threadsafe), so activating
-                    # the remote parent here cannot leak into another
-                    # in-flight request.
-                    with _trace_context.activate(ctx):
-                        with _telemetry.span(
-                            "worker.predict",
-                            model=str(payload["model_id"]),
-                            worker=config.get("worker_id", 0),
-                        ):
-                            return await do_predict(payload)
-                if op == "reload":
-                    # Blocking work (disk read + engine build + possible
-                    # factorization) stays off the event loop so predicts
-                    # keep flowing — the whole point of hot-reload.
-                    await loop.run_in_executor(
-                        None,
-                        partial(
-                            registry.reload, payload["model_id"], path=payload.get("path")
-                        ),
-                    )
-                    return {"model_id": payload["model_id"], "reloads": registry.n_reloads}
-                if op == "register":
-                    registry.register(payload["model_id"], payload["path"])
-                    return {"model_id": payload["model_id"]}
-                if op == "policy":
-                    service.set_policy(
-                        payload["model_id"],
-                        batch_window=payload.get("batch_window"),
-                        max_batch=payload.get("max_batch"),
-                    )
-                    window, max_batch = service.effective_policy(payload["model_id"])
-                    return {"batch_window": window, "max_batch": max_batch}
-                if op == "models":
-                    return registry.known_models
-                if op == "metrics":
-                    return {
-                        "service": service.metrics.snapshot(),
-                        "registry": registry.stats(),
-                        "breakers": service.breaker_states(),
-                    }
-                if op == "trace":
-                    recorder = _telemetry.get_recorder()
-                    spans = (
-                        recorder.for_trace(payload["trace_id"])
-                        if recorder is not None
-                        else []
-                    )
-                    return {"spans": spans}
-                if op == "ping":
-                    return "pong"
-                raise ServerError(f"unknown worker op {op!r}")
-
-            def reader() -> None:
-                while True:
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        msg = ("stop", 0, None)
-                    if msg[0] == "stop":
-                        loop.call_soon_threadsafe(stop_event.set)
-                        return
-                    op, req_id, payload = msg
-                    asyncio.run_coroutine_threadsafe(handle(op, req_id, payload), loop)
-
-            send((_READY, "ok", config.get("worker_id", 0)))
-            reader_thread = threading.Thread(
-                target=reader, name="repro-worker-reader", daemon=True
-            )
-            reader_thread.start()
-            await stop_event.wait()
-        registry.close()
-
-    asyncio.run(run())
+def _query_number(query: Dict[str, List[str]], key: str, cast: Callable, kind: str):
+    """The last ``?key=`` value cast to a number, ``None`` when absent;
+    a value ``cast`` rejects is a :class:`PlanError` naming the parameter."""
+    values = query.get(key)
+    if not values:
+        return None
     try:
-        conn.close()
-    except OSError:  # pragma: no cover - best effort
-        pass
-
-
-# ---------------------------------------------------------------------------
-# Router side
-# ---------------------------------------------------------------------------
-
-
-class _Slot:
-    """One in-flight router→worker request awaiting its response."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-
-
-class _WorkerHandle:
-    """Router-side proxy for one worker process.
-
-    HTTP handler threads multiplex over the single pipe: sends are
-    serialized by a lock and tagged with a request id; a dedicated
-    reader thread matches responses back to the waiting thread's slot.
-    Concurrent requests therefore overlap inside the worker — which is
-    what lets its micro-batcher coalesce them.
-    """
-
-    def __init__(self, ctx, worker_id: int, config: dict) -> None:
-        self.worker_id = worker_id
-        # A fresh handle starts with a fresh, closed breaker: respawning
-        # a dead worker resets its transport-failure history.
-        self.breaker = CircuitBreaker()
-        parent_conn, child_conn = ctx.Pipe()
-        config = dict(config, worker_id=worker_id)
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, config),
-            name=f"repro-serving-worker-{worker_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self._conn = parent_conn
-        self._send_lock = threading.Lock()
-        self._pending: Dict[int, _Slot] = {}
-        self._pending_lock = threading.Lock()
-        self._ids = itertools.count()
-        self._dead = False
-        self.last_metrics: Optional[dict] = None  # retained if the worker dies
-        self.ready = threading.Event()
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"repro-router-reader-{worker_id}", daemon=True
-        )
-        self._reader.start()
-
-    # ------------------------------------------------------------- requests
-    def request(self, op: str, payload: Optional[dict] = None, timeout: float = 120.0):
-        """Send one op to the worker and block for its typed response."""
-        if self._dead:
-            raise ServerError(f"worker {self.worker_id} is not running")
-        req_id = next(self._ids)
-        slot = _Slot()
-        with self._pending_lock:
-            self._pending[req_id] = slot
-        try:
-            with self._send_lock:
-                self._conn.send((op, req_id, payload or {}))
-        except (BrokenPipeError, OSError) as exc:
-            with self._pending_lock:
-                self._pending.pop(req_id, None)
-            raise ServerError(f"worker {self.worker_id} pipe is closed") from exc
-        if not slot.event.wait(timeout):
-            with self._pending_lock:
-                self._pending.pop(req_id, None)
-            raise ServerError(
-                f"worker {self.worker_id} did not answer {op!r} within {timeout}s"
-            )
-        if slot.error is not None:
-            raise slot.error
-        return slot.result
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                msg = self._conn.recv()
-            except (EOFError, OSError):
-                self._dead = True
-                self._fail_all(ServerError(f"worker {self.worker_id} terminated"))
-                # Wake anyone blocked on the startup handshake — start()
-                # re-checks `alive` and reports the crash immediately
-                # instead of sitting out its full ready timeout.
-                self.ready.set()
-                return
-            req_id, status, payload = msg
-            if req_id == _READY:
-                self.ready.set()
-                continue
-            with self._pending_lock:
-                slot = self._pending.pop(req_id, None)
-            if slot is None:  # timed out meanwhile; drop the late answer
-                continue
-            if status == "ok":
-                slot.result = payload
-            else:
-                slot.error = exception_from_wire(*payload)
-            slot.event.set()
-
-    def _fail_all(self, exc: BaseException) -> None:
-        with self._pending_lock:
-            pending, self._pending = dict(self._pending), {}
-        for slot in pending.values():
-            slot.error = exc
-            slot.event.set()
-
-    # ------------------------------------------------------------ lifecycle
-    @property
-    def alive(self) -> bool:
-        return not self._dead and self.process.is_alive()
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Graceful stop; escalate to terminate if the worker hangs."""
-        try:
-            with self._send_lock:
-                self._conn.send(("stop", 0, None))
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.terminate()
-            self.process.join(5.0)
-        self._dead = True
-        self._fail_all(ServerError(f"worker {self.worker_id} stopped"))
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to worker pipes.
-
-    With ``protocol_version = "HTTP/1.1"`` the stdlib reuses ONE
-    handler instance for every keep-alive request on a connection
-    (``handle()`` loops ``handle_one_request`` on self), so any
-    per-request state must be reset per request, not per instance.
-    """
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serving"
-
-    # The ThreadingHTTPServer subclass below carries the owning
-    # ServingServer as `owner`.
-
-    def handle_one_request(self) -> None:  # noqa: D102 - stdlib API
-        # Per-request state. Stale _streamed from a previous request on
-        # this connection would make _safe_error drop the connection
-        # instead of replying; stale _body_read would defeat the
-        # close-on-unread-body guard and desync keep-alive framing.
-        self._streamed = False
-        self._body_read = False
-        super().handle_one_request()
-
-    def log_message(self, fmt: str, *args: object) -> None:  # noqa: D102 - quiet
-        pass
-
-    # ---------------------------------------------------------------- plumbing
-    def _content_length(self) -> int:
-        """The request's validated body length.
-
-        Malformed or negative declarations raise ``ValueError`` (→ 400)
-        instead of leaking as a 500; declarations over the server's
-        ``max_body`` cap raise :class:`PayloadTooLargeError` (→ 413)
-        *before a single body byte is read*, so an oversized upload
-        costs the server a header parse, not a buffered gigabyte.
-        """
-        server: "ServingServer" = self.server.owner  # type: ignore[attr-defined]
-        raw = self.headers.get("Content-Length")
-        if raw is None:
-            return 0
-        try:
-            length = int(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"malformed Content-Length header {raw!r}") from None
-        if length < 0:
-            raise ValueError(f"negative Content-Length {length}")
-        if length > server.max_body:
-            hint = ""
-            if not self._is_binary_request():
-                hint = (
-                    f" — the binary transport (Content-Type: {wire.CONTENT_TYPE})"
-                    " is several times smaller and streamed"
-                )
-            raise PayloadTooLargeError(
-                f"request body of {length} bytes exceeds the server's "
-                f"{server.max_body}-byte cap (max_body=){hint}"
-            )
-        return length
-
-    def _body(self) -> dict:
-        length = self._content_length()
-        if length == 0:
-            self._body_read = True
-            return {}
-        raw = self.rfile.read(length)
-        self._body_read = True
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(body, dict):
-            raise ValueError("request body must be a JSON object")
-        return body
-
-    def _is_binary_request(self) -> bool:
-        ctype = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
-        return ctype == wire.CONTENT_TYPE
-
-    def _wants_binary(self) -> bool:
-        return wire.CONTENT_TYPE in (self.headers.get("Accept") or "")
-
-    def _read_binary(self, deadline: Optional[Deadline]):
-        """Decode a binary request body into ``(meta, arrays)``.
-
-        The read is bounded by the (already capped) Content-Length and
-        decoded incrementally into preallocated arrays; a decode error
-        drains the remaining body so the keep-alive connection stays
-        usable for the error reply and the next request.
-        """
-        server: "ServingServer" = self.server.owner  # type: ignore[attr-defined]
-        length = self._content_length()
-        if length == 0:
-            self._body_read = True
-            raise WireFormatError("binary request carries an empty body")
-        reader = wire.BoundedReader(self.rfile, length)
-        try:
-            return wire.read_message(
-                reader.read, max_bytes=server.max_body, deadline=deadline
-            )
-        finally:
-            try:
-                reader.drain()
-                self._body_read = True
-            except OSError:
-                self.close_connection = True
-
-    def _drain_body(self) -> None:
-        """Read and discard the body (unrouted requests keep framing sane)."""
-        length = self._content_length()
-        if length:
-            wire.BoundedReader(self.rfile, length).drain()
-        self._body_read = True
-
-    def _reply(
-        self, status: int, payload: dict, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        try:
-            data = json.dumps(payload, allow_nan=False).encode("utf-8")
-        except ValueError:
-            # A non-finite float slipped past the typed checks. Plain
-            # json.dumps would emit bare NaN/Infinity tokens — which are
-            # not JSON and explode in strict parsers — so degrade to a
-            # typed error instead of ever sending an unparseable body.
-            status, headers = 500, None
-            data = json.dumps(
-                {
-                    "error": {
-                        "type": "PredictionError",
-                        "message": (
-                            "response contains non-finite floats that strict "
-                            "JSON cannot represent; use the binary transport "
-                            f"(Accept: {wire.CONTENT_TYPE}) to receive them "
-                            "bit-exact"
-                        ),
-                    }
-                }
-            ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _reply_text(
-        self, status: int, text: str, *, content_type: str = "text/plain"
-    ) -> None:
-        """Plain-text reply (the Prometheus exposition surface)."""
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _reply_binary(
-        self,
-        meta: dict,
-        arrays: Dict[str, np.ndarray],
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        """Stream a binary message as a chunked 200 response."""
-        self._streamed = True
-        self.send_response(200)
-        self.send_header("Content-Type", wire.CONTENT_TYPE)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        wire.write_chunked(
-            self.wfile, wire.iter_message(meta, arrays), deadline=deadline
-        )
-
-    def _safe_error(self, exc: BaseException) -> None:
-        """Report ``exc`` to the client without ever corrupting the stream.
-
-        Once a chunked binary response has started, its status line is
-        gone — the only honest signal left is killing the connection so
-        the client sees truncation (a typed wire error) instead of a
-        silently short prediction. An error raised *before* the body
-        was consumed (413, malformed Content-Length) likewise closes
-        the connection: unread body bytes would desync the next
-        keep-alive request.
-        """
-        if getattr(self, "_streamed", False):
-            self.close_connection = True
-            return
-        if not getattr(self, "_body_read", False):
-            self.close_connection = True
-        self._reply_error(exc)
-
-    def _reply_error(self, exc: BaseException) -> None:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        headers = None
-        retry_after = getattr(exc, "retry_after", None)
-        if retry_after is not None:
-            # Load shedding / open breakers tell clients *when* to come
-            # back — both in the JSON (typed clients) and as the
-            # standard header (generic HTTP clients).
-            error["retry_after"] = float(retry_after)
-            headers = {"Retry-After": f"{max(0.0, float(retry_after)):.3f}"}
-        self._reply(status_for_exception(exc), {"error": error}, headers)
-
-    def _reply_no_route(self) -> None:
-        # 404, but as ServerError: a routing mistake must not look like a
-        # missing *model* to clients that react to ModelNotFoundError.
-        self._reply(
-            404,
-            {"error": {"type": "ServerError", "message": f"no route {self.path!r}"}},
-        )
-
-    # ------------------------------------------------------------------ routes
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        server: "ServingServer" = self.server.owner  # type: ignore[attr-defined]
-        try:
-            if self.path == "/healthz":
-                self._reply(200, server.health())
-            elif self.path == "/v1/models":
-                self._reply(200, server.models())
-            elif self.path.startswith("/v1/metrics"):
-                split = urllib.parse.urlsplit(self.path)
-                if split.path != "/v1/metrics":
-                    self._reply_no_route()
-                    return
-                query = urllib.parse.parse_qs(split.query)
-                fmt = query.get("format", ["json"])[0]
-                if fmt == "prometheus":
-                    self._reply_text(
-                        200,
-                        server.metrics_prometheus(),
-                        content_type="text/plain; version=0.0.4; charset=utf-8",
-                    )
-                elif fmt == "json":
-                    self._reply(200, server.metrics())
-                else:
-                    raise ValueError(
-                        f"unknown metrics format {fmt!r} (expected 'json' or "
-                        "'prometheus')"
-                    )
-            elif self.path.startswith("/v1/trace"):
-                split = urllib.parse.urlsplit(self.path)
-                parts = [urllib.parse.unquote(p) for p in split.path.split("/") if p]
-                if parts[:2] != ["v1", "trace"] or len(parts) != 3:
-                    self._reply_no_route()
-                else:
-                    self._reply(200, server.trace_request(parts[2]))
-            elif self.path.startswith("/v1/plan"):
-                split = urllib.parse.urlsplit(self.path)
-                if split.path != "/v1/plan":
-                    self._reply_no_route()
-                    return
-                query = urllib.parse.parse_qs(split.query)
-                self._reply(200, server.plan_request(query))
-            elif self.path.startswith("/v1/jobs"):
-                split = urllib.parse.urlsplit(self.path)
-                parts = [urllib.parse.unquote(p) for p in split.path.split("/") if p]
-                # Exact segment match: '/v1/jobsx' must 404, not list jobs.
-                if parts[:2] != ["v1", "jobs"]:
-                    self._reply_no_route()
-                elif len(parts) == 2:
-                    self._reply(200, {"jobs": server.jobs_request()})
-                elif len(parts) == 3:
-                    query = urllib.parse.parse_qs(split.query)
-                    include_trace = query.get("trace", ["1"])[0] not in ("0", "false")
-                    self._reply(
-                        200, server.job_request(parts[2], include_trace=include_trace)
-                    )
-                else:
-                    self._reply_no_route()
-            else:
-                self._reply_no_route()
-        except ConnectionError:  # client went away mid-reply: drop quietly
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to the client
-            self._reply_error(exc)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        server: "ServingServer" = self.server.owner  # type: ignore[attr-defined]
-        try:
-            # The deadline header is parsed at the very edge — before
-            # the body is read — so streamed body reads already run
-            # under the client's budget, and it wins over the body's
-            # ``deadline`` field (proxies can impose a budget without
-            # re-encoding the payload).
-            deadline = Deadline.from_header(self.headers.get("X-Repro-Deadline"))
-            if self.path == "/v1/predict":
-                if not _telemetry.enabled():
-                    self._predict_route(server, deadline)
-                    return
-                # Trace ingress, parsed at the same edge as the deadline:
-                # continue the client's trace when the header parses,
-                # start a fresh one otherwise, so server-side spans are
-                # always connected under a single router span.
-                ctx = _trace_context.from_header(
-                    self.headers.get(_trace_context.TRACE_HEADER)
-                )
-                with _trace_context.activate(ctx or _trace_context.new_trace()):
-                    with _telemetry.span("router.predict"):
-                        self._predict_route(server, deadline)
-                return
-            if self.path == "/v1/fit":
-                self._reply(200, server.fit_request(self._body()))
-                return
-            # Split on raw '/', then decode each segment: a model id with
-            # an encoded '/' (%2F) stays one segment and routes correctly.
-            parts = [urllib.parse.unquote(p) for p in self.path.split("/") if p]
-            if len(parts) >= 2 and parts[0] == "v1" and parts[1] == "models":
-                if len(parts) == 3:
-                    if self._is_binary_request():
-                        # Register-by-upload: the body IS the bundle.
-                        meta, arrays = self._read_binary(deadline)
-                        self._reply(
-                            200,
-                            server.register_upload_request(parts[2], meta, arrays),
-                        )
-                    else:
-                        self._reply(200, server.register_request(parts[2], self._body()))
-                    return
-                if len(parts) == 4 and parts[3] == "reload":
-                    self._reply(200, server.reload_request(parts[2], self._body()))
-                    return
-                if len(parts) == 4 and parts[3] == "policy":
-                    self._reply(200, server.policy_request(parts[2], self._body()))
-                    return
-            self._drain_body()
-            self._reply_no_route()
-        except ConnectionError:  # client went away mid-reply: drop quietly
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to the client
-            self._safe_error(exc)
-
-    def _predict_route(self, server: "ServingServer", deadline: Optional[Deadline]) -> None:
-        """``POST /v1/predict`` with per-side transport negotiation:
-        Content-Type picks the request decoder, Accept picks the
-        response encoder, and the two compose freely."""
-        if self._is_binary_request():
-            meta, arrays = self._read_binary(deadline)
-            body = dict(meta)
-            body.update(arrays)
-        else:
-            body = self._body()
-        if self._wants_binary():
-            out = server.predict_arrays_request(body, deadline=deadline)
-            prediction = out.pop("prediction")
-            self._reply_binary(out, {"prediction": prediction}, deadline)
-        else:
-            self._reply(200, server.predict_request(body, deadline=deadline))
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, handler, owner: "ServingServer") -> None:
-        self.owner = owner
-        super().__init__(address, handler)
+        return cast(values[-1])
+    except ValueError:
+        raise PlanError(
+            f"query parameter {key!r} must be {kind}, got {values[-1]!r}"
+        ) from None
 
 
 class ServingServer:
@@ -953,9 +318,8 @@ class ServingServer:
         self.enable_fitting = bool(enable_fitting)
         self.fit_options = FitOrchestrator.validate_options(fit_options)
         self._jobs_dir = None if jobs_dir is None else Path(jobs_dir)
-        self._jobs_dir_owned = False
         self._upload_dir = None if upload_dir is None else Path(upload_dir)
-        self._upload_dir_owned = False
+        self._ephemeral: List[Path] = []  # temp dirs start() made, stop() deletes
         self._upload_ids = itertools.count()
         self._fit_store: Optional[JobStore] = None
         self._orchestrator: Optional[FitOrchestrator] = None
@@ -1027,32 +391,26 @@ class ServingServer:
             self._workers.append(
                 _WorkerHandle(self._ctx, worker_id, self._worker_config(worker_id))
             )
-        for handle in self._workers:
-            ready = handle.ready.wait(ready_timeout)
-            if not ready or not handle.alive:
-                worker_id = handle.worker_id
-                self.stop()
-                raise ServerError(
-                    f"worker {worker_id} "
-                    + ("died during startup" if ready else
-                       f"failed to start within {ready_timeout}s")
-                )
+        try:
+            for handle in self._workers:
+                handle.wait_ready(ready_timeout)
+        except ServerError:
+            self.stop()
+            raise
         if self._upload_dir is None:
-            self._upload_dir = Path(tempfile.mkdtemp(prefix="repro-uploads-"))
-            self._upload_dir_owned = True
+            self._upload_dir = self._temp_dir("repro-uploads-")
         else:
             self._upload_dir.mkdir(parents=True, exist_ok=True)
         if self.enable_fitting:
             if self._jobs_dir is None:
-                self._jobs_dir = Path(tempfile.mkdtemp(prefix="repro-fit-jobs-"))
-                self._jobs_dir_owned = True
+                self._jobs_dir = self._temp_dir("repro-fit-jobs-")
             self._fit_store = JobStore(self._jobs_dir)
             self._orchestrator = FitOrchestrator(
                 self._fit_store,
                 on_complete=self._serve_fit_result,
                 **self.fit_options,
             ).start()
-        self._http = _Server((self.host, self._requested_port), _Handler, self)
+        self._http = _Server((self.host, self._requested_port), self)
         self._http_thread = threading.Thread(
             target=self._http.serve_forever, name="repro-serving-http", daemon=True
         )
@@ -1077,25 +435,26 @@ class ServingServer:
             self._orchestrator.stop()
             self._orchestrator = None
             self._fit_store = None
-        if self._jobs_dir_owned and self._jobs_dir is not None:
-            # The ephemeral ledger is about to vanish — models whose
-            # registered path points into it (refits published while
-            # running) must not survive into the next start() as paths
-            # to nowhere. Durable deployments pass jobs_dir= and keep
-            # their refit bundles across restarts.
-            self._discard_ephemeral_dir(self._jobs_dir)
-            self._jobs_dir = None
-            self._jobs_dir_owned = False
-        if self._upload_dir_owned and self._upload_dir is not None:
-            # Same rule for the binary register-by-upload staging dir:
-            # bundles uploaded over the wire are only as durable as the
-            # directory they were saved into.
-            self._discard_ephemeral_dir(self._upload_dir)
-            self._upload_dir = None
-            self._upload_dir_owned = False
+        # The ephemeral ledger and upload staging dir are about to
+        # vanish — models whose registered path points into one (refits
+        # published, bundles uploaded while running) must not survive
+        # into the next start() as paths to nowhere. Durable deployments
+        # pass jobs_dir= / upload_dir= and keep them across restarts.
+        for root in self._ephemeral:
+            self._discard_ephemeral_dir(root)
+            if self._jobs_dir == root:
+                self._jobs_dir = None
+            if self._upload_dir == root:
+                self._upload_dir = None
+        self._ephemeral = []
         workers, self._workers = self._workers, []
         for handle in workers:
             handle.stop()
+
+    def _temp_dir(self, prefix: str) -> Path:
+        path = Path(tempfile.mkdtemp(prefix=prefix))
+        self._ephemeral.append(path)
+        return path
 
     def _discard_ephemeral_dir(self, root: Path) -> None:
         """Delete an owned scratch dir, rolling every model whose
@@ -1121,9 +480,12 @@ class ServingServer:
         """The worker index owning ``model_id`` (stable hash sharding)."""
         return _stable_shard(model_id, self.num_workers)
 
-    def _handle(self, model_id: str) -> _WorkerHandle:
+    def _check_running(self) -> None:
         if not self._started:
             raise ServiceClosedError("server is not running (use start() or 'with')")
+
+    def _handle(self, model_id: str) -> _WorkerHandle:
+        self._check_running()
         return self._workers[self.worker_for(model_id)]
 
     def _respawn(self, worker_id: int, *, ready_timeout: float = 60.0) -> _WorkerHandle:
@@ -1152,9 +514,11 @@ class ServingServer:
                 worker_id, used + 1, self.max_worker_restarts,
             )
             fresh = _WorkerHandle(self._ctx, worker_id, self._worker_config(worker_id))
-            if not fresh.ready.wait(ready_timeout) or not fresh.alive:
+            try:
+                fresh.wait_ready(ready_timeout)
+            except ServerError:
                 fresh.stop()
-                raise ServerError(f"worker {worker_id} failed to restart")
+                raise
             handle.stop(timeout=0.1)  # reap the corpse, fail its stragglers
             self._workers[worker_id] = fresh
             self._restarts_by_worker[worker_id] = used + 1
@@ -1296,16 +660,22 @@ class ServingServer:
             )
         return dict(out, prediction=prediction.tolist())
 
+    def _model_op(self, model_id: str, op: str, **payload: Any) -> dict:
+        """One admin op on ``model_id``'s owning worker; the answer
+        names that worker."""
+        result = self._request(model_id, op, dict(payload, model_id=model_id))
+        result["worker"] = self.worker_for(model_id)
+        return result
+
     def register_request(self, model_id: str, body: dict) -> dict:
         try:
             path = str(body["path"])
         except KeyError as exc:
             raise ValueError(f"register body is missing required key {exc}") from None
-        result = self._request(model_id, "register", {"model_id": model_id, "path": path})
+        result = self._model_op(model_id, "register", path=path)
         # Commit to the router's map only after the worker accepted, so a
         # failed registration never survives into the next start().
         self._commit_model_path(model_id, path)
-        result["worker"] = self.worker_for(model_id)
         return result
 
     def register_upload_request(
@@ -1321,50 +691,34 @@ class ServingServer:
         owning worker. A worker that refuses the registration deletes
         the staged bundle again — no half-written registry state.
         """
-        if not self._started:
-            raise ServiceClosedError("server is not running (use start() or 'with')")
+        self._check_running()
         bundle = ModelBundle.from_payload(meta, arrays)
         safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in model_id)
         path = Path(self._upload_dir) / f"{safe or 'model'}-{next(self._upload_ids)}.bundle"
         bundle.save(path)
         try:
-            result = self._request(
-                model_id, "register", {"model_id": model_id, "path": str(path)}
-            )
+            result = self._model_op(model_id, "register", path=str(path))
         except BaseException:
             shutil.rmtree(path, ignore_errors=True)
             raise
         self._commit_model_path(model_id, str(path))
-        result["worker"] = self.worker_for(model_id)
-        result["path"] = str(path)
-        result["n"] = bundle.n
-        return result
+        return dict(result, path=str(path), n=bundle.n)
 
     def reload_request(self, model_id: str, body: dict) -> dict:
         path = body.get("path")
-        result = self._request(model_id, "reload", {"model_id": model_id, "path": path})
+        result = self._model_op(model_id, "reload", path=path)
         # Same commit-on-success rule as the worker's registry: a failed
         # reload keeps the last good path for future restarts.
         if path is not None:
             self._commit_model_path(model_id, str(path))
-        result["worker"] = self.worker_for(model_id)
         return result
 
     def _commit_model_path(self, model_id: str, path: str) -> None:
         """Record a successfully registered/reloaded bundle path, also
         remembering it as the rollback target unless it lives inside an
-        ephemeral jobs_dir that :meth:`stop` will delete."""
+        ephemeral directory that :meth:`stop` will delete."""
         self._models[model_id] = path
-        ephemeral = (
-            self._jobs_dir_owned
-            and self._jobs_dir is not None
-            and _path_within(path, self._jobs_dir)
-        ) or (
-            self._upload_dir_owned
-            and self._upload_dir is not None
-            and _path_within(path, self._upload_dir)
-        )
-        if not ephemeral:
+        if not any(_path_within(path, root) for root in self._ephemeral):
             self._external_paths[model_id] = path
 
     def policy_request(self, model_id: str, body: dict) -> dict:
@@ -1372,7 +726,7 @@ class ServingServer:
             "batch_window": body.get("batch_window"),
             "max_batch": body.get("max_batch"),
         }
-        result = self._request(model_id, "policy", dict(policy, model_id=model_id))
+        result = self._model_op(model_id, "policy", **policy)
         # Commit-on-success so a respawned worker gets the policy back;
         # merge per knob, matching PredictionService.set_policy.
         previous = self._policies.get(model_id, {})
@@ -1380,13 +734,11 @@ class ServingServer:
             knob: previous.get(knob) if value is None else value
             for knob, value in policy.items()
         }
-        result["worker"] = self.worker_for(model_id)
         return result
 
     # ----------------------------------------------------------- fit service
     def _check_fitting(self) -> FitOrchestrator:
-        if not self._started:
-            raise ServiceClosedError("server is not running (use start() or 'with')")
+        self._check_running()
         if not self.enable_fitting or self._orchestrator is None:
             raise ConfigurationError("the fitting service is disabled on this server")
         return self._orchestrator
@@ -1404,37 +756,22 @@ class ServingServer:
         orchestrator = self._check_fitting()
         body = dict(body)
         from_model = body.pop("from_model", None)
-        bundle_path = body.pop("bundle_path", None)
         if from_model is not None:
             registered = self._models.get(str(from_model))
             if registered is None:
                 raise ModelNotFoundError(
                     f"model {from_model!r} is not registered on this server"
                 )
-            if bundle_path is not None:
+            if body.get("bundle_path") is not None:
                 raise FittingError("pass either from_model or bundle_path, not both")
-            bundle_path = registered
+            body["bundle_path"] = registered
             body.setdefault("model_id", str(from_model))
-        locations = body.pop("locations", None)
-        z = body.pop("z", None)
-        known = {
-            "model_id", "model", "metric", "variant", "acc", "tile_size",
-            "compression_method", "use_morton", "maxiter", "ftol", "xtol",
-            "n_starts", "seed", "x0", "bounds", "warm_start",
-            "include_factor", "include_distance_cache",
-        }
-        unknown = sorted(set(body) - known)
+        unknown = sorted(set(body) - _FIT_BODY)
         if unknown:
             raise FittingError(f"unknown fit request fields {unknown}")
-        model_spec = body.pop("model", None)
-        spec = FitJobSpec(
-            locations=None if locations is None else np.asarray(locations, dtype=np.float64),
-            z=None if z is None else np.asarray(z, dtype=np.float64),
-            bundle_path=None if bundle_path is None else str(bundle_path),
-            model_spec=model_spec,
-            warm_start=bool(body.pop("warm_start", bundle_path is not None)),
-            **body,
-        )
+        body["model_spec"] = body.pop("model", None)
+        body.setdefault("warm_start", body.get("bundle_path") is not None)
+        spec = FitJobSpec(**body)  # validates, and converts the inline arrays
         job_id = orchestrator.submit(spec)
         return {"job_id": job_id, "status": "queued", "model_id": spec.model_id}
 
@@ -1478,6 +815,27 @@ class ServingServer:
         if store is not None:
             store.update(job_id, served=True)
 
+    def _ask_all(self, op: str, payload: Optional[dict] = None):
+        """Ask every worker one op: ``({worker_id: answer}, dead ids)``.
+
+        A worker that is not alive, or whose pipe fails with
+        :class:`ServerError`, lands in ``dead`` instead of failing the
+        fleet-wide question — the callers degrade, they do not raise.
+        """
+        answers: Dict[int, Any] = {}
+        dead: List[int] = []
+        for handle in self._workers:
+            try:
+                if handle.alive:
+                    answers[handle.worker_id] = handle.request(
+                        op, payload, timeout=self.request_timeout
+                    )
+                    continue
+            except ServerError:
+                pass
+            dead.append(handle.worker_id)
+        return answers, dead
+
     def models(self) -> dict:
         """Model ids known to each worker, plus degradation state.
 
@@ -1486,19 +844,12 @@ class ServingServer:
         response carries ``degraded: true`` while the live workers'
         models are still reported.
         """
-        out: Dict[str, List[str]] = {}
-        dead: List[int] = []
-        for handle in self._workers:
-            if not handle.alive:
-                dead.append(handle.worker_id)
-                continue
-            try:
-                out[str(handle.worker_id)] = handle.request(
-                    "models", timeout=self.request_timeout
-                )
-            except ServerError:
-                dead.append(handle.worker_id)
-        return {"models": out, "degraded": bool(dead), "dead_workers": dead}
+        answers, dead = self._ask_all("models")
+        return {
+            "models": {str(wid): known for wid, known in answers.items()},
+            "degraded": bool(dead),
+            "dead_workers": dead,
+        }
 
     def metrics(self) -> dict:
         """Per-worker metrics + fleet-wide counter aggregates.
@@ -1509,24 +860,18 @@ class ServingServer:
         whole response carries ``degraded: true`` with the dead workers
         listed, rather than failing because one shard is down.
         """
+        answers, dead = self._ask_all("metrics")
         workers = {}
         totals: Dict[str, int] = {}
-        dead: List[int] = []
         for handle in self._workers:
-            snap = None
-            if handle.alive:
-                try:
-                    snap = handle.request("metrics", timeout=self.request_timeout)
-                    handle.last_metrics = snap
-                except ServerError:
-                    pass
-            if snap is None:
-                dead.append(handle.worker_id)
-                if handle.last_metrics is not None:
-                    snap = dict(handle.last_metrics, dead=True)
-                else:
-                    workers[str(handle.worker_id)] = {"dead": True}
-                    continue
+            snap = answers.get(handle.worker_id)
+            if snap is not None:
+                handle.last_metrics = snap
+            elif handle.last_metrics is not None:
+                snap = dict(handle.last_metrics, dead=True)
+            else:
+                workers[str(handle.worker_id)] = {"dead": True}
+                continue
             workers[str(handle.worker_id)] = snap
             for name, value in snap["service"]["counters"].items():
                 totals[name] = totals.get(name, 0) + int(value)
@@ -1567,22 +912,13 @@ class ServingServer:
         :func:`~repro.telemetry.export.assemble_trace`. An unknown (or
         evicted) trace id raises :class:`TraceNotFoundError` → 404.
         """
-        if not self._started:
-            raise ServiceClosedError("server is not running (use start() or 'with')")
-        spans: List[dict] = []
+        self._check_running()
         recorder = _telemetry.get_recorder()
-        if recorder is not None:
-            spans.extend(recorder.for_trace(trace_id))
-        for handle in self._workers:
-            if not handle.alive:
-                continue
-            try:
-                result = handle.request(
-                    "trace", {"trace_id": trace_id}, timeout=self.request_timeout
-                )
-            except ServerError:
-                continue  # a dead shard degrades the trace, not the route
-            spans.extend(result["spans"])
+        spans = [] if recorder is None else list(recorder.for_trace(trace_id))
+        # A dead shard degrades the trace, not the route.
+        answers, _ = self._ask_all("trace", {"trace_id": trace_id})
+        for answer in answers.values():
+            spans.extend(answer["spans"])
         if not spans:
             raise TraceNotFoundError(
                 f"no spans recorded for trace {trace_id!r} (telemetry off, "
@@ -1626,46 +962,20 @@ class ServingServer:
         :class:`PlanError` → 400; an unreadable calibration profile
         raises :class:`CalibrationError` → 500.
         """
-        if not self._started:
-            raise ServiceClosedError("server is not running (use start() or 'with')")
-
-        def _scalar(key: str) -> Optional[str]:
-            values = query.get(key)
-            if not values:
-                return None
-            return values[-1]
-
-        raw_n = _scalar("n")
-        if raw_n is None:
+        self._check_running()
+        n = _query_number(query, "n", int, "an integer")
+        if n is None:
             raise PlanError(
                 "missing required query parameter 'n' (problem size, e.g. "
                 "GET /v1/plan?n=900)"
             )
-        try:
-            n = int(raw_n)
-        except ValueError:
-            raise PlanError(f"query parameter 'n' must be an integer, got {raw_n!r}")
-        m = 100
-        raw_m = _scalar("m")
-        if raw_m is not None:
-            try:
-                m = int(raw_m)
-            except ValueError:
-                raise PlanError(
-                    f"query parameter 'm' must be an integer, got {raw_m!r}"
-                )
-        accuracy = None
-        raw_acc = _scalar("accuracy")
-        if raw_acc is not None:
-            try:
-                accuracy = float(raw_acc)
-            except ValueError:
-                raise PlanError(
-                    f"query parameter 'accuracy' must be a float, got {raw_acc!r}"
-                )
-        substrate = _scalar("substrate")
-        planner = self._get_planner()
-        return planner.plan(n, m=m, substrate=substrate, accuracy=accuracy).to_dict()
+        m = _query_number(query, "m", int, "an integer")
+        accuracy = _query_number(query, "accuracy", float, "a float")
+        substrate = (query.get("substrate") or [None])[-1]
+        plan = self._get_planner().plan(
+            n, m=100 if m is None else m, substrate=substrate, accuracy=accuracy
+        )
+        return plan.to_dict()
 
     def health(self) -> dict:
         alive = [handle.alive for handle in self._workers]

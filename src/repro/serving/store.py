@@ -44,7 +44,6 @@ from ..resilience.faults import fault_point
 from ..kernels import covariance as _covariance
 from ..kernels.covariance import CovarianceModel
 from ..linalg.compression import LowRank
-from ..linalg.generation import TileDistanceCache
 from ..linalg.tile_matrix import TileGrid, TileMatrix
 from ..linalg.tlr_matrix import TLRMatrix
 from ..mle.prediction_engine import Factor, PredictionEngine

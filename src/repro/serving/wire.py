@@ -115,6 +115,7 @@ __all__ = [
     "CONTENT_TYPE",
     "WIRE_VERSION",
     "MAGIC",
+    "is_binary",
     "encode_message",
     "encoded_length",
     "iter_message",
@@ -128,6 +129,13 @@ __all__ = [
 
 #: MIME type negotiated on ``Content-Type`` (request) / ``Accept`` (response).
 CONTENT_TYPE = "application/x-repro-npy"
+
+
+def is_binary(content_type: Optional[str]) -> bool:
+    """True when a ``Content-Type`` header value names this format
+    (parameters such as ``; charset=`` and letter case ignored)."""
+    return (content_type or "").split(";")[0].strip().lower() == CONTENT_TYPE
+
 
 MAGIC = b"RNPY"
 WIRE_VERSION = 1
