@@ -36,8 +36,8 @@ def save_state(path: Union[str, Path], state: SimplexState) -> Path:
     """Atomically persist a :class:`SimplexState` snapshot at ``path``.
 
     The snapshot lands as a single ``.npz`` holding the simplex, the
-    objective values, the counters, and the flattened history
-    trajectory. ``os.replace`` makes the swap atomic on POSIX, so
+    objective values, the counters, the seconds spent, and the flattened
+    history trajectory. ``os.replace`` makes the swap atomic on POSIX, so
     readers only ever observe a complete checkpoint.
     """
     path = Path(path)
@@ -56,6 +56,7 @@ def save_state(path: Union[str, Path], state: SimplexState) -> Path:
             fvals=np.asarray(state.fvals, dtype=np.float64),
             iteration=np.int64(state.iteration),
             nfev=np.int64(state.nfev),
+            elapsed=np.float64(state.elapsed),
             hist_iters=hist_iters,
             hist_funs=hist_funs,
             hist_thetas=hist_thetas,
@@ -90,6 +91,8 @@ def load_state(path: Union[str, Path]) -> Optional[SimplexState]:
             fvals = np.asarray(npz["fvals"], dtype=np.float64)
             iteration = int(npz["iteration"])
             nfev = int(npz["nfev"])
+            # Absent from checkpoints written before legs carried their clock.
+            elapsed = float(npz["elapsed"]) if "elapsed" in npz else 0.0
             hist_iters = npz["hist_iters"]
             hist_funs = npz["hist_funs"]
             hist_thetas = npz["hist_thetas"]
@@ -104,7 +107,12 @@ def load_state(path: Union[str, Path]) -> Optional[SimplexState]:
         for it, theta, fun in zip(hist_iters, hist_thetas, hist_funs)
     ]
     return SimplexState(
-        simplex=simplex, fvals=fvals, iteration=iteration, nfev=nfev, history=history
+        simplex=simplex,
+        fvals=fvals,
+        iteration=iteration,
+        nfev=nfev,
+        history=history,
+        elapsed=elapsed,
     )
 
 

@@ -5,7 +5,11 @@ reference to an existing :class:`~repro.serving.store.ModelBundle`), the
 kernel family, the substrate (full-block / full-tile / TLR), and the
 optimizer settings including the multistart seed. Everything in it is
 JSON + ``.npz`` serializable, so a job survives the process that
-submitted it.
+submitted it. :meth:`FitJobSpec.resolve` turns it into the two things a
+leg runs on — an :class:`~repro.mle.estimator.MLEstimator` and that
+estimator's :class:`~repro.mle.estimator.FitPlan` — and that is all this
+module knows about fitting: which starts there are, how a leg runs and
+how legs merge belong to the estimator.
 
 A :class:`JobStore` is the on-disk ledger those jobs live in. Each job
 is a directory::
@@ -18,12 +22,14 @@ is a directory::
         starts/trace_<i>.jsonl         per-iteration (iteration, loglik,
                                        theta) trajectory
         starts/result_<i>.json         one multistart leg's outcome
-        starts/error_<i>.json          one leg's typed failure
+        starts/error_<i>.json          one leg's typed failure (-1: finalize)
+        result.json                    the merged result
         bundle/                        the finished ModelBundle
 
 ``state.json`` has a single writer (the orchestrator process); worker
-processes only append to their own per-start artifacts. All JSON writes
-are atomic (temp + ``os.replace``), so a crash at any point leaves a
+processes only write their own per-leg artifacts. Every file a later
+process depends on is written through
+:func:`~repro.utils.durable.atomic_write`, so a crash at any point leaves a
 recoverable store: :meth:`JobStore.recover` turns orphaned ``running``
 jobs back into ``checkpointed``/``queued`` and the orchestrator resumes
 them from their checkpoints.
@@ -34,7 +40,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,12 +48,13 @@ import numpy as np
 
 from ..config import get_config
 from ..exceptions import FittingError, JobNotFoundError
+from ..kernels.covariance import MaternCovariance
+from ..mle.estimator import FitPlan, MLEstimator
 from ..optim.bounds import validate_bounds
-from ..optim.neldermead import multistart_points
 from ..optim.result import HistoryEntry
 from ..utils.durable import atomic_write
 
-__all__ = ["FitJobSpec", "ResolvedFit", "JobStore", "merge_start_results"]
+__all__ = ["FitJobSpec", "JobStore"]
 
 SPEC_NAME = "spec.json"
 SPEC_ARRAYS_NAME = "spec_arrays.npz"
@@ -190,29 +197,16 @@ class FitJobSpec:
     # ------------------------------------------------------------ serialize
     def to_dict(self) -> dict:
         """Scalar fields as a JSON-able dict (arrays travel separately)."""
-        return {
-            "bundle_path": self.bundle_path,
-            "model_spec": self.model_spec,
-            "metric": self.metric,
-            "variant": self.variant,
-            "acc": self.acc,
-            "tile_size": self.tile_size,
-            "compression_method": self.compression_method,
-            "use_morton": self.use_morton,
-            "maxiter": self.maxiter,
-            "ftol": self.ftol,
-            "xtol": self.xtol,
-            "n_starts": self.n_starts,
-            "seed": self.seed,
-            "x0": None if self.x0 is None else [float(v) for v in self.x0],
-            "bounds": self.bounds,
-            "warm_start": self.warm_start,
-            "model_id": self.model_id,
-            "include_factor": self.include_factor,
-            "include_distance_cache": self.include_distance_cache,
-            "has_locations": self.locations is not None,
-            "has_z": self.z is not None,
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("locations", "z")
         }
+        if self.x0 is not None:
+            out["x0"] = [float(v) for v in self.x0]
+        out["has_locations"] = self.locations is not None
+        out["has_z"] = self.z is not None
+        return out
 
     def save(self, job_dir: Union[str, Path]) -> Path:
         """Persist the spec under ``job_dir`` (json + npz for arrays)."""
@@ -225,7 +219,10 @@ class FitJobSpec:
         if self.z is not None:
             arrays["z"] = self.z
         if arrays:
-            np.savez(job_dir / SPEC_ARRAYS_NAME, **arrays)
+            # Durable before JobStore.create commits the job with its
+            # state.json: a committed job must never hold torn arrays.
+            with atomic_write(job_dir / SPEC_ARRAYS_NAME, "wb") as fh:
+                np.savez(fh, **arrays)
         return job_dir
 
     @classmethod
@@ -251,19 +248,16 @@ class FitJobSpec:
         return cls(locations=locations, z=z, **raw)
 
     # -------------------------------------------------------------- resolve
-    def resolve(self, *, runtime=None) -> "ResolvedFit":
-        """Materialize the job: estimator, bounds, and the start list.
+    def resolve(self, *, runtime=None) -> Tuple[MLEstimator, FitPlan]:
+        """Materialize the job: ``(estimator, plan)``.
 
-        Resolution is deterministic and shared by every worker process
-        of a job — each worker regenerates the identical
-        :func:`~repro.optim.neldermead.multistart_points` list from the
-        spec and claims its index, which is what makes process-parallel
-        multistart bit-identical to the sequential search.
+        The :class:`~repro.mle.estimator.MLEstimator` on the spec's data
+        and substrate, and its :class:`~repro.mle.estimator.FitPlan` for
+        the spec's optimizer settings. Resolution is deterministic, so
+        every process of a job — each leg, the finalizer — rebuilds the
+        identical pair from the files on disk.
         """
-        from ..kernels.covariance import MaternCovariance
-        from ..mle.estimator import MLEstimator
-        from ..optim.bounds import empirical_start
-        from ..serving.store import load_model, model_from_spec
+        from ..serving.store import load_model, model_from_spec  # serving imports fitting
 
         bundle = None
         if self.bundle_path is not None:
@@ -340,68 +334,23 @@ class FitJobSpec:
             estimator._perm = (
                 source if estimator._perm is None else source[estimator._perm]
             )
+        x0 = self.x0
+        if x0 is None and self.warm_start and bundle is not None:
+            x0 = bundle.model.theta
+        bounds = None
         if self.bounds is not None:
-            lower, upper = validate_bounds(self.bounds["lower"], self.bounds["upper"])
-        else:
-            lower, upper = estimator.default_bounds()
-        if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=np.float64)
-        elif self.warm_start and bundle is not None:
-            x0 = np.asarray(bundle.model.theta, dtype=np.float64)
-        else:
-            x0 = empirical_start(estimator.z, lower, upper)
-        seed = get_config().rng_seed if self.seed is None else int(self.seed)
-        starts = multistart_points(
-            lower, upper, n_starts=self.n_starts, x0=x0, seed=seed
-        )
-        return ResolvedFit(
-            estimator=estimator,
-            lower=lower,
-            upper=upper,
+            bounds = (self.bounds["lower"], self.bounds["upper"])
+        plan = estimator.plan_fit(
             x0=x0,
-            starts=starts,
-            seed=seed,
+            bounds=bounds,
+            maxiter=self.maxiter,
+            ftol=self.ftol,
+            xtol=self.xtol,
+            n_starts=self.n_starts,
+            seed=self.seed,
+            warm_start=self.warm_start,
         )
-
-
-@dataclass
-class ResolvedFit:
-    """A :class:`FitJobSpec` materialized into runnable pieces."""
-
-    estimator: object  # MLEstimator (kept loose to avoid an import cycle)
-    lower: np.ndarray
-    upper: np.ndarray
-    x0: np.ndarray
-    starts: List[np.ndarray]
-    seed: int
-
-
-def merge_start_results(results: Sequence[dict]) -> dict:
-    """Combine per-start outcomes with sequential-multistart semantics.
-
-    Strictly-better ``fun`` wins; ties keep the earliest start — the
-    exact rule of :func:`~repro.optim.neldermead.multistart_nelder_mead`,
-    so a fanned-out job reports the same theta the sequential search
-    would. Evaluation counts aggregate across starts.
-    """
-    if not results or any(r is None for r in results):
-        raise FittingError("cannot merge: not every start has a result")
-    best_idx = 0
-    for i, res in enumerate(results[1:], start=1):
-        if res["fun"] < results[best_idx]["fun"]:
-            best_idx = i
-    best = results[best_idx]
-    return {
-        "theta": [float(v) for v in best["x"]],
-        "loglik": -float(best["fun"]),
-        "fun": float(best["fun"]),
-        "nfev": int(sum(r["nfev"] for r in results)),
-        "nit": int(sum(r["nit"] for r in results)),
-        "converged": bool(best["converged"]),
-        "message": str(best["message"]),
-        "best_start": best_idx,
-        "elapsed": float(sum(r.get("elapsed", 0.0) for r in results)),
-    }
+        return estimator, plan
 
 
 class JobStore:
@@ -541,39 +490,38 @@ class JobStore:
     def has_checkpoint(self, job_id: str, start: int) -> bool:
         return self.checkpoint_path(job_id, start).is_file()
 
+    def _start_trace(self, job_id: str, start: int) -> Optional[List[dict]]:
+        path = self.trace_path(job_id, start)
+        if not path.is_file():
+            return None
+        entries = []
+        with path.open() as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entries.append(json.loads(line))
+                except json.JSONDecodeError:
+                    break  # torn final line from a kill; keep the prefix
+        return entries
+
     def trace(self, job_id: str) -> Dict[int, List[dict]]:
         """Per-start ``(iteration, loglik, theta)`` trajectories."""
-        job_dir = self.job_dir(job_id)
         n_starts = int(self.state(job_id).get("n_starts", 1))
-        out: Dict[int, List[dict]] = {}
-        for i in range(n_starts):
-            path = job_dir / STARTS_DIR / f"trace_{i}.jsonl"
-            if not path.is_file():
-                continue
-            entries = []
-            with path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entries.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        break  # torn final line from a kill; keep the prefix
-            out[i] = entries
-        return out
+        traces = ((i, self._start_trace(job_id, i)) for i in range(n_starts))
+        return {i: entries for i, entries in traces if entries is not None}
 
     def history(self, job_id: str, start: int) -> List[HistoryEntry]:
         """A start's trace as optimizer :class:`HistoryEntry` records
         (``fun`` is the negated loglik, matching the minimizer)."""
-        entries = self.trace(job_id).get(start, [])
         return [
             HistoryEntry(
                 int(e["iteration"]),
                 np.asarray(e["theta"], dtype=np.float64),
                 -float(e["loglik"]),
             )
-            for e in entries
+            for e in self._start_trace(job_id, start) or ()
         ]
 
     def bundle_dir(self, job_id: str) -> Path:

@@ -5,28 +5,32 @@ itself deserves packaging: fits are long, machines die, and the
 multistart search the strong-correlation regimes need is embarrassingly
 parallel. :class:`FitOrchestrator` turns a
 :class:`~repro.fitting.jobs.JobStore` of :class:`FitJobSpec`s into
-finished :class:`~repro.serving.store.ModelBundle`s:
+finished :class:`~repro.serving.store.ModelBundle`s.
 
-* **Process-parallel multistart.** A job with ``n_starts = s`` fans out
-  as ``s`` independent worker processes (bounded by ``max_workers``
-  across all jobs), each regenerating the job's deterministic
-  :func:`~repro.optim.neldermead.multistart_points` list and claiming
-  one index. The merge keeps the strictly-best ``fun`` with earliest-
-  start tie-breaking — exactly :func:`multistart_nelder_mead`'s rule —
-  so the parallel answer is bit-identical to the sequential one.
-* **Checkpoint / auto-restart.** Every worker streams
+A job is a list of *legs*, each one process: leg ``i`` of ``n_starts``
+runs :meth:`~repro.mle.estimator.MLEstimator.run_leg` from the plan's
+``i``-th start, and the last leg — index ``-1``, finalize — hands the
+legs' results to :meth:`~repro.mle.estimator.MLEstimator.merge_legs` and
+saves the fit as a serving bundle. The fit itself (plan, leg, merge) is
+the estimator's; a worker here is the I/O around one of those calls, and
+the scheduler treats every leg alike:
+
+* **One table, one queue, one budget, one reaper.** Up to
+  ``max_workers`` legs run at once across all jobs. A leg *succeeded*
+  when its artifact exists (``result_<i>.json``; for finalize the
+  bundle's ``meta.json``), *failed* when it left a typed
+  ``error_<i>.json`` — deterministic, so the job fails without a retry —
+  and otherwise *died* (killed, OOM) and is respawned up to
+  ``max_restarts`` times.
+* **Checkpoint / resume.** A start leg streams
   :class:`~repro.optim.neldermead.SimplexState` snapshots through a
-  :class:`~repro.fitting.checkpoint.Checkpointer`; a worker killed
-  mid-fit is respawned (up to ``max_restarts`` times) and resumes from
-  its last checkpoint, converging to the same theta as an uninterrupted
-  run. Deliberate failures (an objective that raises) are *not*
-  retried — they are deterministic and would fail again.
-* **Finalize to a bundle.** When every start has reported, a finalize
-  process rebuilds the estimator, assembles a
-  :class:`~repro.mle.estimator.FitResult` (with the winning start's
-  trace as its optimizer history and the job's seed/settings recorded
-  for reproducibility), and saves a serving bundle under the job
-  directory. The parent then fires ``on_complete`` — the hook
+  :class:`~repro.fitting.checkpoint.Checkpointer`; respawned, it
+  continues from the last one and converges to the same theta, with the
+  same evaluation count and the seconds of all its processes, as an
+  uninterrupted run. Finalize needs no checkpoint: every paid iteration
+  is already on disk.
+* **Completion hook.** When finalize succeeded the job turns ``done``
+  and ``on_complete`` fires — the hook
   :class:`~repro.serving.server.ServingServer` uses to hot-reload the
   refitted model with zero downtime.
 
@@ -37,6 +41,7 @@ each job's ``state.json``.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -49,14 +54,13 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..exceptions import CheckpointError, FittingError
-from ..optim.neldermead import nelder_mead
 from ..optim.result import OptimizeResult
 from ..resilience.faults import fault_point
 from ..resilience.policy import RetryPolicy
 from ..telemetry import spans as _telemetry
 from ..utils.logging import get_logger
 from .checkpoint import Checkpointer
-from .jobs import FitJobSpec, JobStore, merge_start_results
+from .jobs import FitJobSpec, JobStore
 
 __all__ = ["FitOrchestrator"]
 
@@ -72,6 +76,14 @@ ORCHESTRATOR_OPTIONS = (
     "start_method",
 )
 
+#: Leg index of a job's finalize step — the slot its ``error_-1.json``
+#: has always used.
+FINALIZE = -1
+
+
+def _leg_name(idx: int) -> str:
+    return "finalize" if idx == FINALIZE else f"start {idx}"
+
 
 # ---------------------------------------------------------------------------
 # Worker-process entry points
@@ -79,8 +91,6 @@ ORCHESTRATOR_OPTIONS = (
 
 
 def _json_trace_line(iteration: int, theta: np.ndarray, fun: float) -> str:
-    import json
-
     return json.dumps(
         {
             "iteration": int(iteration),
@@ -90,11 +100,18 @@ def _json_trace_line(iteration: int, theta: np.ndarray, fun: float) -> str:
     )
 
 
-def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) -> None:
-    """One multistart leg, executed in its own process.
+def _run_leg(root: str, job_id: str, idx: int, checkpoint_every: int) -> None:
+    """Process target of every leg (importable by name for ``spawn``)."""
+    if idx == FINALIZE:
+        _finalize_job(root, job_id)
+    else:
+        _run_start(root, job_id, idx, checkpoint_every)
 
-    Resumes from the leg's checkpoint when one exists; otherwise starts
-    fresh from the leg's deterministic start point. The per-iteration
+
+def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) -> None:
+    """One multistart leg: the I/O around ``estimator.run_leg``.
+
+    Resumes from the leg's checkpoint when one exists. The per-iteration
     trace is rewritten from the checkpoint's history on resume, so the
     trace file never holds duplicate iterations.
     """
@@ -109,9 +126,7 @@ def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) ->
         # JSONL sink when REPRO_TELEMETRY_SINK is exported — the raw
         # material for perfmodel/calibrate.py.
         with _telemetry.span("fit.leg", job=job_id, start=start_idx):
-            spec = store.spec(job_id)
-            resolved = spec.resolve()
-            estimator = resolved.estimator
+            estimator, plan = store.spec(job_id).resolve()
             ckpt = Checkpointer(
                 store.checkpoint_path(job_id, start_idx), every=checkpoint_every
             )
@@ -119,31 +134,21 @@ def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) ->
                 state = ckpt.load()
             except CheckpointError:
                 state = None  # torn/corrupt checkpoint: restart this leg fresh
-            trace_path = store.trace_path(job_id, start_idx)
-            with trace_path.open("w") as trace:
-                if state is not None:
-                    for entry in state.history:
-                        trace.write(_json_trace_line(*entry) + "\n")
-                    trace.flush()
+            with store.trace_path(job_id, start_idx).open("w") as trace:
 
                 def on_iteration(it: int, theta: np.ndarray, fun: float) -> None:
                     trace.write(_json_trace_line(it, theta, fun) + "\n")
                     trace.flush()
 
-                t0 = time.perf_counter()
-                result = nelder_mead(
-                    estimator.evaluator.negative,
-                    None if state is not None else resolved.starts[start_idx],
-                    resolved.lower,
-                    resolved.upper,
-                    ftol=spec.ftol,
-                    xtol=spec.xtol,
-                    maxiter=spec.maxiter,
-                    callback=on_iteration,
+                for entry in state.history if state is not None else ():
+                    on_iteration(*entry)
+                result = estimator.run_leg(
+                    plan,
+                    start_idx,
                     state=state,
+                    callback=on_iteration,
                     state_callback=ckpt,
                 )
-                elapsed = time.perf_counter() - t0
             store.write_start_result(
                 job_id,
                 start_idx,
@@ -154,64 +159,58 @@ def _run_start(root: str, job_id: str, start_idx: int, checkpoint_every: int) ->
                     "nit": int(result.nit),
                     "converged": bool(result.converged),
                     "message": result.message,
-                    "elapsed": elapsed,
+                    "elapsed": result.elapsed,
                 },
             )
     except Exception as exc:  # deterministic failure: report, don't retry
         store.write_start_error(job_id, start_idx, exc)
 
 
-def _finalize_job(root: str, job_id: str) -> None:
-    """Merge a job's start results and persist the serving bundle.
+def _leg_result(store: JobStore, job_id: str, i: int) -> Optional[OptimizeResult]:
+    """Start ``i``'s persisted outcome, its trace as the optimizer history."""
+    record = store.read_start_result(job_id, i)
+    if record is None:
+        return None
+    return OptimizeResult(
+        x=np.asarray(record["x"], dtype=np.float64),
+        fun=float(record["fun"]),
+        nfev=int(record["nfev"]),
+        nit=int(record["nit"]),
+        converged=bool(record["converged"]),
+        message=str(record["message"]),
+        history=store.history(job_id, i),
+        elapsed=float(record.get("elapsed", 0.0)),
+    )
 
-    Runs in its own process because bundling may factorize ``Sigma_22``
+
+def _finalize_job(root: str, job_id: str) -> None:
+    """The job's last leg: the I/O around ``estimator.merge_legs``.
+
+    Reads every start's result back (its trace as the optimizer
+    history), merges, and persists the merged result and the serving
+    bundle. Its own process because bundling may factorize ``Sigma_22``
     at the winning theta (``include_factor``) — heavy work that must not
     stall the scheduler thread.
     """
     store = JobStore(root)
     try:
-        from ..mle.estimator import FitResult
-
         spec = store.spec(job_id)
-        resolved = spec.resolve()
-        estimator = resolved.estimator
-        results = [store.read_start_result(job_id, i) for i in range(spec.n_starts)]
-        merged = merge_start_results(results)
-        store.write_result(job_id, merged)
-        history = store.history(job_id, merged["best_start"])
-        optimizer = OptimizeResult(
-            x=np.asarray(merged["theta"], dtype=np.float64),
-            fun=merged["fun"],
-            nfev=merged["nfev"],
-            nit=merged["nit"],
-            converged=merged["converged"],
-            message=merged["message"],
-            history=history,
+        estimator, plan = spec.resolve()
+        fit = estimator.merge_legs(
+            plan, [_leg_result(store, job_id, i) for i in range(spec.n_starts)]
         )
-        n_evals = max(1, merged["nfev"])
-        fit = FitResult(
-            theta=optimizer.x.copy(),
-            loglik=merged["loglik"],
-            optimizer=optimizer,
-            n_evals=merged["nfev"],
-            time_total=merged["elapsed"],
-            time_per_iteration=merged["elapsed"] / n_evals,
-            variant=estimator.variant,
-            acc=estimator.acc,
-            options={
-                "x0": [float(v) for v in resolved.x0],
-                "bounds": {
-                    "lower": [float(v) for v in resolved.lower],
-                    "upper": [float(v) for v in resolved.upper],
-                },
-                "maxiter": spec.maxiter,
-                "ftol": spec.ftol,
-                "xtol": spec.xtol,
-                "n_starts": spec.n_starts,
-                "seed": resolved.seed,
-                "use_morton": spec.use_morton,
-                "warm_start": spec.warm_start,
-                "best_start": merged["best_start"],
+        store.write_result(
+            job_id,
+            {
+                "theta": [float(v) for v in fit.theta],
+                "loglik": fit.loglik,
+                "fun": fit.optimizer.fun,
+                "nfev": fit.optimizer.nfev,
+                "nit": fit.optimizer.nit,
+                "converged": fit.optimizer.converged,
+                "message": fit.optimizer.message,
+                "best_start": fit.options["best_start"],
+                "elapsed": fit.time_total,
             },
         )
         estimator.save_fit(
@@ -221,7 +220,7 @@ def _finalize_job(root: str, job_id: str) -> None:
             include_distance_cache=spec.include_distance_cache,
         )
     except Exception as exc:
-        store.write_start_error(job_id, -1, exc)  # -1: the finalize slot
+        store.write_start_error(job_id, FINALIZE, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +237,19 @@ class FitOrchestrator:
         The job ledger (a :class:`JobStore` or a directory path).
     max_workers:
         Worker *processes*: the concurrency cap across every job's
-        start and finalize tasks, and the fan-out width of a single
+        legs (finalize included), and the fan-out width of a single
         job's multistart search.
     checkpoint_every:
         Iterations between a running leg's on-disk Nelder-Mead
         checkpoints. ``1`` checkpoints every iteration (cheapest
         resume, most I/O); larger values amortize the write.
     max_restarts:
-        Respawns granted to each of a job's start legs whose worker
-        dies abnormally (killed, OOM) before the job is declared
-        failed — counted per leg, so one machine-wide event that kills
-        every leg once does not exhaust the budget. Restarts resume
-        from checkpoints; the job-level ``restarts`` counter in its
-        state records the total across legs.
+        Respawns granted to each of a job's legs (finalize included)
+        whose worker dies abnormally (killed, OOM) before the job is
+        declared failed — counted per leg, so one machine-wide event
+        that kills every leg once does not exhaust the budget. Start
+        legs resume from checkpoints; the job-level ``restarts``
+        counter in its state records the total across legs.
     start_method:
         :mod:`multiprocessing` start method (default ``fork`` where
         available, else ``spawn``).
@@ -293,7 +292,7 @@ class FitOrchestrator:
         self.max_restarts = int(max_restarts)
         # The respawn budget expressed as the unified retry policy: the
         # first spawn plus ``max_restarts`` retries, consulted by the
-        # reap paths as ``allows(used + 1)``. Backoff stays zero — the
+        # reaper as ``allows(used + 1)``. Backoff stays zero — the
         # scheduler thread must never sleep while holding the lock.
         self.restart_policy = RetryPolicy(
             max_attempts=self.max_restarts + 1, base_delay=0.0, jitter=0.0
@@ -306,12 +305,10 @@ class FitOrchestrator:
         self._cond = threading.Condition()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        # Legs are keyed (job_id, idx); idx FINALIZE is the job's last.
         self._procs: Dict[Tuple[str, int], multiprocessing.process.BaseProcess] = {}
-        self._finalizers: Dict[str, multiprocessing.process.BaseProcess] = {}
         self._pending: Deque[Tuple[str, int]] = deque()
-        self._finalize_queue: Deque[str] = deque()
-        self._start_restarts: Dict[Tuple[str, int], int] = {}
-        self._finalize_restarts: Dict[str, int] = {}
+        self._restarts: Dict[Tuple[str, int], int] = {}
         self._wake_r: Optional[int] = None
         self._wake_w: Optional[int] = None
 
@@ -353,7 +350,7 @@ class FitOrchestrator:
             self.store.recover()
             for state in self.store.list_jobs():
                 if state["status"] in ("queued", "checkpointed"):
-                    self._enqueue_locked(state["job_id"], int(state["n_starts"]))
+                    self._schedule_locked(state["job_id"])
             self._thread = threading.Thread(
                 target=self._loop, name="repro-fit-orchestrator", daemon=True
             )
@@ -375,13 +372,10 @@ class FitOrchestrator:
         if thread is not None:
             thread.join(timeout)
         with self._cond:
-            procs = list(self._procs.values()) + list(self._finalizers.values())
+            procs = list(self._procs.values())
             self._procs.clear()
-            self._finalizers.clear()
             self._pending.clear()
-            self._finalize_queue.clear()
-            self._start_restarts.clear()
-            self._finalize_restarts.clear()
+            self._restarts.clear()
             for fd in (self._wake_r, self._wake_w):
                 if fd is not None:
                     try:
@@ -415,7 +409,7 @@ class FitOrchestrator:
         job_id = self.store.create(spec)
         with self._cond:
             if self._thread is not None:
-                self._enqueue_locked(job_id, spec.n_starts)
+                self._schedule_locked(job_id)
                 self._wake()
         return job_id
 
@@ -439,7 +433,7 @@ class FitOrchestrator:
                 self._cond.wait(0.5 if remaining is None else min(0.5, remaining))
 
     def worker_pids(self, job_id: str) -> List[int]:
-        """PIDs of the job's live start workers (tests use this to kill
+        """PIDs of the job's live leg processes (tests use this to kill
         a fit mid-run and watch it resume)."""
         with self._cond:
             return [
@@ -449,21 +443,32 @@ class FitOrchestrator:
             ]
 
     # ------------------------------------------------------------ scheduler
-    def _enqueue_locked(self, job_id: str, n_starts: int) -> None:
-        scheduled = {key for key in self._pending if key[0] == job_id}
-        todo = []
-        for i in range(n_starts):
-            key = (job_id, i)
-            if key in scheduled or key in self._procs:
-                continue
-            if self.store.read_start_result(job_id, i) is None:
-                todo.append(key)
-        if todo:
-            self._pending.extend(todo)
-        elif job_id not in self._finalizers and job_id not in self._finalize_queue:
-            # Every start already finished (e.g. killed during finalize):
-            # go straight to bundling.
-            self._finalize_queue.append(job_id)
+    def _leg_done(self, job_id: str, idx: int) -> bool:
+        """Whether the leg's artifact landed — the one thing that differs
+        between a start leg and finalize."""
+        if idx == FINALIZE:
+            # meta.json is the bundle's commit marker (written last by
+            # ModelBundle.save): its presence means arrays landed too.
+            return (self.store.bundle_dir(job_id) / "meta.json").is_file()
+        return self.store.read_start_result(job_id, idx) is not None
+
+    def _schedule_locked(self, job_id: str) -> None:
+        """Queue the legs the job still owes: every start without a
+        result that is neither queued nor running, or — when all starts
+        have reported and nothing of the job is in flight (a fresh
+        orchestrator over a job killed during finalize included) —
+        finalize, ahead of other jobs' starts."""
+        n_starts = int(self.store.state(job_id).get("n_starts", 1))
+        busy = {key[1] for key in (*self._pending, *self._procs) if key[0] == job_id}
+        owed = [
+            (job_id, i)
+            for i in range(n_starts)
+            if i not in busy and not self._leg_done(job_id, i)
+        ]
+        if owed:
+            self._pending.extend(owed)
+        elif not busy:
+            self._pending.appendleft((job_id, FINALIZE))
 
     def _wake(self) -> None:
         if self._wake_w is None:
@@ -479,11 +484,9 @@ class FitOrchestrator:
             sentinels: List[object] = []
             try:
                 with self._cond:
-                    self._reap_starts_locked()
-                    completed = self._reap_finalizers_locked()
+                    completed = self._reap_locked()
                     self._launch_locked()
                     sentinels = [p.sentinel for p in self._procs.values()]
-                    sentinels += [p.sentinel for p in self._finalizers.values()]
                     self._cond.notify_all()
                 # The completion hook (e.g. the serving server's
                 # hot-reload round-trip, bounded only by its request
@@ -508,35 +511,49 @@ class FitOrchestrator:
             except OSError:  # pragma: no cover - pipe gone during teardown
                 return
 
-    def _reap_starts_locked(self) -> None:
+    def _reap_locked(self) -> List[str]:
+        """Reap exited legs; returns the ids of the jobs that turned
+        ``done``, whose ``on_complete`` hook the caller must fire *off*
+        the lock."""
+        completed: List[str] = []
         for key in [k for k, p in self._procs.items() if p.exitcode is not None]:
             job_id, idx = key
             proc = self._procs.pop(key, None)
             if proc is None:
-                # A sibling start's abort already removed this key.
+                # A sibling leg's abort already removed this key.
                 continue
-            if self.store.read_start_result(job_id, idx) is not None:
-                self._maybe_finalize_locked(job_id)
+            if self._leg_done(job_id, idx):
+                if idx == FINALIZE:
+                    self.store.update(
+                        job_id,
+                        status="done",
+                        finished_at=time.time(),
+                        result=self.store.read_result(job_id),
+                        bundle_path=str(self.store.bundle_dir(job_id)),
+                    )
+                    completed.append(job_id)
+                else:
+                    self._schedule_locked(job_id)
                 continue
             error = self.store.read_start_error(job_id, idx)
             if error is not None:
                 # Deterministic failure: retrying would fail identically.
                 self._abort_job_locked(
-                    job_id, f"start {idx}: {error['type']}: {error['message']}"
+                    job_id, f"{_leg_name(idx)}: {error['type']}: {error['message']}"
                 )
                 continue
-            # Abnormal death (SIGKILL, OOM): the budget is per start, so
-            # one machine-wide event that kills every leg of a multistart
-            # job once does not exhaust it.
-            used = self._start_restarts.get(key, 0)
+            # Abnormal death (SIGKILL; OOM during the bundle's
+            # factorization is the classic for finalize). The budget is
+            # per leg, so one machine-wide event that kills every leg of
+            # a multistart job once does not exhaust it.
+            used = self._restarts.get(key, 0)
             if self.restart_policy.allows(used + 1):
-                resumable = self.store.has_checkpoint(job_id, idx)
                 logger.warning(
-                    "fit job %s start %d died (exitcode %s); respawning %s",
-                    job_id, idx, proc.exitcode,
-                    "from checkpoint" if resumable else "from scratch",
+                    "fit job %s %s died (exitcode %s); respawning%s",
+                    job_id, _leg_name(idx), proc.exitcode,
+                    " from checkpoint" if self.store.has_checkpoint(job_id, idx) else "",
                 )
-                self._start_restarts[key] = used + 1
+                self._restarts[key] = used + 1
                 state = self.store.state(job_id)
                 self.store.update(
                     job_id,
@@ -547,86 +564,9 @@ class FitOrchestrator:
             else:
                 self._abort_job_locked(
                     job_id,
-                    f"start {idx} worker died (exitcode {proc.exitcode}) after "
-                    f"{used} restart(s)",
+                    f"{_leg_name(idx)} process died (exitcode {proc.exitcode}) "
+                    f"after {used} restart(s)",
                 )
-
-    def _maybe_finalize_locked(self, job_id: str) -> None:
-        state = self.store.state(job_id)
-        if state["status"] in ("done", "failed"):
-            return
-        n_starts = int(state.get("n_starts", 1))
-        if any(key[0] == job_id for key in self._procs):
-            return
-        if any(key[0] == job_id for key in self._pending):
-            return
-        if all(
-            self.store.read_start_result(job_id, i) is not None
-            for i in range(n_starts)
-        ):
-            if job_id not in self._finalizers and job_id not in self._finalize_queue:
-                self._finalize_queue.append(job_id)
-
-    def _reap_finalizers_locked(self) -> List[str]:
-        """Reap finished finalize processes; returns the job ids whose
-        ``on_complete`` hook the caller must fire *off* the lock."""
-        completed: List[str] = []
-        for job_id in [j for j, p in self._finalizers.items() if p.exitcode is not None]:
-            proc = self._finalizers.pop(job_id)
-            bundle_dir = self.store.bundle_dir(job_id)
-            # meta.json is the bundle's commit marker (written last by
-            # ModelBundle.save): its presence means arrays landed too.
-            if (bundle_dir / "meta.json").is_file():
-                result = self.store.read_result(job_id)
-                if result is None:  # pragma: no cover - legacy job dirs
-                    result = merge_start_results([
-                        self.store.read_start_result(job_id, i)
-                        for i in range(int(self.store.state(job_id).get("n_starts", 1)))
-                    ])
-                self.store.update(
-                    job_id,
-                    status="done",
-                    finished_at=time.time(),
-                    result=result,
-                    bundle_path=str(bundle_dir),
-                )
-                completed.append(job_id)
-            else:
-                error = self.store.read_start_error(job_id, -1)
-                if error is not None:
-                    # Deterministic failure: retrying would fail identically.
-                    self.store.update(
-                        job_id,
-                        status="failed",
-                        finished_at=time.time(),
-                        error=f"finalize: {error['type']}: {error['message']}",
-                    )
-                    continue
-                # Abnormal death (OOM during the bundle's factorization is
-                # the classic): finalize gets the same restart budget the
-                # start legs do — every paid iteration is on disk.
-                used = self._finalize_restarts.get(job_id, 0)
-                if self.restart_policy.allows(used + 1):
-                    logger.warning(
-                        "fit job %s finalize died (exitcode %s); respawning",
-                        job_id, proc.exitcode,
-                    )
-                    self._finalize_restarts[job_id] = used + 1
-                    state = self.store.state(job_id)
-                    self.store.update(
-                        job_id, restarts=int(state.get("restarts", 0)) + 1
-                    )
-                    self._finalize_queue.append(job_id)
-                else:
-                    self.store.update(
-                        job_id,
-                        status="failed",
-                        finished_at=time.time(),
-                        error=(
-                            f"finalize process died (exitcode {proc.exitcode}) "
-                            f"after {used} restart(s)"
-                        ),
-                    )
         return completed
 
     def _fire_on_complete(self, job_id: str) -> None:
@@ -653,22 +593,8 @@ class FitOrchestrator:
         )
 
     def _launch_locked(self) -> None:
-        while (
-            len(self._procs) + len(self._finalizers) < self.max_workers
-            and (self._finalize_queue or self._pending)
-        ):
-            if self._finalize_queue:
-                job_id = self._finalize_queue.popleft()
-                proc = self._ctx.Process(
-                    target=_finalize_job,
-                    args=(str(self.store.root), job_id),
-                    name=f"repro-fit-finalize-{job_id}",
-                    daemon=True,
-                )
-                proc.start()
-                self._finalizers[job_id] = proc
-                continue
-            job_id, idx = self._pending.popleft()
+        while len(self._procs) < self.max_workers and self._pending:
+            key = job_id, idx = self._pending.popleft()
             state = self.store.state(job_id)
             if state["status"] in ("done", "failed"):
                 continue
@@ -677,18 +603,18 @@ class FitOrchestrator:
                 updates["started_at"] = time.time()
             self.store.update(job_id, **updates)
             proc = self._ctx.Process(
-                target=_run_start,
+                target=_run_leg,
                 args=(str(self.store.root), job_id, idx, self.checkpoint_every),
-                name=f"repro-fit-{job_id}-start-{idx}",
+                name=f"repro-fit-{job_id}-{_leg_name(idx)}",
                 daemon=True,
             )
             proc.start()
-            self._procs[(job_id, idx)] = proc
+            self._procs[key] = proc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._cond:
             return (
                 f"FitOrchestrator(running={self.running}, "
-                f"workers={len(self._procs)}+{len(self._finalizers)}/"
-                f"{self.max_workers}, pending={len(self._pending)})"
+                f"workers={len(self._procs)}/{self.max_workers}, "
+                f"pending={len(self._pending)})"
             )

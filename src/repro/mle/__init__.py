@@ -15,7 +15,7 @@ accuracy threshold.
 """
 
 from .loglik import LikelihoodEvaluator, exact_loglikelihood
-from .estimator import FitResult, MLEstimator
+from .estimator import FitPlan, FitResult, MLEstimator
 from .prediction import conditional_variance, predict
 from .prediction_engine import PredictionEngine
 from .metrics import mean_squared_error, mean_absolute_error, root_mean_squared_error
@@ -26,6 +26,7 @@ __all__ = [
     "LikelihoodEvaluator",
     "exact_loglikelihood",
     "MLEstimator",
+    "FitPlan",
     "FitResult",
     "predict",
     "conditional_variance",

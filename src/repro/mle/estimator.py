@@ -7,6 +7,16 @@ does: (1) Morton-order the locations, (2) wrap a
 Nelder-Mead optimizer, (4) predict at new locations through the fitted
 model.
 
+A fit is three steps, stated here once: :meth:`MLEstimator.plan_fit`
+resolves the settings into a :class:`FitPlan` (box, start list, seed,
+tolerances), :meth:`MLEstimator.run_leg` runs the optimizer from one of
+the plan's starts, :meth:`MLEstimator.merge_legs` keeps the best leg and
+assembles the :class:`FitResult`. :meth:`MLEstimator.fit` runs every leg
+in a loop; the fit service (:mod:`repro.fitting`) runs each leg in its
+own process with a checkpoint stream and merges in a last one. Both
+reach the optimizer and build their result through these same three
+functions, so they agree bit for bit by construction.
+
 Fit and prediction run on **one**
 :class:`~repro.mle.prediction_engine.PredictionEngine` — the
 evaluator's. :meth:`MLEstimator.predictor` only rebinds that engine's
@@ -19,24 +29,81 @@ makes the first predict skip generation and factorization.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..config import get_config
 from ..data.datasets import GeoDataset
 from ..data.morton import morton_order
+from ..exceptions import FittingError
 from ..kernels.covariance import CovarianceModel, MaternCovariance
 from ..optim.bounds import default_matern_bounds, empirical_start, validate_bounds
-from ..optim.neldermead import multistart_nelder_mead, nelder_mead
+from ..optim.neldermead import SimplexState, multistart_points, nelder_mead
 from ..optim.result import OptimizeResult
 from ..utils.validation import as_float_array, check_locations, check_vector
 from .loglik import LikelihoodEvaluator
 from .prediction import predict as _predict
 from .prediction_engine import PredictionEngine
 
-__all__ = ["MLEstimator", "FitResult"]
+__all__ = ["MLEstimator", "FitPlan", "FitResult"]
+
+
+@dataclass(frozen=True)
+class FitPlan:
+    """A fit's settings, resolved: what :meth:`MLEstimator.plan_fit` returns.
+
+    Everything a leg needs besides the estimator, and a pure function of
+    the data and the requested settings — every process working on one
+    fit job rebuilds the identical plan and claims one index of
+    ``starts``.
+
+    Attributes
+    ----------
+    lower, upper:
+        The optimization box.
+    x0, seed:
+        Starting ``theta`` (as given or derived; ``starts[0]`` is its
+        projection into the box) and the seed of the multistart draw.
+    starts:
+        One point per leg
+        (:func:`~repro.optim.neldermead.multistart_points`).
+    maxiter, ftol, xtol:
+        Optimizer controls of every leg.
+    use_morton, warm_start:
+        Recorded with the fit: whether the estimator Morton-reordered
+        its data, and whether ``x0`` is a previous fit's ``theta``.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    x0: np.ndarray
+    seed: int
+    starts: List[np.ndarray]
+    maxiter: int
+    ftol: float
+    xtol: float
+    use_morton: bool
+    warm_start: bool = False
+
+    def options(self) -> dict:
+        """The reproducibility record a bundle persists as
+        ``info["fit"]`` (:attr:`FitResult.options` adds ``best_start``)."""
+        return {
+            "x0": [float(v) for v in self.x0],
+            "bounds": {
+                "lower": [float(v) for v in self.lower],
+                "upper": [float(v) for v in self.upper],
+            },
+            "maxiter": self.maxiter,
+            "ftol": self.ftol,
+            "xtol": self.xtol,
+            "n_starts": len(self.starts),
+            "seed": self.seed,
+            "use_morton": self.use_morton,
+            "warm_start": self.warm_start,
+        }
 
 
 @dataclass
@@ -52,21 +119,22 @@ class FitResult:
     optimizer:
         Full optimizer result (iterations, evaluations, history).
     n_evals:
-        Likelihood evaluations performed.
+        Likelihood evaluations this fit performed, summed over its legs.
     time_total:
-        Wall-clock seconds for the whole fit.
+        Wall-clock seconds of the fit, summed over its legs.
     time_per_iteration:
         Mean wall-clock seconds per likelihood evaluation — the
         quantity the paper's Figures 3 and 4 report.
     stage_times:
-        Cumulative generation / factorization / solve seconds.
+        Generation / factorization / solve seconds spent during this
+        fit (empty for a fit job, whose legs ran in other processes).
     variant, acc:
         Substrate used.
     options:
-        The optimizer settings the fit actually ran with — resolved
-        seed, ``n_starts``, tolerances, bounds, and starting point —
-        recorded so a persisted bundle can state exactly how to
-        reproduce its fit (see
+        The optimizer settings the fit actually ran with —
+        :meth:`FitPlan.options` plus ``best_start``, the index of the
+        winning leg — recorded so a persisted bundle can state exactly
+        how to reproduce its fit (see
         :func:`~repro.serving.store.bundle_from_fit`).
     """
 
@@ -150,6 +218,7 @@ class MLEstimator:
     ) -> None:
         locations = check_locations(locations, "locations")
         z = check_vector(as_float_array(z, "z"), locations.shape[0], "z")
+        self.use_morton = bool(use_morton)
         self._perm: Optional[np.ndarray] = None
         if use_morton:
             perm = morton_order(locations)
@@ -197,10 +266,7 @@ class MLEstimator:
 
         :func:`~repro.optim.bounds.default_matern_bounds` scaled to the
         metric (unit square vs GCD degrees), truncated to the variance +
-        range box for two-parameter families. Exposed so out-of-process
-        fit workers (:mod:`repro.fitting`) resolve the *identical* box —
-        bounds shape the multistart draw, so parity with an in-process
-        fit depends on this being one code path.
+        range box for two-parameter families.
         """
         max_range = 60.0 if self.model.metric in ("gcd", "great_circle") else 5.0
         lo3, hi3 = default_matern_bounds(self.z, max_range=max_range)
@@ -222,6 +288,8 @@ class MLEstimator:
     ) -> FitResult:
         """Maximize the log-likelihood; returns a :class:`FitResult`.
 
+        Plan, run every leg in turn, merge.
+
         Parameters
         ----------
         x0:
@@ -241,62 +309,138 @@ class MLEstimator:
             ``rng_seed``). Recorded in :attr:`FitResult.options` either
             way, so the fit is reproducible from its result alone.
         """
+        plan = self.plan_fit(
+            x0=x0,
+            bounds=bounds,
+            maxiter=maxiter,
+            ftol=ftol,
+            xtol=xtol,
+            n_starts=n_starts,
+            seed=seed,
+        )
+        stages = self.evaluator.times.stages
+        before = dict(stages)
+        legs = [self.run_leg(plan, i) for i in range(len(plan.starts))]
+        return self.merge_legs(
+            plan,
+            legs,
+            stage_times={k: v - before.get(k, 0.0) for k, v in stages.items()},
+        )
+
+    def plan_fit(
+        self,
+        *,
+        x0: Optional[Sequence[float]],
+        bounds: Optional[tuple],
+        maxiter: int,
+        ftol: float,
+        xtol: float,
+        n_starts: int,
+        seed: Optional[int],
+        warm_start: bool = False,
+    ) -> FitPlan:
+        """Resolve :meth:`fit`'s settings into a :class:`FitPlan`.
+
+        ``None`` means what it means to :meth:`fit` (default box,
+        empirical start, configured seed); ``warm_start`` only records
+        that ``x0`` is a previous fit's ``theta``.
+        """
         if bounds is None:
             lower, upper = self.default_bounds()
         else:
             lower, upper = validate_bounds(*bounds)
         if x0 is None:
             x0 = empirical_start(self.z, lower, upper)
-        resolved_seed = get_config().rng_seed if seed is None else int(seed)
+        x0 = np.asarray(x0, dtype=np.float64)
+        seed = get_config().rng_seed if seed is None else int(seed)
+        return FitPlan(
+            lower=lower,
+            upper=upper,
+            x0=x0,
+            seed=seed,
+            starts=multistart_points(lower, upper, n_starts=n_starts, x0=x0, seed=seed),
+            maxiter=int(maxiter),
+            ftol=float(ftol),
+            xtol=float(xtol),
+            use_morton=self.use_morton,
+            warm_start=bool(warm_start),
+        )
 
+    def run_leg(
+        self,
+        plan: FitPlan,
+        i: int,
+        *,
+        state: Optional[SimplexState] = None,
+        callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
+        state_callback: Optional[Callable[[SimplexState], None]] = None,
+    ) -> OptimizeResult:
+        """Run the optimizer from ``plan.starts[i]`` — or on from
+        ``state``, a snapshot an earlier process of this leg left — to
+        termination.
+
+        ``callback`` / ``state_callback`` are
+        :func:`~repro.optim.neldermead.nelder_mead`'s per-iteration and
+        checkpoint hooks. The leg's clock lives here: snapshots and the
+        result carry the seconds spent *including* those ``state``
+        brought along, so a resumed leg reports its whole cost beside
+        its whole ``nfev``.
+        """
+        spent = 0.0 if state is None else state.elapsed
         t0 = time.perf_counter()
-        if n_starts > 1:
-            result = multistart_nelder_mead(
-                self.evaluator.negative,
-                lower,
-                upper,
-                n_starts=n_starts,
-                x0=x0,
-                seed=resolved_seed,
-                ftol=ftol,
-                xtol=xtol,
-                maxiter=maxiter,
-            )
-        else:
-            result = nelder_mead(
-                self.evaluator.negative,
-                x0,
-                lower,
-                upper,
-                ftol=ftol,
-                xtol=xtol,
-                maxiter=maxiter,
-            )
-        elapsed = time.perf_counter() - t0
-        n_evals = max(1, self.evaluator.n_evals)
+
+        def stamped(snapshot: SimplexState) -> None:
+            snapshot.elapsed = spent + time.perf_counter() - t0
+            state_callback(snapshot)
+
+        result = nelder_mead(
+            self.evaluator.negative,
+            plan.starts[i],
+            plan.lower,
+            plan.upper,
+            ftol=plan.ftol,
+            xtol=plan.xtol,
+            maxiter=plan.maxiter,
+            callback=callback,
+            state=state,
+            state_callback=None if state_callback is None else stamped,
+        )
+        result.elapsed = spent + time.perf_counter() - t0
+        return result
+
+    def merge_legs(
+        self,
+        plan: FitPlan,
+        legs: Sequence[Optional[OptimizeResult]],
+        *,
+        stage_times: Optional[dict] = None,
+    ) -> FitResult:
+        """Combine one finished leg per start of ``plan`` into the fit.
+
+        Strictly-better ``fun`` wins and ties keep the earliest start,
+        whatever order the legs finished in; evaluations, iterations
+        and seconds are summed over all legs, and the winner's history
+        is the fit's.
+        """
+        if len(legs) != len(plan.starts) or any(leg is None for leg in legs):
+            raise FittingError("cannot merge: not every start has a result")
+        best = min(range(len(legs)), key=lambda i: legs[i].fun)
+        nfev = sum(leg.nfev for leg in legs)
+        elapsed = float(sum(leg.elapsed for leg in legs))
+        optimizer = replace(
+            legs[best], nfev=nfev, nit=sum(leg.nit for leg in legs), elapsed=elapsed
+        )
         return FitResult(
-            theta=result.x.copy(),
-            loglik=-result.fun,
-            optimizer=result,
-            n_evals=self.evaluator.n_evals,
+            theta=optimizer.x.copy(),
+            loglik=-optimizer.fun,
+            optimizer=optimizer,
+            n_evals=nfev,
             time_total=elapsed,
-            time_per_iteration=elapsed / n_evals,
-            stage_times=dict(self.evaluator.times.stages),
+            time_per_iteration=elapsed / max(1, nfev),
+            stage_times=dict(stage_times or {}),
             variant=self.variant,
             acc=self.acc,
-            options={
-                "x0": [float(v) for v in np.asarray(x0, dtype=np.float64)],
-                "bounds": {
-                    "lower": [float(v) for v in lower],
-                    "upper": [float(v) for v in upper],
-                },
-                "maxiter": int(maxiter),
-                "ftol": float(ftol),
-                "xtol": float(xtol),
-                "n_starts": int(n_starts),
-                "seed": resolved_seed,
-                "use_morton": self._perm is not None,
-            },
+            options={**plan.options(), "best_start": best},
         )
 
     # -------------------------------------------------------------- predict

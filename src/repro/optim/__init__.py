@@ -4,14 +4,14 @@ ExaGeoStat maximizes the Gaussian log-likelihood with NLopt's
 derivative-free local optimizers. This subpackage provides a from-scratch
 bound-constrained Nelder-Mead simplex implementation with the same role:
 maximize a black-box objective over a box, no gradients, tolerance-based
-termination. A multi-start wrapper guards against the simplex stalling on
-anisotropic likelihood surfaces.
+termination. :func:`multistart_points` draws the start list of the
+multistart search that guards against the simplex stalling on anisotropic
+likelihood surfaces (one leg per start: ``MLEstimator.run_leg``).
 """
 
 from .result import HistoryEntry, OptimizeResult
 from .neldermead import (
     SimplexState,
-    multistart_nelder_mead,
     multistart_points,
     nelder_mead,
 )
@@ -22,7 +22,6 @@ __all__ = [
     "OptimizeResult",
     "SimplexState",
     "nelder_mead",
-    "multistart_nelder_mead",
     "multistart_points",
     "clip_to_bounds",
     "default_matern_bounds",

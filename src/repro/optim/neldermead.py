@@ -15,6 +15,13 @@ snapshot replays the remaining iterations bit-identically, which is what
 lets the fitting service checkpoint a long MLE fit and survive a kill
 (see :mod:`repro.fitting.checkpoint`).
 
+This module runs *one* search from *one* start.
+:func:`multistart_points` draws the deterministic start list of a
+multistart fit; running a leg per start and keeping the best is
+:class:`~repro.mle.estimator.MLEstimator`'s ``run_leg`` / ``merge_legs``,
+the only caller of :func:`nelder_mead` outside this package — in a loop
+for an in-process fit, one process per leg for a fit job.
+
 The MLE drivers *maximize* the log-likelihood by minimizing its negation;
 this module is a pure minimizer and knows nothing about likelihoods.
 """
@@ -36,7 +43,6 @@ __all__ = [
     "SimplexState",
     "nelder_mead",
     "multistart_points",
-    "multistart_nelder_mead",
 ]
 
 
@@ -62,6 +68,11 @@ class SimplexState:
         Objective evaluations spent so far.
     history:
         Trajectory entries accumulated so far (one per iteration).
+    elapsed:
+        Wall-clock seconds the run had consumed at the snapshot, over
+        every process that worked on it. The optimizer keeps no clock;
+        its driver (:meth:`~repro.mle.estimator.MLEstimator.run_leg`)
+        stamps the snapshots so a resumed run reports its whole time.
     """
 
     simplex: np.ndarray
@@ -69,6 +80,7 @@ class SimplexState:
     iteration: int
     nfev: int
     history: List[HistoryEntry]
+    elapsed: float = 0.0
 
     def validate(self, n: int) -> "SimplexState":
         """Check the state describes an ``n``-dimensional simplex."""
@@ -310,11 +322,9 @@ def multistart_points(
     The first start is ``x0`` (when given); the rest are drawn
     log-uniformly inside the box when all lower bounds are positive
     (which suits positive scale parameters like the Matérn theta), and
-    uniformly otherwise. Exposed separately so the fitting
-    orchestrator's worker processes can each regenerate the identical
-    list from ``(bounds, x0, seed)`` and claim one index — parallel
-    multistart then explores exactly the starts the sequential
-    :func:`multistart_nelder_mead` would.
+    uniformly otherwise. A pure function of ``(bounds, x0, seed)``, so
+    every process that works on a fit regenerates the identical list
+    and claims one index.
     """
     lo, hi = validate_bounds(lower, upper)
     rng = as_generator(seed)
@@ -329,38 +339,3 @@ def multistart_points(
         else:
             starts.append(lo + u * (hi - lo))
     return starts
-
-
-def multistart_nelder_mead(
-    fn: Callable[[np.ndarray], float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    *,
-    n_starts: int = 3,
-    x0: Optional[Sequence[float]] = None,
-    seed: SeedLike = None,
-    **nm_kwargs: object,
-) -> OptimizeResult:
-    """Run Nelder-Mead from several starts; return the best result.
-
-    Starts come from :func:`multistart_points`; evaluation counts are
-    aggregated. Ties keep the earliest start, so a process-parallel
-    fan-out that merges per-start results with the same rule (see
-    :class:`~repro.fitting.orchestrator.FitOrchestrator`) reproduces
-    this function's answer exactly.
-    """
-    lo, hi = validate_bounds(lower, upper)
-    starts = multistart_points(lo, hi, n_starts=n_starts, x0=x0, seed=seed)
-    best: Optional[OptimizeResult] = None
-    total_nfev = 0
-    total_nit = 0
-    for start in starts:
-        res = nelder_mead(fn, start, lo, hi, **nm_kwargs)  # type: ignore[arg-type]
-        total_nfev += res.nfev
-        total_nit += res.nit
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
-    best.nfev = total_nfev
-    best.nit = total_nit
-    return best

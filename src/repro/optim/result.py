@@ -54,6 +54,10 @@ class OptimizeResult:
         materialized on the result, so fit-progress reporting (the
         fitting service's per-iteration log-likelihood trace) needs no
         side channel.
+    elapsed:
+        Wall-clock seconds the search took, resumed processes included
+        (stamped by :meth:`~repro.mle.estimator.MLEstimator.run_leg`;
+        ``nelder_mead`` itself keeps no clock and leaves it at 0).
     """
 
     x: np.ndarray
@@ -63,6 +67,7 @@ class OptimizeResult:
     converged: bool
     message: str
     history: List[HistoryEntry] = field(default_factory=list)
+    elapsed: float = 0.0
 
     @property
     def history_fun(self) -> List[float]:

@@ -75,6 +75,23 @@ class TestRoundTrip:
             assert a.iteration == b.iteration and a.fun == b.fun
             np.testing.assert_array_equal(a.theta, b.theta)
 
+    def test_seconds_spent_travel_with_the_state_and_default_to_zero(
+        self, full_run, tmp_path
+    ):
+        """``elapsed`` round-trips; a checkpoint written before legs
+        carried their clock (same version, no such array) still loads."""
+        import dataclasses
+
+        _, states = full_run
+        path = tmp_path / "state.npz"
+        save_state(path, dataclasses.replace(states[3], elapsed=12.5))
+        assert load_state(path).elapsed == 12.5
+        with np.load(path) as npz:
+            older = {k: npz[k] for k in npz.files if k != "elapsed"}
+        np.savez(path, **older)
+        restored = load_state(path)
+        assert restored.elapsed == 0.0 and restored.iteration == states[3].iteration
+
     def test_missing_checkpoint_reads_as_none(self, tmp_path):
         assert load_state(tmp_path / "nope.npz") is None
 

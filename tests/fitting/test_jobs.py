@@ -10,8 +10,9 @@ import pytest
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import FittingError, JobNotFoundError
 from repro.fitting.checkpoint import save_state
-from repro.fitting.jobs import FitJobSpec, JobStore, merge_start_results
+from repro.fitting.jobs import FitJobSpec, JobStore
 from repro.kernels import MaternCovariance
+from repro.optim import OptimizeResult
 from repro.optim.neldermead import SimplexState, multistart_points
 
 
@@ -46,6 +47,26 @@ class TestFitJobSpec:
         assert loaded.bounds == spec.bounds
         assert loaded.model_id == "m1"
 
+    def test_interrupted_array_write_leaves_no_torn_file(
+        self, data, tmp_path, monkeypatch
+    ):
+        """``spec_arrays.npz`` goes through ``atomic_write``: a write that
+        dies half-way must not leave a truncated file under the real
+        name for ``JobStore.create`` to commit and every leg to trip on."""
+        import repro.fitting.jobs as jobs_module
+
+        def torn_savez(file, **arrays):
+            fh = open(file, "wb") if isinstance(file, (str, jobs_module.Path)) else file
+            fh.write(b"PK\x03\x04 half a zip")
+            fh.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(jobs_module.np, "savez", torn_savez)
+        locs, z = data
+        with pytest.raises(OSError):
+            FitJobSpec(locations=locs, z=z).save(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
     def test_round_trip_with_bundle_reference(self, data, tmp_path):
         locs, z = data
         from repro.serving import ModelBundle
@@ -58,35 +79,37 @@ class TestFitJobSpec:
         spec.save(tmp_path / "job")
         loaded = FitJobSpec.load(tmp_path / "job")
         assert loaded.locations is None and loaded.z is None
-        resolved = loaded.resolve()
+        estimator, plan = loaded.resolve()
         # Data and model come from the bundle; warm start = bundle theta.
-        assert resolved.estimator.locations.shape == locs.shape
-        np.testing.assert_array_equal(resolved.x0, model.theta)
-        np.testing.assert_array_equal(resolved.starts[0], model.theta)
+        assert estimator.locations.shape == locs.shape
+        np.testing.assert_array_equal(plan.x0, model.theta)
+        np.testing.assert_array_equal(plan.starts[0], model.theta)
+        assert plan.warm_start is True
 
     def test_resolution_matches_in_process_fit_inputs(self, data):
-        """The spec's resolved bounds / x0 / starts are exactly what
-        MLEstimator.fit would use — the precondition for parallel
-        multistart parity."""
+        """The spec's plan — bounds / x0 / starts / tolerances — is the
+        plan MLEstimator.fit makes for the same settings, and resolves
+        the documented defaults."""
         from repro.mle import MLEstimator
         from repro.optim.bounds import empirical_start
 
         locs, z = data
         spec = FitJobSpec(locations=locs, z=z, n_starts=4, seed=13)
-        resolved = spec.resolve()
+        _, plan = spec.resolve()
         est = MLEstimator(locs, z)
         lower, upper = est.default_bounds()
-        np.testing.assert_array_equal(resolved.lower, lower)
-        np.testing.assert_array_equal(resolved.upper, upper)
-        np.testing.assert_array_equal(
-            resolved.x0, empirical_start(est.z, lower, upper)
-        )
-        expected = multistart_points(
-            lower, upper, n_starts=4, x0=resolved.x0, seed=13
-        )
-        assert len(resolved.starts) == 4
-        for a, b in zip(resolved.starts, expected):
+        np.testing.assert_array_equal(plan.lower, lower)
+        np.testing.assert_array_equal(plan.upper, upper)
+        np.testing.assert_array_equal(plan.x0, empirical_start(est.z, lower, upper))
+        expected = multistart_points(lower, upper, n_starts=4, x0=plan.x0, seed=13)
+        assert len(plan.starts) == 4
+        for a, b in zip(plan.starts, expected):
             np.testing.assert_array_equal(a, b)
+        in_process = est.plan_fit(
+            x0=None, bounds=None, maxiter=spec.maxiter, ftol=spec.ftol,
+            xtol=spec.xtol, n_starts=4, seed=13,
+        )
+        assert in_process.options() == plan.options()
 
     def test_refit_z_in_original_order_is_realigned_by_the_bundle_perm(
         self, tmp_path
@@ -110,13 +133,13 @@ class TestFitJobSpec:
         bundle_path = est.save_fit(fit, tmp_path / "b.bundle")
 
         z2 = sample_gaussian_field(locs, MaternCovariance(1.5, 0.2, 0.8), seed=9)
-        resolved = FitJobSpec(bundle_path=str(bundle_path), z=z2).resolve()
+        estimator, _ = FitJobSpec(bundle_path=str(bundle_path), z=z2).resolve()
         # The resolved estimator pairs each stored location with the new
         # measurement taken at that station.
-        np.testing.assert_array_equal(resolved.estimator.z, z2[est._perm])
+        np.testing.assert_array_equal(estimator.z, z2[est._perm])
         # End-to-end: same theta as fitting (locs, z2) directly.
         ref = MLEstimator(locs, z2, variant="full-block").fit(maxiter=25)
-        job_fit = resolved.estimator.fit(maxiter=25)
+        job_fit = estimator.fit(maxiter=25)
         np.testing.assert_array_equal(job_fit.theta, ref.theta)
 
         with pytest.raises(FittingError):
@@ -125,8 +148,8 @@ class TestFitJobSpec:
         # Chained refits: the refit bundle must persist the COMPOSED
         # original→stored permutation, so a second-generation refit
         # still accepts z in the original station order.
-        resolved2 = FitJobSpec(bundle_path=str(bundle_path), z=z2).resolve()
-        np.testing.assert_array_equal(resolved2.estimator._perm, est._perm)
+        estimator2, _ = FitJobSpec(bundle_path=str(bundle_path), z=z2).resolve()
+        np.testing.assert_array_equal(estimator2._perm, est._perm)
 
     def test_seed_pinned_at_submit_time(self, data, tmp_path):
         """A seed-less spec must capture the submitter's configured
@@ -141,8 +164,8 @@ class TestFitJobSpec:
             job = store.create(FitJobSpec(locations=locs, z=z, n_starts=3))
         loaded = store.spec(job)
         assert loaded.seed == 777
-        resolved = loaded.resolve()  # default config: must still use 777
-        assert resolved.seed == 777
+        _, plan = loaded.resolve()  # default config: must still use 777
+        assert plan.seed == 777
 
     def test_substrate_pinned_at_submit_time(self, data, tmp_path):
         """Like the seed: a leg runs on another thread/process with
@@ -159,7 +182,7 @@ class TestFitJobSpec:
         seen = {}
 
         def leg():  # a fresh thread starts from the default config
-            ev = store.spec(job).resolve().estimator.evaluator
+            ev = store.spec(job).resolve()[0].evaluator
             seen.update(nb=ev.tile_size, acc=ev.acc, method=ev.compression_method)
 
         thread = threading.Thread(target=leg)
@@ -188,21 +211,47 @@ class TestFitJobSpec:
 
 
 class TestMergeRule:
-    def test_best_fun_wins_ties_keep_earliest(self):
-        results = [
-            {"x": [1.0], "fun": 2.0, "nfev": 10, "nit": 5, "converged": True, "message": "a", "elapsed": 0.1},
-            {"x": [2.0], "fun": 1.0, "nfev": 20, "nit": 6, "converged": False, "message": "b", "elapsed": 0.2},
-            {"x": [3.0], "fun": 1.0, "nfev": 30, "nit": 7, "converged": True, "message": "c", "elapsed": 0.3},
-        ]
-        merged = merge_start_results(results)
-        assert merged["best_start"] == 1  # strict <: the tie keeps index 1
-        assert merged["theta"] == [2.0]
-        assert merged["nfev"] == 60 and merged["nit"] == 18
-        assert merged["loglik"] == -1.0
+    """What a job's finalize leg does with the starts' results:
+    ``MLEstimator.merge_legs`` on the spec's ``(estimator, plan)``."""
 
-    def test_incomplete_results_rejected(self):
+    @pytest.fixture(scope="class")
+    def resolved(self, data):
+        locs, z = data
+        return FitJobSpec(locations=locs, z=z, n_starts=3, seed=1).resolve()
+
+    @staticmethod
+    def _leg(x, fun, nfev, nit, converged, message, elapsed):
+        return OptimizeResult(
+            x=np.array(x), fun=fun, nfev=nfev, nit=nit, converged=converged,
+            message=message, elapsed=elapsed,
+        )
+
+    def test_best_fun_wins_ties_keep_earliest(self, resolved):
+        estimator, plan = resolved
+        legs = [
+            self._leg([1.0], 2.0, 10, 5, True, "a", 0.1),
+            self._leg([2.0], 1.0, 20, 6, False, "b", 0.2),
+            self._leg([3.0], 1.0, 30, 7, True, "c", 0.3),
+        ]
+        fit = estimator.merge_legs(plan, legs)
+        assert fit.options["best_start"] == 1  # strict <: the tie keeps index 1
+        assert fit.theta.tolist() == [2.0]
+        assert fit.optimizer.nfev == 60 and fit.optimizer.nit == 18
+        assert fit.n_evals == 60
+        assert fit.loglik == -1.0
+        assert (fit.optimizer.converged, fit.optimizer.message) == (False, "b")
+        assert fit.time_total == pytest.approx(0.6)
+        assert fit.time_per_iteration == pytest.approx(0.01)
+        # The legs themselves are left as they were reported.
+        assert legs[1].nfev == 20
+
+    def test_incomplete_results_rejected(self, resolved):
+        estimator, plan = resolved
+        leg = self._leg([1.0], 2.0, 10, 5, True, "a", 0.1)
         with pytest.raises(FittingError):
-            merge_start_results([None])
+            estimator.merge_legs(plan, [leg, None, leg])  # a start never reported
+        with pytest.raises(FittingError):
+            estimator.merge_legs(plan, [leg])  # fewer legs than starts
 
 
 class TestJobStore:

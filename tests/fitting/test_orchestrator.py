@@ -11,6 +11,7 @@ The two acceptance-critical assertions live here:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -20,9 +21,10 @@ import pytest
 
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import FittingError
-from repro.fitting import FitJobSpec, FitOrchestrator, JobStore
+from repro.fitting import FitJobSpec, FitOrchestrator, JobStore, load_state
 from repro.kernels import MaternCovariance
 from repro.mle import MLEstimator
+from repro.serving import load_model
 
 N = 144
 
@@ -46,17 +48,34 @@ def _wait_status(store, job_id, statuses, timeout=60.0):
     )
 
 
+def _fit_in_this_process(locs, z, settings):
+    return MLEstimator(locs, z).fit(**settings)
+
+
 class TestParallelMultistartParity:
+    # Legs rebuild everything from the job directory precisely so that
+    # they also run in a process that inherited nothing: every start
+    # method the platform has must give the same bits.
+    @pytest.mark.parametrize(
+        "start_method",
+        [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
+    )
     def test_parallel_multistart_matches_sequential_fit_bit_for_bit(
-        self, data, tmp_path
+        self, data, tmp_path, start_method, monkeypatch
     ):
         locs, z = data
-        ref = MLEstimator(locs, z).fit(maxiter=60, n_starts=3, seed=21)
+        settings = dict(maxiter=60, n_starts=3, seed=21)
+        # The last bit of a likelihood depends on the BLAS thread count. A
+        # forked process inherits its parent's; a fresh one sizes its pool
+        # from the CPUs it sees at start-up, which on a shared box is not
+        # a constant. So the reference fit runs in a child of the same
+        # kind as the legs, and fresh ones are pinned to one thread.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with multiprocessing.get_context(start_method).Pool(1) as pool:
+            ref = pool.apply(_fit_in_this_process, (locs, z, settings))
         store = JobStore(tmp_path)
-        with FitOrchestrator(store, max_workers=3) as orch:
-            job = orch.submit(
-                FitJobSpec(locations=locs, z=z, maxiter=60, n_starts=3, seed=21)
-            )
+        with FitOrchestrator(store, max_workers=3, start_method=start_method) as orch:
+            job = orch.submit(FitJobSpec(locations=locs, z=z, **settings))
             record = orch.wait(job, timeout=300)
         assert record["status"] == "done"
         np.testing.assert_array_equal(
@@ -65,6 +84,12 @@ class TestParallelMultistartParity:
         assert record["result"]["loglik"] == ref.loglik
         assert record["result"]["nfev"] == ref.optimizer.nfev
         assert record["result"]["nit"] == ref.optimizer.nit
+        assert record["result"]["best_start"] == ref.options["best_start"]
+        # The reproducibility record is one thing: what the bundle
+        # persists is the in-process fit's options, key for key.
+        bundle = load_model(record["bundle_path"])
+        assert bundle.info["fit"] == ref.options
+        assert bundle.info["n_evals"] == ref.n_evals
         # Every start left a per-iteration loglik trace.
         assert sorted(record["trace"]) == ["0", "1", "2"]
         for entries in record["trace"].values():
@@ -75,7 +100,6 @@ class TestParallelMultistartParity:
         self, data, tmp_path
     ):
         from repro.mle import PredictionEngine
-        from repro.serving import load_model
 
         locs, z = data
         store = JobStore(tmp_path)
@@ -103,8 +127,6 @@ class TestParallelMultistartParity:
         """The satellite's promise: a served model's fit is reproducible
         from its bundle alone — rebuild the estimator from the bundle's
         data and rerun fit() with info['fit']'s settings."""
-        from repro.serving import load_model
-
         locs, z = data
         store = JobStore(tmp_path)
         with FitOrchestrator(store, max_workers=2) as orch:
@@ -155,10 +177,17 @@ class TestKillResume:
             job = orch.submit(self._long_spec(data))
             deadline = time.time() + 120
             killed = False
+            first_checkpoint_seen = None
             while time.time() < deadline and not killed:
                 if store.has_checkpoint(job, 0):
+                    if first_checkpoint_seen is None:
+                        first_checkpoint_seen = time.perf_counter()
+                    # Kill late: most of the leg's cost is paid by the
+                    # process that dies, so a resumed leg that timed only
+                    # its last process would under-report visibly.
                     pids = orch.worker_pids(job)
-                    if pids:
+                    if pids and load_state(store.checkpoint_path(job, 0)).iteration >= 120:
+                        pre_kill_span = time.perf_counter() - first_checkpoint_seen
                         os.kill(pids[0], signal.SIGKILL)
                         killed = True
                         break
@@ -169,6 +198,10 @@ class TestKillResume:
         assert killed, "the fit finished before the test could kill it"
         assert record["status"] == "done"
         assert record["restarts"] >= 1
+        # The job's seconds cover every process of the leg, like its nfev.
+        assert record["result"]["elapsed"] >= pre_kill_span
+        fit_info = load_model(record["bundle_path"]).info
+        assert fit_info["time_total"] == record["result"]["elapsed"]
         np.testing.assert_array_equal(
             np.asarray(record["result"]["theta"]), ref.theta
         )
@@ -356,7 +389,7 @@ class TestLifecycleAndFailures:
             deadline = time.time() + 300
             while time.time() < deadline:
                 with orch._cond:
-                    live = len(orch._procs) + len(orch._finalizers)
+                    live = len(orch._procs)
                 peak = max(peak, live)
                 states = [store.state(j)["status"] for j in jobs]
                 if all(s in ("done", "failed") for s in states):

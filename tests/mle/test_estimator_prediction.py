@@ -41,6 +41,47 @@ class TestMLEstimatorFit:
         assert fit.n_evals > 10
         assert fit.time_per_iteration > 0
 
+    def test_counts_and_times_are_of_this_fit_not_of_the_estimator(
+        self, fitted_problem
+    ):
+        """A second fit — or a fit after direct evaluations — on one
+        estimator reports its own evaluations, seconds per evaluation
+        (the quantity of Figs 3-4) and stage seconds, not the
+        evaluator's lifetime totals."""
+        locs, z, _ = fitted_problem
+        est = MLEstimator(locs, z, variant="full-tile", tile_size=75)
+        first = est.fit(maxiter=10)
+        est.evaluator(first.theta)  # a direct evaluation between the fits
+        second = est.fit(maxiter=10, n_starts=2, seed=4)
+        for fit in (first, second):
+            assert fit.n_evals == fit.optimizer.nfev
+            assert fit.time_per_iteration == fit.time_total / fit.n_evals
+            assert 0.0 < sum(fit.stage_times.values()) <= fit.time_total
+        assert est.evaluator.n_evals == first.n_evals + 1 + second.n_evals
+
+    def test_resumed_leg_equals_uninterrupted_and_keeps_its_seconds(
+        self, fitted_problem
+    ):
+        """run_leg from a snapshot: same optimizer outcome as the leg
+        that never stopped, and its clock continues from the seconds the
+        snapshot brought along (stamped on every snapshot it emits)."""
+        locs, z, _ = fitted_problem
+        est = MLEstimator(locs, z, variant="full-block")
+        plan = est.plan_fit(
+            x0=None, bounds=None, maxiter=12, ftol=1e-6, xtol=1e-6, n_starts=2, seed=9
+        )
+        states = []
+        whole = est.run_leg(plan, 1, state_callback=states.append)
+        stamps = [s.elapsed for s in states]
+        assert stamps == sorted(stamps) and 0.0 < stamps[0] and stamps[-1] <= whole.elapsed
+
+        states[4].elapsed = 100.0  # as if an earlier process had spent 100 s
+        later = []
+        resumed = est.run_leg(plan, 1, state=states[4], state_callback=later.append)
+        np.testing.assert_array_equal(resumed.x, whole.x)
+        assert (resumed.fun, resumed.nfev, resumed.nit) == (whole.fun, whole.nfev, whole.nit)
+        assert 100.0 < later[0].elapsed <= later[-1].elapsed <= resumed.elapsed
+
     def test_tlr_matches_fullblock_fit(self, fitted_problem):
         locs, z, truth = fitted_problem
         fit_fb = MLEstimator(locs, z, variant="full-block").fit(maxiter=120)

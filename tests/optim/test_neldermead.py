@@ -14,7 +14,7 @@ from repro.optim.bounds import (
     empirical_start,
     validate_bounds,
 )
-from repro.optim.neldermead import multistart_nelder_mead, nelder_mead
+from repro.optim.neldermead import nelder_mead
 
 
 def sphere(x):
@@ -220,6 +220,16 @@ class TestResumableState:
             nelder_mead(sphere, None, [0.0], [1.0], state=state)
 
 
+def multistart_fit(fn, lower, upper, **fit_kwargs):
+    """``MLEstimator.fit`` — plan, one Nelder-Mead leg per start, merge
+    — with the synthetic ``fn`` standing in for the likelihood."""
+    from repro.mle import MLEstimator
+
+    est = MLEstimator(np.random.default_rng(0).random((4, 2)), np.zeros(4))
+    est.evaluator.negative = fn
+    return est.fit(bounds=(lower, upper), **fit_kwargs)
+
+
 class TestMultistart:
     def test_finds_global_of_two_basin_function(self):
         # Local minimum near 0.1 (value 0.5), global near 0.8 (value 0).
@@ -228,21 +238,26 @@ class TestMultistart:
                 min(0.5 + 20 * (x[0] - 0.1) ** 2, 40 * (x[0] - 0.8) ** 2)
             )
 
-        res = multistart_nelder_mead(
-            two_basins, [0.0], [1.0], n_starts=8, seed=3, maxiter=100
-        )
-        assert res.fun < 0.1
-        np.testing.assert_allclose(res.x, [0.8], atol=0.05)
+        kwargs = dict(x0=[0.1], seed=3, maxiter=100)  # x0 sits in the local basin
+        stuck = multistart_fit(two_basins, [0.0], [1.0], n_starts=1, **kwargs)
+        assert stuck.optimizer.fun == pytest.approx(0.5)
+        fit = multistart_fit(two_basins, [0.0], [1.0], n_starts=8, **kwargs)
+        assert fit.optimizer.fun < 0.1
+        np.testing.assert_allclose(fit.theta, [0.8], atol=0.05)
+        assert fit.options["best_start"] > 0
 
     def test_x0_is_first_start(self):
-        res = multistart_nelder_mead(
+        fit = multistart_fit(
             sphere, [0.0, 0.0], [1.0, 1.0], x0=[0.3, 0.3], n_starts=1, maxiter=5
         )
-        assert res.fun <= 1e-10  # started at the optimum
+        assert fit.optimizer.fun <= 1e-10  # started at the optimum
+        assert fit.options["best_start"] == 0
 
     def test_aggregated_counts(self):
-        res = multistart_nelder_mead(sphere, [0.0], [1.0], n_starts=3, maxiter=20, seed=0)
-        assert res.nfev > 20  # more than one run's worth
+        one = multistart_fit(sphere, [0.0], [1.0], n_starts=1, maxiter=20, seed=0)
+        fit = multistart_fit(sphere, [0.0], [1.0], n_starts=3, maxiter=20, seed=0)
+        assert fit.n_evals == fit.optimizer.nfev > one.optimizer.nfev > 20
+        assert fit.optimizer.nit > one.optimizer.nit  # more than one run's worth
 
     def test_multistart_points_deterministic_and_match_sequential(self):
         from repro.optim.neldermead import multistart_points
@@ -256,17 +271,18 @@ class TestMultistart:
             np.testing.assert_array_equal(a, b)
 
         # Running each start independently and merging with the strict-<
-        # rule reproduces the sequential multistart result exactly.
-        seq = multistart_nelder_mead(
+        # rule reproduces the multistart fit exactly.
+        fit = multistart_fit(
             sphere, lo, hi, n_starts=5, x0=[0.5, 0.5], seed=7, maxiter=60
         )
         best = None
         for start in pts_a:
-            res = nelder_mead(sphere, start, lo, hi, maxiter=60)
+            res = nelder_mead(sphere, start, lo, hi, maxiter=60, ftol=1e-6, xtol=1e-6)
             if best is None or res.fun < best.fun:
                 best = res
-        np.testing.assert_array_equal(best.x, seq.x)
-        assert best.fun == seq.fun
+        np.testing.assert_array_equal(best.x, fit.theta)
+        assert best.fun == fit.optimizer.fun
+        assert fit.optimizer.history_fun == best.history_fun  # the winner's history
 
 
 class TestBoundsHelpers:
