@@ -1,7 +1,7 @@
 """Micro-benchmarks of the computational kernels.
 
 Covers the per-call building blocks whose costs the performance model
-aggregates: covariance generation (Matérn with Bessel evaluation),
+aggregates: covariance generation (Matérn from its per-ν table),
 pairwise distances, dense vs TLR Cholesky, and triangular solves.
 """
 
@@ -36,7 +36,7 @@ def problem():
 
 
 def test_bench_matern_general_nu(benchmark):
-    """Matérn with Bessel-K evaluation on 1M distances."""
+    """Matérn at a general ν (the per-ν Chebyshev table) on 1M distances."""
     r = np.linspace(0.0, 2.0, 1_000_000)
     out = benchmark(matern_correlation, r, 0.1, 0.7)
     assert out.shape == r.shape

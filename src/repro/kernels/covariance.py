@@ -156,11 +156,12 @@ class CovarianceModel:
         if symmetric and self.nugget > 0.0:
             r0 = rows.start or 0
             c0 = cols.start or 0
-            # Global indices that coincide get the nugget.
-            ridx = np.arange(r0, r0 + cov.shape[0])
-            cidx = np.arange(c0, c0 + cov.shape[1])
-            eq = ridx[:, None] == cidx[None, :]
-            cov[eq] += self.nugget
+            # Global indices [lo, hi) lie in both ranges: the true diagonal.
+            lo = max(r0, c0)
+            hi = min(r0 + cov.shape[0], c0 + cov.shape[1])
+            if hi > lo:
+                g = np.arange(lo, hi)
+                cov[g - r0, g - c0] += self.nugget
         return cov
 
     def matrix_from_distances(self, d: np.ndarray, *, symmetric: bool = True) -> np.ndarray:

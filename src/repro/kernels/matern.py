@@ -14,19 +14,43 @@ Bessel function of the second kind. This module implements the
 *correlation* (unit-variance) form; the variance multiplier lives in
 :mod:`repro.kernels.covariance`.
 
-Special cases handled with closed forms (both for speed and numerical
-robustness, since ``kv`` over/underflows at the extremes):
+How an entry is computed, with ``x = r/θ2`` and ``ν = θ3``:
 
-* :math:`\\theta_3 = 1/2`: exponential model ``exp(-r/θ2)`` (rough field);
-* :math:`\\theta_3 = 3/2, 5/2`: the standard polynomial-times-exponential
-  forms used across machine learning;
-* :math:`\\theta_3 = 1`: Whittle model ``(r/θ2) K_1(r/θ2)``;
-* :math:`\\theta_3 = \\infty`: Gaussian model ``exp(-r²/(2 θ2²))``.
+* **Closed forms** at ν ∈ {1/2, 3/2, 5/2}: ``exp(-x)``, ``(1 + x) exp(-x)``
+  and ``(1 + x + x²/3) exp(-x)``. They are the cheapest path and are kept.
+* **A per-ν table** for every other ν (ν = 1 included). Writing
+  ``C(x) = h(log x) · exp(-x)`` leaves
+  ``h(t) = 2^{1-ν}/Γ(ν) · e^{νt} · kve(ν, e^t)``, a smooth and slowly
+  varying function of ``t = log x``. It is interpolated by degree-8
+  Chebyshev polynomials on uniform pieces of ``t`` over
+  ``x ∈ [1e-6, 700]``, fitted from ``scipy.special.kve`` at the Chebyshev
+  nodes of each piece. An entry then costs a ``log``, a piece index, a
+  Horner sweep over gathered coefficients and an ``exp`` (~20 ns against
+  ~330 ns for one ``kv``), streamed in cache-sized chunks. A table starts
+  at 128 pieces (1 152 Bessel calls, ~0.3 ms) and doubles until every
+  piece's last Chebyshev coefficient is below 1e-12 of its first: 128
+  pieces up to ν ≈ 3.3, 256 up to ν ≈ 6, 2048 at ν = 40. Stated bound:
+  for ν ∈ [0.1, 5], within 1e-13 absolute and 1e-12 relative (down to
+  values of 1e-300) of the Bessel expression; measured against 40-digit
+  ``mpmath`` it is ≤ 1.3e-13 relative for ν up to 40. Tables live in a
+  small per-ν LRU cache: serving reuses one, an MLE builds one per ν it
+  visits.
+* **The exact Bessel expression** ``2^{1-ν}/Γ(ν) x^ν K_ν(x)``, one
+  ``kve`` per entry, for entries outside the table's domain (``x = 0``
+  gives exactly 1) and for every entry at a ν whose table is not finite
+  (``kve`` overflows at ``x = 1e-6`` above ν ≈ 41) or does not converge
+  within 2048 pieces. There is no large-ν shortcut: under this ``r/θ2``
+  scaling ``C`` tends to 1 as ν grows, not to the Gaussian.
+
+An entry's value depends only on ``x`` and ν, never on the array it sits
+in: tiles, full matrices and cross-covariance blocks agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -42,11 +66,52 @@ __all__ = [
 ]
 
 #: Smoothness values with dedicated closed-form fast paths.
-SPECIAL_SMOOTHNESS = (0.5, 1.0, 1.5, 2.5)
+SPECIAL_SMOOTHNESS = (0.5, 1.5, 2.5)
 
 #: Scaled distances below this are treated as zero (correlation 1). The
 #: Bessel branch is numerically ill-behaved as r -> 0+ where the limit is 1.
 _TINY = 1e-300
+
+#: Domain of the per-ν table in scaled distance ``x = r/θ2``.
+_X_MIN, _X_MAX = 1e-6, 700.0
+_T_MIN = math.log(_X_MIN)
+_T_SPAN = math.log(_X_MAX) - _T_MIN
+_DEGREE = 8
+_MIN_PIECES, _MAX_PIECES = 128, 2048
+#: A table is accepted when every piece's last Chebyshev coefficient is
+#: below this fraction of its first.
+_TAIL_TOL = 1e-12
+#: Entries per evaluation chunk: the temporaries stay in cache.
+_CHUNK = 16384
+
+
+def _chebyshev_matrices(degree: int):
+    """On a piece's local variable ``v ∈ [0, 1]``: the Chebyshev nodes,
+    node values → Chebyshev coefficients, and Chebyshev → monomial."""
+    j = np.arange(degree + 1)
+    angles = np.pi * (j + 0.5) / (degree + 1)
+    nodes = 0.5 + 0.5 * np.cos(angles)
+    to_cheb = (2.0 / (degree + 1)) * np.cos(np.outer(j, angles))
+    to_cheb[0] *= 0.5
+    # Row k holds the monomial coefficients of T_k(2v - 1).
+    to_mono = np.zeros((degree + 1, degree + 1))
+    to_mono[0, 0] = 1.0
+    to_mono[1, :2] = (-1.0, 2.0)
+    for k in range(2, degree + 1):
+        to_mono[k, 1:] = 4.0 * to_mono[k - 1, :-1]
+        to_mono[k] -= 2.0 * to_mono[k - 1] + to_mono[k - 2]
+    return nodes, to_cheb, to_mono
+
+
+_NODES, _TO_CHEB, _TO_MONO = _chebyshev_matrices(_DEGREE)
+
+
+class _Table(NamedTuple):
+    """``coef[k, i]`` multiplies ``v**k`` on piece ``i``, where
+    ``v = s - i`` and ``s = (log x - t_min) * pieces_per_t``."""
+
+    coef: np.ndarray
+    pieces_per_t: float
 
 
 def exponential_correlation(r: np.ndarray, range_: float) -> np.ndarray:
@@ -56,25 +121,15 @@ def exponential_correlation(r: np.ndarray, range_: float) -> np.ndarray:
 
 
 def whittle_correlation(r: np.ndarray, range_: float) -> np.ndarray:
-    """Whittle correlation ``(r/θ2) K_1(r/θ2)`` (Matérn ν = 1).
-
-    The removable singularity at ``r = 0`` is patched to 1 (its limit).
-    """
-    check_positive(range_, "range_")
-    x = np.asarray(r, dtype=np.float64) / range_
-    out = np.ones_like(x)
-    pos = x > _TINY
-    xp = x[pos]
-    out[pos] = xp * special.kv(1.0, xp)
-    # kv underflows to 0 for large arguments, which is the correct limit.
-    return np.nan_to_num(out, nan=0.0, posinf=1.0, neginf=0.0, copy=False)
+    """Whittle correlation ``(r/θ2) K_1(r/θ2)`` (Matérn ν = 1)."""
+    return matern_correlation(r, range_, 1.0)
 
 
 def gaussian_correlation(r: np.ndarray, range_: float) -> np.ndarray:
-    """Gaussian (squared-exponential) correlation, the ν → ∞ Matérn limit.
+    """Gaussian (squared-exponential) correlation ``exp(-r^2 / (2 θ2^2))``.
 
-    Uses the convention ``exp(-r^2 / (2 θ2^2))`` so ``θ2`` remains a length
-    scale comparable to the finite-ν parameterization.
+    A family of its own: under eq. (5)'s ``r/θ2`` scaling the Matérn
+    tends to 1, not to this, as ν grows.
     """
     check_positive(range_, "range_")
     x = np.asarray(r, dtype=np.float64) / range_
@@ -91,6 +146,95 @@ def _matern_25(x: np.ndarray) -> np.ndarray:
     return (1.0 + x + x * x / 3.0) * np.exp(-x)
 
 
+def _log_prefactor(nu: float) -> float:
+    return (1.0 - nu) * math.log(2.0) - special.gammaln(nu)
+
+
+def _matern_exact(x: np.ndarray, nu: float) -> np.ndarray:
+    """``2^{1-ν}/Γ(ν) x^ν K_ν(x)`` entry by entry; ``x`` is 1-D."""
+    out = np.ones_like(x)
+    pos = x > _TINY
+    xp = x[pos]
+    if not xp.size:  # a diagonal tile's zeros
+        return out
+    log_pref = _log_prefactor(nu)
+    kve = special.kve(nu, xp)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        # Summed logs, with K_ν(x) = kve(ν, x) e^{-x}: ``kv`` itself flushes
+        # to 0 above x ≈ 700, where x^ν K_ν(x) can still be a normal number.
+        vals = np.exp(log_pref + nu * np.log(xp) - xp + np.log(kve))
+        # Below x = 1 those logs reach ±700 and their rounding shows; a product
+        # of factors that each carry ~1 ulp is exact there while it stays in range.
+        prod = math.exp(log_pref) * xp**nu * kve * np.exp(-xp)
+    use = (xp < 1.0) & (prod >= np.finfo(np.float64).tiny) & (prod < np.inf)
+    vals[use] = prod[use]
+    out[pos] = vals
+    # kve overflow at tiny x and large ν reads +inf (the limit there is 1).
+    out = np.nan_to_num(out, nan=0.0, posinf=1.0, neginf=0.0, copy=False)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _table(nu: float) -> Optional[_Table]:
+    """The piecewise Chebyshev table of ``h`` at ``nu``, or None."""
+    log_pref = _log_prefactor(nu)
+    pieces = _MIN_PIECES
+    while pieces <= _MAX_PIECES:
+        width = _T_SPAN / pieces
+        t = _T_MIN + width * (np.arange(pieces)[:, None] + _NODES)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            h = np.exp(log_pref + nu * t) * special.kve(nu, np.exp(t))
+        if not np.all(np.isfinite(h)):
+            return None
+        cheb = h @ _TO_CHEB.T
+        if np.all(np.abs(cheb[:, -1]) <= _TAIL_TOL * cheb[:, 0]):
+            coef = np.ascontiguousarray((cheb @ _TO_MONO).T)
+            coef.setflags(write=False)
+            return _Table(coef, pieces / _T_SPAN)
+        pieces *= 2
+    return None
+
+
+def _matern_table(x: np.ndarray, nu: float, table: _Table) -> np.ndarray:
+    """Evaluate the table over 1-D contiguous ``x``, chunk by chunk."""
+    coef, pieces_per_t = table
+    last = float(coef.shape[1] - 1)
+    out = np.empty_like(x)
+    size = min(x.size, _CHUNK)
+    s, e = np.empty(size), np.empty(size)
+    idx = np.empty(size, dtype=np.intp)
+    for lo in range(0, x.size, _CHUNK):
+        xc = x[lo : lo + _CHUNK]
+        n = xc.size
+        sc, ec, ic, oc = s[:n], e[:n], idx[:n], out[lo : lo + n]
+        # s = (log x - t_min) * pieces_per_t: piece floor(s), v = s - floor(s).
+        # fmax/fmin map NaN into the domain; the fix-up below replaces it.
+        np.fmax(xc, _X_MIN, out=sc)
+        np.fmin(sc, _X_MAX, out=sc)
+        np.log(sc, out=sc)
+        sc -= _T_MIN
+        sc *= pieces_per_t
+        np.floor(sc, out=ec)
+        np.clip(ec, 0.0, last, out=ec)
+        np.copyto(ic, ec, casting="unsafe")
+        sc -= ec
+        # Indices are in range already; "clip" is take's fastest mode.
+        coef[_DEGREE].take(ic, out=oc, mode="clip")
+        for k in range(_DEGREE - 1, -1, -1):
+            oc *= sc
+            coef[k].take(ic, out=ec, mode="clip")
+            oc += ec
+        np.negative(xc, out=ec)
+        np.exp(ec, out=ec)
+        oc *= ec
+        np.minimum(oc, 1.0, out=oc)
+    outside = np.flatnonzero(~((x >= _X_MIN) & (x <= _X_MAX)))
+    if outside.size:
+        out[outside] = _matern_exact(x[outside], nu)
+    return out
+
+
 def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.ndarray:
     """Matérn correlation ``C(r)/θ1`` for arbitrary positive smoothness.
 
@@ -103,8 +247,7 @@ def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.nd
         0.03 weak, 0.1 medium, 0.3 strong correlation on the unit square.
     smoothness:
         Smoothness :math:`\\theta_3 > 0`; 0.5 = rough, 1 = smooth
-        (paper §IV). Values above ~50 are computed with the Gaussian
-        limit, which is accurate to well below TLR accuracy thresholds.
+        (paper §IV).
 
     Returns
     -------
@@ -115,12 +258,12 @@ def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.nd
     The scaling here follows the paper's eq. (5) *literally*: the Bessel
     argument is ``r/θ2`` (not the ``sqrt(2ν) r/θ2`` variant common in ML
     libraries). This matches ExaGeoStat's implementation and makes the
-    Table I/II parameter values directly interpretable.
+    Table I/II parameter values directly interpretable. The module
+    docstring says which path computes which ν.
     """
     check_positive(range_, "range_")
     check_positive(smoothness, "smoothness")
-    r_arr = np.asarray(r, dtype=np.float64)
-    x = r_arr / range_
+    x = np.asarray(r, dtype=np.float64) / range_
 
     if smoothness == 0.5:
         return np.exp(-x)
@@ -128,27 +271,9 @@ def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.nd
         return _matern_15(x)
     if smoothness == 2.5:
         return _matern_25(x)
-    if smoothness == 1.0:
-        return whittle_correlation(r_arr, range_)
-    if smoothness > 50.0:
-        # kv(nu, x) overflows for large nu; the family converges to the
-        # Gaussian model (paper §IV), use it directly.
-        return gaussian_correlation(r_arr, range_)
 
     nu = float(smoothness)
-    scalar_input = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.ones_like(x)
-    pos = x > _TINY
-    xp = x[pos]
-    # 2^{1-nu}/Gamma(nu) * x^nu * K_nu(x), computed in log space for the
-    # prefactor to delay overflow for moderate nu.
-    log_pref = (1.0 - nu) * math.log(2.0) - special.gammaln(nu)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        vals = np.exp(log_pref + nu * np.log(xp)) * special.kv(nu, xp)
-    out[pos] = vals
-    # Large-argument kv underflow produces 0 (correct); x**nu overflow with
-    # kv underflow can produce nan — the true value there is ~0.
-    out = np.nan_to_num(out, nan=0.0, posinf=1.0, neginf=0.0, copy=False)
-    np.clip(out, 0.0, 1.0, out=out)
-    return out.reshape(()) if scalar_input else out
+    flat = np.ascontiguousarray(x).reshape(-1)
+    table = _table(nu)
+    out = _matern_exact(flat, nu) if table is None else _matern_table(flat, nu, table)
+    return out.reshape(x.shape)

@@ -27,8 +27,9 @@ __all__ = [
     "lr_tile_bytes",
 ]
 
-#: Estimated flops per covariance-matrix element (distance + Matérn with
-#: Bessel evaluation); used for the generation stage cost.
+#: Estimated flops per covariance-matrix element (distance + Matérn from a
+#: closed form or the per-ν Chebyshev table: a ``log``, a degree-8 Horner
+#: sweep and an ``exp``); used for the generation stage cost.
 KERNEL_EVAL_FLOPS = 60.0
 
 

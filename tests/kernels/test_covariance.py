@@ -13,6 +13,7 @@ from repro.kernels import (
     PoweredExponentialCovariance,
     WhittleCovariance,
 )
+from repro.kernels.distance import pairwise_distance_block
 
 
 class TestMaternCovariance:
@@ -65,6 +66,28 @@ class TestTileGeneration:
         np.testing.assert_allclose(diag_tile, sigma[:64, :64], atol=1e-12)
         off_tile = cov.tile(small_locations, slice(64, 128), slice(0, 64))
         np.testing.assert_allclose(off_tile, sigma[64:128, :64], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (slice(0, 64), slice(0, 64)),  # diagonal
+            (slice(None, 64), slice(None, 64)),  # diagonal, open start
+            (slice(64, 128), slice(0, 64)),  # off-diagonal
+            (slice(192, 256), slice(192, 256)),  # ragged last tile (nb = 60)
+            (slice(240, 256), slice(180, 240)),  # ragged off-diagonal
+            (slice(10, 50), slice(30, 90)),  # ranges that partly overlap
+        ],
+    )
+    def test_nugget_lands_on_global_diagonal_bit_for_bit(self, small_locations, rows, cols):
+        cov = MaternCovariance(1.0, 0.1, 0.8, nugget=0.37)
+        d = pairwise_distance_block(small_locations, rows, cols)
+        got = cov.tile_from_distances(d, rows, cols)
+        want = MaternCovariance(1.0, 0.1, 0.8)(d)
+        r = np.arange(rows.start or 0, rows.stop)
+        c = np.arange(cols.start or 0, cols.stop)
+        eq = r[:, None] == c[None, :]
+        want[eq] += 0.37
+        np.testing.assert_array_equal(got, want)
 
     def test_cross_covariance(self, small_locations, rng):
         cov = MaternCovariance(1.0, 0.1, 0.5, nugget=0.3)

@@ -2,30 +2,43 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from repro.exceptions import ShapeError
+from repro.kernels import MaternCovariance, matern
+from repro.kernels.distance import euclidean_distance_matrix
 from repro.kernels.matern import (
     exponential_correlation,
     gaussian_correlation,
     matern_correlation,
     whittle_correlation,
 )
+from repro.linalg.tile_matrix import TileMatrix
+from repro.runtime import Runtime
 
 
 def bessel_matern(r, range_, nu):
-    """Direct eq. (5) evaluation (unit variance), for cross-checking."""
+    """Direct eq. (5) evaluation (unit variance), one ``kv`` per entry.
+
+    NaN where the terms leave double range (``x**ν`` below the smallest
+    normal number or ``kv`` overflowing, at tiny ``x``); 0 where ``kv``
+    flushes to zero (``x`` above about 700).
+    """
     r = np.asarray(r, dtype=float)
     x = r / range_
     out = np.ones_like(x)
     pos = x > 0
-    out[pos] = (
-        2 ** (1 - nu) / special.gamma(nu) * x[pos] ** nu * special.kv(nu, x[pos])
-    )
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        x_nu = x[pos] ** nu
+        vals = 2 ** (1 - nu) / special.gamma(nu) * x_nu * special.kv(nu, x[pos])
+    vals[~np.isfinite(vals) | (x_nu < np.finfo(float).tiny)] = np.nan
+    out[pos] = vals
     return out
 
 
@@ -66,10 +79,15 @@ class TestSpecialCases:
                 matern_correlation(r, 0.15, nu), bessel_matern(r, 0.15, nu), rtol=1e-8
             )
 
-    def test_large_nu_uses_gaussian_limit(self):
-        r = np.linspace(0, 0.5, 20)
-        got = matern_correlation(r, 0.1, 80.0)
-        np.testing.assert_allclose(got, gaussian_correlation(r, 0.1), rtol=1e-12)
+    def test_large_nu_is_continuous_across_50(self):
+        # Under eq. (5)'s r/θ2 scaling C -> 1 as ν grows, not exp(-x²/2):
+        # a switch to the Gaussian above ν = 50 jumped 0.995 -> 0.607 at x = 1.
+        x = np.array([0.1, 0.5, 1.0, 2.0])
+        below = matern_correlation(x, 1.0, 50.0)
+        above = matern_correlation(x, 1.0, 50.01)
+        np.testing.assert_allclose(above, below, atol=1e-5)
+        np.testing.assert_allclose(above, bessel_matern(x, 1.0, 50.01), rtol=1e-12)
+        assert not np.allclose(above, gaussian_correlation(x, 1.0), atol=1e-3)
 
 
 class TestNumericalRobustness:
@@ -124,3 +142,112 @@ class TestPositiveDefiniteness:
         c = matern_correlation(d, 0.2, nu)
         eigs = np.linalg.eigvalsh(c)
         assert eigs.min() > -1e-8
+
+
+class TestTable:
+    """The per-ν Chebyshev table that replaces one ``kv`` call per entry."""
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(st.just(1.0), st.floats(0.1, 5.0)),
+        st.lists(st.floats(0.0, 800.0), min_size=1, max_size=64),
+    )
+    def test_property_matches_kv_reference(self, nu, xs):
+        self.assert_matches_kv_reference(np.array(xs), nu)
+
+    @pytest.mark.parametrize("nu", [0.1, 0.37, 0.8, 1.0, 2.2, 3.3, 4.9, 5.0])
+    def test_sweep_matches_kv_reference(self, nu):
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 800.0, 20_000)])
+        self.assert_matches_kv_reference(x, nu)
+
+    @staticmethod
+    def assert_matches_kv_reference(x, nu):
+        got = matern_correlation(x, 1.0, nu)
+        ref = bessel_matern(x, 1.0, nu)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        ok = np.isfinite(ref)
+        np.testing.assert_allclose(got[ok], ref[ok], rtol=0, atol=1e-13)
+        big = ok & (ref >= 1e-300)
+        np.testing.assert_allclose(got[big], ref[big], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("nu", [0.3, 0.8, 1.0, 3.3, 50.01])
+    def test_zero_distance_is_exactly_one(self, nu, rng):
+        assert matern_correlation(np.array(0.0), 0.1, nu) == 1.0
+        d = euclidean_distance_matrix(rng.random((30, 2)))
+        assert np.all(np.diag(matern_correlation(d, 0.1, nu)) == 1.0)
+
+    @pytest.mark.parametrize("nu", [0.8, 1.0])
+    def test_entry_does_not_depend_on_its_array(self, nu, rng):
+        d = euclidean_distance_matrix(rng.random((60, 2)))
+        ref = matern_correlation(d, 0.13, nu)
+        same = np.testing.assert_array_equal
+        same(matern_correlation(d.T, 0.13, nu), ref.T)
+        same(matern_correlation(d[::7], 0.13, nu), ref[::7])
+        same(matern_correlation(d[5:17, 3:], 0.13, nu), ref[5:17, 3:])
+        same(matern_correlation(np.asfortranarray(d), 0.13, nu), ref)
+        for i, j in [(0, 1), (5, 3), (59, 58), (17, 17)]:
+            same(matern_correlation(d[i, j], 0.13, nu), ref[i, j])
+            same(matern_correlation(float(d[i, j]), 0.13, nu), ref[i, j])
+        # Many evaluation chunks: position within a chunk does not matter.
+        big = np.tile(d.ravel(), 12)[7:]
+        same(matern_correlation(big, 0.13, nu)[: d.size - 7], ref.ravel()[7:])
+
+    def test_table_is_rebuilt_only_for_a_new_nu(self):
+        matern._table.cache_clear()
+        d = np.linspace(0.0, 2.0, 50)
+        for nu in (0.8, 0.8, 1.3, 0.8):
+            matern_correlation(d, 0.1, nu)
+        info = matern._table.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+
+class TestBesselCallGuard:
+    """The per-entry Bessel call must not creep back into generation."""
+
+    @pytest.fixture()
+    def bessel_entries(self, monkeypatch):
+        counts = {"entries": 0}
+        for name in ("kv", "kve"):
+            real = getattr(special, name)
+
+            def counted(nu, x, _real=real):
+                counts["entries"] += np.size(x)
+                return _real(nu, x)
+
+            monkeypatch.setattr(special, name, counted)
+        matern._table.cache_clear()
+        return counts
+
+    def test_tile_costs_table_nodes_not_entries(self, bessel_entries, rng):
+        locs = rng.random((400, 2))
+        model = MaternCovariance(1.0, 0.1, 0.7311)
+        model.tile(locs, slice(0, 200), slice(200, 400))
+        first = bessel_entries["entries"]
+        assert 0 < first <= 9 * 256 < 200 * 200 // 10
+        # Same ν: the cached table serves another off-diagonal and a diagonal tile.
+        model.tile(locs, slice(200, 400), slice(0, 200))
+        model.tile(locs, slice(0, 200), slice(0, 200))
+        assert bessel_entries["entries"] == first
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_workers_building_tables_match_serial(self, workers, rng):
+        locs = rng.random((160, 2))
+        models = [MaternCovariance(1.0, 0.1, nu) for nu in (0.6131, 1.7717)]
+
+        def gen(rows, cols):
+            return models[(rows.start // 40 + cols.start // 40) % 2].tile(locs, rows, cols)
+
+        matern._table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Runtime(num_workers=workers) as rt:
+                parallel = TileMatrix.from_generator(
+                    160, 40, gen, symmetric_lower=True, runtime=rt
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        matern._table.cache_clear()
+        serial = TileMatrix.from_generator(160, 40, gen, symmetric_lower=True)
+        for i, j, tile in serial.iter_stored():
+            np.testing.assert_array_equal(parallel.tile(i, j), tile)

@@ -199,6 +199,12 @@ class TestSubstratesAgreeOnTheDiagonal:
         # Was ~4e-10 relative apart; now only summation order differs.
         assert got["full-tile"] == pytest.approx(got["full-block"], rel=1e-13)
 
+    def test_full_tile_matches_full_block_at_a_tabled_smoothness(self, values):
+        # ν = 0.8 takes the per-ν Chebyshev table: tiles and the full block
+        # must still get bit-identical entries, zero diagonal included.
+        got = values([1.0, 0.1, 0.8])
+        assert got["full-tile"] == pytest.approx(got["full-block"], rel=1e-13)
+
     def test_tiny_range_is_not_a_false_penalty(self, values):
         # exp(-1e-8 / 1e-300) = 0 on the diagonal made tile/TLR "non-SPD"
         # where Sigma is simply sigma^2 I.
