@@ -30,6 +30,7 @@ from typing import Dict, Optional, Sequence, Union
 
 from ..config import get_config
 from ..exceptions import PlanError, ReproError
+from ..serving.service import DEFAULT_BATCH_WINDOW
 from .analytic import estimate_mle_iteration, estimate_prediction
 from .autotune import CalibrationProfile, autotune
 from .flops import compression_flops
@@ -224,7 +225,7 @@ class Planner:
         """
         pred = predicted.get("predict")
         if not isinstance(pred, dict):
-            return 0.002  # fit-only plan (m = 0): PredictionService's default
+            return DEFAULT_BATCH_WINDOW  # fit-only plan (m = 0)
         phases = pred.get("phases", {})
         assert isinstance(phases, dict)
         warm_s = sum(

@@ -573,6 +573,9 @@ class ServingClient:
                 f"connecting to {host_header} for pipelining failed: {exc}"
             ) from exc
         try:
+            # http.client sets this on its own sockets; without it the
+            # small writes below wait on the server's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # ---- write phase: every request, back to back ------------
             for headers, data in prepared:
                 lines = [f"{k}: {v}" for k, v in {**shared, **headers}.items()]

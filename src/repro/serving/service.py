@@ -14,10 +14,18 @@ micro-batcher:
   model's bounded queue (**backpressure**: a full queue rejects with
   :class:`~repro.exceptions.ServiceOverloadedError` instead of growing
   without bound) and awaits its future.
-* The model's batcher task takes the first queued request, keeps
-  collecting for ``batch_window`` seconds (up to ``max_batch``), drops
-  requests whose **deadline** expired, and dispatches the survivors as
-  the fewest engine calls the grouping rules allow:
+* The model's batcher task runs one round at a time: it takes the
+  first queued request plus the whole backlog behind it (up to
+  ``max_batch``), drops requests whose **deadline** expired, and
+  dispatches the survivors as the fewest engine calls the grouping
+  rules allow. The batcher awaits each engine call, so requests that
+  arrive while one runs queue up and form the next round: under load
+  the engine's busy time *is* the coalescing window, and a lone
+  request is dispatched at once. An explicit ``batch_window`` (per
+  service, or per model via :meth:`PredictionService.set_policy`)
+  additionally holds a round open that many seconds for stragglers —
+  idle time, worth paying only when independent arrivals are dense
+  enough to fill it. The grouping rules:
 
   - requests using the model's bound observations are served by one
     ``predict_many`` call — **bit-identical** to sequential single
@@ -79,6 +87,10 @@ _USER_ERRORS = (
 )
 
 __all__ = ["BatchPolicy", "PredictionService"]
+
+#: ``PredictionService(batch_window=...)``'s default: no idle wait, the
+#: batch is the backlog that queued during the previous engine call.
+DEFAULT_BATCH_WINDOW = 0.0
 
 _LATENCY_HELP = "submit-to-answer request latency"
 
@@ -205,10 +217,11 @@ class PredictionService:
     registry:
         Source of warm engines (not owned: :meth:`stop` does not close it).
     batch_window:
-        Seconds to keep coalescing concurrent requests for one model
-        into one engine call after the first queued request. ``0``
-        dispatches immediately — the "unbatched" baseline of the
-        benchmarks.
+        Extra seconds a round waits for stragglers after its first
+        request, on top of the backlog it always drains. The default
+        ``0`` still coalesces: a round takes every request that queued
+        while the previous engine call ran. For request-at-a-time
+        dispatch set ``max_batch=1``.
     max_batch:
         Cap on requests coalesced into one dispatch round.
     max_queue:
@@ -244,7 +257,7 @@ class PredictionService:
         self,
         registry: ModelRegistry,
         *,
-        batch_window: float = 0.002,
+        batch_window: float = DEFAULT_BATCH_WINDOW,
         max_batch: int = 64,
         max_queue: int = 256,
         default_deadline: Optional[float] = None,

@@ -296,6 +296,9 @@ class _WorkerHandle:
             with self._send_lock:
                 self._conn.send(Message(op, req_id, payload or {}))
         except (BrokenPipeError, OSError) as exc:
+            # Dead now, not once the process is reaped: the router
+            # retries a ServerError only on a handle that is not alive.
+            self._dead = True
             with self._pending_lock:
                 self._pending.pop(req_id, None)
             raise ServerError(f"worker {self.worker_id} pipe is closed") from exc

@@ -23,6 +23,8 @@ from repro.exceptions import (
 from repro.kernels import MaternCovariance
 from repro.mle import MLEstimator
 from repro.serving import ModelBundle, ModelRegistry, PredictionService
+from repro.telemetry import reset_telemetry
+from repro.telemetry.spans import configure, get_recorder
 
 N, NB, ACC = 144, 36, 1e-9
 VARIANTS = ("full-block", "full-tile", "tlr")
@@ -173,14 +175,17 @@ class _BlockingEngine:
     def __init__(self):
         self.release = threading.Event()
         self.calls = 0
+        self.sizes = []  # requests served per call
 
     def predict(self, targets, z=None):
         self.calls += 1
+        self.sizes.append(1)
         assert self.release.wait(timeout=30.0)
         return np.zeros(np.asarray(targets).shape[0])
 
     def predict_many(self, target_sets, z=None):
         self.calls += 1
+        self.sizes.append(len(target_sets))
         assert self.release.wait(timeout=30.0)
         return [np.zeros(np.asarray(t).shape[0]) for t in target_sets]
 
@@ -216,6 +221,66 @@ def test_backpressure_rejects_when_queue_full(problem):
     assert len(results) == 3 and all(r.shape == (4,) for r in results)
     assert snap["counters"]["rejected_overload"] == 1
     assert snap["counters"]["completed"] == 3
+
+
+def test_default_service_dispatches_a_lone_request_without_idling():
+    """The default window is 0: a request with nothing behind it opens
+    and closes its round at once (regression: a 2 ms default window
+    idled every unloaded request for stragglers that could not come)."""
+    registry = ModelRegistry(max_models=2)
+    engine = _BlockingEngine()
+    engine.release.set()
+    registry.add_engine("m", engine)
+    targets = np.random.default_rng(0).random((4, 2))
+
+    async def main():
+        async with PredictionService(registry) as svc:
+            for _ in range(5):
+                await svc.predict("m", targets)
+
+    configure(enabled=True)
+    try:
+        with registry:
+            asyncio.run(main())
+        rounds = [
+            s for s in get_recorder().snapshot() if s["name"] == "service.coalesce"
+        ]
+    finally:
+        reset_telemetry()
+    assert engine.sizes == [1] * 5
+    assert len(rounds) == 5
+    assert max(s["duration"] for s in rounds) < 1e-3
+
+
+def test_default_service_coalesces_the_backlog_of_a_busy_engine():
+    """With no window, the engine's busy time is the window: requests
+    queued while one call runs are served by ONE coalesced call."""
+    registry = ModelRegistry(max_models=2)
+    blocker = _BlockingEngine()
+    registry.add_engine("slow", blocker)
+    targets = np.random.default_rng(0).random((4, 2))
+
+    async def main():
+        async with PredictionService(registry) as svc:
+            first = asyncio.ensure_future(svc.predict("slow", targets))
+            for _ in range(200):
+                await asyncio.sleep(0.005)
+                if blocker.calls:
+                    break
+            assert blocker.calls == 1
+            backlog = [
+                asyncio.ensure_future(svc.predict("slow", targets)) for _ in range(4)
+            ]
+            await asyncio.sleep(0)  # all four are queued behind the busy call
+            blocker.release.set()
+            await asyncio.gather(first, *backlog)
+            return svc.metrics.snapshot()
+
+    with registry:
+        snap = asyncio.run(main())
+    assert blocker.sizes == [1, 4]
+    assert snap["counters"]["coalesced_requests"] == 4
+    assert snap["counters"]["completed"] == 5
 
 
 def test_engine_errors_propagate_to_callers(problem):

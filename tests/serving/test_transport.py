@@ -179,6 +179,48 @@ def test_pipelined_equals_serial(bundle_paths, client, bclient, transport):
         np.testing.assert_array_equal(got, reference)
 
 
+def test_pipelined_socket_sets_tcp_nodelay(client, targets, monkeypatch):
+    """The pipelined path's raw socket is configured like http.client's:
+    Nagle off, so its back-to-back small writes never wait on an ACK."""
+    seen = []
+    real_create = socket.create_connection
+
+    class _Spy:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+        def close(self):
+            seen.append(self._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            self._sock.close()
+
+    monkeypatch.setattr(
+        socket, "create_connection", lambda *a, **kw: _Spy(real_create(*a, **kw))
+    )
+    client.predict_pipelined([{"model_id": "full-block", "targets": targets}])
+    assert seen and all(seen)
+
+
+def test_keepalive_predict_has_no_idle_floor(bundle_paths, targets):
+    """Sequential keep-alive predicts against a default server answer in
+    a few ms. Regression: without TCP_NODELAY on accepted sockets, each
+    small reply write after the first waited out the client's ~40 ms
+    delayed ACK, and the service idled a 2 ms batch window on top."""
+    with ServingServer(
+        {"m": bundle_paths["full-block"]}, num_workers=1, enable_fitting=False
+    ) as srv, ServingClient(srv.url, transport="binary") as cli:
+        for _ in range(3):  # warm: engine load, connection set-up
+            cli.predict("m", targets)
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            cli.predict("m", targets)
+            times.append(time.perf_counter() - t0)
+    assert np.median(times) < 0.020
+
+
 def test_pipelined_error_slots_are_none_and_typed(client, targets):
     requests = [
         {"model_id": "full-block", "targets": targets},

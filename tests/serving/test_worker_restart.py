@@ -121,6 +121,35 @@ def test_in_flight_requests_fail_over_to_the_respawned_worker(server, targets):
         np.testing.assert_array_equal(got, reference)
 
 
+class _BrokenSendConn:
+    """A worker pipe whose sends fail while everything else still works."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def send(self, msg):
+        raise BrokenPipeError("pipe closed under the send")
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_failed_send_fails_over_before_the_process_is_reaped(server, targets):
+    """Regression: a broken pipe seen by the send, while the worker
+    process still reads as alive, must respawn and retry — not reach the
+    client as 'pipe is closed'."""
+    with ServingClient(server.url) as cli:
+        reference = cli.predict("m", targets)
+        worker_id = server.worker_for("m")
+        handle = server._workers[worker_id]
+        handle._conn = _BrokenSendConn(handle._conn)
+        assert handle.process.is_alive()
+        np.testing.assert_array_equal(cli.predict("m", targets), reference)
+        assert server._workers[worker_id] is not handle
+        assert server.n_worker_restarts == 1
+        assert cli.health()["alive"] == [True, True]
+
+
 def test_models_registered_after_start_survive_a_respawn(server, targets, tmp_path):
     late_path = _bundle(theta=(2.0, 0.15, 0.8)).save(tmp_path / "late.bundle")
     with ServingClient(server.url) as cli:
