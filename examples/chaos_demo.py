@@ -84,7 +84,6 @@ def main() -> None:
         num_workers=1,
         max_worker_restarts=4,
         registry_options={"max_models": 1},
-        service_options={"batch_window": 0.0},
         enable_fitting=False,
     ) as server:
         print(f"\n=== hammering {server.url} with {N_CLIENTS} retrying clients ===")

@@ -43,9 +43,7 @@ async def serve(bundle_path: Path, client_targets, references) -> None:
     """Spin up registry + service, run concurrent clients, report metrics."""
     with ModelRegistry(max_models=4) as registry:
         registry.register("matern-tlr", bundle_path)
-        async with PredictionService(
-            registry, batch_window=0.01, max_batch=32
-        ) as service:
+        async with PredictionService(registry, max_batch=32) as service:
 
             async def client(idx: int) -> float:
                 t0 = time.perf_counter()

@@ -104,7 +104,7 @@ def main() -> None:
         with ServingServer(
             {MODEL_ID: bundle_path},
             num_workers=2,
-            service_options={"batch_window": 0.005, "max_batch": 16},
+            service_options={"max_batch": 16},
         ) as server:
             print(f"serving on {server.url} "
                   f"(model on worker {server.worker_for(MODEL_ID)})")

@@ -49,7 +49,7 @@ class Config:
     default in the signature, range check in the constructor:
     ``Runtime(engine=)``, ``sample_gaussian_field(jitter=)``,
     ``PredictionEngine(cache_distances=, parallel_generation=)``, and the
-    batching, capacity, restart and breaker keywords of
+    ``max_batch``, capacity, restart and breaker keywords of
     ``PredictionService``, ``ModelRegistry``, ``ServingServer``,
     ``ServingClient``, ``FitOrchestrator``, ``CircuitBreaker`` and
     ``AdmissionGate``.

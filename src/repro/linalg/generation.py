@@ -65,12 +65,8 @@ __all__ = [
 
 
 def array_content_key(arr: np.ndarray) -> Tuple[Tuple[int, ...], bytes]:
-    """Shape + content digest of an array, usable as a dict key.
-
-    The keying scheme shared by :class:`CrossDistanceCache` and the
-    serving micro-batcher's same-targets grouping — one definition so
-    the two can never drift apart.
-    """
+    """Shape + content digest of an array, usable as a dict key
+    (how :class:`CrossDistanceCache` keys its target sets)."""
     return (arr.shape, hashlib.sha1(arr.tobytes()).digest())
 
 

@@ -26,7 +26,7 @@ subpackage reproduces the *performance structure* instead:
   :class:`~repro.perfmodel.autotune.CalibrationProfile`;
 * :mod:`planner` — searches the fitted model for the cheapest feasible
   configuration (tile size, TLR accuracy, compression batch, serving
-  workers, batching window) with predicted phase times; exposed as
+  workers) with predicted phase times; exposed as
   :func:`repro.plan` and ``GET /v1/plan``.
 """
 

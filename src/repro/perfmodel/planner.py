@@ -8,8 +8,7 @@ analytic model — per-phase roofline seconds *plus* the calibrated
 per-task scheduling overhead, which is what actually dominates small
 tiles on the Python substrate — and returns the cheapest feasible
 :class:`Plan`: tile size, TLR accuracy, ``compression_batch``, serving
-worker count, micro-batching window, and the predicted phase times the
-choice was based on.
+worker count, and the predicted phase times the choice was based on.
 
 This is the paper's tuning loop made executable: ExaGeoStat picks
 ``nb = 560`` (dense) / ``1900`` (TLR) *for Shaheen-2*; here the same
@@ -30,7 +29,6 @@ from typing import Dict, Optional, Sequence, Union
 
 from ..config import get_config
 from ..exceptions import PlanError, ReproError
-from ..serving.service import DEFAULT_BATCH_WINDOW
 from .analytic import estimate_mle_iteration, estimate_prediction
 from .autotune import CalibrationProfile, autotune
 from .flops import compression_flops
@@ -155,7 +153,6 @@ class Plan:
     accuracy: Optional[float]
     compression_batch: int
     serving_workers: int
-    batch_window: float
     objective_s: float
     predicted: Dict[str, object]
     matrix_bytes: float
@@ -173,7 +170,6 @@ class Plan:
                 "accuracy": self.accuracy,
                 "compression_batch": self.compression_batch,
                 "serving_workers": self.serving_workers,
-                "batch_window": self.batch_window,
             },
             "predicted": self.predicted,
             "memory": {
@@ -214,26 +210,6 @@ class Planner:
             by_mem = max(1, int(0.5 * host_mem / mem_bytes))
             workers = min(workers, by_mem)
         return workers
-
-    def _batch_window(self, predicted: Dict[str, object]) -> float:
-        """Coalescing window ~ a quarter of a warm-engine predict.
-
-        A warm serving engine reuses the cached factor, so the
-        incremental cost of one more predict is solve + cross terms —
-        waiting much longer than that to batch trades latency for
-        nothing.
-        """
-        pred = predicted.get("predict")
-        if not isinstance(pred, dict):
-            return DEFAULT_BATCH_WINDOW  # fit-only plan (m = 0)
-        phases = pred.get("phases", {})
-        assert isinstance(phases, dict)
-        warm_s = sum(
-            float(v)
-            for k, v in phases.items()
-            if k in ("solve", "cross_covariance")
-        )
-        return round(min(0.05, max(0.0005, 0.25 * warm_s)), 6)
 
     # -- the search --------------------------------------------------------
 
@@ -326,7 +302,6 @@ class Planner:
                             else 1
                         ),
                         serving_workers=self._serving_workers(mem_bytes),
-                        batch_window=self._batch_window(predicted),
                         objective_s=objective,
                         predicted={
                             k: predicted[k] for k in ("fit_iteration", "predict")

@@ -16,8 +16,8 @@ PredictionEngine` — fast but trapped inside the process that ran
   worker pools;
 * :mod:`repro.serving.service` — :class:`PredictionService`, an asyncio
   micro-batcher that coalesces concurrent predict requests for one
-  model into single stacked-target / multi-RHS engine calls, with
-  backpressure and per-request deadlines; its counters and latency
+  model into single stacked-target engine calls, with backpressure and
+  per-request deadlines; its counters and latency
   histogram (``service.metrics``) are :mod:`repro.telemetry.metrics`
   instruments;
 * :mod:`repro.serving.wire` — the ``application/x-repro-npy`` framed
@@ -57,11 +57,10 @@ Over HTTP, across worker processes:
 from .client import ServingClient
 from .registry import ModelRegistry
 from .server import ServingServer
-from .service import BatchPolicy, PredictionService
+from .service import PredictionService
 from .store import ModelBundle, bundle_from_fit, load_model, save_model
 
 __all__ = [
-    "BatchPolicy",
     "ModelBundle",
     "ModelRegistry",
     "PredictionService",

@@ -663,23 +663,6 @@ class ServingClient:
         body = {} if path is None else {"path": str(path)}
         return self._request("POST", f"/v1/models/{self._quote(model_id)}/reload", body)
 
-    def set_policy(
-        self,
-        model_id: str,
-        *,
-        batch_window: Optional[float] = None,
-        max_batch: Optional[int] = None,
-    ) -> dict:
-        """Install per-model batching knobs on the owning worker."""
-        body: dict = {}
-        if batch_window is not None:
-            body["batch_window"] = float(batch_window)
-        if max_batch is not None:
-            body["max_batch"] = int(max_batch)
-        return self._request(
-            "POST", f"/v1/models/{self._quote(model_id)}/policy", body
-        )
-
     @staticmethod
     def _quote(model_id: str) -> str:
         """Percent-encode a model id for a URL path segment, so ids with

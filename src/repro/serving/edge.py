@@ -360,11 +360,6 @@ ROUTES: List[Tuple[str, str, Callable]] = [
         "/v1/models/<id>/reload",
         lambda h, mid: h.owner.reload_request(mid, h._body()),
     ),
-    (
-        "POST",
-        "/v1/models/<id>/policy",
-        lambda h, mid: h.owner.policy_request(mid, h._body()),
-    ),
     ("POST", "/v1/fit", lambda h: h.owner.fit_request(h._body())),
     ("GET", "/v1/jobs", lambda h: {"jobs": h.owner.jobs_request()}),
     ("GET", "/v1/jobs/<id>", _job),

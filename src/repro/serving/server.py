@@ -72,8 +72,8 @@ Endpoints
     Self-tuning planner: ``?n=<locations>&m=<targets>&substrate=<auto|
     full-block|full-tile|tlr>&accuracy=<eps>`` → the cheapest feasible
     configuration (tile size, TLR accuracy, compression batch, worker
-    count, batching window) with predicted per-phase times, computed
-    router-side (no worker round-trip) from the host's persisted
+    count) with predicted per-phase times, computed router-side (no
+    worker round-trip) from the host's persisted
     :class:`~repro.perfmodel.autotune.CalibrationProfile`. Invalid
     requests are 400 (:class:`~repro.exceptions.PlanError`); a broken
     profile is 500 (:class:`~repro.exceptions.CalibrationError`).
@@ -85,8 +85,6 @@ Endpoints
 ``POST /v1/models/<id>/reload``
     Hot-swap the model's bundle: ``{"path"?}`` (default: re-read the
     registered path).
-``POST /v1/models/<id>/policy``
-    Per-model batching knobs: ``{"batch_window"?, "max_batch"?}``.
 ``POST /v1/fit``
     Submit a fit job: ``{"model_id"?, "from_model"?, "bundle_path"?,
     "locations"?, "z"?, "model"?, "variant"?, "acc"?, "tile_size"?,
@@ -200,8 +198,8 @@ class ServingServer:
         back from :attr:`port` / :attr:`url` after :meth:`start`).
     registry_options, service_options:
         Keyword dicts forwarded to each worker's :class:`ModelRegistry`
-        and :class:`PredictionService` — batching windows, LRU budget,
-        shard runtimes, ... Validated here, at
+        and :class:`PredictionService` — ``max_batch``, ``max_queue``,
+        LRU budget, shard runtimes, ... Validated here, at
         construction, by building throwaway instances, so a typo or a
         nonsense knob (``max_batch=0``) fails in the parent process
         instead of crashing workers at first request. They ship verbatim
@@ -328,7 +326,6 @@ class ServingServer:
         # jobs_dir — the rollback target when stop() deletes the ledger
         # a refit bundle was published from.
         self._external_paths = dict(self._models)
-        self._policies: Dict[str, dict] = {}  # runtime-set, survives respawns
         if start_method is None:
             start_method = os.environ.get("REPRO_SERVING_START_METHOD")
         if start_method is None:
@@ -373,11 +370,6 @@ class ServingServer:
         }
         return {
             "models": models,
-            "policies": {
-                mid: policy
-                for mid, policy in self._policies.items()
-                if self.worker_for(mid) == worker_id
-            },
             "registry": self.registry_options,
             "service": self.service_options,
             "telemetry": self._telemetry_settings,
@@ -720,21 +712,6 @@ class ServingServer:
         self._models[model_id] = path
         if not any(_path_within(path, root) for root in self._ephemeral):
             self._external_paths[model_id] = path
-
-    def policy_request(self, model_id: str, body: dict) -> dict:
-        policy = {
-            "batch_window": body.get("batch_window"),
-            "max_batch": body.get("max_batch"),
-        }
-        result = self._model_op(model_id, "policy", **policy)
-        # Commit-on-success so a respawned worker gets the policy back;
-        # merge per knob, matching PredictionService.set_policy.
-        previous = self._policies.get(model_id, {})
-        self._policies[model_id] = {
-            knob: previous.get(knob) if value is None else value
-            for knob, value in policy.items()
-        }
-        return result
 
     # ----------------------------------------------------------- fit service
     def _check_fitting(self) -> FitOrchestrator:

@@ -14,29 +14,21 @@ micro-batcher:
   model's bounded queue (**backpressure**: a full queue rejects with
   :class:`~repro.exceptions.ServiceOverloadedError` instead of growing
   without bound) and awaits its future.
-* The model's batcher task runs one round at a time: it takes the
-  first queued request plus the whole backlog behind it (up to
-  ``max_batch``), drops requests whose **deadline** expired, and
-  dispatches the survivors as the fewest engine calls the grouping
-  rules allow. The batcher awaits each engine call, so requests that
-  arrive while one runs queue up and form the next round: under load
-  the engine's busy time *is* the coalescing window, and a lone
-  request is dispatched at once. An explicit ``batch_window`` (per
-  service, or per model via :meth:`PredictionService.set_policy`)
-  additionally holds a round open that many seconds for stragglers —
-  idle time, worth paying only when independent arrivals are dense
-  enough to fill it. The grouping rules:
-
-  - requests using the model's bound observations are served by one
-    ``predict_many`` call — **bit-identical** to sequential single
-    predicts (per-set cross-distances, one stacked elementwise
-    covariance application, and a per-request slice GEMV with exactly
-    the shape a standalone call would use);
-  - requests carrying their own 1-D ``z`` over identical targets are
-    served as one multi-RHS solve (``z`` columns stacked; equal to
-    sequential solves to solver rounding, ~1e-15 relative);
-  - everything else falls back to single calls.
-
+* The model's batcher task runs one round at a time, by one rule: a
+  round is the first queued request plus the backlog behind it, up to
+  ``max_batch``. Requests whose **deadline** expired are dropped; of
+  the rest, the requests using the model's bound observations become
+  one ``predict_many`` call (one ``predict`` when alone) and every
+  request carrying its own ``z`` is its own ``predict`` call. Every
+  answer is therefore **bit-identical** to a standalone
+  :meth:`~repro.mle.prediction_engine.PredictionEngine.predict`
+  (``predict_many`` computes per-set cross-distances, one stacked
+  elementwise covariance application, and a per-request slice GEMV with
+  exactly the shape a standalone call would use), and ``priority`` only
+  orders a round's groups. There is no batch window: the batcher awaits
+  each engine call, so requests that arrive while one runs queue up and
+  form the next round — under load the engine's busy time *is* the
+  coalescing window, and a lone request is dispatched at once.
 * Engine calls run on a thread pool via ``run_in_executor``, so the
   event loop keeps accepting requests while BLAS works (NumPy releases
   the GIL in the heavy kernels).
@@ -55,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..linalg.generation import array_content_key
 from ..exceptions import (
     CircuitOpenError,
     ConfigurationError,
@@ -86,11 +77,7 @@ _USER_ERRORS = (
     TypeError,
 )
 
-__all__ = ["BatchPolicy", "PredictionService"]
-
-#: ``PredictionService(batch_window=...)``'s default: no idle wait, the
-#: batch is the backlog that queued during the previous engine call.
-DEFAULT_BATCH_WINDOW = 0.0
+__all__ = ["PredictionService"]
 
 _LATENCY_HELP = "submit-to-answer request latency"
 
@@ -176,37 +163,11 @@ class _Request:
         self.future = future
         self.t_submit = t_submit  # monotonic seconds
         self.deadline = deadline  # absolute monotonic seconds, or None
-        self.priority = priority  # > 0: urgent lane, never waits the window
+        self.priority = priority  # orders the groups of a round, highest first
         # run_in_executor does NOT propagate contextvars, so the trace
         # context is captured here and re-activated on the executor
         # thread — the one hand-off the contextvar cannot make itself.
         self.trace_ctx = trace_ctx
-
-
-class BatchPolicy:
-    """Per-model batching knobs overriding the service-wide defaults.
-
-    ``None`` fields fall through to the service default.
-    """
-
-    __slots__ = ("batch_window", "max_batch")
-
-    def __init__(
-        self,
-        batch_window: Optional[float] = None,
-        max_batch: Optional[int] = None,
-    ) -> None:
-        if batch_window is not None and float(batch_window) < 0:
-            raise ConfigurationError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
-        if max_batch is not None and int(max_batch) < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        self.batch_window = None if batch_window is None else float(batch_window)
-        self.max_batch = None if max_batch is None else int(max_batch)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BatchPolicy(batch_window={self.batch_window}, max_batch={self.max_batch})"
 
 
 class PredictionService:
@@ -216,14 +177,9 @@ class PredictionService:
     ----------
     registry:
         Source of warm engines (not owned: :meth:`stop` does not close it).
-    batch_window:
-        Extra seconds a round waits for stragglers after its first
-        request, on top of the backlog it always drains. The default
-        ``0`` still coalesces: a round takes every request that queued
-        while the previous engine call ran. For request-at-a-time
-        dispatch set ``max_batch=1``.
     max_batch:
-        Cap on requests coalesced into one dispatch round.
+        Cap on requests coalesced into one dispatch round. For
+        request-at-a-time dispatch set ``max_batch=1``.
     max_queue:
         Per-model queue bound; beyond it submissions are rejected with
         :class:`ServiceOverloadedError` (backpressure).
@@ -231,10 +187,6 @@ class PredictionService:
         Default per-request deadline in seconds from submission
         (``None``: no deadline). A request whose deadline passes before
         dispatch fails with :class:`DeadlineExceededError`.
-    rhs_batching:
-        Coalesce same-target explicit-``z`` requests into one multi-RHS
-        solve (equal to sequential solves to solver rounding). Disable
-        for strict bitwise reproducibility of explicit-``z`` traffic.
     breaker_threshold:
         Consecutive infrastructure failures that open a model's circuit
         breaker. While open, the model serves from its last-known-good engine generation with
@@ -257,19 +209,15 @@ class PredictionService:
         self,
         registry: ModelRegistry,
         *,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         max_batch: int = 64,
         max_queue: int = 256,
         default_deadline: Optional[float] = None,
-        rhs_batching: bool = True,
         breaker_threshold: int = 5,
         breaker_recovery: float = 2.0,
         executor: Optional[concurrent.futures.Executor] = None,
     ) -> None:
         # Nonsense knobs fail here, at construction — not by silent
         # clamping, and not as a confusing error on the first request.
-        if float(batch_window) < 0:
-            raise ConfigurationError(f"batch_window must be >= 0, got {batch_window}")
         if int(max_batch) < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         if int(max_queue) < 1:
@@ -279,17 +227,14 @@ class PredictionService:
                 f"default_deadline must be > 0 seconds, got {default_deadline}"
             )
         self.registry = registry
-        self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.default_deadline = default_deadline
-        self.rhs_batching = bool(rhs_batching)
         self.metrics = ServiceInstruments()
         self._count = self.metrics.counters
         self._breakers = BreakerPool(
             failure_threshold=breaker_threshold, recovery_time=breaker_recovery
         )
-        self._policies: Dict[str, BatchPolicy] = {}
         self._executor = executor
         self._owns_executor = executor is None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -376,10 +321,9 @@ class PredictionService:
             :class:`DeadlineExceededError` instead of occupying an
             engine. Non-positive values are already expired.
         priority:
-            ``> 0`` puts the request on the urgent lane: the round it
-            joins stops waiting out the coalescing window (it still
-            coalesces with whatever is already queued), and its group
-            dispatches before lower-priority groups of the same round.
+            Orders groups within a round: the group holding the highest
+            priority dispatches first. It never changes which requests
+            share a round or an engine call.
         detail:
             When true, return ``(prediction, flags)`` where ``flags``
             carries ``{"degraded": bool}`` — true when the answer came
@@ -431,49 +375,6 @@ class PredictionService:
             return value, flags
         return value
 
-    # --------------------------------------------------------------- policy
-    def set_policy(
-        self,
-        model_id: str,
-        *,
-        batch_window: Optional[float] = None,
-        max_batch: Optional[int] = None,
-    ) -> "PredictionService":
-        """Install per-model batching knobs (validated immediately).
-
-        Omitted knobs keep their previously set per-model value (calls
-        *merge*, so two admin calls tuning one knob each compose), and
-        overrides take effect on the model's next dispatch round —
-        batchers re-resolve their policy every round. Use
-        :meth:`clear_policy` to drop a model back to the defaults.
-        """
-        previous = self._policies.get(model_id)
-        if previous is not None:
-            if batch_window is None:
-                batch_window = previous.batch_window
-            if max_batch is None:
-                max_batch = previous.max_batch
-        self._policies[model_id] = BatchPolicy(batch_window, max_batch)
-        return self
-
-    def clear_policy(self, model_id: str) -> None:
-        """Remove ``model_id``'s per-model policy (back to defaults)."""
-        self._policies.pop(model_id, None)
-
-    def effective_policy(self, model_id: str) -> Tuple[float, int]:
-        """The ``(batch_window, max_batch)`` the next round will use.
-
-        Each knob is the explicit per-model policy value when one is
-        set, else the service default.
-        """
-        policy = self._policies.get(model_id)
-        window, max_batch = self.batch_window, self.max_batch
-        if policy is not None and policy.max_batch is not None:
-            max_batch = policy.max_batch
-        if policy is not None and policy.batch_window is not None:
-            window = policy.batch_window
-        return window, max_batch
-
     # ------------------------------------------------------------- batching
     def _queue_for(self, model_id: str) -> "asyncio.Queue[_Request]":
         queue = self._queues.get(model_id)
@@ -494,34 +395,14 @@ class PredictionService:
             while True:
                 batch = [await queue.get()]
                 t_open = self._loop.time()
-                window, max_batch = self.effective_policy(model_id)
-                window_open = window > 0.0 and max_batch > 1
-                t_close = t_open + window
-                while len(batch) < max_batch:
-                    # Drain the backlog synchronously first: under
-                    # sustained load the batch fills from already-queued
-                    # requests without paying a timer/task per item, and
-                    # the window only bounds the wait for stragglers.
+                while len(batch) < self.max_batch:
                     try:
                         batch.append(queue.get_nowait())
-                        continue
                     except asyncio.QueueEmpty:
-                        pass
-                    # Urgent lane: a priority request closes the window —
-                    # it coalesces with the backlog already drained but
-                    # never waits for stragglers.
-                    if not window_open or any(r.priority > 0 for r in batch):
-                        break
-                    remaining = t_close - self._loop.time()
-                    if remaining <= 0.0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(queue.get(), remaining))
-                    except asyncio.TimeoutError:
                         break
                 if _telemetry.enabled():
-                    # The coalescing wait, attributed to the request that
-                    # opened the round (the one that actually waited).
+                    # The round's backlog drain, attributed to the request
+                    # that opened it.
                     _telemetry.record_span(
                         "service.coalesce",
                         self._loop.time() - t_open,
@@ -555,29 +436,17 @@ class PredictionService:
             raise
 
     def _plan(self, live: List[_Request]) -> List[Tuple[str, List[_Request]]]:
-        """Group a round's requests into the fewest engine calls.
+        """Group a round's requests: shared-``z`` requests together, each
+        explicit-``z`` request alone.
 
         Groups come back highest-priority first, so an urgent request's
         engine call runs before the round's bulk traffic.
         """
         groups: List[Tuple[str, List[_Request]]] = []
         shared = [r for r in live if r.z is None]
-        if len(shared) == 1:
-            groups.append(("single", shared))
-        elif shared:
-            groups.append(("stack", shared))
-        solo = [r for r in live if r.z is not None]
-        if self.rhs_batching:
-            by_targets: Dict[Tuple, List[_Request]] = {}
-            for req in solo:
-                if req.z is not None and req.z.ndim == 1:
-                    by_targets.setdefault(array_content_key(req.targets), []).append(req)
-                else:
-                    groups.append(("single", [req]))
-            for group in by_targets.values():
-                groups.append(("rhs", group) if len(group) > 1 else ("single", group))
-        else:
-            groups.extend(("single", [req]) for req in solo)
+        if shared:
+            groups.append(("stack" if len(shared) > 1 else "single", shared))
+        groups.extend(("single", [r]) for r in live if r.z is not None)
         groups.sort(key=lambda g: max(r.priority for r in g[1]), reverse=True)
         return groups
 
@@ -690,11 +559,6 @@ class PredictionService:
         if kind == "stack":
             self._count["coalesced_requests"].inc(len(group))
             return engine.predict_many([req.targets for req in group])
-        if kind == "rhs":
-            self._count["coalesced_requests"].inc(len(group))
-            stacked = np.column_stack([req.z for req in group])
-            out = engine.predict(group[0].targets, z=stacked)
-            return [np.ascontiguousarray(out[:, j]) for j in range(len(group))]
         req = group[0]
         return [engine.predict(req.targets, z=req.z)]
 
@@ -714,7 +578,6 @@ class PredictionService:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PredictionService(window={self.batch_window * 1e3:.1f}ms, "
-            f"max_batch={self.max_batch}, queue={self.max_queue}, "
+            f"PredictionService(max_batch={self.max_batch}, queue={self.max_queue}, "
             f"{'closed' if self._closed else 'running'})"
         )

@@ -114,14 +114,6 @@ async def _register(w: _Worker, p: dict) -> dict:
     return {"model_id": p["model_id"]}
 
 
-async def _policy(w: _Worker, p: dict) -> dict:
-    w.service.set_policy(
-        p["model_id"], batch_window=p.get("batch_window"), max_batch=p.get("max_batch")
-    )
-    window, max_batch = w.service.effective_policy(p["model_id"])
-    return {"batch_window": window, "max_batch": max_batch}
-
-
 async def _models(w: _Worker, p: dict) -> list:
     return w.registry.known_models
 
@@ -144,7 +136,6 @@ OPS: Dict[str, Callable[[_Worker, dict], Awaitable[Any]]] = {
     "predict": _predict,
     "reload": _reload,
     "register": _register,
-    "policy": _policy,
     "models": _models,
     "metrics": _metrics,
     "trace": _trace,
@@ -181,11 +172,6 @@ def _worker_main(conn, config: dict) -> None:
                     loop.call_soon_threadsafe(stop_event.set)
 
         async with PredictionService(registry, **config.get("service", {})) as service:
-            # Reinstall per-model policies on (re)spawn — the router's
-            # map is the source of truth, so a worker crash cannot
-            # silently revert a model to default batching.
-            for model_id, policy in config.get("policies", {}).items():
-                service.set_policy(model_id, **policy)
             worker = _Worker(config.get("worker_id", 0), registry, service, loop)
 
             async def handle(msg: Message) -> None:

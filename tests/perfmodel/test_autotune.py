@@ -183,7 +183,6 @@ def test_plan_invariants():
     assert 1 <= p.tile_size <= 900
     assert p.serving_workers >= 1
     assert 1 <= p.compression_batch <= 64
-    assert 0.0005 <= p.batch_window <= 0.05
     assert p.objective_s > 0.0
     d = p.to_dict()
     fit_phases = d["predicted"]["fit_iteration"]["phases"]

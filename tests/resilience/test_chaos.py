@@ -88,7 +88,6 @@ def test_http_serves_last_known_good_generation_when_bundle_corrupts(
         {"a": str(path_a), "b": str(path_b)},
         num_workers=1,
         registry_options={"max_models": 1},
-        service_options={"batch_window": 0.0},
         enable_fitting=False,
     ) as server:
         with ServingClient(server.url) as cli:
@@ -122,7 +121,6 @@ def test_models_and_metrics_degrade_to_partial_results(tmp_path, targets):
     with ServingServer(
         {"m": str(path)},
         num_workers=2,
-        service_options={"batch_window": 0.0},
         enable_fitting=False,
     ) as server:
         with ServingClient(server.url) as cli:
@@ -204,7 +202,6 @@ def test_chaos_soak_under_kills_delays_and_injected_errors(tmp_path, targets):
         {"m": str(path)},
         num_workers=2,
         max_worker_restarts=4,
-        service_options={"batch_window": 0.0},
         jobs_dir=tmp_path / "jobs",
         fit_options={"max_workers": 1, "max_restarts": 2},
     ) as server:

@@ -45,7 +45,6 @@ def server(initial_bundle):
     with ServingServer(
         {"station": str(initial_bundle["path"])},
         num_workers=2,
-        service_options={"batch_window": 0.0},
         fit_options={"max_workers": 2, "checkpoint_every": 1},
     ) as srv:
         yield srv

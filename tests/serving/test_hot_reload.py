@@ -108,9 +108,7 @@ def test_soak_reload_under_concurrent_traffic(soak_paths, targets, monkeypatch):
 
     async def main():
         results: list = []
-        async with PredictionService(
-            registry, batch_window=0.002, max_batch=8
-        ) as service:
+        async with PredictionService(registry, max_batch=8) as service:
             loop = asyncio.get_running_loop()
 
             async def client(cid: int):
@@ -236,7 +234,7 @@ def test_http_soak_reload_under_concurrent_clients(soak_paths, targets):
     with ServingServer(
         {m: soak_paths[m, "A"] for m in models},
         num_workers=2,
-        service_options={"batch_window": 0.002, "max_batch": 8},
+        service_options={"max_batch": 8},
     ) as server:
 
         def hammer(tid: int):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.serving import ModelRegistry, PredictionService
-from repro.serving.service import BatchPolicy
 from repro.telemetry.metrics import RECENT_WINDOW
 
 
@@ -96,8 +95,8 @@ def test_concurrent_incs_are_never_lost(metrics):
 
 
 # --------------------------------------------------------------------------
-# Construction-time rejection of nonsensical serving knobs — service,
-# registry, and policy all fail at build time, not first request.
+# Construction-time rejection of nonsensical serving knobs — service
+# and registry both fail at build time, not first request.
 # --------------------------------------------------------------------------
 
 
@@ -106,7 +105,6 @@ def test_concurrent_incs_are_never_lost(metrics):
     [
         {"max_batch": 0},
         {"max_batch": -3},
-        {"batch_window": -0.5},
         {"max_queue": 0},
         {"default_deadline": 0.0},
         {"default_deadline": -2.0},
@@ -131,12 +129,3 @@ def test_service_rejects_nonsense_knobs_at_construction(kwargs):
 def test_registry_rejects_nonsense_knobs_at_construction(kwargs):
     with pytest.raises(ConfigurationError):
         ModelRegistry(**kwargs)
-
-
-def test_batch_policy_validation():
-    with pytest.raises(ConfigurationError):
-        BatchPolicy(batch_window=-0.01)
-    with pytest.raises(ConfigurationError):
-        BatchPolicy(max_batch=0)
-    policy = BatchPolicy(batch_window=0.0, max_batch=3)
-    assert policy.batch_window == 0.0 and policy.max_batch == 3

@@ -85,7 +85,6 @@ def test_plan_payload_structure(client):
         "accuracy",
         "compression_batch",
         "serving_workers",
-        "batch_window",
     }
     phases = out["predicted"]["fit_iteration"]["phases"]
     assert out["predicted"]["fit_iteration"]["total_s"] == pytest.approx(

@@ -91,7 +91,6 @@ def server(bundle_path):
     with ServingServer(
         {"m": str(bundle_path)},
         num_workers=1,
-        service_options={"batch_window": 0.0},
         fit_options={"max_workers": 1},
         calibration_profile=profile,
     ) as srv:
@@ -141,7 +140,6 @@ def exercised(server, bundle_path, targets):
             cli.register("by-path", bundle_path)
             cli.upload("by-upload", _bundle())
             cli.reload("m")
-            cli.set_policy("m", max_batch=4)
             cli.plan(400)
             with pytest.raises(TraceNotFoundError):
                 cli.trace("0" * 32)
@@ -360,7 +358,6 @@ def test_open_model_breaker_keeps_retry_after_across_the_worker_pipe(
             {"m": str(bundle_path)},
             num_workers=1,
             service_options={
-                "batch_window": 0.0,
                 "breaker_threshold": 1,
                 "breaker_recovery": 30.0,
             },

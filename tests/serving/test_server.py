@@ -66,7 +66,7 @@ def server(bundle_paths):
     with ServingServer(
         dict(bundle_paths),
         num_workers=2,
-        service_options={"batch_window": 0.01, "max_batch": 16},
+        service_options={"max_batch": 16},
     ) as srv:
         yield srv
 
@@ -159,16 +159,13 @@ def test_metrics_counters_reconcile_with_client_counts(server, targets):
     assert after.get("errors", 0) == before.get("errors", 0)
 
 
-def test_register_after_start_and_policy(server, client, targets, tmp_path):
+def test_register_after_start(server, client, targets, tmp_path):
     path = _make_bundle("full-block", theta=(2.0, 0.15, 0.8)).save(
         tmp_path / "late.bundle"
     )
     client.register("late-model", str(path))
     reference = PredictionEngine.from_bundle(path).predict(targets)
     np.testing.assert_array_equal(client.predict("late-model", targets), reference)
-    policy = client.set_policy("late-model", batch_window=0.0, max_batch=4)
-    assert policy["batch_window"] == 0.0
-    assert policy["max_batch"] == 4
 
 
 def test_model_id_with_slash_routes_through_admin_endpoints(
@@ -188,8 +185,6 @@ def test_model_id_with_slash_routes_through_admin_endpoints(
     client.reload(model_id, str(path_b))
     ref_b = PredictionEngine.from_bundle(path_b).predict(targets)
     np.testing.assert_array_equal(client.predict(model_id, targets), ref_b)
-    policy = client.set_policy(model_id, max_batch=2)
-    assert policy["max_batch"] == 2
 
 
 def test_unknown_model_maps_to_typed_exception(client, targets):
@@ -299,8 +294,6 @@ def test_priority_and_deadline_cross_the_wire(client, targets):
 def test_bad_options_fail_in_parent_before_spawning(bundle_paths):
     with pytest.raises(ConfigurationError):
         ServingServer(dict(bundle_paths), service_options={"max_batch": 0})
-    with pytest.raises(ConfigurationError):
-        ServingServer(dict(bundle_paths), service_options={"batch_window": -0.5})
     with pytest.raises(ConfigurationError):
         ServingServer(dict(bundle_paths), registry_options={"max_models": 0})
     with pytest.raises(ConfigurationError):

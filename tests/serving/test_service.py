@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -63,9 +62,7 @@ def test_concurrent_requests_bit_identical_to_sequential(problem, variant):
     sequential = [registry.engine("m").predict(t) for t in target_sets]
 
     async def main():
-        async with PredictionService(
-            registry, batch_window=0.2, max_batch=32, rhs_batching=True
-        ) as svc:
+        async with PredictionService(registry, max_batch=32) as svc:
             outs = await asyncio.gather(
                 *[svc.predict("m", t) for t in target_sets]
             )
@@ -81,9 +78,14 @@ def test_concurrent_requests_bit_identical_to_sequential(problem, variant):
     assert snap["counters"]["coalesced_requests"] >= 4
 
 
-def test_explicit_rhs_requests_coalesce_to_multirhs(problem):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_concurrent_explicit_z_requests_bit_identical(problem, variant):
+    """Same targets, different ``z``, in one round: every explicit-z
+    request is its own engine call, bit-identical to a standalone
+    predict (regression: they were stacked into one multi-RHS solve,
+    off by solver rounding)."""
     locs, z, model = problem
-    registry = make_registry(problem)
+    registry = make_registry(problem, variant)
     targets = generate_irregular_grid(8, seed=7)
     rng = np.random.default_rng(3)
     zs = [z, z + 0.1 * rng.standard_normal(N), rng.standard_normal(N)]
@@ -91,7 +93,7 @@ def test_explicit_rhs_requests_coalesce_to_multirhs(problem):
     sequential = [engine.predict(targets, z=zi) for zi in zs]
 
     async def main():
-        async with PredictionService(registry, batch_window=0.2, max_batch=16) as svc:
+        async with PredictionService(registry) as svc:
             outs = await asyncio.gather(
                 *[svc.predict("m", targets, z=zi) for zi in zs]
             )
@@ -100,8 +102,8 @@ def test_explicit_rhs_requests_coalesce_to_multirhs(problem):
     with registry:
         outs, snap = asyncio.run(main())
     for got, ref in zip(outs, sequential):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-    assert snap["counters"]["engine_calls"] <= 2
+        np.testing.assert_array_equal(got, ref)
+    assert snap["counters"]["engine_calls"] == len(zs)
 
 
 def test_mixed_traffic_grouping(problem):
@@ -114,7 +116,7 @@ def test_mixed_traffic_grouping(problem):
     ref_solo = engine.predict(t_solo, z=2.0 * z)
 
     async def main():
-        async with PredictionService(registry, batch_window=0.2, max_batch=16) as svc:
+        async with PredictionService(registry, max_batch=16) as svc:
             shared_calls = [svc.predict("m", t_shared) for _ in range(3)]
             solo_call = svc.predict("m", t_solo, z=2.0 * z)
             out = await asyncio.gather(*shared_calls, solo_call)
@@ -134,7 +136,7 @@ def test_unbatched_mode_one_call_per_request(problem):
     targets = generate_irregular_grid(5, seed=2)
 
     async def main():
-        async with PredictionService(registry, batch_window=0.0, max_batch=1) as svc:
+        async with PredictionService(registry, max_batch=1) as svc:
             for _ in range(4):
                 await svc.predict("m", targets)
             return svc.metrics.snapshot()
@@ -155,7 +157,7 @@ def test_expired_deadline_rejected_before_dispatch(problem):
     targets = generate_irregular_grid(5, seed=2)
 
     async def main():
-        async with PredictionService(registry, batch_window=0.01) as svc:
+        async with PredictionService(registry) as svc:
             with pytest.raises(DeadlineExceededError):
                 await svc.predict("m", targets, deadline=-1.0)
             # A sane deadline still succeeds.
@@ -197,9 +199,7 @@ def test_backpressure_rejects_when_queue_full(problem):
     targets = np.random.default_rng(0).random((4, 2))
 
     async def main():
-        async with PredictionService(
-            registry, batch_window=0.01, max_batch=1, max_queue=2
-        ) as svc:
+        async with PredictionService(registry, max_batch=1, max_queue=2) as svc:
             first = asyncio.ensure_future(svc.predict("slow", targets))
             # Wait until the batcher has taken `first` off the queue and is
             # blocked inside the engine call.
@@ -224,9 +224,9 @@ def test_backpressure_rejects_when_queue_full(problem):
 
 
 def test_default_service_dispatches_a_lone_request_without_idling():
-    """The default window is 0: a request with nothing behind it opens
-    and closes its round at once (regression: a 2 ms default window
-    idled every unloaded request for stragglers that could not come)."""
+    """A request with nothing behind it opens and closes its round at
+    once (regression: a 2 ms default batch window idled every unloaded
+    request for stragglers that could not come)."""
     registry = ModelRegistry(max_models=2)
     engine = _BlockingEngine()
     engine.release.set()
@@ -253,8 +253,8 @@ def test_default_service_dispatches_a_lone_request_without_idling():
 
 
 def test_default_service_coalesces_the_backlog_of_a_busy_engine():
-    """With no window, the engine's busy time is the window: requests
-    queued while one call runs are served by ONE coalesced call."""
+    """The engine's busy time is the coalescing window: requests queued
+    while one call runs are served by ONE coalesced call."""
     registry = ModelRegistry(max_models=2)
     blocker = _BlockingEngine()
     registry.add_engine("slow", blocker)
@@ -296,7 +296,7 @@ def test_engine_errors_propagate_to_callers(problem):
     registry.add_engine("boom", _Boom())
 
     async def main():
-        async with PredictionService(registry, batch_window=0.0) as svc:
+        async with PredictionService(registry) as svc:
             with pytest.raises(ValueError, match="engine exploded"):
                 await svc.predict("boom", np.zeros((3, 2)))
             return svc.metrics.snapshot()
@@ -309,7 +309,7 @@ def test_engine_errors_propagate_to_callers(problem):
 def test_closed_service_rejects_and_stop_fails_queued(problem):
     registry = make_registry(problem)
     targets = generate_irregular_grid(5, seed=2)
-    svc = PredictionService(registry, batch_window=0.01)
+    svc = PredictionService(registry)
 
     async def not_started():
         with pytest.raises(ServiceClosedError):
@@ -318,7 +318,7 @@ def test_closed_service_rejects_and_stop_fails_queued(problem):
     asyncio.run(not_started())
 
     async def stopped():
-        async with PredictionService(registry, batch_window=0.01) as svc2:
+        async with PredictionService(registry) as svc2:
             await svc2.predict("m", targets)
         with pytest.raises(ServiceClosedError):
             await svc2.predict("m", targets)
@@ -335,7 +335,7 @@ def test_stop_fails_inflight_requests(problem):
     targets = np.random.default_rng(0).random((4, 2))
 
     async def main():
-        svc = PredictionService(registry, batch_window=0.01, max_batch=1)
+        svc = PredictionService(registry, max_batch=1)
         await svc.start()
         pending = asyncio.ensure_future(svc.predict("slow", targets))
         for _ in range(200):
@@ -366,7 +366,7 @@ def test_fit_save_serve_end_to_end(problem, tmp_path):
     async def main():
         with ModelRegistry() as registry:
             registry.register("m", path)
-            async with PredictionService(registry, batch_window=0.1) as svc:
+            async with PredictionService(registry) as svc:
                 outs = await asyncio.gather(*[svc.predict("m", targets) for _ in range(4)])
                 return outs, svc.metrics.snapshot()
 
@@ -378,22 +378,36 @@ def test_fit_save_serve_end_to_end(problem, tmp_path):
     assert snap["counters"]["completed"] == 4
 
 
-def test_stop_fails_requests_held_in_open_batch_window(problem):
-    """Regression: a request already dequeued into a batch whose window is
-    still open must fail on stop(), not hang its caller forever."""
-    registry = make_registry(problem)
-    targets = generate_irregular_grid(5, seed=2)
+def test_stop_fails_requests_waiting_behind_a_blocked_group():
+    """Regression: a request already dequeued into a round, whose group
+    waits behind an earlier group still in the engine, must fail on
+    stop() — the queue drain can no longer reach it."""
+    registry = ModelRegistry(max_models=2)
+    blocker = _BlockingEngine()
+    registry.add_engine("slow", blocker)
+    targets = np.random.default_rng(0).random((4, 2))
+    zs = np.random.default_rng(1).standard_normal((2, 4))
 
     async def main():
-        svc = PredictionService(registry, batch_window=30.0, max_batch=8)
+        svc = PredictionService(registry)
         await svc.start()
-        pending = asyncio.ensure_future(svc.predict("m", targets))
-        await asyncio.sleep(0.1)  # batcher holds the request, window open
-        t0 = time.monotonic()
+        # Two explicit-z requests: one round, two single-request groups.
+        first, behind = [
+            asyncio.ensure_future(svc.predict("slow", targets, z=zi)) for zi in zs
+        ]
+        for _ in range(200):
+            await asyncio.sleep(0.005)
+            if blocker.calls:
+                break
+        assert blocker.calls == 1 and svc._queues["slow"].empty()
+        # Release only after stop() has cancelled the dispatch; the timer
+        # unblocks the executor thread so the executor shutdown completes.
+        threading.Timer(0.2, blocker.release.set).start()
         await svc.stop()
-        assert time.monotonic() - t0 < 5.0  # no window-length stall
-        with pytest.raises(ServiceClosedError):
-            await pending
+        for pending in (first, behind):
+            with pytest.raises(ServiceClosedError):
+                await pending
+        assert blocker.calls == 1  # the waiting group never reached the engine
 
     with registry:
         asyncio.run(main())
@@ -416,7 +430,7 @@ def test_unknown_model_rejected_at_submission(problem):
 
 
 # --------------------------------------------------------------------------
-# Priority lanes and per-model batching policies.
+# Priority ordering and per-request retry.
 # --------------------------------------------------------------------------
 
 
@@ -435,22 +449,6 @@ class _RecordingEngine:
         return [np.zeros(np.asarray(t).shape[0]) for t in target_sets]
 
 
-def test_priority_request_closes_the_batch_window(problem):
-    """A priority request must not wait out a long coalescing window."""
-    registry = make_registry(problem)
-    targets = generate_irregular_grid(5, seed=2)
-
-    async def main():
-        async with PredictionService(registry, batch_window=30.0, max_batch=8) as svc:
-            t0 = time.monotonic()
-            await svc.predict("m", targets, priority=1)
-            return time.monotonic() - t0
-
-    with registry:
-        elapsed = asyncio.run(main())
-    assert elapsed < 5.0  # nowhere near the 30 s window
-
-
 def test_priority_group_dispatches_before_bulk(problem):
     """Within one round, the group holding the priority request runs
     first — its engine call precedes the bulk stack."""
@@ -462,7 +460,7 @@ def test_priority_group_dispatches_before_bulk(problem):
     z = rng.standard_normal(3)
 
     async def main():
-        async with PredictionService(registry, batch_window=0.2, max_batch=8) as svc:
+        async with PredictionService(registry, max_batch=8) as svc:
             bulk = [asyncio.ensure_future(svc.predict("rec", t_bulk)) for _ in range(3)]
             urgent = asyncio.ensure_future(
                 svc.predict("rec", t_urgent, z=z, priority=5)
@@ -477,47 +475,28 @@ def test_priority_group_dispatches_before_bulk(problem):
     assert kinds.index("single") < kinds.index("stack")
 
 
-def test_per_model_policy_overrides_defaults(problem):
-    registry = make_registry(problem)
-    with registry:
-        svc = PredictionService(registry, batch_window=0.25, max_batch=32)
-        assert svc.effective_policy("m") == (0.25, 32)
-        svc.set_policy("m", batch_window=0.0, max_batch=4)
-        assert svc.effective_policy("m") == (0.0, 4)
-        assert svc.effective_policy("other") == (0.25, 32)  # untouched
-        # Partial updates merge: tuning one knob keeps the other.
-        svc.set_policy("m", max_batch=6)
-        assert svc.effective_policy("m") == (0.0, 6)
-        svc.clear_policy("m")
-        assert svc.effective_policy("m") == (0.25, 32)
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            svc.set_policy("m", max_batch=0)
-
-
 def test_malformed_request_does_not_poison_batch(problem):
     """Regression: one bad request in a coalesced group fails alone; the
     group retries per-request so innocent callers still get answers."""
-    locs, z, model = problem
     registry = make_registry(problem)
-    targets = generate_irregular_grid(6, seed=13)
-    good_z = np.asarray(z)
-    bad_z = np.asarray(z)[:-1]  # wrong length: fails only inside the engine
+    rng = np.random.default_rng(13)
+    good_sets = [np.ascontiguousarray(rng.random((m, 2))) for m in (6, 4)]
+    bad = rng.random((5, 3))  # 3-D targets: fails only inside the engine
     engine = registry.engine("m")
-    reference = engine.predict(targets, z=good_z)
+    references = [engine.predict(t) for t in good_sets]
 
     async def main():
-        async with PredictionService(registry, batch_window=0.2, max_batch=8) as svc:
-            good = asyncio.ensure_future(svc.predict("m", targets, z=good_z))
-            bad = asyncio.ensure_future(svc.predict("m", targets, z=bad_z))
-            await asyncio.sleep(0)
-            results = await asyncio.gather(good, bad, return_exceptions=True)
+        async with PredictionService(registry, max_batch=8) as svc:
+            results = await asyncio.gather(
+                *[svc.predict("m", t) for t in (good_sets[0], bad, good_sets[1])],
+                return_exceptions=True,
+            )
             return results, svc.metrics.snapshot()
 
     with registry:
-        (good_result, bad_result), snap = asyncio.run(main())
-    np.testing.assert_allclose(good_result, reference, rtol=1e-12, atol=1e-12)
+        (good_a, bad_result, good_b), snap = asyncio.run(main())
+    np.testing.assert_array_equal(good_a, references[0])
+    np.testing.assert_array_equal(good_b, references[1])
     assert isinstance(bad_result, Exception)
     assert snap["counters"]["errors"] == 1
-    assert snap["counters"].get("batch_retries", 0) >= 1
+    assert snap["counters"]["batch_retries"] == 1

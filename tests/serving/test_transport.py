@@ -64,7 +64,7 @@ def server(bundle_paths):
     with ServingServer(
         dict(bundle_paths),
         num_workers=2,
-        service_options={"batch_window": 0.01, "max_batch": 16},
+        service_options={"max_batch": 16},
     ) as srv:
         yield srv
 

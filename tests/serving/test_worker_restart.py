@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate_irregular_grid, sample_gaussian_field
-from repro.exceptions import ConfigurationError, ServerError
+from repro.exceptions import ConfigurationError, DeadlineExceededError, ServerError
 from repro.kernels import MaternCovariance
 from repro.mle import PredictionEngine
 from repro.serving import ModelBundle, ServingClient, ServingServer
@@ -43,7 +43,6 @@ def server(tmp_path):
         num_workers=2,
         max_worker_restarts=2,
         enable_fitting=False,
-        service_options={"batch_window": 0.0},
     ) as srv:
         yield srv
 
@@ -161,21 +160,6 @@ def test_models_registered_after_start_survive_a_respawn(server, targets, tmp_pa
         np.testing.assert_array_equal(cli.predict("late", targets), reference)
 
 
-def test_runtime_policies_survive_a_respawn(server, targets):
-    """Per-model batching policies set after startup are re-installed on
-    the respawned worker (regression: they used to silently revert)."""
-    with ServingClient(server.url) as cli:
-        policy = cli.set_policy("m", batch_window=0.015, max_batch=3)
-        assert policy == {"batch_window": 0.015, "max_batch": 3, "worker": policy["worker"]}
-        _kill_worker(server, "m")
-        cli.predict("m", targets)  # triggers the respawn
-        # Asking the worker for the effective policy (via a no-op
-        # policy update) must return the pre-crash values.
-        restored = cli.set_policy("m")
-        assert restored["batch_window"] == 0.015
-        assert restored["max_batch"] == 3
-
-
 @pytest.mark.parametrize(
     "start_method",
     [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
@@ -191,14 +175,16 @@ def test_service_options_survive_a_respawn(tmp_path, targets, start_method):
         num_workers=1,
         enable_fitting=False,
         start_method=start_method,
-        service_options={"batch_window": 0.05, "max_batch": 3},
+        # A default deadline no request can meet: the setting is
+        # observable as every predict failing before dispatch.
+        service_options={"default_deadline": 1e-9},
     ) as srv, ServingClient(srv.url) as cli:
-        before = cli.set_policy("m")  # no arguments: report the effective policy
-        assert (before["batch_window"], before["max_batch"]) == (0.05, 3)
+        with pytest.raises(DeadlineExceededError):
+            cli.predict("m", targets)
         _kill_worker(srv, "m")
-        cli.predict("m", targets)  # triggers the respawn
+        with pytest.raises(DeadlineExceededError):
+            cli.predict("m", targets)  # triggers the respawn, then expires there
         assert srv.n_worker_restarts == 1
-        assert cli.set_policy("m") == before
 
 
 def test_restart_budget_exhausts_into_server_error(server, targets):

@@ -81,7 +81,7 @@ def server(bundle_paths):
         dict(bundle_paths),
         num_workers=2,
         registry_options={"workers_per_shard": 2},
-        service_options={"batch_window": 0.005, "max_batch": 8},
+        service_options={"max_batch": 8},
     ) as srv:
         yield srv
 
@@ -95,7 +95,7 @@ def plain_server(bundle_paths):
         srv = ServingServer(
             dict(bundle_paths),
             num_workers=1,
-            service_options={"batch_window": 0.005, "max_batch": 8},
+            service_options={"max_batch": 8},
         )
     finally:
         configure(enabled=True)
