@@ -20,10 +20,9 @@ This demo runs the full production shape on top of it:
    ``MLEstimator.predict`` in the fitting process — JSON's float
    encoding round-trips every finite float64 exactly.
 5. **Binary transport**: the same predict over
-   ``application/x-repro-npy`` — raw little-endian float64 frames,
-   streamed both ways, pipelined over one connection — bit-identical
-   to the JSON answer and several times smaller on the wire (map-grid
-   targets deflate on top).
+   ``application/x-repro-npy`` — raw little-endian float64 frames in
+   ``Content-Length`` bodies, streamed both ways — bit-identical to
+   the JSON answer and several times smaller on the wire.
 6. **Hot-reload**: the model is re-fitted (here: refit at a nudged
    theta), saved, and swapped in via ``POST /v1/models/<id>/reload``
    while clients keep hammering — zero failed requests; traffic drains
@@ -137,7 +136,7 @@ def main() -> None:
             print(f"mean client latency {np.mean(latencies) * 1e3:.1f} ms")
             print("every HTTP response bit-identical to the fitting process: yes")
 
-            # -- 5. binary transport: bit-identical, smaller, pipelined
+            # -- 5. binary transport: bit-identical and smaller
             k = 80
             xs = np.linspace(0.0, 1.0, k)
             gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -160,19 +159,12 @@ def main() -> None:
                 json_s = time.perf_counter() - t0
                 assert np.array_equal(via_binary, via_json), \
                     "transports must be bit-identical"
-                pipelined = bclient.predict_pipelined(
-                    [{"model_id": MODEL_ID, "targets": t} for t in targets]
-                )
-                for got, ref in zip(pipelined, references):
-                    assert np.array_equal(got, ref)
             print(
                 f"binary transport: {k * k:,}-target map request "
                 f"{json_bytes:,} B as JSON -> {binary_bytes:,} B framed "
                 f"({json_bytes / binary_bytes:.1f}x smaller), "
                 f"{json_s * 1e3:.0f} ms -> {binary_s * 1e3:.0f} ms, bit-identical"
             )
-            print(f"pipelined {len(targets)} predicts on one connection: "
-                  "all bit-identical")
 
             # -- 6. hot-reload under traffic
             refit = MLEstimator(locs, z, variant="tlr", acc=1e-7, tile_size=tuned.tile_size)

@@ -320,36 +320,15 @@ def _fill_dense_codelet(
     out[...] = materialize_tile(generate(rows, cols), out.shape, i, j)
 
 
-def _fill_lowrank_codelet(
-    lr: LowRank,
-    generate: Callable[[slice, slice], np.ndarray],
-    rows: slice,
-    cols: slice,
-    i: int,
-    j: int,
-    acc: float,
-    method: str,
-    rule: str,
-    seed: Optional[int],
-) -> None:
-    """Codelet: generate + compress tile ``(i, j)`` into the LowRank payload.
-
-    ``method``/``rule``/``seed`` arrive resolved by the submitting thread.
-    """
-    dense = materialize_tile(generate(rows, cols), lr.shape, i, j)
-    kwargs = {} if seed is None else {"seed": seed}
-    c = compress(dense, acc, method=method, rule=rule, **kwargs)
-    lr.set_factors(c.u, c.v)
-
-
 def _fill_lowrank_batch_codelet(*packed: object) -> None:
-    """Codelet: generate + compress several tiles in one runtime task.
+    """Codelet: generate + compress one or more tiles in one runtime task.
 
     The leading payloads are the batch's :class:`LowRank` blocks (in the
     order of ``specs``); the single trailing argument carries everything
     else, so the variable payload count stays unambiguous. Per-tile
-    arithmetic is identical to :func:`_fill_lowrank_codelet` — batching
-    only amortizes per-task runtime overhead when tiles are small.
+    arithmetic does not depend on the batch size — batching only
+    amortizes per-task runtime overhead when tiles are small.
+    ``method``/``rule``/``seed`` arrive resolved by the submitting thread.
     """
     lrs = packed[:-1]
     generate, specs, acc, method, rule, seed = packed[-1]  # type: ignore[misc]
@@ -441,26 +420,6 @@ def insert_tlr_generation_tasks(
             name=f"gen({k},{k})",
             priority=4 * (nt - k),
         )
-    if batch <= 1:
-        for (i, j) in sorted(tlr.low):
-            runtime.insert_task(
-                _fill_lowrank_codelet,
-                [(lh[(i, j)], AccessMode.READWRITE)],
-                args=(
-                    generate,
-                    grid.tile_slice(i),
-                    grid.tile_slice(j),
-                    i,
-                    j,
-                    tlr.acc,
-                    method,
-                    rule,
-                    seed,
-                ),
-                name=f"gen({i},{j})",
-                priority=4 * (nt - j),
-            )
-        return dh, lh
     keys = sorted(tlr.low, key=lambda ij: (ij[1], ij[0]))  # column-major
     for start in range(0, len(keys), batch):
         group = keys[start : start + batch]

@@ -8,8 +8,8 @@ cannot be bisected. This module provides that determinism:
 * Production code is instrumented with :func:`fault_point` calls at
   **named sites** (``store.load``, ``registry.rehydrate``,
   ``worker.pipe``, ``fit.leg``, ``engine.predict``, ``runtime.task``,
-  ``wire.stream`` — the binary transport's streamed-response chunk
-  loop, for dropping a connection mid-stream).
+  ``wire.stream`` — before each body write of the edge's binary
+  reply, for dropping a connection mid-response).
   Unarmed, a fault point is two module-global reads — no measurable
   cost on any request path.
 * A :class:`FaultPlan` is a seeded list of :class:`FaultRule`\\ s, each
@@ -240,9 +240,11 @@ class FaultPlan:
             fcntl.flock(fd, fcntl.LOCK_EX)
             raw = os.read(fd, 64).strip()
             hit = (int(raw) if raw else 0) + 1
-            os.lseek(fd, 0, os.SEEK_SET)
-            os.ftruncate(fd, 0)
-            os.write(fd, str(hit).encode())
+            # One fixed-width write and no truncate: a process SIGKILLed
+            # here (a ``kill`` rule firing on another of its threads)
+            # leaves the old count or the new one, never an empty file
+            # that would restart the count and re-fire every rule.
+            os.pwrite(fd, b"%20d" % hit, 0)
         finally:
             os.close(fd)  # releases the lock
         return hit

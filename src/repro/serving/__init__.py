@@ -35,7 +35,7 @@ PredictionEngine` — fast but trapped inside the process that ran
   and the pipe protocol);
 * :mod:`repro.serving.client` — :class:`ServingClient`, the matching
   stdlib HTTP client with typed error mapping, per-call transport
-  selection, and pipelined keep-alive predicts.
+  selection, and one keep-alive connection per client.
 
 Fit → save → serve (in process):
 

@@ -18,16 +18,11 @@ bit-identical to calling the worker's engine in process.
 
 ``transport="binary"`` speaks :mod:`repro.serving.wire`: targets cross
 as raw little-endian float64 frames (several times smaller on the
-wire, no repr/parse cost, deflate on top for structured payloads),
-the request body is *streamed* from the source arrays (never
-concatenated), and the chunked response is decoded incrementally into
-one preallocated array — also bit-exact, including NaN/inf payloads
-JSON cannot carry at all.
-
-:meth:`ServingClient.predict_pipelined` additionally pipelines many
-predict requests over one connection — all requests are sent before
-the first response is read, hiding per-request latency — using either
-transport.
+wire, no repr/parse cost). Both directions are ``Content-Length``
+bodies: the request is *streamed* from the source arrays (never
+concatenated), and the response is decoded incrementally into one
+preallocated array — also bit-exact, including NaN/inf payloads JSON
+cannot carry at all.
 
 Each client holds one persistent keep-alive connection guarded by a
 lock, so a client instance is thread-safe but serializes its own
@@ -39,11 +34,10 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 import threading
 import time
 import urllib.parse
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -211,8 +205,7 @@ class ServingClient:
     def _encode(self, transport: str, body: dict):
         """A request body on ``transport``: ``(headers, data)``.
 
-        The one place a body becomes bytes, for every route and for
-        both :meth:`predict` and :meth:`predict_pipelined`. ``body`` is
+        The one place a body becomes bytes, for every route. ``body`` is
         a flat dict whose ndarray values are the message's arrays: JSON
         sends them as lists, binary frames them raw (everything else is
         the frame's meta) and asks for a binary answer. Binary ``data``
@@ -393,8 +386,8 @@ class ServingClient:
             try:
                 if status < 400 and wire.is_binary(ctype):
                     meta, arrays = wire.read_message(response.read)
-                    response.read()  # drain the chunked terminator so the
-                    return dict(meta, **arrays)  # connection stays reusable
+                    response.read()  # finish the body so the connection
+                    return dict(meta, **arrays)  # stays reusable
                 raw = response.read()
             except (WireFormatError, http.client.HTTPException, OSError) as exc:
                 self.close_locked()
@@ -508,136 +501,6 @@ class ServingClient:
         if detail:
             return prediction, {"degraded": bool(payload.get("degraded", False))}
         return prediction
-
-    def predict_pipelined(
-        self,
-        requests: Iterable[dict],
-        *,
-        deadline: Optional[float] = None,
-        transport: Optional[str] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Pipeline many predict requests over one fresh connection.
-
-        Every request is written to the socket before the first
-        response is read (HTTP/1.1 pipelining), so per-request
-        round-trip latency is paid once for the whole batch instead of
-        once per request. Each ``requests`` element is a dict with
-        ``model_id`` and ``targets`` plus optional ``z`` / ``priority``.
-
-        Responses come back in request order. Results are returned in
-        the same order, with ``None`` at positions whose request failed
-        with a typed error; after *all* responses are drained (the
-        stream must stay framed), the first such error is raised. Use
-        the return value only when no exception escaped.
-
-        Pipelining is inherently idempotent-only territory: nothing is
-        ever retried, and a connection that dies mid-batch raises
-        :class:`ServerError` — any request already written may have
-        executed.
-        """
-        transport = self._check_transport(transport)
-        prepared = []
-        for req in requests:
-            try:
-                model_id = str(req["model_id"])
-                raw_targets = req["targets"]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"pipelined request is missing required key {exc}"
-                ) from None
-            targets, z = self._validate_predict_args(raw_targets, req.get("z"))
-            prepared.append(
-                self._encode(
-                    transport,
-                    self._predict_body(model_id, targets, z, req.get("priority", 0)),
-                )
-            )
-        if not prepared:
-            return []
-        host_header = f"{self.host}:{self.port}"
-        shared = {"Host": host_header}
-        if deadline is not None:
-            shared["X-Repro-Deadline"] = f"{float(deadline):.6f}"
-        if _telemetry.enabled():
-            # One trace for the whole batch: every pipelined request
-            # carries the same ids, so /v1/trace/<id> shows all N
-            # router.predict spans side by side under one root.
-            ctx = _trace_context.current() or _trace_context.new_trace()
-            shared[_trace_context.TRACE_HEADER] = _trace_context.to_header(ctx)
-        try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        except OSError as exc:
-            raise ServerError(
-                f"connecting to {host_header} for pipelining failed: {exc}"
-            ) from exc
-        try:
-            # http.client sets this on its own sockets; without it the
-            # small writes below wait on the server's delayed ACK.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # ---- write phase: every request, back to back ------------
-            for headers, data in prepared:
-                lines = [f"{k}: {v}" for k, v in {**shared, **headers}.items()]
-                head = "\r\n".join(["POST /v1/predict HTTP/1.1", *lines, "", ""])
-                head = head.encode("latin-1")
-                if callable(data):  # binary: streamed, never concatenated
-                    sock.sendall(head)
-                    for chunk in data():
-                        sock.sendall(chunk)
-                else:
-                    sock.sendall(head + data)
-            # ---- read phase: all responses off ONE shared reader -----
-            # (separate http.client responses would each buffer ahead
-            # and steal the next response's bytes)
-            fp = sock.makefile("rb")
-            results: List[Optional[np.ndarray]] = []
-            first_error: Optional[BaseException] = None
-            for _ in prepared:
-                status, headers = wire.parse_http_head(fp)
-                if "chunked" in headers.get("transfer-encoding", "").lower():
-                    reader = wire.ChunkedReader(fp)
-                else:
-                    reader = wire.BoundedReader(
-                        fp, int(headers.get("content-length", 0) or 0)
-                    )
-                if status < 400 and wire.is_binary(headers.get("content-type")):
-                    _, rarrays = wire.read_message(reader.read)
-                    reader.drain()
-                    results.append(rarrays["prediction"])
-                    continue
-                chunks = []
-                while True:
-                    piece = reader.read(wire.CHUNK_SIZE)
-                    if not piece:
-                        break
-                    chunks.append(piece)
-                try:
-                    payload = self._finish_json(status, b"".join(chunks))
-                except Exception as exc:  # typed per-request error
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-                    continue
-                results.append(np.asarray(payload["prediction"], dtype=np.float64))
-            if first_error is not None:
-                raise first_error
-            return results
-        except WireFormatError as exc:
-            raise ServerError(
-                f"pipelined stream from {host_header} broke mid-batch: {exc} "
-                "(any request already written may have executed)"
-            ) from exc
-        except OSError as exc:
-            raise ServerError(
-                f"pipelined connection to {host_header} failed: {exc} "
-                "(any request already written may have executed)"
-            ) from exc
-        finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
 
     def register(self, model_id: str, path: Union[str, "object"]) -> dict:
         """Register a bundle path on the owning worker."""

@@ -35,6 +35,7 @@ from ..exceptions import (
     WireFormatError,
     status_for_exception,
 )
+from ..resilience.faults import fault_point
 from ..resilience.policy import Deadline
 from ..telemetry import context as _trace_context
 from ..telemetry import spans as _telemetry
@@ -53,7 +54,7 @@ class _Handler(BaseHTTPRequestHandler):
     ``query``) is reset by :meth:`_dispatch`, not per instance.
 
     Every accepted socket gets ``TCP_NODELAY``: a reply leaves as
-    several small writes (headers, then each chunk frame), and under
+    several small writes (headers, then each body chunk), and under
     Nagle each write after the first waits out the client's ~40 ms
     delayed ACK.
     """
@@ -191,23 +192,31 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, "application/json", data, headers)
 
     def _reply_binary(self, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
-        """Stream a binary message as a chunked 200 response."""
+        """Stream a binary message as a 200 with its exact Content-Length.
+
+        The message is planned once, so the declared length and the
+        streamed body cannot disagree. The deadline is re-checked per
+        chunk (a slow-reading client cannot pin a handler thread past
+        the request's budget), and ``wire.stream`` is a fault-injection
+        site so chaos tests can drop the connection mid-response.
+        """
+        plan = wire.plan_message(meta, arrays)
         self._streamed = True
         self.send_response(200)
         self.send_header("Content-Type", wire.CONTENT_TYPE)
-        self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("Content-Length", str(plan.length))
         self.end_headers()
-        wire.write_chunked(
-            self.wfile, wire.iter_message(meta, arrays), deadline=self.deadline
-        )
+        for chunk in plan.chunks(deadline=self.deadline):
+            fault_point("wire.stream")
+            self.wfile.write(chunk)
 
     def _safe_error(self, exc: BaseException) -> None:
         """Report ``exc`` to the client without ever corrupting the stream.
 
-        Once a chunked binary response has started, its status line is
-        gone — the only honest signal left is killing the connection so
-        the client sees truncation (a typed wire error) instead of a
-        silently short prediction. An error raised *before* the body
+        Once a binary response has started, its status line is gone —
+        the only honest signal left is killing the connection so the
+        client sees a body shorter than its Content-Length (a typed
+        wire error) instead of a silently short prediction. An error raised *before* the body
         was consumed (413, malformed Content-Length) likewise closes
         the connection: unread body bytes would desync the next
         keep-alive request.
@@ -243,6 +252,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._streamed = False
         self._body_read = bodyless
         try:
+            if "Transfer-Encoding" in self.headers:
+                # Bodies are Content-Length framed only. Read as empty,
+                # such a body would be parsed as the next request on
+                # this connection (request smuggling), so refuse it and
+                # close before a single body byte is read.
+                self.close_connection = True
+                raise ValueError(
+                    "Transfer-Encoding is not supported; send the body "
+                    "with a Content-Length"
+                )
             # The deadline header is parsed at the very edge — before
             # the body is read — so streamed body reads already run
             # under the client's budget, and it wins over the body's

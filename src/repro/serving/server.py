@@ -53,9 +53,10 @@ Endpoints
     ``Content-Type: application/x-repro-npy`` request body is a binary
     framed message (meta + raw float64 ``targets``/``z`` arrays), and
     an ``Accept: application/x-repro-npy`` response is the prediction
-    streamed back as chunked binary frames — bit-exact, several times smaller
-    than JSON, decoded into one preallocated array. JSON stays the
-    default (and the debug surface); error responses are always JSON.
+    streamed back as binary frames in a ``Content-Length`` body —
+    bit-exact, several times smaller than JSON, decoded into one
+    preallocated array. JSON stays the default (and the debug
+    surface); error responses are always JSON.
 ``GET /healthz``
     Liveness of the router and every worker process.
 ``GET /v1/models``

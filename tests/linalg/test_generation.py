@@ -275,7 +275,7 @@ class TestCacheRehydration:
 class TestBatchedCompression:
     """compression_batch: several tiles' SVDs per runtime task, same values."""
 
-    @pytest.mark.parametrize("batch", [2, 4, 7, 64])
+    @pytest.mark.parametrize("batch", [1, 2, 4, 5, 7, 64])
     def test_batched_generation_bit_identical(self, locs, batch):
         model = MaternCovariance(1.0, 0.1, 0.5)
         gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731

@@ -11,6 +11,7 @@ socket.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 
@@ -141,34 +142,31 @@ def test_keepalive_typed_error_after_streamed_binary_reply(server):
     """Regression: ``_streamed`` left True by a successful streamed
     binary predict must not make a later request's typed error on the
     SAME keep-alive connection silently drop the connection instead of
-    replying (which broke ``predict_pipelined``'s per-request error
-    semantics and triggered spurious client-side retries)."""
+    replying (which triggered spurious client-side retries)."""
     body = json.dumps({"model_id": "m", "targets": [[0.5, 0.5]]}).encode()
-    sock = socket.create_connection((server.host, server.port), timeout=30)
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
     try:
-        fp = sock.makefile("rb")
-        head = _post_head(server, len(body)) + [f"Accept: {wire.CONTENT_TYPE}"]
-        sock.sendall("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
-        status, headers = wire.parse_http_head(fp)
-        assert status == 200
-        assert headers.get("transfer-encoding") == "chunked"
-        reader = wire.ChunkedReader(fp)
-        _, arrays = wire.read_message(reader.read)
-        reader.drain()  # position the stream at the next response
+        conn.request("POST", "/v1/predict", body=body, headers={
+            "Content-Type": "application/json", "Accept": wire.CONTENT_TYPE})
+        response = conn.getresponse()
+        assert response.status == 200
+        assert wire.is_binary(response.getheader("Content-Type"))
+        _, arrays = wire.read_message(response.read)
         assert arrays["prediction"].shape == (1,)
+        assert response.isclosed()  # the whole Content-Length body consumed
+        sock = conn.sock
         # Same connection, now a typed error: the server must REPLY
         # (404 JSON), not kill the connection over stale stream state.
         bad = json.dumps({"model_id": "missing", "targets": [[0.5, 0.5]]}).encode()
-        sock.sendall(
-            "\r\n".join(_post_head(server, len(bad))).encode("latin-1")
-            + b"\r\n\r\n" + bad
-        )
-        status, headers = wire.parse_http_head(fp)
-        assert status == 404
-        error = json.loads(fp.read(int(headers["content-length"])))["error"]
+        conn.request("POST", "/v1/predict", body=bad,
+                     headers={"Content-Type": "application/json"})
+        assert conn.sock is sock
+        response = conn.getresponse()
+        assert response.status == 404
+        error = json.loads(response.read())["error"]
         assert error["type"] == "ModelNotFoundError"
     finally:
-        sock.close()
+        conn.close()
 
 
 def test_keepalive_413_still_closes_connection(server):
@@ -177,37 +175,63 @@ def test_keepalive_413_still_closes_connection(server):
     reused connection still closes it, so undelivered body bytes can
     never desync the next request's framing."""
     body = json.dumps({"model_id": "m", "targets": [[0.5, 0.5]]}).encode()
-    sock = socket.create_connection((server.host, server.port), timeout=30)
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
     try:
-        fp = sock.makefile("rb")
-        sock.sendall(
-            "\r\n".join(_post_head(server, len(body))).encode("latin-1")
-            + b"\r\n\r\n" + body
-        )
-        status, headers = wire.parse_http_head(fp)
-        assert status == 200
-        fp.read(int(headers["content-length"]))  # leave framing clean
+        conn.request("POST", "/v1/predict", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200
+        response.read()  # leave framing clean
+        sock = conn.sock
         # Second request declares an over-cap body (none is sent): the
         # 413 arrives before any body read, so the connection must die.
-        sock.sendall(
-            "\r\n".join(_post_head(server, server.max_body + 1)).encode("latin-1")
-            + b"\r\n\r\n"
-        )
-        status, headers = wire.parse_http_head(fp)
-        assert status == 413
-        fp.read(int(headers["content-length"]))
+        conn.putrequest("POST", "/v1/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(server.max_body + 1))
+        conn.endheaders()
+        assert conn.sock is sock
+        response = conn.getresponse()
+        assert response.status == 413
+        response.read()
         # Probe: a third request must meet a closed socket, never a
         # served response off desynced framing.
         try:
             sock.sendall(
                 f"GET /healthz HTTP/1.1\r\nHost: {server.host}\r\n\r\n".encode()
             )
-            leftover = fp.read(1)
+            leftover = sock.recv(1)
         except (BrokenPipeError, ConnectionResetError):
             leftover = b""
         assert leftover == b""
     finally:
-        sock.close()
+        conn.close()
+
+
+def test_transfer_encoding_is_400_and_closes_before_the_body(server):
+    """Regression (request smuggling): a ``Transfer-Encoding`` body was
+    read as empty, so its bytes parsed as a second request on the same
+    keep-alive connection — here a ``GET /v1/models`` that was answered
+    200. The request must get one 400 and then EOF, no second reply."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.putrequest("POST", "/v1/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Transfer-Encoding", "chunked")
+        conn.endheaders()
+        conn.send(b"GET /v1/models HTTP/1.1\r\nHost: x\r\n\r\n")
+        sock = conn.sock
+        response = conn.getresponse()
+        assert response.status == 400
+        error = json.loads(response.read())["error"]
+        sock.settimeout(5.0)
+        try:
+            leftover = sock.recv(1)  # the server's next word must be EOF
+        except socket.timeout:
+            leftover = b"<connection left open>"
+        assert leftover == b""
+        assert "Transfer-Encoding" in error["message"]
+    finally:
+        conn.close()
 
 
 # --------------------------------------------------------------------------
@@ -284,13 +308,3 @@ def test_client_refuses_oversized_json_body(offline_client):
     big = np.random.default_rng(2).random((400, 2))
     with pytest.raises(PayloadTooLargeError, match="binary"):
         offline_client.predict("m", big)
-
-
-def test_pipelined_validates_before_connecting(offline_client):
-    """predict_pipelined must validate every request before writing any
-    — here the dead port proves validation fires first."""
-    with pytest.raises(ValidationError, match="targets"):
-        offline_client.predict_pipelined(
-            [{"model_id": "m", "targets": [[0.1, 0.2]]},
-             {"model_id": "m", "targets": [[0.1], [0.2, 0.3]]}]
-        )

@@ -6,8 +6,6 @@
 * every :data:`repro.serving.worker.OPS` entry is reachable from a
   route, and an op outside the table is a ``ServerError`` reply;
 * a query string never changes which route matches;
-* ``predict`` and ``predict_pipelined`` put byte-identical request
-  bodies on the wire, on both transports;
 * typed errors keep ``retry_after`` across the worker pipe;
 * ``POST /v1/fit`` accepts exactly the ``FitJobSpec`` fields.
 """
@@ -19,10 +17,8 @@ import http.client
 import json
 import multiprocessing
 import os
-import threading
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -150,12 +146,6 @@ def exercised(server, bundle_path, targets):
             )
             cli.jobs()
             cli.wait_job(job["job_id"], timeout=120.0)
-        # predict_pipelined writes to its own socket, not through _send_once.
-        results = ServingClient(server.url).predict_pipelined(
-            [{"model_id": "m", "targets": targets}]
-        )
-        assert len(results) == 1
-        sent.append(("POST", "/v1/predict"))
     return sent, asked
 
 
@@ -270,56 +260,6 @@ def test_unrouted_post_drains_its_body_before_the_404(server):
         assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
     finally:
         conn.close()
-
-
-# --------------------------------------------------------------------------
-# One predict encoder
-# --------------------------------------------------------------------------
-
-
-class _Recorder(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.seen.append((self.headers.get("Content-Type"), body))
-        data = json.dumps({"model_id": "m", "prediction": [0.5], "degraded": False})
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data.encode())
-
-    def log_message(self, fmt, *args):
-        pass
-
-
-@pytest.mark.parametrize("transport", ["json", "binary"])
-def test_predict_and_pipelined_send_byte_identical_bodies(transport, targets):
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Recorder)
-    httpd.seen = []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        z = np.linspace(-1.0, 1.0, 7)
-        with ServingClient(f"127.0.0.1:{httpd.server_address[1]}") as cli:
-            cli.predict("m", targets, z=z, priority=2, transport=transport)
-            cli.predict_pipelined(
-                [{"model_id": "m", "targets": targets, "z": z, "priority": 2}],
-                transport=transport,
-            )
-            cli.predict("m", targets, transport=transport)
-            cli.predict_pipelined(
-                [{"model_id": "m", "targets": targets.tolist()}], transport=transport
-            )
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(10.0)
-    (ct1, one), (ct2, piped), (_, plain), (_, plain_piped) = httpd.seen
-    assert ct1 == ct2
-    assert one == piped and len(one) > 0
-    assert plain == plain_piped and plain != one
 
 
 # --------------------------------------------------------------------------

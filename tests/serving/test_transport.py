@@ -4,7 +4,7 @@ The headline assertions of the PR-7 transport work:
 
 * JSON and binary transports are **bit-identical** (0.0 absolute
   error) to the in-process engine for every substrate — streamed or
-  buffered, serial or pipelined, predict-by-id or register-by-upload.
+  buffered, predict-by-id or register-by-upload.
 * Where strict JSON *cannot* be correct (non-finite predictions) the
   JSON path fails typed instead of shipping ``NaN`` as a quiet
   ``null``/``Infinity`` token, and the binary path carries the exact
@@ -155,52 +155,33 @@ def test_streamed_equals_buffered_decode(server, bundle_paths, bclient):
     )
 
 
-# --------------------------------------------------------------------------
-# Pipelining
-# --------------------------------------------------------------------------
+def test_binary_reply_is_content_length_framed(server, bundle_paths, targets):
+    """A binary predict reply is one planned message in a plain
+    ``Content-Length`` body — exactly ``wire.encoded_length`` of what
+    it carries — and never chunked."""
+    import http.client
 
-
-@pytest.mark.parametrize("transport", ("json", "binary"))
-def test_pipelined_equals_serial(bundle_paths, client, bclient, transport):
-    rng = np.random.default_rng(7)
-    requests = [
-        {"model_id": variant, "targets": rng.random((9, 2))}
-        for variant in VARIANTS for _ in range(3)
-    ]
-    cli = bclient if transport == "binary" else client
-    pipelined = cli.predict_pipelined(requests, transport=transport)
-    assert len(pipelined) == len(requests)
-    for req, got in zip(requests, pipelined):
-        serial = client.predict(req["model_id"], req["targets"])
-        np.testing.assert_array_equal(got, serial)
-        reference = PredictionEngine.from_bundle(
-            bundle_paths[req["model_id"]]
-        ).predict(np.asarray(req["targets"]))
-        np.testing.assert_array_equal(got, reference)
-
-
-def test_pipelined_socket_sets_tcp_nodelay(client, targets, monkeypatch):
-    """The pipelined path's raw socket is configured like http.client's:
-    Nagle off, so its back-to-back small writes never wait on an ACK."""
-    seen = []
-    real_create = socket.create_connection
-
-    class _Spy:
-        def __init__(self, sock):
-            self._sock = sock
-
-        def __getattr__(self, name):
-            return getattr(self._sock, name)
-
-        def close(self):
-            seen.append(self._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-            self._sock.close()
-
-    monkeypatch.setattr(
-        socket, "create_connection", lambda *a, **kw: _Spy(real_create(*a, **kw))
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+    try:
+        conn.request(
+            "POST", "/v1/predict",
+            body=wire.encode_message({"model_id": "full-block"}, {"targets": targets}),
+            headers={"Content-Type": wire.CONTENT_TYPE, "Accept": wire.CONTENT_TYPE},
+        )
+        response = conn.getresponse()
+        assert response.status == 200
+        body = response.read()
+    finally:
+        conn.close()
+    assert response.getheader("Transfer-Encoding") is None
+    meta, arrays = wire.read_message(io.BytesIO(body).read)
+    reference = PredictionEngine.from_bundle(bundle_paths["full-block"]).predict(targets)
+    np.testing.assert_array_equal(arrays["prediction"], reference)
+    declared = response.getheader("Content-Length")
+    assert declared is not None
+    assert int(declared) == len(body) == wire.encoded_length(
+        meta, {"prediction": reference}
     )
-    client.predict_pipelined([{"model_id": "full-block", "targets": targets}])
-    assert seen and all(seen)
 
 
 def test_keepalive_predict_has_no_idle_floor(bundle_paths, targets):
@@ -219,16 +200,6 @@ def test_keepalive_predict_has_no_idle_floor(bundle_paths, targets):
             cli.predict("m", targets)
             times.append(time.perf_counter() - t0)
     assert np.median(times) < 0.020
-
-
-def test_pipelined_error_slots_are_none_and_typed(client, targets):
-    requests = [
-        {"model_id": "full-block", "targets": targets},
-        {"model_id": "no-such-model", "targets": targets},
-        {"model_id": "tlr", "targets": targets},
-    ]
-    with pytest.raises(ModelNotFoundError):
-        client.predict_pipelined(requests)
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     DeadlineExceededError,
@@ -120,9 +123,9 @@ def test_meta_rejects_non_finite_floats():
 # --------------------------------------------------------------------------
 
 
-def test_iter_message_chunks_are_bounded():
+def test_plan_chunks_are_bounded():
     payload = np.random.default_rng(4).random(100_000)  # 800 kB
-    chunks = list(wire.iter_message({}, {"p": payload}, chunk_size=4096))
+    chunks = list(wire.plan_message({}, {"p": payload}).chunks(chunk_size=4096))
     # Frame heads+headers ride with small chunks; payload slices obey the cap.
     assert max(len(c) for c in chunks) <= 4096 + 256
     assert b"".join(bytes(c) for c in chunks) == wire.encode_message({}, {"p": payload})
@@ -149,64 +152,17 @@ def test_read_message_deadline_checked_mid_stream():
         wire.read_message(io.BytesIO(blob).read, deadline=expired, chunk_size=4096)
 
 
-def test_write_chunked_roundtrips_through_chunked_reader():
-    sent = np.random.default_rng(6).random((200, 4))
-    body = io.BytesIO()
-    wire.write_chunked(body, wire.iter_message({"ok": True}, {"t": sent},
-                                              chunk_size=1024))
-    body.seek(0)
-    reader = wire.ChunkedReader(io.BufferedReader(io.BytesIO(body.getvalue())))
-    meta, got = wire.read_message(reader.read)
-    assert meta == {"ok": True}
-    np.testing.assert_array_equal(got["t"], sent)
-    reader.drain()
-    assert reader.read(1) == b""  # positioned past the terminal chunk
-
-
-def test_chunked_eof_in_trailer_section_is_truncation():
-    """Regression: a connection dropped between the 0-size chunk line
-    and the final CRLF must report truncation, not a complete body."""
-    fp = io.BufferedReader(io.BytesIO(b"4\r\nDATA\r\n0\r\n"))
-    reader = wire.ChunkedReader(fp)
-    assert reader.read(4) == b"DATA"
-    with pytest.raises(WireFormatError, match="truncated"):
-        reader.read(1)
-
-
-def test_chunked_eof_mid_line_is_truncation():
-    fp = io.BufferedReader(io.BytesIO(b"4\r\nDATA\r\n1f"))  # size line cut off
-    reader = wire.ChunkedReader(fp)
-    assert reader.read(4) == b"DATA"
-    with pytest.raises(WireFormatError, match="truncated"):
-        reader.read(1)
-
-
-def test_chunked_overlong_size_line_is_typed():
-    """Regression: ``readline(_MAX_LINE)`` silently truncates, so an
-    over-long chunk-size line must be rejected — its remainder would
-    otherwise parse as the next framing line."""
-    fp = io.BufferedReader(io.BytesIO(b"1" * (wire._MAX_LINE + 16) + b"\r\n"))
-    with pytest.raises(WireFormatError, match="line cap"):
-        wire.ChunkedReader(fp).read(1)
-
-
-def test_chunked_overlong_trailer_line_is_typed():
-    blob = b"0\r\n" + b"x-trailer: " + b"v" * (wire._MAX_LINE + 16) + b"\r\n\r\n"
-    with pytest.raises(WireFormatError, match="line cap"):
-        wire.ChunkedReader(io.BufferedReader(io.BytesIO(blob))).read(1)
-
-
 def test_bounded_reader_stops_at_its_length():
     fp = io.BytesIO(b"abcdefghij" + b"NEXT-REQUEST")
     reader = wire.BoundedReader(fp, 10)
     assert reader.read(4) == b"abcd"
     reader.drain()
     assert reader.read(100) == b""
-    assert fp.read(4) == b"NEXT"  # the next pipelined request is untouched
+    assert fp.read(4) == b"NEXT"  # the next keep-alive request is untouched
 
 
 # --------------------------------------------------------------------------
-# Transparent deflate compression
+# Planning and payload encodings
 # --------------------------------------------------------------------------
 
 
@@ -214,30 +170,6 @@ def _grid_targets(k):
     xs = np.linspace(0.0, 1.0, k)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def test_structured_payload_compresses_and_roundtrips_bit_exact():
-    """Map-grid coordinates (the bulk kriging-output workload) must ship
-    deflate-compressed — several times smaller — and still bit-exact."""
-    grid = _grid_targets(120)
-    plain = wire.encoded_length({}, {"targets": grid}, compress=False)
-    packed = wire.encoded_length({}, {"targets": grid})
-    assert packed < plain / 4
-    _, got = _roundtrip({}, {"targets": grid})
-    assert got["targets"].tobytes() == grid.tobytes()
-
-
-def test_incompressible_payload_ships_raw():
-    """Random mantissas don't deflate: the probe must decline, keeping
-    the wire within a hair of the raw payload."""
-    noise = np.random.default_rng(8).random(50_000)
-    packed = wire.encoded_length({}, {"z": noise})
-    assert packed <= noise.nbytes + 512
-
-
-def test_compress_false_forces_raw():
-    grid = _grid_targets(64)
-    assert wire.encoded_length({}, {"t": grid}, compress=False) >= grid.nbytes
 
 
 def test_plan_message_is_reusable():
@@ -250,82 +182,23 @@ def test_plan_message_is_reusable():
     assert len(first) == plan.length
 
 
-def test_truncated_compressed_payload_is_typed():
-    blob = wire.encode_message({}, {"t": _grid_targets(64)})
-    with pytest.raises(WireFormatError, match="truncated"):
-        wire.read_message(io.BytesIO(blob[: len(blob) - 40]).read)
-
-
-def test_decompression_bomb_dies_at_first_excess_byte():
-    """A deflate payload inflating past its declared shape must fail
-    typed — and before filling anything beyond the declared buffer."""
-    import zlib
-
-    bomb = zlib.compress(b"\x00" * 1_000_000, 1)
-    header = json.dumps({"name": "t", "dtype": "<f8", "shape": [2],
-                         "order": "C", "encoding": "deflate"}).encode()
-    meta = wire.encode_message({})[: -wire._HEAD.size]
-    frame = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
-                            len(header), len(bomb)) + header + bomb
-    with pytest.raises(WireFormatError, match="inflates past"):
-        wire.read_message(io.BytesIO(meta + frame).read)
-
-
-def test_deflate_declared_size_counts_against_budget():
-    """A tiny compressed payload must not buy a giant allocation: the
-    *decompressed* size is charged against max_bytes up front."""
-    import zlib
-
-    payload = zlib.compress(b"\x00" * 80_000, 1)  # a few hundred bytes
-    header = json.dumps({"name": "t", "dtype": "<f8", "shape": [10_000],
-                         "order": "C", "encoding": "deflate"}).encode()
-    meta = wire.encode_message({})[: -wire._HEAD.size]
-    frame = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
-                            len(header), len(payload)) + header + payload
-    with pytest.raises(PayloadTooLargeError):
-        wire.read_message(io.BytesIO(meta + frame).read, max_bytes=8192)
-
-
-def test_trailing_garbage_after_deflate_stream_is_typed():
-    """Regression: bytes left over after the deflate stream ends (they
-    land in ``unused_data``, not ``unconsumed_tail``) are corruption and
-    must fail typed — not decode as a valid frame."""
-    import zlib
-
-    payload = zlib.compress(b"\x00" * 16, 1) + b"JUNK"
-    header = json.dumps({"name": "t", "dtype": "<f8", "shape": [2],
-                         "order": "C", "encoding": "deflate"}).encode()
-    meta = wire.encode_message({})[: -wire._HEAD.size]
-    frame = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
-                            len(header), len(payload)) + header + payload
-    with pytest.raises(WireFormatError, match="trailing"):
-        wire.read_message(io.BytesIO(meta + frame).read)
-
-
-def test_unterminated_deflate_stream_is_typed():
-    """A payload that fills its declared size without ever reaching the
-    deflate end-of-stream marker is truncated/corrupt, not complete."""
-    import zlib
-
-    comp = zlib.compressobj(1)
-    payload = comp.compress(b"\x00" * 16) + comp.flush(zlib.Z_SYNC_FLUSH)
-    header = json.dumps({"name": "t", "dtype": "<f8", "shape": [2],
-                         "order": "C", "encoding": "deflate"}).encode()
-    meta = wire.encode_message({})[: -wire._HEAD.size]
-    frame = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
-                            len(header), len(payload)) + header + payload
-    with pytest.raises(WireFormatError, match="corrupt or truncated"):
-        wire.read_message(io.BytesIO(meta + frame).read)
-
-
 def test_unknown_encoding_is_rejected():
-    header = json.dumps({"name": "t", "dtype": "<f8", "shape": [1],
-                         "order": "C", "encoding": "lzma"}).encode()
+    """``raw`` (or no ``encoding`` key) is the only payload encoding;
+    ``deflate`` included, anything else is refused, never skipped."""
     meta = wire.encode_message({})[: -wire._HEAD.size]
-    frame = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
-                            len(header), 8) + header + b"\x00" * 8
-    with pytest.raises(WireFormatError, match="encoding"):
-        wire.read_message(io.BytesIO(meta + frame).read)
+    end = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("E"), 0, 0, 0)
+    for encoding in ("lzma", "deflate", "raw"):
+        header = json.dumps({"name": "t", "dtype": "<f8", "shape": [1],
+                             "order": "C", "encoding": encoding}).encode()
+        frame = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
+                                len(header), 8) + header + b"\x00" * 8
+        blob = meta + frame + end
+        if encoding == "raw":
+            _, got = wire.read_message(io.BytesIO(blob).read)
+            np.testing.assert_array_equal(got["t"], [0.0])
+            continue
+        with pytest.raises(WireFormatError, match="encoding"):
+            wire.read_message(io.BytesIO(blob).read)
 
 
 # --------------------------------------------------------------------------
@@ -380,14 +253,20 @@ def test_duplicate_array_is_rejected():
 
 
 def test_shape_payload_mismatch_is_rejected():
-    header = json.dumps(
-        {"name": "t", "dtype": "<f8", "shape": [100], "order": "C"}
-    ).encode()
+    """Also for shapes whose int64 element product wraps to the payload
+    length (it must never reach ``np.empty``) or overflows, and shapes
+    that are not finite — typed, never a numpy error."""
     meta = wire.encode_message({})[: -wire._HEAD.size]  # META frame only
-    lying = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
-                            len(header), 8) + header + b"\x00" * 8
-    with pytest.raises(WireFormatError, match="declares shape"):
-        wire.read_message(io.BytesIO(meta + lying).read)
+    for shape, payload_len in (([100], 8), ([2**31, 2**31, 4], 0),
+                               ([2**64], 0), ([float("inf")], 0)):
+        header = json.dumps(
+            {"name": "t", "dtype": "<f8", "shape": shape, "order": "C"}
+        ).encode()
+        lying = wire._HEAD.pack(wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0,
+                                len(header), payload_len) + header
+        lying += b"\x00" * payload_len
+        with pytest.raises(WireFormatError, match="declares shape|malformed"):
+            wire.read_message(io.BytesIO(meta + lying).read)
 
 
 def test_unsupported_dtype_and_order_are_rejected():
@@ -416,7 +295,7 @@ def test_hostile_declared_length_fails_before_allocation():
 
 
 def test_max_bytes_budget_caps_honest_streams_too():
-    # Random payload: ships raw, so the budget sees the full 80 kB.
+    # The budget sees the full 80 kB payload.
     blob = wire.encode_message({}, {"t": np.random.default_rng(9).random(10_000)})
     with pytest.raises(PayloadTooLargeError):
         wire.read_message(io.BytesIO(blob).read, max_bytes=1024)
@@ -438,23 +317,105 @@ def test_unknown_header_keys_are_ignored():
 
 
 # --------------------------------------------------------------------------
-# HTTP head parsing (the pipelining client's response parser)
+# Structure-aware fuzzing: valid messages, then one mutation each
 # --------------------------------------------------------------------------
 
-
-def test_parse_http_head():
-    raw = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-           b"X-Thing: a b\r\n\r\nBODY")
-    fp = io.BufferedReader(io.BytesIO(raw))
-    status, headers = wire.parse_http_head(fp)
-    assert status == 200
-    assert headers["content-type"] == "application/json"
-    assert headers["x-thing"] == "a b"
-    assert fp.read() == b"BODY"
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
 
 
-def test_parse_http_head_rejects_garbage():
-    with pytest.raises(WireFormatError):
-        wire.parse_http_head(io.BufferedReader(io.BytesIO(b"NOT-HTTP\r\n\r\n")))
-    with pytest.raises(WireFormatError, match="closed"):
-        wire.parse_http_head(io.BufferedReader(io.BytesIO(b"")))
+@st.composite
+def _messages(draw):
+    """A valid message: random meta plus 0-3 arrays of random dtype,
+    shape (empty and 0-d included), memory order and bit patterns."""
+    meta = draw(st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=4))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
+    arrays = {}
+    for name in names:
+        dtype = draw(st.sampled_from(["<f8", "<i8"]))
+        shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        bits = np.random.default_rng(seed).integers(
+            0, 256, size=8 * math.prod(shape), dtype=np.uint8
+        )
+        arr = bits.view(dtype).reshape(shape)  # any bits: NaN payloads too
+        arrays[name] = np.asfortranarray(arr) if draw(st.booleans()) else arr
+    return meta, arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(_messages())
+def test_fuzz_valid_messages_roundtrip_bit_exact(message):
+    meta, sent = message
+    blob = wire.encode_message(meta, sent)
+    got_meta, got = wire.read_message(io.BytesIO(blob).read, max_bytes=len(blob))
+    assert got_meta == meta
+    assert set(got) == set(sent)
+    for name, arr in sent.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape
+        assert got[name].tobytes() == arr.tobytes()
+        if arr.ndim >= 2 and not arr.flags["C_CONTIGUOUS"]:
+            assert got[name].flags["F_CONTIGUOUS"]
+
+
+#: Values an array-header rewrite may plant: wrong types, unsupported
+#: tags, negative / huge / non-integer shapes, non-finite floats.
+_HEADER_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.floats(),
+    st.sampled_from(["<f8", "<i8", "<f4", "C", "F", "K", "raw", "deflate"]),
+    st.lists(st.one_of(st.integers(-2, 2**70), st.floats()), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_messages(), st.data())
+def test_fuzz_mutated_messages_fail_typed(message, data):
+    """One mutation of a valid message either still decodes or raises
+    WireFormatError / PayloadTooLargeError — never another type — under
+    a budget of the valid message's length. A truncated message never
+    decodes."""
+    meta, sent = message
+    blob = wire.encode_message(meta, sent)
+    frames = _frames(blob)
+    array_frames = [k for k, f in enumerate(frames) if f[5] == ord("A")]
+    mutations = ["truncate", "flip", "duplicate"] + (["rewrite"] if array_frames else [])
+    mutation = data.draw(st.sampled_from(mutations))
+    if mutation == "truncate":
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(WireFormatError, match="truncated"):
+            wire.read_message(io.BytesIO(blob[:cut]).read, max_bytes=len(blob))
+        return
+    if mutation == "flip":
+        mutated = bytearray(blob)
+        mutated[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(
+            st.integers(1, 255)
+        )
+    elif mutation == "duplicate":
+        k = data.draw(st.integers(0, len(frames) - 1))
+        mutated = b"".join(frames[: k + 1] + frames[k:])
+    else:  # rewrite one field of an array header, keeping the frame well-formed
+        k = data.draw(st.sampled_from(array_frames))
+        _, _, _, _, hlen, plen = wire._HEAD.unpack(frames[k][: wire._HEAD.size])
+        body = frames[k][wire._HEAD.size :]
+        fields = json.loads(body[:hlen])
+        key = data.draw(st.sampled_from(["name", "dtype", "shape", "order", "encoding"]))
+        if data.draw(st.booleans()):
+            fields.pop(key, None)
+        else:
+            fields[key] = data.draw(st.one_of(_HEADER_VALUES, st.sampled_from(list(sent))))
+        header = json.dumps(fields).encode()
+        frames[k] = wire._HEAD.pack(
+            wire.MAGIC, wire.WIRE_VERSION, ord("A"), 0, len(header), plen
+        ) + header + body[hlen:]
+        mutated = b"".join(frames)
+    try:
+        wire.read_message(io.BytesIO(bytes(mutated)).read, max_bytes=len(blob))
+    except (WireFormatError, PayloadTooLargeError):
+        pass
