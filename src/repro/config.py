@@ -87,11 +87,11 @@ class Config:
         Opt-in: with ``tile_size`` left unset, ``MLEstimator`` and
         ``ModelBundle`` adopt the tile size the calibrated planner
         (:mod:`repro.perfmodel.planner`) picks for the problem; planning
-        failures fall back silently to ``tile_size``.
-    autotune_profile:
-        Path of a persisted ``CalibrationProfile`` to plan from (created
-        by a quick probe run if missing). ``""`` calibrates this host
-        in-process on first use and caches the result for the process.
+        failures fall back silently to ``tile_size``. The planner's
+        host constants come from one in-process calibration, run on
+        first use and cached for the process
+        (:func:`~repro.perfmodel.planner.default_profile`); nothing
+        about it is configured here.
     """
 
     tile_size: int = 250
@@ -104,7 +104,6 @@ class Config:
     telemetry_enabled: bool = False
     telemetry_max_spans: int = 10_000
     auto_tune: bool = False
-    autotune_profile: str = ""
 
     def __post_init__(self) -> None:
         self.validate()
@@ -136,11 +135,6 @@ class Config:
         if not isinstance(self.auto_tune, bool):
             raise ConfigurationError(
                 f"auto_tune must be a bool, got {self.auto_tune!r}"
-            )
-        if not isinstance(self.autotune_profile, str):
-            raise ConfigurationError(
-                "autotune_profile must be a path string ('' = in-process "
-                f"calibration), got {self.autotune_profile!r}"
             )
 
     def resolved_workers(self) -> int:

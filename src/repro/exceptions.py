@@ -65,15 +65,14 @@ class OptimizationError(ReproError):
 
 
 class CalibrationError(ReproError):
-    """A performance-model calibration could not be produced or read.
+    """A performance-model calibration could not be produced.
 
-    Raised when a span sink exists but holds no usable measurements
-    (telemetry was never armed with ``sink_dir=``, or the run emitted
-    nothing), when probe timings are degenerate (non-positive clock
-    deltas), or when a persisted
-    :class:`~repro.perfmodel.autotune.CalibrationProfile` is missing,
-    torn, or of an unsupported version. The message says which input was
-    empty/bad and what to do about it.
+    Raised when the host probes' timings are degenerate (a non-positive
+    clock delta, no positive rate to fit, a missing kernel class) and
+    when a span sink that :mod:`repro.perfmodel.calibrate` replays holds
+    no usable measurements (telemetry was never armed with
+    ``sink_dir=``, or the run emitted nothing). The message says which
+    input was empty/bad and what to do about it.
     """
 
 

@@ -8,12 +8,13 @@ subpackage reproduces the *performance structure* instead:
 * :mod:`machine` / :mod:`cluster` — hardware descriptions (peak flops,
   sustained efficiencies, memory bandwidth/capacity, interconnect);
 * :mod:`flops` — exact per-kernel flop/byte counters for the dense-tile
-  and TLR algorithms implemented in :mod:`repro.linalg`;
+  and TLR algorithms implemented in :mod:`repro.linalg`, and the
+  ``TaskCost`` pair that carries them;
 * :mod:`rankmodel` — parametric model of TLR tile ranks vs accuracy and
   tile separation, calibratable against measured ranks;
-* :mod:`costmodel` — roofline task costs (compute- vs memory-bound);
 * :mod:`analytic` — closed-form aggregate time/memory estimates for one
-  MLE iteration or prediction at paper scale, with OOM detection;
+  MLE iteration or prediction at paper scale (roofline per task class),
+  with OOM detection;
 * :mod:`distsim` — a discrete-event simulator of task execution over a
   2-D block-cyclic tile distribution, cross-validating the closed form
   on small tile counts;
@@ -22,17 +23,22 @@ subpackage reproduces the *performance structure* instead:
   against the analytic predictions;
 * :mod:`autotune` — seeded micro-probes (GEMM/POTRF/generation/
   compression/tile-Cholesky) that fit the model's machine constants by
-  least squares on the current host and persist them as a versioned
+  least squares on the current host into an in-memory
   :class:`~repro.perfmodel.autotune.CalibrationProfile`;
 * :mod:`planner` — searches the fitted model for the cheapest feasible
   configuration (tile size, TLR accuracy, compression batch, serving
   workers) with predicted phase times; exposed as
-  :func:`repro.plan` and ``GET /v1/plan``.
+  :func:`repro.plan` and ``GET /v1/plan``. The host is calibrated once
+  per process (:func:`~repro.perfmodel.planner.default_profile`); there
+  is no second way to make, store or inject a profile beyond
+  :func:`~repro.perfmodel.planner.set_default_profile` and an explicit
+  ``Planner(profile)``.
 """
 
 from .machine import MachineSpec, MACHINES, get_machine
 from .cluster import ClusterSpec, shaheen2
 from .flops import (
+    TaskCost,
     gemm_flops,
     lr_gemm_flops,
     lr_syrk_flops,
@@ -42,7 +48,6 @@ from .flops import (
     trsm_flops,
 )
 from .rankmodel import RankModel, calibrate_rank_model
-from .costmodel import TaskCost, task_time
 from .analytic import PerfEstimate, estimate_mle_iteration, estimate_prediction
 from .calibrate import compare_to_estimate, load_spans, phase_costs
 from .distsim import DistributedSimulator, SimReport
@@ -51,9 +56,7 @@ from .autotune import (
     ProbeSample,
     autotune,
     fit_constants,
-    fit_profile,
     run_probes,
-    samples_from_spans,
 )
 from .planner import (
     Plan,
@@ -82,7 +85,6 @@ __all__ = [
     "RankModel",
     "calibrate_rank_model",
     "TaskCost",
-    "task_time",
     "PerfEstimate",
     "estimate_mle_iteration",
     "estimate_prediction",
@@ -95,9 +97,7 @@ __all__ = [
     "ProbeSample",
     "autotune",
     "fit_constants",
-    "fit_profile",
     "run_probes",
-    "samples_from_spans",
     "Plan",
     "Planner",
     "default_profile",

@@ -31,14 +31,12 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from .cluster import ClusterSpec
-from .costmodel import TaskCost
 from .flops import (
     KERNEL_EVAL_FLOPS,
-    compression_flops,
+    TaskCost,
     dense_tile_bytes,
     gemm_flops,
     lr_syrk_flops,
-    lr_tile_bytes,
     lr_trsm_flops,
     potrf_flops,
     syrk_flops,
@@ -116,14 +114,6 @@ def _dense_tile_costs(nt: int, nb: int) -> Dict[str, TaskCost]:
     }
 
 
-def _lr_gemm_flops_vec(nb: int, k_ij: np.ndarray, k_ik: np.ndarray, k_jk: np.ndarray) -> np.ndarray:
-    """Vectorized copy of :func:`repro.perfmodel.flops.lr_gemm_flops`."""
-    kk = k_ij + k_ik
-    product = 4.0 * k_ik * k_jk * nb
-    rounding = 8.0 * nb * kk * kk + 22.0 * kk**3
-    return product + rounding
-
-
 def _tlr_tile_costs(
     nt: int, nb: int, acc: float, rank_model: RankModel
 ) -> tuple[Dict[str, TaskCost], np.ndarray]:
@@ -149,20 +139,23 @@ def _tlr_tile_costs(
     syrk_b = float(np.sum(counts * (2 * tb_dense + lr_bytes)))
 
     # GEMM sweep: for separations a > b >= 1 the update uses ranks
-    # (r[a-b], r[a], r[b]) and occurs (nt - a) times across iterations k.
-    gemm_f = 0.0
-    gemm_b = 0.0
-    r = ranks  # r[d-1] = rank at separation d
-    for a in range(2, nt):
-        b = np.arange(1, a, dtype=np.int64)
-        k_ij = r[a - b - 1]
-        k_ik = np.full(b.size, r[a - 1])
-        k_jk = r[b - 1]
-        fl = _lr_gemm_flops_vec(nb, k_ij, k_ik, k_jk)
-        by = 8.0 * 2.0 * nb * (2 * k_ij + k_ik + k_jk)
-        mult = float(nt - a)
-        gemm_f += mult * float(np.sum(fl))
-        gemm_b += mult * float(np.sum(by))
+    # (k_ij, k_ik, k_jk) = (r[a-b], r[a], r[b]) and occurs (nt - a) times
+    # across iterations k. Over b = 1..a-1 both r[a-b] and r[b] run over
+    # the ranks at separations 1..a-1, so each a's sum of lr_gemm_flops
+    # (a polynomial in the ranks) is a combination of prefix sums of r,
+    # r^2 and r^3: O(nt) instead of O(nt^2), and exact (integers in
+    # float64) wherever the per-a sums stay below 2^53.
+    s1, s2, s3 = (np.cumsum(ranks**e)[:-1] for e in (1, 2, 3))
+    k = ranks[1:]  # k_ik = r[a] for a = 2..nt-1
+    cnt = np.arange(1, nt - 1, dtype=np.float64)
+    kk2 = s2 + 2 * k * s1 + cnt * k * k  # sum of (k_ij + k_ik)^2
+    kk3 = s3 + 3 * k * s2 + 3 * k * k * s1 + cnt * k**3  # sum of (k_ij + k_ik)^3
+    fl = 4 * nb * k * s1 + 8 * nb * kk2 + 22 * kk3
+    by = 16 * nb * (3 * s1 + cnt * k)
+    mult = np.arange(nt - 2, 0, -1, dtype=np.float64)  # nt - a
+    # Sequential accumulation (cumsum) keeps the float sum in index order.
+    gemm_f = float(np.cumsum(mult * fl)[-1]) if nt > 2 else 0.0
+    gemm_b = float(np.cumsum(mult * by)[-1]) if nt > 2 else 0.0
 
     return (
         {
@@ -180,14 +173,13 @@ def _generation_costs(
 ) -> TaskCost:
     """Covariance generation (+ compression for TLR)."""
     nt = -(-n // nb)
-    lower_elems = n * (n + 1) / 2.0 if variant == "full-block" else None
     if variant == "full-block":
-        assert lower_elems is not None
         # LAPACK path generates the full symmetric matrix.
         return TaskCost(KERNEL_EVAL_FLOPS * n * n, 8.0 * n * n)
-    gen_elems = sum(
-        min(nb, n - i * nb) * min(nb, n - j * nb) for i in range(nt) for j in range(i + 1)
-    )
+    # Lower-triangle tile area in closed form: half of the n x n square
+    # plus half of the diagonal tiles ((nt - 1) full, one ragged).
+    last = n - (nt - 1) * nb
+    gen_elems = (n * n + (nt - 1) * nb * nb + last * last) // 2
     cost = TaskCost(KERNEL_EVAL_FLOPS * gen_elems, 8.0 * gen_elems)
     if variant == "tlr" and nt > 1:
         ranks = rank_model.rank_array(nt, acc, nb).astype(np.float64)

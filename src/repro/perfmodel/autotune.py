@@ -11,45 +11,34 @@ machine. This module closes that gap:
    the kernel classes the model prices — dense GEMM/POTRF, covariance
    tile generation, TLR compression, a tiny tile Cholesky (exposing the
    per-task scheduling overhead that dominates at Python scale), a tiny
-   TLR Cholesky, and a memory copy. Each timed sample is also emitted as
-   a ``probe:<kernel>`` telemetry span, so a sink-armed run leaves the
-   measurements on disk (:func:`samples_from_spans` reads them back —
-   the same substrate :mod:`.calibrate` replays fit/serving runs from).
+   TLR Cholesky, and a memory copy.
 2. :func:`fit_constants` fits per-class sustained rates by least squares
    against the probe timings (``R = sum(w_i^2) / sum(w_i * t_i)``
    minimizes ``sum (t_i - w_i / R)^2`` over the samples of one class)
    and a per-task overhead constant from the tile-Cholesky residual.
-3. :class:`CalibrationProfile` packages the fitted constants, the derived
-   host :class:`~repro.perfmodel.machine.MachineSpec`, and the raw
-   samples as versioned JSON with atomic persistence and a staleness
-   stamp. :mod:`.planner` consumes it.
+3. :func:`autotune` runs both and returns a :class:`CalibrationProfile`:
+   the fitted constants and the derived host ``MachineSpec``, a plain
+   in-memory value. :func:`repro.perfmodel.planner.default_profile`
+   calibrates once per process and caches it; nothing is persisted.
 
-Determinism: every timing source is injectable (``clock=``) and all
-randomness is seeded, so a fixed clock + seed produce byte-identical
-profile JSON — the property the test suite pins.
-
-CLI::
-
-    python -m repro.perfmodel.autotune --out profile.json
-    python -m repro.perfmodel.autotune --plan 20000 --substrate auto
+Determinism: every timing source is injectable (``clock=``), the host
+description too (``host=``), and all randomness is seeded, so a fixed
+clock + seed + host produce equal profiles — the property the test
+suite pins.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import socket
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .. import telemetry as _telemetry
 from ..exceptions import CalibrationError
-from ..utils.durable import atomic_write
 from .analytic import _dense_tile_costs, _tlr_tile_costs
 from .flops import (
     KERNEL_EVAL_FLOPS,
@@ -61,29 +50,17 @@ from .machine import MachineSpec
 from .rankmodel import DEFAULT_RANK_MODEL
 
 __all__ = [
-    "PROFILE_VERSION",
     "ProbeSample",
     "CalibrationProfile",
     "run_probes",
-    "samples_from_spans",
     "fit_constants",
-    "fit_profile",
     "autotune",
-    "main",
 ]
-
-#: Bump when the profile schema or the fitting procedure changes
-#: incompatibly; :meth:`CalibrationProfile.load` rejects other versions.
-PROFILE_VERSION = 1
 
 #: Default probe tile sizes. The least-squares fit is dominated by the
 #: largest size (weights are squared work), which is also the closest to
 #: the tile sizes the planner actually picks.
 DEFAULT_SIZES = (64, 128, 256)
-
-#: Profiles older than this are flagged stale (plans still compute, with
-#: ``profile.stale = true`` in the payload).
-DEFAULT_MAX_AGE_S = 7 * 86400.0
 
 #: TLR accuracy used by the compression / TLR-Cholesky probes.
 _PROBE_ACC = 1e-7
@@ -110,25 +87,6 @@ class ProbeSample:
     seconds: float
     work: float
     meta: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "size": int(self.size),
-            "seconds": float(self.seconds),
-            "work": float(self.work),
-            "meta": {k: float(v) for k, v in sorted(self.meta.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProbeSample":
-        return cls(
-            kernel=str(d["kernel"]),
-            size=int(d["size"]),
-            seconds=float(d["seconds"]),
-            work=float(d["work"]),
-            meta={k: float(v) for k, v in dict(d.get("meta") or {}).items()},
-        )
 
 
 # --------------------------------------------------------------------------
@@ -168,13 +126,7 @@ def run_probes(
     seed: int = 0,
     clock: Callable[[], float] = time.perf_counter,
 ) -> List[ProbeSample]:
-    """Execute the probe suite; return one sample per (kernel, size, rep).
-
-    Every sample is also emitted as a ``probe:<kernel>`` telemetry span
-    (no-op unless telemetry is armed), carrying the sample fields as
-    span attributes so :func:`samples_from_spans` can reconstruct it
-    from a JSONL sink.
-    """
+    """Execute the probe suite; return one sample per (kernel, size, rep)."""
     from ..kernels import MaternCovariance
     from ..data.synthetic import generate_irregular_grid
     from ..linalg import TileMatrix, TLRMatrix, tile_cholesky, tlr_cholesky
@@ -191,16 +143,7 @@ def run_probes(
     samples: List[ProbeSample] = []
 
     def emit(kernel: str, size: int, seconds: float, work: float, **meta: float) -> None:
-        sample = ProbeSample(kernel, size, seconds, work, dict(meta))
-        samples.append(sample)
-        _telemetry.record_span(
-            f"probe:{kernel}",
-            seconds,
-            kernel=kernel,
-            size=int(size),
-            work=float(work),
-            **{k: float(v) for k, v in meta.items()},
-        )
+        samples.append(ProbeSample(kernel, size, seconds, work, dict(meta)))
 
     for s in sizes:
         a = rng.standard_normal((s, s))
@@ -291,49 +234,7 @@ def _dense_task_count(nt: int) -> int:
 
 def _tlr_task_count(nt: int) -> int:
     """Task population of the per-tile TLR Cholesky with ``nt`` tile rows."""
-    off = nt * (nt - 1) // 2
-    gemm = sum((nt - a) * (a - 1) for a in range(2, nt))
-    return nt + 2 * off + gemm
-
-
-def samples_from_spans(spans: Iterable[dict]) -> List[ProbeSample]:
-    """Reconstruct probe samples from recorded ``probe:*`` telemetry spans.
-
-    Accepts the span dicts of :func:`repro.perfmodel.calibrate.load_spans`;
-    non-probe spans are ignored. Raises
-    :class:`~repro.exceptions.CalibrationError` when no probe spans are
-    present — refitting from a sink that never ran the probes is a
-    misconfiguration, not an empty profile.
-    """
-    samples: List[ProbeSample] = []
-    for rec in spans:
-        name = str(rec.get("name", ""))
-        if not name.startswith("probe:"):
-            continue
-        attrs = rec.get("attrs") or {}
-        if "work" not in attrs or "size" not in attrs:
-            continue
-        meta = {
-            k: float(v)
-            for k, v in attrs.items()
-            if k not in ("kernel", "size", "work") and isinstance(v, (int, float))
-        }
-        samples.append(
-            ProbeSample(
-                kernel=name.split(":", 1)[1],
-                size=int(attrs["size"]),
-                seconds=float(rec["duration"]),
-                work=float(attrs["work"]),
-                meta=meta,
-            )
-        )
-    if not samples:
-        raise CalibrationError(
-            "no probe:* spans found; run the probes with telemetry armed "
-            "(configure(enabled=True, sink_dir=...)) before refitting from "
-            "a sink"
-        )
-    return samples
+    return nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) // 6  # POTRF, TRSM+SYRK, GEMM
 
 
 # --------------------------------------------------------------------------
@@ -466,163 +367,28 @@ def _machine_from_constants(
 
 
 # --------------------------------------------------------------------------
-# the persisted profile
+# the profile
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Fitted machine constants plus provenance, persistable as JSON.
+    """Fitted machine constants of one host, held in memory.
 
-    ``created`` is an epoch timestamp; a profile older than
-    ``max_age_s`` reports :meth:`is_stale` (plans computed from it carry
-    a ``stale`` flag rather than failing — hardware constants drift
-    slowly, but CI hosts differ run to run).
+    ``host`` describes the machine (hostname, core count, memory) for
+    the planner's worker sizing, ``constants`` are the fitted rates and
+    per-task overhead (:func:`fit_constants`), and ``machine`` is the
+    derived :class:`~repro.perfmodel.machine.MachineSpec` whose roofline
+    reproduces those rates.
     """
 
-    version: int
-    created: float
-    seed: int
-    sizes: tuple
-    repeats: int
     host: Dict[str, object]
     constants: Dict[str, float]
-    machine: Dict[str, object]
-    probes: tuple
-    max_age_s: float = DEFAULT_MAX_AGE_S
+    machine: MachineSpec
 
     def spec(self) -> MachineSpec:
         """The calibrated host :class:`MachineSpec`."""
-        return MachineSpec(**self.machine)
-
-    def age_s(self, now: Optional[float] = None) -> float:
-        return (time.time() if now is None else now) - self.created
-
-    def is_stale(self, now: Optional[float] = None) -> bool:
-        return self.age_s(now) > self.max_age_s
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "created": float(self.created),
-            "seed": int(self.seed),
-            "sizes": [int(s) for s in self.sizes],
-            "repeats": int(self.repeats),
-            "host": dict(self.host),
-            "constants": {k: float(v) for k, v in sorted(self.constants.items())},
-            "machine": dict(self.machine),
-            "probes": [p if isinstance(p, dict) else p.to_dict() for p in self.probes],
-            "max_age_s": float(self.max_age_s),
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, fixed separators — byte-stable."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationProfile":
-        try:
-            version = int(d["version"])
-        except (KeyError, TypeError, ValueError):
-            raise CalibrationError(
-                "calibration profile has no integer 'version' field"
-            ) from None
-        if version != PROFILE_VERSION:
-            raise CalibrationError(
-                f"calibration profile version {version} is not supported "
-                f"(expected {PROFILE_VERSION}); re-run "
-                "python -m repro.perfmodel.autotune"
-            )
-        try:
-            return cls(
-                version=version,
-                created=float(d["created"]),
-                seed=int(d["seed"]),
-                sizes=tuple(int(s) for s in d["sizes"]),
-                repeats=int(d["repeats"]),
-                host=dict(d["host"]),
-                constants={k: float(v) for k, v in d["constants"].items()},
-                machine=dict(d["machine"]),
-                probes=tuple(dict(p) for p in d.get("probes", [])),
-                max_age_s=float(d.get("max_age_s", DEFAULT_MAX_AGE_S)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CalibrationError(
-                f"calibration profile is malformed: {exc}"
-            ) from None
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Atomically and durably persist the profile at ``path``."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_write(path) as fh:
-            fh.write(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CalibrationProfile":
-        path = Path(path)
-        if not path.is_file():
-            raise CalibrationError(
-                f"calibration profile {str(path)!r} does not exist; create "
-                "one with python -m repro.perfmodel.autotune --out "
-                f"{path}"
-            )
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CalibrationError(
-                f"calibration profile {str(path)!r} is unreadable: {exc}"
-            ) from None
-        if not isinstance(payload, dict):
-            raise CalibrationError(
-                f"calibration profile {str(path)!r} is not a JSON object"
-            )
-        return cls.from_dict(payload)
-
-
-def fit_profile(
-    samples: Sequence[ProbeSample],
-    *,
-    seed: int = 0,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    repeats: int = 3,
-    created: Optional[float] = None,
-    max_age_s: float = DEFAULT_MAX_AGE_S,
-    host: Optional[Dict[str, object]] = None,
-) -> CalibrationProfile:
-    """Fit a :class:`CalibrationProfile` from probe samples.
-
-    ``created`` defaults to the current wall clock; pass it explicitly
-    (tests do) for reproducible bytes.
-    """
-    host = dict(host) if host is not None else _host_info()
-    constants = fit_constants(samples)
-    spec = _machine_from_constants(constants, host)
-    machine = {
-        "name": spec.name,
-        "cores": spec.cores,
-        "freq_ghz": spec.freq_ghz,
-        "flops_per_cycle": spec.flops_per_cycle,
-        "eff_dense": spec.eff_dense,
-        "eff_block": spec.eff_block,
-        "eff_lr": spec.eff_lr,
-        "mem_bw_gbs": spec.mem_bw_gbs,
-        "mem_gb": spec.mem_gb,
-        "eff_gen": spec.eff_gen,
-    }
-    return CalibrationProfile(
-        version=PROFILE_VERSION,
-        created=time.time() if created is None else float(created),
-        seed=int(seed),
-        sizes=tuple(int(s) for s in sizes),
-        repeats=int(repeats),
-        host=host,
-        constants=constants,
-        machine=machine,
-        probes=tuple(s.to_dict() for s in samples),
-        max_age_s=float(max_age_s),
-    )
+        return self.machine
 
 
 def autotune(
@@ -631,121 +397,18 @@ def autotune(
     repeats: int = 3,
     seed: int = 0,
     clock: Callable[[], float] = time.perf_counter,
-    created: Optional[float] = None,
     host: Optional[Dict[str, object]] = None,
 ) -> CalibrationProfile:
-    """Probe the current host and fit a :class:`CalibrationProfile`."""
+    """Probe the current host and fit a :class:`CalibrationProfile`.
+
+    ``clock`` and ``host`` default to the real timer and this machine's
+    description; tests pass fixed ones for reproducible profiles.
+    """
     samples = run_probes(sizes=sizes, repeats=repeats, seed=seed, clock=clock)
-    return fit_profile(
-        samples,
-        seed=seed,
-        sizes=sizes,
-        repeats=repeats,
-        created=created,
+    host = dict(host) if host is not None else _host_info()
+    constants = fit_constants(samples)
+    return CalibrationProfile(
         host=host,
+        constants=constants,
+        machine=_machine_from_constants(constants, host),
     )
-
-
-# --------------------------------------------------------------------------
-# CLI
-# --------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description=(
-            "Calibrate the analytic performance model on this host and "
-            "optionally plan a workload with the fitted constants."
-        )
-    )
-    parser.add_argument("--out", help="persist the fitted profile to this path")
-    parser.add_argument(
-        "--sizes",
-        default=",".join(str(s) for s in DEFAULT_SIZES),
-        help="comma-separated probe tile sizes",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--from-sink",
-        metavar="DIR",
-        help="refit from probe:* spans recorded in a telemetry sink "
-        "instead of running fresh probes",
-    )
-    parser.add_argument(
-        "--plan",
-        type=int,
-        metavar="N",
-        help="also plan a fit+predict workload of N locations",
-    )
-    parser.add_argument("--m", type=int, default=100, help="prediction targets")
-    parser.add_argument(
-        "--substrate",
-        default="auto",
-        help="plan substrate: auto, full-block, full-tile, or tlr",
-    )
-    parser.add_argument(
-        "--accuracy", type=float, default=None, help="TLR accuracy target"
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    args = parser.parse_args(argv)
-
-    sizes = tuple(int(s) for s in str(args.sizes).split(",") if s.strip())
-    if args.from_sink:
-        from .calibrate import load_spans
-
-        samples = samples_from_spans(load_spans(args.from_sink))
-        profile = fit_profile(
-            samples, seed=args.seed, sizes=sizes, repeats=args.repeats
-        )
-    else:
-        profile = autotune(sizes=sizes, repeats=args.repeats, seed=args.seed)
-
-    if args.out:
-        profile.save(args.out)
-
-    payload: Dict[str, object] = {"profile": profile.to_dict()}
-    if args.plan is not None:
-        from .planner import Planner
-
-        plan = Planner(profile).plan(
-            args.plan,
-            m=args.m,
-            substrate=args.substrate,
-            accuracy=args.accuracy,
-        )
-        payload["plan"] = plan.to_dict()
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    c = profile.constants
-    print(f"calibrated {profile.machine['name']} (seed={profile.seed})")
-    print(f"  dense rate     {c['dense_gflops']:.3f} GF/s")
-    print(f"  low-rank rate  {c['lr_gflops']:.3f} GF/s")
-    print(f"  generation     {c['gen_gflops']:.3f} GF/s")
-    print(f"  copy bandwidth {c['copy_bw_gbs']:.3f} GB/s")
-    print(f"  task overhead  {c['task_overhead_s'] * 1e6:.1f} us/task")
-    if args.out:
-        print(f"saved profile to {args.out}")
-    if args.plan is not None:
-        plan_d = payload["plan"]
-        assert isinstance(plan_d, dict)
-        cfg = plan_d["config"]
-        pred = plan_d["predicted"]
-        print(
-            f"plan for n={args.plan}, m={args.m}: variant={cfg['variant']} "
-            f"tile_size={cfg['tile_size']} accuracy={cfg['accuracy']}"
-        )
-        print(
-            f"  predicted fit iteration {pred['fit_iteration']['total_s']:.3f} s, "
-            f"predict {pred['predict']['total_s']:.3f} s"
-        )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())

@@ -28,8 +28,8 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from .cluster import ClusterSpec
-from .costmodel import TaskCost
 from .flops import (
+    TaskCost,
     dense_tile_bytes,
     gemm_flops,
     lr_syrk_flops,

@@ -13,7 +13,10 @@ of tile algorithms).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 __all__ = [
+    "TaskCost",
     "potrf_flops",
     "trsm_flops",
     "syrk_flops",
@@ -31,6 +34,17 @@ __all__ = [
 #: closed form or the per-ν Chebyshev table: a ``log``, a degree-8 Horner
 #: sweep and an ``exp``); used for the generation stage cost.
 KERNEL_EVAL_FLOPS = 60.0
+
+
+@dataclass(frozen=True)
+class TaskCost:
+    """Flop and byte footprint of one task (or a summed task class)."""
+
+    flops: float
+    bytes: float
+
+    def __add__(self, other: "TaskCost") -> "TaskCost":
+        return TaskCost(self.flops + other.flops, self.bytes + other.bytes)
 
 
 def potrf_flops(nb: int) -> float:

@@ -14,8 +14,11 @@ This is the paper's tuning loop made executable: ExaGeoStat picks
 ``nb = 560`` (dense) / ``1900`` (TLR) *for Shaheen-2*; here the same
 search runs against constants measured on whatever host you are on.
 
-Exposed as :func:`repro.plan`, ``GET /v1/plan`` on the serving server,
-and the ``--plan`` flag of ``python -m repro.perfmodel.autotune``.
+The profile comes from one in-process calibration:
+:func:`default_profile` runs :func:`~repro.perfmodel.autotune.autotune`
+once and caches the result for the process (:func:`set_default_profile`
+installs a known one instead). Exposed as :func:`repro.plan` and
+``GET /v1/plan`` on the serving server.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ import dataclasses
 import math
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from ..config import get_config
 from ..exceptions import PlanError, ReproError
-from .analytic import estimate_mle_iteration, estimate_prediction
+from .analytic import MEMORY_OVERHEAD, estimate_mle_iteration, estimate_prediction
 from .autotune import CalibrationProfile, autotune
 from .flops import compression_flops
 from .rankmodel import DEFAULT_RANK_MODEL
@@ -80,7 +82,7 @@ def task_counts(n: int, nb: int, variant: str) -> Dict[str, float]:
             "factorization": nt + off,
             "solve": 2.0 * (2 * nt - 1),
         }
-    gemm = float(sum((nt - a) * (a - 1) for a in range(2, nt)))
+    gemm = float(nt * (nt - 1) * (nt - 2) // 6)  # sum of (nt-a)(a-1), a = 2..nt-1
     return {
         "generation": float(nt + math.ceil(off / get_config().compression_batch)),
         "factorization": nt + 2.0 * off + gemm,
@@ -260,8 +262,7 @@ class Planner:
             if not ladder or min(ladder) < 2:
                 raise PlanError(f"invalid tile_sizes {tile_sizes!r}")
 
-        best: Optional[Plan] = None
-        candidates = 0
+        grid = []
         for variant in variants:
             if variant == "full-block":
                 nbs: Sequence[int] = (n,)
@@ -272,45 +273,51 @@ class Planner:
             else:
                 nbs = ladder
                 accs = (accuracy,) if accuracy is not None else _ACCURACY_LADDER
-            for nb in nbs:
-                for acc in accs:
-                    candidates += 1
-                    eff_acc = acc if acc is not None else 1e-9
-                    predicted = predict_workload(
-                        self.profile, n, variant=variant, nb=nb, acc=eff_acc, m=m
-                    )
-                    if predicted["oom"]:
-                        continue
-                    fit_block = predicted["fit_iteration"]
-                    assert isinstance(fit_block, dict)
-                    objective = float(fit_block["total_s"])
-                    pred_block = predicted.get("predict")
-                    if isinstance(pred_block, dict):
-                        objective += float(pred_block["total_s"])
-                    if best is not None and objective >= best.objective_s:
-                        continue
-                    mem_bytes = float(predicted["mem_bytes"])  # type: ignore[arg-type]
-                    best = Plan(
-                        n=n,
-                        m=m,
-                        variant=variant,
-                        tile_size=int(nb),
-                        accuracy=acc,
-                        compression_batch=(
-                            self._compression_batch(nb, eff_acc)
-                            if variant == "tlr"
-                            else 1
-                        ),
-                        serving_workers=self._serving_workers(mem_bytes),
-                        objective_s=objective,
-                        predicted={
-                            k: predicted[k] for k in ("fit_iteration", "predict")
-                            if k in predicted
-                        },
-                        matrix_bytes=float(predicted["matrix_bytes"]),  # type: ignore[arg-type]
-                        mem_bytes=mem_bytes,
-                        profile_meta=self._profile_meta(),
-                    )
+            grid.extend((variant, nb, acc) for nb in nbs for acc in accs)
+        candidates = len(grid)
+        # Every variant keeps at least an n x nb slab resident (TLR's
+        # diagonal tiles, the dense matrix otherwise), so past this bound
+        # every candidate is out of memory: answer before pricing arrays
+        # of nt = n / nb tiles for an n no host can hold.
+        if 8.0 * n * min(ladder) * MEMORY_OVERHEAD > self.profile.spec().mem_bytes:
+            grid = []
+
+        best: Optional[Plan] = None
+        for variant, nb, acc in grid:
+            eff_acc = acc if acc is not None else 1e-9
+            predicted = predict_workload(
+                self.profile, n, variant=variant, nb=nb, acc=eff_acc, m=m
+            )
+            if predicted["oom"]:
+                continue
+            fit_block = predicted["fit_iteration"]
+            assert isinstance(fit_block, dict)
+            objective = float(fit_block["total_s"])
+            pred_block = predicted.get("predict")
+            if isinstance(pred_block, dict):
+                objective += float(pred_block["total_s"])
+            if best is not None and objective >= best.objective_s:
+                continue
+            mem_bytes = float(predicted["mem_bytes"])  # type: ignore[arg-type]
+            best = Plan(
+                n=n,
+                m=m,
+                variant=variant,
+                tile_size=int(nb),
+                accuracy=acc,
+                compression_batch=(
+                    self._compression_batch(nb, eff_acc) if variant == "tlr" else 1
+                ),
+                serving_workers=self._serving_workers(mem_bytes),
+                objective_s=objective,
+                predicted={
+                    k: predicted[k] for k in ("fit_iteration", "predict")
+                    if k in predicted
+                },
+                matrix_bytes=float(predicted["matrix_bytes"]),  # type: ignore[arg-type]
+                mem_bytes=mem_bytes,
+                profile_meta=self._profile_meta(),
+            )
         if best is None:
             host_mem = float(self.profile.host.get("mem_gb", 0.0))
             raise PlanError(
@@ -324,10 +331,7 @@ class Planner:
     def _profile_meta(self) -> Dict[str, object]:
         p = self.profile
         return {
-            "name": p.machine.get("name"),
-            "created": p.created,
-            "age_s": round(p.age_s(), 3),
-            "stale": p.is_stale(),
+            "name": p.machine.name,
             "host": dict(p.host),
             "constants": dict(p.constants),
         }
@@ -345,47 +349,30 @@ _QUICK_REPEATS = 2
 
 _default_lock = threading.Lock()
 _default_profile: Optional[CalibrationProfile] = None
-_loaded_path: Optional[tuple] = None  # (path, mtime_ns) of a loaded profile
 
 
 def set_default_profile(profile: Optional[CalibrationProfile]) -> None:
     """Install (or, with ``None``, clear) the process-default profile.
 
     Test and ops hook: lets a server or suite plan from a known profile
-    without touching the config or running probes.
+    without running probes.
     """
-    global _default_profile, _loaded_path
+    global _default_profile
     with _default_lock:
         _default_profile = profile
-        _loaded_path = None
 
 
-def default_profile(*, refresh: bool = False) -> CalibrationProfile:
+def default_profile() -> CalibrationProfile:
     """The profile :func:`plan` uses when none is given explicitly.
 
-    Resolution order: ``Config.autotune_profile`` path (loaded, or
-    created by a quick calibration and saved when missing), else a
-    quick in-process calibration cached for the process lifetime.
+    A quick in-process calibration, run once on first use and cached
+    for the process lifetime; concurrent first callers wait for the one
+    calibration instead of running their own.
     """
-    global _default_profile, _loaded_path
-    path = get_config().autotune_profile
+    global _default_profile
     with _default_lock:
-        if path:
-            p = Path(path)
-            if p.is_file():
-                stamp = (str(p), p.stat().st_mtime_ns)
-                if _loaded_path != stamp or _default_profile is None or refresh:
-                    _default_profile = CalibrationProfile.load(p)
-                    _loaded_path = stamp
-                return _default_profile
-            profile = autotune(sizes=_QUICK_SIZES, repeats=_QUICK_REPEATS)
-            profile.save(p)
-            _default_profile = profile
-            _loaded_path = (str(p), p.stat().st_mtime_ns)
-            return profile
-        if _default_profile is None or refresh:
+        if _default_profile is None:
             _default_profile = autotune(sizes=_QUICK_SIZES, repeats=_QUICK_REPEATS)
-            _loaded_path = None
         return _default_profile
 
 
@@ -399,8 +386,8 @@ def plan(
 ) -> Plan:
     """Plan a workload on this host (module-level convenience).
 
-    Calibrates (or loads, per ``Config.autotune_profile``) the host
-    profile on first use, then runs the :class:`Planner` search.
+    Calibrates the host profile on first use (:func:`default_profile`),
+    then runs the :class:`Planner` search.
     """
     prof = profile if profile is not None else default_profile()
     return Planner(prof).plan(n, m=m, substrate=substrate, accuracy=accuracy)

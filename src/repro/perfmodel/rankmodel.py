@@ -56,14 +56,18 @@ class RankModel:
         """Predicted rank of a tile with index separation ``d >= 1``."""
         if d < 1:
             raise ConfigurationError("off-diagonal tiles have separation >= 1")
+        return int(self._ranks(np.float64(d), acc, nb))
+
+    def rank_array(self, nt: int, acc: float, nb: int) -> np.ndarray:
+        """Ranks for separations ``1..nt-1`` (vectorized :meth:`rank`)."""
+        return self._ranks(np.arange(1, nt, dtype=np.float64), acc, nb)
+
+    def _ranks(self, d, acc: float, nb: int) -> np.ndarray:
+        """``k(d)`` rounded half to even and clipped to ``[1, nb]``."""
         decades = np.log10(1.0 / acc)
         amp = (self.a0 + self.a1 * decades) * np.sqrt(nb / self.nb_ref)
         k = self.kmin + amp / (1.0 + d) ** self.p
-        return int(np.clip(round(k), 1, nb))
-
-    def rank_array(self, nt: int, acc: float, nb: int) -> np.ndarray:
-        """Ranks for separations ``1..nt-1`` (vectorized helper)."""
-        return np.array([self.rank(d, acc, nb) for d in range(1, nt)], dtype=np.int64)
+        return np.clip(np.round(k), 1, nb).astype(np.int64)
 
     def mean_rank(self, nt: int, acc: float, nb: int) -> float:
         """Average rank over all strictly-lower tiles of an ``nt x nt`` grid.

@@ -653,10 +653,11 @@ class ServingClient:
     ) -> dict:
         """Ask the server's calibrated planner for the cheapest config.
 
-        ``GET /v1/plan`` — answered router-side from the server's
-        :class:`~repro.perfmodel.autotune.CalibrationProfile`, no
-        worker round-trip. ``n`` is the problem size; ``m`` the number
-        of prediction points (server default 100); ``substrate`` pins
+        ``GET /v1/plan`` — answered router-side, no worker round-trip,
+        from the server process's one in-memory calibration
+        (:func:`~repro.perfmodel.planner.default_profile`). ``n`` is the
+        problem size; ``m`` the number of prediction points (server
+        default 100); ``substrate`` pins
         ``full-block``/``full-tile``/``tlr``; ``accuracy`` pins the TLR
         tolerance. Returns the plan dict (``config``, ``predicted``,
         ``memory``, ``search``, ``profile``). Malformed parameters or

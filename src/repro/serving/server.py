@@ -74,10 +74,11 @@ Endpoints
     full-block|full-tile|tlr>&accuracy=<eps>`` → the cheapest feasible
     configuration (tile size, TLR accuracy, compression batch, worker
     count) with predicted per-phase times, computed router-side (no
-    worker round-trip) from the host's persisted
-    :class:`~repro.perfmodel.autotune.CalibrationProfile`. Invalid
-    requests are 400 (:class:`~repro.exceptions.PlanError`); a broken
-    profile is 500 (:class:`~repro.exceptions.CalibrationError`).
+    worker round-trip) from the router process's one calibration,
+    :func:`~repro.perfmodel.planner.default_profile` (probed on the
+    first plan, then cached). Invalid requests are 400
+    (:class:`~repro.exceptions.PlanError`); degenerate probe timings
+    are 500 (:class:`~repro.exceptions.CalibrationError`).
 ``POST /v1/models/<id>``
     Register a bundle path on the owning worker: ``{"path"}`` — or,
     with a binary Content-Type, register-by-upload: the body is the
@@ -131,6 +132,7 @@ from ..exceptions import (
 )
 from ..fitting.jobs import FitJobSpec, JobStore
 from ..fitting.orchestrator import FitOrchestrator
+from ..perfmodel.planner import Planner, default_profile
 from ..resilience.breaker import AdmissionGate
 from ..resilience.policy import Deadline, RetryPolicy
 from ..telemetry import context as _trace_context
@@ -253,15 +255,6 @@ class ServingServer:
         (models registered from it roll back to their last external
         bundle, like ephemeral ``jobs_dir`` refits). Pass a real path
         to keep uploaded bundles across restarts.
-    calibration_profile:
-        Source of the ``GET /v1/plan`` planner's machine constants: a
-        :class:`~repro.perfmodel.autotune.CalibrationProfile`, or a
-        path to one persisted by ``python -m repro.perfmodel.autotune
-        --out ...``. Default ``None`` resolves lazily on the first plan
-        request via :func:`repro.perfmodel.planner.default_profile`
-        (the configured ``autotune_profile`` path, else a quick
-        in-process calibration cached for the server's lifetime).
-
     Examples
     --------
     >>> with ServingServer({"soil": "fits/soil.bundle"}) as server:  # doctest: +SKIP
@@ -287,7 +280,6 @@ class ServingServer:
         max_inflight: int = 128,
         max_body: int = wire.MAX_BODY,
         upload_dir: Optional[Union[str, Path]] = None,
-        calibration_profile: Optional[Union[str, Path, "CalibrationProfile"]] = None,
     ) -> None:
         self.num_workers = int(num_workers)
         if self.num_workers < 1:
@@ -353,11 +345,6 @@ class ServingServer:
         # worker's spawn config — a respawn on a handler thread must
         # arm the fresh worker the same way the original was armed.
         self._telemetry_settings = _telemetry.settings()
-        # Planner state for GET /v1/plan: resolved lazily on the first
-        # plan request so servers that never plan pay nothing.
-        self._calibration_profile = calibration_profile
-        self._planner = None
-        self._planner_lock = threading.Lock()
 
     # ------------------------------------------------------------- lifecycle
     def _worker_config(self, worker_id: int) -> dict:
@@ -904,31 +891,6 @@ class ServingServer:
             )
         return assemble_trace(trace_id, spans)
 
-    def _get_planner(self):
-        """The lazily built :class:`~repro.perfmodel.planner.Planner`.
-
-        Resolution order: the ``calibration_profile`` constructor
-        argument (a profile object or a path to a persisted one), else
-        :func:`~repro.perfmodel.planner.default_profile` (configured
-        ``autotune_profile`` path, or a quick in-process calibration
-        cached for the process lifetime). Router-side only — planning
-        never touches a worker.
-        """
-        from ..perfmodel.autotune import CalibrationProfile
-        from ..perfmodel.planner import Planner, default_profile
-
-        with self._planner_lock:
-            if self._planner is None:
-                source = self._calibration_profile
-                if source is None:
-                    profile = default_profile()
-                elif isinstance(source, CalibrationProfile):
-                    profile = source
-                else:
-                    profile = CalibrationProfile.load(source)
-                self._planner = Planner(profile)
-            return self._planner
-
     def plan_request(self, query: Dict[str, List[str]]) -> dict:
         """Answer ``GET /v1/plan`` from parsed query parameters.
 
@@ -936,9 +898,11 @@ class ServingServer:
         ``m`` (prediction points, default 100), ``substrate``
         (``full-block``/``full-tile``/``tlr``, default: search all
         feasible) and ``accuracy`` (TLR tolerance, default: ladder
-        search) are optional. Malformed parameters raise
-        :class:`PlanError` → 400; an unreadable calibration profile
-        raises :class:`CalibrationError` → 500.
+        search) are optional. The profile is the process default
+        (:func:`~repro.perfmodel.planner.default_profile`), calibrated
+        on the first plan request, so servers that never plan pay
+        nothing. Malformed parameters raise :class:`PlanError` → 400;
+        degenerate probe timings raise :class:`CalibrationError` → 500.
         """
         self._check_running()
         n = _query_number(query, "n", int, "an integer")
@@ -950,7 +914,7 @@ class ServingServer:
         m = _query_number(query, "m", int, "an integer")
         accuracy = _query_number(query, "accuracy", float, "a float")
         substrate = (query.get("substrate") or [None])[-1]
-        plan = self._get_planner().plan(
+        plan = Planner(default_profile()).plan(
             n, m=100 if m is None else m, substrate=substrate, accuracy=accuracy
         )
         return plan.to_dict()

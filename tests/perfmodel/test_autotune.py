@@ -1,15 +1,17 @@
-"""Calibration + planner: determinism, persistence, search invariants.
+"""Calibration + planner: determinism, the one cache, search invariants.
 
 The profile is the planner's single input, so the important contracts
-are byte-level: same seed and fake clock → identical profile JSON, a
-saved profile plans exactly like the in-memory one it came from, and
-every failure mode surfaces as a typed error instead of a garbage plan.
+are: same seed, fake clock and host → equal profiles, the process
+calibrates once however many threads ask, and every failure mode
+surfaces as a typed error instead of a garbage plan.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,23 +20,23 @@ from repro import MaternCovariance, use_config
 from repro.data import generate_irregular_grid
 from repro.exceptions import CalibrationError, PlanError
 from repro.mle import MLEstimator
+from repro.perfmodel import planner as _planner
 from repro.perfmodel.autotune import (
     CalibrationProfile,
     autotune,
     fit_constants,
     run_probes,
-    samples_from_spans,
 )
 from repro.perfmodel.planner import (
     Plan,
     Planner,
+    default_profile,
     plan,
     planned_tile_size,
     predict_workload,
     set_default_profile,
     task_counts,
 )
-from repro.telemetry import spans as _telemetry
 
 _HOST = {"hostname": "testhost", "machine": "x86_64", "cpu_count": 8, "mem_gb": 16.0}
 
@@ -56,7 +58,6 @@ def _profile(**kw) -> CalibrationProfile:
     kw.setdefault("repeats", 1)
     kw.setdefault("seed", 0)
     kw.setdefault("clock", FakeClock())
-    kw.setdefault("created", 0.0)
     kw.setdefault("host", _HOST)
     return autotune(**kw)
 
@@ -69,64 +70,44 @@ def _clear_default_profile():
 
 
 # ---------------------------------------------------------- determinism
-def test_same_seed_and_clock_give_byte_identical_profiles():
+def test_same_seed_clock_and_host_give_equal_profiles():
     a = _profile(clock=FakeClock())
     b = _profile(clock=FakeClock())
-    assert a.to_json() == b.to_json()
-    assert json.loads(a.to_json())["version"] == 1
+    assert a == b
+    assert a.spec() == b.spec() and a.spec().name == "calibrated-testhost"
 
 
-def test_different_seed_changes_probe_record():
-    a = _profile(clock=FakeClock())
-    b = _profile(seed=1, clock=FakeClock())
-    assert a.to_json() != b.to_json()
-    assert a.seed == 0 and b.seed == 1
+# ---------------------------------------------------------- the one cache
+def test_default_profile_calibrates_once_across_threads(monkeypatch):
+    calls = []
+    known = _profile()
 
+    def counting_autotune(**kw):
+        calls.append(kw)
+        time.sleep(0.05)  # hold the first caller inside the calibration
+        return known
 
-def test_saved_profile_plans_identically_to_fresh_fit(tmp_path):
-    fresh = _profile()
-    path = fresh.save(tmp_path / "profile.json")
-    loaded = CalibrationProfile.load(path)
-    assert loaded.to_json() == fresh.to_json()
-    p1 = Planner(fresh).plan(600, substrate="full-tile")
-    p2 = Planner(loaded).plan(600, substrate="full-tile")
-    assert p1.to_dict()["config"] == p2.to_dict()["config"]
-    assert p1.objective_s == pytest.approx(p2.objective_s)
+    monkeypatch.setattr(_planner, "autotune", counting_autotune)
+    barrier = threading.Barrier(8)
+    got = [None] * 8
 
+    def worker(i):
+        barrier.wait()
+        got[i] = default_profile()
 
-# ---------------------------------------------------------- persistence
-def test_save_is_atomic_no_tmp_file_left(tmp_path):
-    profile = _profile()
-    path = profile.save(tmp_path / "profile.json")
-    assert path.is_file()
-    leftovers = [p for p in tmp_path.iterdir() if p != path]
-    assert leftovers == []
-
-
-def test_load_missing_file_raises_calibration_error(tmp_path):
-    with pytest.raises(CalibrationError):
-        CalibrationProfile.load(tmp_path / "nope.json")
-
-
-def test_load_malformed_json_raises_calibration_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{torn", encoding="utf-8")
-    with pytest.raises(CalibrationError):
-        CalibrationProfile.load(bad)
-
-
-def test_version_mismatch_raises_calibration_error():
-    d = _profile().to_dict()
-    d["version"] = 999
-    with pytest.raises(CalibrationError, match="version"):
-        CalibrationProfile.from_dict(d)
-
-
-def test_staleness_stamp():
-    profile = _profile(created=1000.0)
-    assert profile.age_s(now=1500.0) == pytest.approx(500.0)
-    assert not profile.is_stale(now=1500.0)
-    assert profile.is_stale(now=1000.0 + profile.max_age_s + 1.0)
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert all(p is known for p in got)
 
 
 # ---------------------------------------------------------- fitting
@@ -149,29 +130,6 @@ def test_fit_constants_rejects_missing_kernel_class():
                if s.kernel not in ("gemm", "potrf")]
     with pytest.raises(CalibrationError):
         fit_constants(samples)
-
-
-def test_probe_spans_round_trip_through_telemetry_sink(tmp_path):
-    _telemetry.reset_telemetry()
-    _telemetry.configure(enabled=True, sink_dir=str(tmp_path))
-    try:
-        direct = run_probes(sizes=(32,), repeats=1, clock=FakeClock())
-    finally:
-        _telemetry.reset_telemetry()
-    from repro.perfmodel.calibrate import load_spans
-
-    recovered = samples_from_spans(load_spans(tmp_path))
-    assert len(recovered) == len(direct)
-    assert {s.kernel for s in recovered} == {s.kernel for s in direct}
-    by_key = {(s.kernel, s.size): s for s in direct}
-    for s in recovered:
-        ref = by_key[(s.kernel, s.size)]
-        assert s.work == pytest.approx(ref.work)
-
-
-def test_samples_from_spans_without_probes_raises():
-    with pytest.raises(CalibrationError):
-        samples_from_spans([{"name": "stage:solve", "duration": 0.1}])
 
 
 # ---------------------------------------------------------- planner
@@ -213,13 +171,47 @@ def test_plan_rejects_bad_inputs():
 
 def test_plan_all_oom_raises_plan_error():
     base = _profile()
-    tiny_host = dict(base.host, mem_gb=1e-9)
-    starved = CalibrationProfile.from_dict(
-        {**base.to_dict(), "host": tiny_host,
-         "machine": {**base.to_dict()["machine"], "mem_gb": 1e-9}}
+    starved = dataclasses.replace(
+        base,
+        host=dict(base.host, mem_gb=1e-9),
+        machine=dataclasses.replace(base.machine, mem_gb=1e-9),
     )
     with pytest.raises(PlanError, match="[Oo]ut of memory|feasible"):
         Planner(starved).plan(5000)
+
+
+def _finishes_within(fn, seconds):
+    """Run ``fn`` on a daemon thread; True when it returned in time."""
+    done = threading.Event()
+
+    def run():
+        fn()
+        done.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    return done.wait(seconds)
+
+
+def test_plan_at_paper_scale_is_fast():
+    """The paper's sizes reach 2M locations; pricing a candidate must not
+    walk every tile pair (O(nt^2) Python work took minutes at 400k)."""
+    planner = Planner(_profile(host=dict(_HOST, mem_gb=1024.0)))  # TLR fits
+    plans = []
+    assert _finishes_within(lambda: plans.append(planner.plan(2_000_000)), 5.0)
+    assert plans[0].variant == "tlr"
+
+
+def test_plan_beyond_any_host_fails_fast():
+    planner = Planner(_profile())
+    outcome = []
+
+    def attempt():
+        with pytest.raises(PlanError, match="out-of-memory"):
+            planner.plan(10**12)
+        outcome.append("raised")
+
+    assert _finishes_within(attempt, 1.0)
+    assert outcome == ["raised"]
 
 
 def test_predict_workload_phase_totals():
@@ -309,13 +301,3 @@ def test_estimator_explicit_tile_size_beats_planner():
         est = MLEstimator(locs, np.zeros(300), model=model,
                           variant="full-tile", tile_size=75)
         assert est.evaluator.tile_size == 75
-
-
-def test_default_profile_loads_configured_path(tmp_path):
-    path = _profile().save(tmp_path / "prof.json")
-    from repro.perfmodel.planner import default_profile
-
-    with use_config(autotune_profile=str(path)):
-        prof = default_profile(refresh=True)
-        assert prof.host["hostname"] == "testhost"
-    set_default_profile(None)

@@ -1,6 +1,6 @@
 """Edge cases of the telemetry-sink calibration reader.
 
-:func:`load_spans` is the autotuner's measurement substrate — these
+:func:`load_spans` is the measured side of the performance model — these
 tests pin down the failure modes a chaos run or a misconfigured sink
 produces: torn JSONL tails from killed processes, sinks that exist but
 hold nothing, and spans that never include a ``stage:*`` phase.

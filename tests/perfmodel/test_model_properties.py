@@ -5,8 +5,8 @@ The planner (``repro.plan``, ``GET /v1/plan``) trusts
 configurations, so the model must satisfy basic sanity laws on *every*
 input, not just the paper's table points: totals are non-negative and
 finite, the stage breakdown accounts for the total, cost algebra is
-associative, time grows with problem size, and sustained rates never
-exceed peak.
+associative, time grows with problem size, and neither a sustained rate
+nor a whole estimate beats the machine's peak.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.perfmodel import (
     estimate_mle_iteration,
     estimate_prediction,
     shaheen2,
-    task_time,
 )
 from repro.perfmodel.machine import MachineSpec
 
@@ -126,26 +125,6 @@ def test_taskcost_addition_associates(a, b, c):
     assert lhs.bytes == pytest.approx(rhs.bytes, rel=1e-12)
 
 
-@given(a=costs, k=st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
-def test_taskcost_scaling_is_linear(a, k):
-    scaled = a.scaled(k)
-    assert scaled.flops == pytest.approx(a.flops * k, rel=1e-12)
-    assert scaled.bytes == pytest.approx(a.bytes * k, rel=1e-12)
-    assert a.scaled(1.0).flops == a.flops
-
-
-@given(
-    a=costs,
-    b=costs,
-    k=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-def test_taskcost_scaling_distributes_over_addition(a, b, k):
-    lhs = (a + b).scaled(k)
-    rhs = a.scaled(k) + b.scaled(k)
-    assert lhs.flops == pytest.approx(rhs.flops, rel=1e-12)
-    assert lhs.bytes == pytest.approx(rhs.bytes, rel=1e-12)
-
-
 # ------------------------------------------------------------- roofline
 @given(
     machine=machines,
@@ -156,17 +135,14 @@ def test_sustained_never_exceeds_peak(machine, eff):
     assert 0.0 < sustained <= machine.peak_gflops * (1.0 + 1e-12)
 
 
-@given(
-    cost=costs,
-    machine=machines,
-    eff=st.floats(min_value=1e-3, max_value=1.0, allow_nan=False),
-)
-def test_task_time_bounded_below_by_peak_rate(cost, machine, eff):
-    t = task_time(cost, machine, efficiency=eff)
-    assert math.isfinite(t) and t >= 0.0
-    # No task finishes faster than the single-core peak compute bound.
-    per_core_peak = machine.peak_gflops / machine.cores * 1e9
-    assert t >= cost.flops / per_core_peak * (1.0 - 1e-9)
+@given(n=ns, nb=nbs, acc=accs, variant=variants, machine=machines)
+def test_estimate_time_bounded_below_by_peak_rate(n, nb, acc, variant, machine):
+    # No operation finishes faster than all of the machine's flops at peak.
+    for est in (
+        estimate_mle_iteration(n, variant=variant, nb=nb, acc=acc, machine=machine),
+        estimate_prediction(n, 100, variant=variant, nb=nb, acc=acc, machine=machine),
+    ):
+        assert est.time_s >= est.flops / (machine.peak_gflops * 1e9)
 
 
 @given(eff=st.floats(min_value=1e-4, max_value=1.0, allow_nan=False))

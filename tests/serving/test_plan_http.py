@@ -1,8 +1,10 @@
 """End-to-end coverage of ``GET /v1/plan`` over real HTTP.
 
-One module-scoped server is booted with a *saved* calibration profile
-(the deployment shape: calibrate once offline, serve plans from the
-persisted constants). Tests drive the route through
+One module-scoped server plans from a known calibration profile: the
+router answers ``GET /v1/plan`` in its own process from
+:func:`~repro.perfmodel.planner.default_profile`, so the suite installs
+the profile with :func:`~repro.perfmodel.planner.set_default_profile`
+instead of probing this host. Tests drive the route through
 :meth:`ServingClient.plan` and raw ``urllib`` to pin the wire contract:
 status codes, typed error envelopes, and plan payload structure.
 """
@@ -17,7 +19,7 @@ import pytest
 
 from repro.exceptions import PlanError
 from repro.perfmodel.autotune import autotune
-from repro.perfmodel.planner import Planner
+from repro.perfmodel.planner import Planner, set_default_profile
 from repro.serving import ServingClient, ServingServer
 
 
@@ -36,22 +38,17 @@ _HOST = {"hostname": "planhost", "machine": "x86_64", "cpu_count": 8, "mem_gb": 
 
 @pytest.fixture(scope="module")
 def profile():
-    return autotune(
-        sizes=(32, 48), repeats=1, seed=0, clock=FakeClock(), created=0.0, host=_HOST
-    )
+    return autotune(sizes=(32, 48), repeats=1, seed=0, clock=FakeClock(), host=_HOST)
 
 
 @pytest.fixture(scope="module")
-def profile_path(profile, tmp_path_factory):
-    return profile.save(tmp_path_factory.mktemp("calib") / "profile.json")
-
-
-@pytest.fixture(scope="module")
-def server(profile_path):
-    with ServingServer(
-        models={}, num_workers=1, calibration_profile=profile_path
-    ) as srv:
-        yield srv
+def server(profile):
+    set_default_profile(profile)
+    try:
+        with ServingServer(models={}, num_workers=1) as srv:
+            yield srv
+    finally:
+        set_default_profile(None)
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,7 @@ from repro.exceptions import (
 from repro.fitting.jobs import FitJobSpec
 from repro.kernels import MaternCovariance
 from repro.perfmodel.autotune import autotune
+from repro.perfmodel.planner import set_default_profile
 from repro.resilience import FaultPlan, FaultRule, arm, disarm
 from repro.serving import ModelBundle, ServingClient, ServingServer, edge, worker
 
@@ -81,16 +82,16 @@ def server(bundle_path):
         repeats=1,
         seed=0,
         clock=_FakeClock(),
-        created=0.0,
         host={"hostname": "h", "machine": "x86_64", "cpu_count": 2, "mem_gb": 4.0},
     )
-    with ServingServer(
-        {"m": str(bundle_path)},
-        num_workers=1,
-        fit_options={"max_workers": 1},
-        calibration_profile=profile,
-    ) as srv:
-        yield srv
+    set_default_profile(profile)  # the router plans in this process
+    try:
+        with ServingServer(
+            {"m": str(bundle_path)}, num_workers=1, fit_options={"max_workers": 1}
+        ) as srv:
+            yield srv
+    finally:
+        set_default_profile(None)
 
 
 def _raw(server, method, path, body=None):
