@@ -4,12 +4,15 @@
 Builds a Matérn covariance matrix, compresses it tile by tile at several
 accuracy thresholds, and prints the per-tile rank structure — the
 variable-rank pattern sketched in the paper's Figure 1 — plus the effect
-of Morton ordering and the choice of compressor.
+of Morton ordering and the choice of compressor. Exits non-zero when a
+compressor misses its spectral-norm accuracy contract at 1e-7 or 1e-9.
 
 Run:  python examples/compression_anatomy.py
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -43,16 +46,37 @@ def rank_structure() -> None:
         )
 
 
-def main() -> None:
+#: ``||A - UV||_2 <= CONTRACT_SLACK * acc * ||A||_2`` for every compressor:
+#: the randomized compressor's slack, as in the unit tests.
+CONTRACT_SLACK = 10.0
+
+
+def accuracy_contract() -> list:
+    """Print the compressor comparison at 1e-7 and 1e-9; return the misses."""
+    misses = []
+    for acc in (1e-7, 1e-9):
+        table = compression_method_study(acc=acc)
+        print(table.render())
+        for tile, method, _rank, err, _ms in table.rows:
+            if not err <= CONTRACT_SLACK * acc:
+                misses.append(f"{method} on the {tile} tile at acc {acc:.0e}: error {err:.2e}")
+    return misses
+
+
+def main() -> int:
     rank_structure()
     print(ordering_study(n=1024, nb=128).render())
-    print(compression_method_study().render())
+    misses = accuracy_contract()
+    if misses:
+        print("Accuracy contract missed:\n  " + "\n  ".join(misses))
+        return 1
     print(
         "Take-aways: ranks fall with tile separation and rise with accuracy;"
         "\nMorton ordering is what makes off-diagonal tiles low-rank; all"
         "\nthree compressors honour the accuracy contract at different costs."
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

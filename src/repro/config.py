@@ -68,8 +68,10 @@ class Config:
         ``"relative"`` keeps singular values above ``eps * sigma_1``;
         ``"absolute"`` keeps singular values above ``eps``.
     compression_batch:
-        TLR tiles compressed per runtime task in fused generation (amortizes
-        per-task overhead for small tiles; values identical for any batch).
+        Off-diagonal TLR tiles per runtime task: consecutive rows of one
+        column of the TLR Cholesky (each updated, then compressed once),
+        or of standalone TLR generation. Amortizes per-task overhead for
+        small tiles; values are identical for any batch.
     num_workers:
         Worker threads for the task runtime. ``0`` means "auto": the
         ``REPRO_NUM_WORKERS`` environment variable, else ``os.cpu_count()``.

@@ -8,7 +8,8 @@ Three families, mirroring the paper's three computation variants:
   substitute): tile matrices, task-based tile Cholesky, tile solves;
 * ``compression`` + ``tlr_*`` — the **TLR** data format and algorithms
   (HiCMA substitute): per-tile low-rank compression (SVD / RSVD / ACA),
-  TLR Cholesky with recompression, TLR solves and matvec.
+  a left-looking TLR Cholesky that updates each tile while it is dense
+  and compresses it once, TLR solves and matvec.
 
 ``generation`` is the covariance *generation pipeline* shared by the tile
 and TLR variants: a per-fit :class:`~repro.linalg.generation.TileDistanceCache`
@@ -24,7 +25,7 @@ from .blocklapack import (
 from .tile_matrix import TileGrid, TileMatrix
 from .tile_cholesky import tile_cholesky, logdet_from_tile_factor
 from .tile_solve import tile_cholesky_solve, tile_solve_triangular
-from .compression import LowRank, compress, recompress, lr_add
+from .compression import LowRank, compress
 from .tlr_matrix import TLRMatrix
 from .tlr_cholesky import tlr_cholesky, logdet_from_tlr_factor
 from .tlr_solve import tlr_cholesky_solve, tlr_solve_triangular
@@ -62,8 +63,6 @@ __all__ = [
     "tile_solve_triangular",
     "LowRank",
     "compress",
-    "recompress",
-    "lr_add",
     "TLRMatrix",
     "tlr_cholesky",
     "logdet_from_tlr_factor",

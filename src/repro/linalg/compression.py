@@ -16,8 +16,9 @@ Three compressors, mirroring the options named in the paper:
   explicit residual (robust; tiles are materialized anyway during
   generation), with Frobenius-norm stopping.
 
-:func:`recompress` implements the QR+SVD "rounding" used by the TLR GEMM
-to keep ranks bounded after low-rank additions.
+The TLR Cholesky compresses each factor tile once, after its last
+update (:mod:`~repro.linalg.tlr_cholesky`), so no low-rank rounding of
+sums is needed.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "rsvd_compress",
     "aca_compress",
     "compress",
-    "recompress",
-    "lr_add",
     "truncation_rank",
 ]
 
@@ -55,9 +54,10 @@ class LowRank:
         ``(k, n)`` right factor.
 
     Mutability is deliberate: TLR codelets *replace* the factors (TRSM
-    rewrites ``v``; GEMM+recompression rewrites both with a new rank)
-    while the containing :class:`~repro.linalg.tlr_matrix.TLRMatrix` and
-    runtime handles keep referring to the same object.
+    rewrites ``v``; the factorization's one compression rewrites both
+    with a new rank) while the containing
+    :class:`~repro.linalg.tlr_matrix.TLRMatrix` and runtime handles keep
+    referring to the same object.
     """
 
     __slots__ = ("u", "v")
@@ -161,19 +161,29 @@ def rsvd_compress(
     truncation threshold is resolved inside the captured range (i.e. the
     smallest captured singular value falls below the threshold), falling
     back to the exact SVD when the block is effectively full-rank.
+
+    The range finder is orthonormalised subspace iteration (Halko et al.
+    2011, Alg. 4.4): a QR after every product with ``a`` or ``a.T``. An
+    unorthonormalised power step ``a (a.T y)`` squares the spectrum, so
+    in floating point it loses every direction below ``~sqrt(eps)``
+    times the top singular value — the accuracy contract then fails
+    below ``acc ~ 1e-6``.
     """
     rule = rule or get_config().truncation
     rng = as_generator(seed)
     m, n = a.shape
     max_rank = min(m, n)
     k_try = min(max_rank, max(1, initial_rank))
+
+    def orth(y: np.ndarray) -> np.ndarray:
+        return sla.qr(y, mode="economic", check_finite=False)[0]
+
     while True:
         ell = min(max_rank, k_try + oversample)
         omega = rng.standard_normal((n, ell))
-        y = a @ omega
+        q = orth(a @ omega)
         for _ in range(power_iters):
-            y = a @ (a.T @ y)
-        q, _ = sla.qr(y, mode="economic", check_finite=False)
+            q = orth(a @ orth(a.T @ q))
         b = q.T @ a
         ub, s, vt = sla.svd(b, full_matrices=False, check_finite=False)
         k = truncation_rank(s, acc, rule)
@@ -198,7 +208,7 @@ def aca_compress(
     Frobenius norm drops below ``acc * ||a||_F`` (relative) or ``acc``
     (absolute). Since ``||.||_F >= ||.||_2``, the spectral-norm accuracy
     contract of :func:`svd_compress` is met (often with a slightly larger
-    rank, which :func:`recompress` can shave off later).
+    rank).
 
     Raises
     ------
@@ -284,41 +294,3 @@ def compress(
     except KeyError:
         raise ShapeError(f"unknown compression method {method!r}") from None
     return fn(a, acc, rule=rule, **kwargs)  # type: ignore[operator]
-
-
-def lr_add(a: LowRank, b: LowRank, *, beta: float = 1.0) -> LowRank:
-    """Exact (non-truncated) sum ``a + beta*b`` by factor concatenation.
-
-    The resulting rank is ``a.rank + b.rank``; callers follow up with
-    :func:`recompress` to restore the accuracy-bounded rank.
-    """
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    if b.rank == 0:
-        return a.copy()
-    if a.rank == 0:
-        return LowRank(beta * b.u, b.v.copy())
-    u = np.hstack([a.u, beta * b.u])
-    v = np.vstack([a.v, b.v])
-    return LowRank(u, v)
-
-
-def recompress(block: LowRank, acc: float, *, rule: Optional[str] = None) -> LowRank:
-    """QR+SVD rounding of a low-rank block to accuracy ``acc``.
-
-    Computes thin QRs of both factors, the SVD of the small
-    ``R_u @ R_v^T`` core, and truncates — the standard ``O((m+n)k^2 + k^3)``
-    rounding that keeps TLR GEMM updates from inflating ranks.
-    """
-    rule = rule or get_config().truncation
-    k = block.rank
-    if k == 0:
-        return block.copy()
-    qu, ru = sla.qr(block.u, mode="economic", check_finite=False)
-    qv, rv = sla.qr(block.v.T, mode="economic", check_finite=False)
-    core = ru @ rv.T
-    uc, s, vct = sla.svd(core, full_matrices=False, check_finite=False)
-    knew = truncation_rank(s, acc, rule)
-    u = qu @ (uc[:, :knew] * s[:knew])
-    v = (qv @ vct[:knew].T).T
-    return LowRank(np.ascontiguousarray(u), np.ascontiguousarray(v))

@@ -17,13 +17,15 @@ implementation's serial regenerate-everything loop:
 2. **Generation is embarrassingly parallel and need not be a barrier.**
    The ExaGeoStat paper task-parallelizes generation on the same runtime
    that executes the factorization. :func:`insert_tile_generation_tasks`
-   / :func:`insert_tlr_generation_tasks` insert one generation task per
-   tile column (dense) or one generate+compress task per tile (TLR) into
-   a :class:`~repro.runtime.Runtime` and hand back the data handles, so
-   the Cholesky task graph submitted on the *same* handles depends on
-   each generation task individually — the factorization of early panels
+   inserts one generation task per tile column into a
+   :class:`~repro.runtime.Runtime` and hands back the data handles, so
+   the tile Cholesky submitted on the *same* handles depends on each
+   generation task individually — the factorization of early panels
    starts while late columns are still being generated
-   (sequential-task-flow, no global barrier).
+   (sequential-task-flow, no global barrier). The TLR Cholesky goes one
+   step further: each of its tasks generates its own tile, updates it
+   while dense and compresses it once
+   (:func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source`).
 
 Both pieces are value-preserving: cached-distance tiles are bit-identical
 to directly generated ones (they share the
@@ -294,9 +296,9 @@ def empty_tile_matrix(n: int, nb: int, *, symmetric_lower: bool = True) -> TileM
 def empty_tlr_matrix(n: int, nb: int, acc: float) -> TLRMatrix:
     """A :class:`TLRMatrix` with empty diagonal buffers and rank-0 off-diagonals.
 
-    Generation tasks fill diagonal tiles in place and *replace* the
-    factors of the placeholder :class:`LowRank` blocks (rank changes are
-    part of the LowRank contract, exactly as TLR GEMM recompression does).
+    Generation (or factorization) tasks fill diagonal tiles in place and
+    *replace* the factors of the placeholder :class:`LowRank` blocks (rank
+    changes are part of the LowRank contract).
     """
     grid = TileGrid(n, nb)
     tlr = TLRMatrix(grid, acc)
@@ -379,22 +381,21 @@ def insert_tlr_generation_tasks(
     method: str,
     rule: str,
     compression_batch: Optional[int] = None,
-) -> Tuple[Dict[int, DataHandle], Dict[Tuple[int, int], DataHandle]]:
+) -> None:
     """Insert generate(+compress) tasks for every tile of ``tlr``.
 
-    Returns ``(diag_handles, low_handles)`` for
-    :func:`~repro.linalg.tlr_cholesky.tlr_cholesky`, fusing generation
-    and compression into the factorization task graph. ``method`` and
-    ``rule`` must be pre-resolved (workers do not consult the
-    thread-local config).
+    Standalone generation of a compressed matrix (the factorization
+    generates its own tiles, see :func:`generate_and_factor_tlr_matrix`).
+    ``method`` and ``rule`` must be pre-resolved (workers do not consult
+    the thread-local config). The caller owns synchronization: the tiles
+    are valid only after the runtime's ``wait_all``.
 
     ``compression_batch`` groups that many off-diagonal tiles' SVDs into
     one task (default: configured ``compression_batch``, resolved on the
     submitting thread). When ``nb`` is small relative to ``nt`` each
     per-tile compression is cheap and per-task overhead dominates;
-    batching amortizes it. Tiles are grouped in column-major order — the
-    order the right-looking Cholesky first consumes them — and values
-    are identical for any batch size.
+    batching amortizes it. Tiles are grouped in column-major order, and
+    values are identical for any batch size.
     """
     grid = tlr.grid
     nt = grid.nt
@@ -406,16 +407,11 @@ def insert_tlr_generation_tasks(
     # The adaptive randomized compressor seeds itself from the config when
     # unseeded; resolve that here too, on the submitting thread.
     seed = get_config().rng_seed if method == "rsvd" else None
-    dh: Dict[int, DataHandle] = {
-        k: runtime.register(tlr.diag[k], name=f"D[{k}]") for k in range(nt)
-    }
-    lh: Dict[Tuple[int, int], DataHandle] = {
-        key: runtime.register(lr, name=f"L[{key[0]},{key[1]}]") for key, lr in tlr.low.items()
-    }
+    RW = AccessMode.READWRITE
     for k in range(nt):
         runtime.insert_task(
             _fill_dense_codelet,
-            [(dh[k], AccessMode.READWRITE)],
+            [(runtime.register(tlr.diag[k], name=f"D[{k}]"), RW)],
             args=(generate, grid.tile_slice(k), grid.tile_slice(k), k, k),
             name=f"gen({k},{k})",
             priority=4 * (nt - k),
@@ -428,12 +424,11 @@ def insert_tlr_generation_tasks(
         ]
         runtime.insert_task(
             _fill_lowrank_batch_codelet,
-            [(lh[key], AccessMode.READWRITE) for key in group],
+            [(runtime.register(tlr.low[(i, j)], name=f"L[{i},{j}]"), RW) for (i, j) in group],
             args=((generate, specs, tlr.acc, method, rule, seed),),
             name=f"genb({group[0][0]},{group[0][1]})x{len(group)}",
             priority=4 * (nt - group[0][1]),
         )
-    return dh, lh
 
 
 def generate_and_factor_tile_matrix(
@@ -489,37 +484,37 @@ def generate_and_factor_tlr_matrix(
     times: Optional["StageTimes"] = None,
     compression_batch: Optional[int] = None,
 ) -> TLRMatrix:
-    """Generate+compress a TLR matrix and Cholesky-factor it in place.
+    """Generate, compress and Cholesky-factor a TLR matrix in one graph.
 
-    The TLR analogue of :func:`generate_and_factor_tile_matrix` (fused
-    mode additionally folds per-tile compression into the task graph,
-    ``compression_batch`` tiles per task). ``method``/``rule`` must be
-    pre-resolved, as for :func:`insert_tlr_generation_tasks`.
+    The TLR analogue of :func:`generate_and_factor_tile_matrix`: the
+    left-looking graph of
+    :func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source` with
+    ``generate`` as its dense source, so every task generates its tile,
+    updates it while dense and compresses it once. The same codelets run
+    serially (``runtime=None``) or as runtime tasks, with
+    ``compression_batch`` off-diagonal tiles of one column per task, and
+    give a bit-identical factor. Generation always happens inside the
+    graph's tasks, so ``fused`` changes nothing here, and the
+    ``generation`` stage of ``times`` holds only the allocation of the
+    empty matrix. ``method``/``rule`` must be pre-resolved.
     """
     from ..utils.timer import StageTimes  # local: utils must not import linalg
-    from .tlr_cholesky import tlr_cholesky  # local: avoid import cycle
+    from .tlr_cholesky import tlr_cholesky_from_source  # local: avoid import cycle
 
     times = StageTimes() if times is None else times
-    if fused and runtime is not None:
-        with times.stage("generation"):
-            tlr = empty_tlr_matrix(n, nb, acc)
-            handles = insert_tlr_generation_tasks(
-                runtime,
-                tlr,
-                generate,
-                method=method,
-                rule=rule,
-                compression_batch=compression_batch,
-            )
-        with times.stage("factorization"):
-            tlr_cholesky(tlr, runtime=runtime, handles=handles)
-    else:
-        with times.stage("generation"):
-            tlr = TLRMatrix.from_generator(
-                n, nb, generate, acc=acc, method=method, rule=rule
-            )
-        with times.stage("factorization"):
-            tlr_cholesky(tlr, runtime=runtime)
+    with times.stage("generation"):
+        tlr = empty_tlr_matrix(n, nb, acc)
+    grid = tlr.grid
+
+    def source(i: int, j: int) -> np.ndarray:
+        shape = (grid.tile_size(i), grid.tile_size(j))
+        return materialize_tile(generate(grid.tile_slice(i), grid.tile_slice(j)), shape, i, j)
+
+    with times.stage("factorization"):
+        tlr_cholesky_from_source(
+            tlr, source, acc, method=method, rule=rule, runtime=runtime,
+            compression_batch=compression_batch,
+        )
     return tlr
 
 

@@ -1,105 +1,149 @@
 """TLR Cholesky factorization (paper §V; HiCMA's core operation).
 
-Right-looking lower Cholesky over a :class:`TLRMatrix`: dense POTRF on
-diagonal tiles, TRSM on the V factors of the panel, dense SYRK updates of
-diagonal tiles from low-rank panels, and low-rank GEMM updates with
-QR+SVD recompression for the trailing off-diagonal tiles.
+Left-looking lower Cholesky into a :class:`TLRMatrix`. Each tile comes
+from a dense *source* (a covariance generator, or ``U V`` of an already
+compressed matrix) and is updated while still dense:
 
-Arithmetic complexity drops from ``O(n^3)`` to roughly
-``O(n^2 k / nb + n k^2 nt)`` with per-tile ranks ``k << nb``, and the
-factor stays in TLR form, so memory follows the compressed footprint —
-the two effects behind the paper's speedups and its ability to run 2M
-problems.
+    DIAG(k)        D_kk = src(k, k) - sum_{l<k} U_kl (V_kl V_kl^T) U_kl^T; POTRF
+    OFFDIAG(i, k)  A_ik = src(i, k) - sum_{l<k} U_il ((V_il V_kl^T) U_kl^T),
+                   ascending l; compress once; TRSM of its V
 
-As with the dense tile variant, the factorization runs either serially
-or through the task runtime with the same codelets and the standard
-panel-first priorities.
+so every off-diagonal tile is compressed exactly once, where a
+right-looking sweep rounds each of its ``O(nt^3)`` low-rank updates with
+a QR+SVD. The dense tile of a task is transient: the stored footprint is
+the TLR one.
+
+The graph is ``nt`` DIAG tasks plus, per column ``k``,
+``ceil((nt - k - 1) / compression_batch)`` OFFDIAG tasks over runs of
+consecutive rows. Handles only order the tasks (each declares every tile
+it reads); codelets go through the matrix. A tile's arithmetic depends
+only on its inputs, so ``runtime=None``, any worker count and any batch
+give a bit-identical factor. Priorities favour earlier columns and, in a
+column, DIAG and then the task holding row ``k + 1``, which ``DIAG(k+1)``
+waits for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..exceptions import NotPositiveDefiniteError, ShapeError
+from ..config import get_config
+from ..exceptions import NotPositiveDefiniteError
 from ..runtime import AccessMode, Runtime
+from .compression import compress
 from .tlr_matrix import TLRMatrix
 from .tlr_ops import (
-    tlr_gemm_codelet,
     tlr_potrf_codelet,
     tlr_syrk_codelet,
     tlr_trsm_codelet,
+    tlr_update_codelet,
 )
 
-__all__ = ["tlr_cholesky", "logdet_from_tlr_factor"]
+__all__ = ["tlr_cholesky", "tlr_cholesky_from_source", "logdet_from_tlr_factor"]
+
+#: ``source(i, j)`` returns dense tile ``(i, j)`` (``i >= j``) as an array
+#: the factorization may overwrite.
+TileSource = Callable[[int, int], np.ndarray]
 
 
-def _serial_tlr_cholesky(a: TLRMatrix, acc: float, rule: Optional[str]) -> None:
-    nt = a.nt
-    for k in range(nt):
-        tlr_potrf_codelet(a.diag[k])
-        lkk = a.diag[k]
-        for i in range(k + 1, nt):
-            tlr_trsm_codelet(lkk, a.low[(i, k)])
-        for i in range(k + 1, nt):
-            aik = a.low[(i, k)]
-            tlr_syrk_codelet(aik, a.diag[i])
-            for j in range(k + 1, i):
-                tlr_gemm_codelet(a.low[(i, j)], aik, a.low[(j, k)], acc, rule=rule)
+def _diag_task(*_payloads: object, a: TLRMatrix, k: int, source: TileSource) -> None:
+    """DIAG(k): source, update from the factor tiles of row ``k``, POTRF."""
+    dkk = a.diag[k]
+    src = source(k, k)
+    if src is not dkk:
+        dkk[...] = src
+    for l in range(k):
+        tlr_syrk_codelet(a.low[(k, l)], dkk)
+    tlr_potrf_codelet(dkk)
 
 
-def _parallel_tlr_cholesky(
+def _offdiag_task(
+    *_payloads: object,
     a: TLRMatrix,
+    k: int,
+    rows: range,
+    source: TileSource,
     acc: float,
-    rule: Optional[str],
-    runtime: Runtime,
-    handles: Optional[Tuple[Dict[int, object], Dict[Tuple[int, int], object]]] = None,
+    method: str,
+    rule: str,
+    seed: Optional[int],
 ) -> None:
-    nt = a.nt
-    if handles is not None:
-        dh, lh = handles
-    else:
-        dh = {k: runtime.register(a.diag[k], name=f"D[{k}]") for k in range(nt)}
-        lh = {
-            key: runtime.register(lr, name=f"L[{key[0]},{key[1]}]")
-            for key, lr in a.low.items()
-        }
+    """OFFDIAG(rows, k): per row, source, update, compress once, TRSM."""
+    kwargs = {} if seed is None else {"seed": seed}
+    lkk = a.diag[k]
+    for i in rows:
+        dense = source(i, k)
+        for l in range(k):
+            tlr_update_codelet(dense, a.low[(i, l)], a.low[(k, l)])
+        lr = compress(dense, acc, method=method, rule=rule, **kwargs)
+        tlr_trsm_codelet(lkk, lr)
+        a.low[(i, k)].set_factors(lr.u, lr.v)
+
+
+def tlr_cholesky_from_source(
+    a: TLRMatrix,
+    source: TileSource,
+    acc: float,
+    *,
+    method: str,
+    rule: str,
+    runtime: Optional[Runtime] = None,
+    compression_batch: Optional[int] = None,
+) -> TLRMatrix:
+    """Run the left-looking graph, writing the factor of ``source`` into ``a``.
+
+    ``a`` supplies the grid and the storage (dense diagonal buffers,
+    :class:`LowRank` blocks whose factors are replaced); off-diagonal
+    tiles are compressed to ``acc``. ``method``/``rule`` must be
+    pre-resolved: runtime workers do not read the thread-local config,
+    so the ``rsvd`` seed and ``compression_batch`` are resolved here.
+    """
+    nt, cfg = a.nt, get_config()
+    comp = {
+        "acc": float(acc),
+        "method": method,
+        "rule": rule,
+        "seed": cfg.rng_seed if method == "rsvd" else None,
+    }
+    if runtime is None:
+        for k in range(nt):
+            _diag_task(a=a, k=k, source=source)
+            _offdiag_task(a=a, k=k, rows=range(k + 1, nt), source=source, **comp)
+        return a
+    batch = max(1, int(compression_batch or cfg.compression_batch))
+    dh = [runtime.register(a.diag[k], name=f"D[{k}]") for k in range(nt)]
+    lh = {key: runtime.register(lr, name=f"L[{key[0]},{key[1]}]") for key, lr in a.low.items()}
     R, RW = AccessMode.READ, AccessMode.READWRITE
     for k in range(nt):
         base = nt - k
         runtime.insert_task(
-            tlr_potrf_codelet, [(dh[k], RW)], name=f"potrf({k})", priority=3 * base
+            _diag_task,
+            [(dh[k], RW)] + [(lh[(k, l)], R) for l in range(k)],
+            kwargs={"a": a, "k": k, "source": source},
+            name=("diag", k),
+            priority=3 * base,
         )
-        for i in range(k + 1, nt):
+        for start in range(k + 1, nt, batch):
+            rows = range(start, min(start + batch, nt))
             runtime.insert_task(
-                tlr_trsm_codelet,
-                [(dh[k], R), (lh[(i, k)], RW)],
-                name=f"trsm({i},{k})",
-                priority=2 * base,
+                _offdiag_task,
+                [(lh[(i, k)], RW) for i in rows]
+                + [(dh[k], R)]
+                + [(lh[(k, l)], R) for l in range(k)]
+                + [(lh[(i, l)], R) for i in rows for l in range(k)],
+                kwargs={"a": a, "k": k, "rows": rows, "source": source, **comp},
+                name=("offdiag", start, k),
+                priority=2 * base if start == k + 1 else base,
             )
-        for i in range(k + 1, nt):
-            runtime.insert_task(
-                tlr_syrk_codelet,
-                [(lh[(i, k)], R), (dh[i], RW)],
-                name=f"syrk({i},{k})",
-                priority=base,
-            )
-            for j in range(k + 1, i):
-                runtime.insert_task(
-                    tlr_gemm_codelet,
-                    [(lh[(i, j)], RW), (lh[(i, k)], R), (lh[(j, k)], R)],
-                    args=(acc,),
-                    kwargs={"rule": rule},
-                    name=f"gemm({i},{j},{k})",
-                    priority=base,
-                )
     try:
         runtime.wait_all()
     finally:
         # Drop the completed task graph so long-lived runtimes (one per MLE
         # fit, many factorizations) do not accumulate bookkeeping.
         runtime.tracker.reset()
+    return a
 
 
 def tlr_cholesky(
@@ -108,9 +152,12 @@ def tlr_cholesky(
     *,
     rule: Optional[str] = None,
     runtime: Optional[Runtime] = None,
-    handles: Optional[Tuple[Dict[int, object], Dict[Tuple[int, int], object]]] = None,
 ) -> TLRMatrix:
     """Factor a symmetric TLR matrix in place: ``A = L L^T`` in TLR form.
+
+    Runs the left-looking graph on ``a``'s own tiles (``U V`` of each
+    off-diagonal tile), each factor tile compressed once with the
+    configured compressor.
 
     Parameters
     ----------
@@ -118,31 +165,27 @@ def tlr_cholesky(
         SPD matrix in TLR format; overwritten with the factor (dense
         lower-triangular diagonal tiles, low-rank off-diagonal tiles).
     acc:
-        Recompression accuracy for trailing updates; defaults to the
+        Compression accuracy of the factor tiles; defaults to the
         matrix's construction accuracy ``a.acc`` (the paper uses one
         threshold end to end).
     rule:
         Truncation rule override (``"relative"`` / ``"absolute"``).
     runtime:
         Optional task runtime for parallel execution.
-    handles:
-        Pre-registered ``(diag_handles, low_handles)`` maps for ``a``'s
-        tiles (requires ``runtime``). Pass the handles returned by
-        :func:`~repro.linalg.generation.insert_tlr_generation_tasks` to
-        fuse generation+compression into this factorization's task graph.
 
     Returns
     -------
     The same object, now holding the TLR Cholesky factor.
     """
-    acc_val = a.acc if acc is None else float(acc)
-    if runtime is None:
-        if handles is not None:
-            raise ShapeError("handles require a runtime")
-        _serial_tlr_cholesky(a, acc_val, rule)
-    else:
-        _parallel_tlr_cholesky(a, acc_val, rule, runtime, handles)
-    return a
+    cfg = get_config()
+    return tlr_cholesky_from_source(
+        a,
+        lambda i, j: a.diag[i] if i == j else a.low[(i, j)].to_dense(),
+        a.acc if acc is None else acc,
+        method=cfg.compression_method,
+        rule=rule or cfg.truncation,
+        runtime=runtime,
+    )
 
 
 def logdet_from_tlr_factor(factor: TLRMatrix) -> float:

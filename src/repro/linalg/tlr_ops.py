@@ -1,19 +1,20 @@
-"""TLR codelets: the four kernels of the TLR Cholesky (paper §V).
+"""TLR codelets: the kernels of the left-looking TLR Cholesky (paper §V).
 
-Each codelet mutates its output tile in place (dense diagonal tiles) or
-rebinds the factors of its output :class:`LowRank` block, so the same
-functions serve the serial loop and the task runtime.
+Each codelet mutates its output in place (dense tiles) or rebinds the
+factors of its output :class:`LowRank` block, so the same functions
+serve the serial loop and the task runtime.
 
-Kernel inventory (lower Cholesky, iteration ``k``):
+Kernel inventory (lower Cholesky, column ``k``, updates from columns
+``l < k``):
 
 * :func:`tlr_potrf_codelet` — dense POTRF on ``D_kk``;
 * :func:`tlr_trsm_codelet` — ``A_ik <- A_ik L_kk^{-T}`` touches only the
   ``k x nb`` factor ``V_ik`` (this is where TLR wins its flops);
 * :func:`tlr_syrk_codelet` — dense diagonal update
-  ``D_ii -= U_ik (V_ik V_ik^T) U_ik^T`` via two skinny GEMMs;
-* :func:`tlr_gemm_codelet` — low-rank trailing update
-  ``A_ij -= U_ik (V_ik V_jk^T U_jk^T)`` followed by QR+SVD recompression
-  back to the accuracy threshold.
+  ``D_kk -= U_kl (V_kl V_kl^T) U_kl^T`` via two skinny GEMMs;
+* :func:`tlr_update_codelet` — dense off-diagonal update
+  ``A_ik -= U_il ((V_il V_kl^T) U_kl^T)`` of a tile that is compressed
+  only after its last update.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..exceptions import NotPositiveDefiniteError
-from .compression import LowRank, lr_add, recompress
+from .compression import LowRank
 
 __all__ = [
     "tlr_potrf_codelet",
     "tlr_trsm_codelet",
     "tlr_syrk_codelet",
-    "tlr_gemm_codelet",
+    "tlr_update_codelet",
 ]
 
 
@@ -68,31 +69,14 @@ def tlr_syrk_codelet(aik: LowRank, dii: np.ndarray) -> None:
     dii -= t @ aik.u.T
 
 
-def tlr_gemm_codelet(
-    aij: LowRank,
-    aik: LowRank,
-    ajk: LowRank,
-    acc: float,
-    *,
-    rule: str | None = None,
-) -> None:
-    """Low-rank trailing update ``aij -= aik @ ajk.T``, then recompress.
+def tlr_update_codelet(dense: np.ndarray, ail: LowRank, akl: LowRank) -> None:
+    """Dense off-diagonal update ``dense -= ail @ akl.T`` from two factor tiles.
 
-    The product of two low-rank panels is itself low-rank with rank
-    ``min(k_ik, k_jk)``:
-
-        aik @ ajk.T = U_ik (V_ik V_jk^T) U_jk^T = U_ik W U_jk^T
-
-    The update is appended by factor concatenation (exact) and rounded
-    back to accuracy ``acc`` with QR+SVD recompression — HiCMA's scheme
-    for keeping ranks bounded across the ``O(nt^3)`` update sweep.
+    Factored as ``U_il ((V_il V_kl^T) U_kl^T)``: a ``k_il x k_kl`` core,
+    a ``k_il x nb`` product and one ``nb x nb`` GEMM of inner dimension
+    ``k_il``. The sum stays exact, so the tile is rounded once, by the
+    compression that follows its last update.
     """
-    if aik.rank == 0 or ajk.rank == 0:
+    if ail.rank == 0 or akl.rank == 0:
         return
-    w = aik.v @ ajk.v.T  # (k_ik, k_jk)
-    pu = aik.u  # (nb_i, k_ik)
-    pv = w @ ajk.u.T  # (k_ik, nb_j)
-    update = LowRank(pu, pv)
-    summed = lr_add(aij, update, beta=-1.0)
-    rounded = recompress(summed, acc, rule=rule)
-    aij.set_factors(rounded.u, rounded.v)
+    dense -= ail.u @ ((ail.v @ akl.v.T) @ akl.u.T)

@@ -140,13 +140,14 @@ class PredictionEngine:
         copy of the lower-triangular distance data. Values are
         bit-identical either way; turn it off when memory-bound.
     parallel_generation:
-        With a runtime attached, generate (and, for TLR, compress) tiles
-        as tasks fused into the Cholesky task graph instead of a serial
-        loop with a barrier before the factorization. No effect without
-        a runtime or for the full-block variant.
+        With a runtime attached, generate full-tile tiles as tasks fused
+        into the Cholesky task graph instead of a serial loop with a
+        barrier before the factorization. No effect without a runtime,
+        for the full-block variant, or for TLR, whose Cholesky always
+        generates (and compresses) each tile inside its own task.
     compression_batch:
-        TLR tiles compressed per fused generation task (``>= 1``; values
-        are identical for any batch size). ``None`` takes
+        Off-diagonal TLR tiles per Cholesky task (``>= 1``; values are
+        identical for any batch size). ``None`` takes
         ``Config.compression_batch``.
     full_distances:
         Pre-computed ``(n, n)`` distance matrix to seed the full-block

@@ -51,8 +51,9 @@ __all__ = ["PerfEstimate", "estimate_mle_iteration", "estimate_prediction"]
 #: compression scratch).
 MEMORY_OVERHEAD = 1.15
 
-#: Low-rank kernels re-stream their operands during QR/SVD recompression;
-#: the byte counts of LR task classes are scaled by this pass count.
+#: Low-rank kernels of the right-looking schedule re-stream their operands
+#: during QR/SVD recompression; the byte counts of its LR task classes are
+#: scaled by this pass count.
 LR_TRAFFIC_FACTOR = 3.0
 
 #: Distributed TLR efficiency derating. The paper (§VIII-C) observes that
@@ -115,9 +116,22 @@ def _dense_tile_costs(nt: int, nb: int) -> Dict[str, TaskCost]:
 
 
 def _tlr_tile_costs(
-    nt: int, nb: int, acc: float, rank_model: RankModel
+    nt: int, nb: int, acc: float, rank_model: RankModel, *, hicma: bool = False
 ) -> tuple[Dict[str, TaskCost], np.ndarray]:
-    """Aggregate costs of the TLR Cholesky task population.
+    """Aggregate costs of a TLR Cholesky task population.
+
+    Every off-diagonal tile takes one low-rank TRSM and one low-rank SYRK
+    into its row's diagonal tile. The default prices the left-looking
+    graph this code runs: tile ``(i, k)`` takes one dense update per
+    ``l < k``, ``U_il ((V_il V_kl^T) U_kl^T)`` (``4 k_il k_kl nb`` for the
+    skinny products, ``2 nb^2 k_il`` for the ``nb x nb`` GEMM), and is
+    compressed once (priced with generation, see
+    :func:`_generation_costs`). ``hicma`` prices the paper's
+    right-looking distributed schedule instead, which the Figure 4/5
+    cluster projections model: an ``O(nt^3)`` sweep of low-rank GEMMs,
+    each rounded back to accuracy with a QR+SVD
+    (:func:`~repro.perfmodel.flops.lr_gemm_flops`), its LR operands
+    re-streamed ``LR_TRAFFIC_FACTOR`` times.
 
     Returns the per-class costs and the separation-indexed rank array
     (``ranks[d-1]`` is the rank at separation ``d``).
@@ -137,35 +151,45 @@ def _tlr_tile_costs(
     trsm_b = float(np.sum(counts * (tb_dense + 2 * lr_bytes)))
     syrk_f = float(np.sum(counts * lr_syrk_flops(nb, ranks)))
     syrk_b = float(np.sum(counts * (2 * tb_dense + lr_bytes)))
+    costs = {"potrf": TaskCost(nt * potrf_flops(nb), nt * 2 * tb_dense)}
 
-    # GEMM sweep: for separations a > b >= 1 the update uses ranks
-    # (k_ij, k_ik, k_jk) = (r[a-b], r[a], r[b]) and occurs (nt - a) times
-    # across iterations k. Over b = 1..a-1 both r[a-b] and r[b] run over
-    # the ranks at separations 1..a-1, so each a's sum of lr_gemm_flops
-    # (a polynomial in the ranks) is a combination of prefix sums of r,
-    # r^2 and r^3: O(nt) instead of O(nt^2), and exact (integers in
-    # float64) wherever the per-a sums stay below 2^53.
-    s1, s2, s3 = (np.cumsum(ranks**e)[:-1] for e in (1, 2, 3))
-    k = ranks[1:]  # k_ik = r[a] for a = 2..nt-1
-    cnt = np.arange(1, nt - 1, dtype=np.float64)
+    # Both sweeps pair, for separations a > b >= 1, the tile at separation
+    # a (k_il, or k_ik) with each tile at separation b < a, and each a
+    # occurs nt - a times; summing over b leaves prefix sums of the ranks
+    # (and, for the rounding, of r^2 and r^3): O(nt), and exact (integers
+    # in float64) wherever the per-a sums stay below 2^53.
+    s1 = np.cumsum(ranks)[:-1]
+    k = ranks[1:]  # r[a] for a = 2..nt-1
+    cnt = np.arange(1, nt - 1, dtype=np.float64)  # a - 1 partners per a
+    mult = np.arange(nt - 2, 0, -1, dtype=np.float64)  # nt - a
+    if not hicma:
+        update_f = float(np.sum(mult * (4.0 * nb * k * s1 + 2.0 * nb * nb * k * cnt)))
+        update_b = float(np.sum(mult * 16.0 * nb * (cnt * k + s1)))
+        update_b += float(np.sum(counts)) * 2 * tb_dense  # each dense tile in and out once
+        costs.update(
+            trsm=TaskCost(trsm_f, trsm_b),
+            syrk=TaskCost(syrk_f, syrk_b),
+            update=TaskCost(update_f, update_b),
+        )
+        return costs, ranks.astype(np.int64)
+
+    # The GEMM of tile (i, j) at iteration k uses ranks
+    # (k_ij, k_ik, k_jk) = (r[a-b], r[a], r[b]); over b both r[a-b] and
+    # r[b] run over separations 1..a-1.
+    s2, s3 = (np.cumsum(ranks**e)[:-1] for e in (2, 3))
     kk2 = s2 + 2 * k * s1 + cnt * k * k  # sum of (k_ij + k_ik)^2
     kk3 = s3 + 3 * k * s2 + 3 * k * k * s1 + cnt * k**3  # sum of (k_ij + k_ik)^3
     fl = 4 * nb * k * s1 + 8 * nb * kk2 + 22 * kk3
     by = 16 * nb * (3 * s1 + cnt * k)
-    mult = np.arange(nt - 2, 0, -1, dtype=np.float64)  # nt - a
     # Sequential accumulation (cumsum) keeps the float sum in index order.
     gemm_f = float(np.cumsum(mult * fl)[-1]) if nt > 2 else 0.0
     gemm_b = float(np.cumsum(mult * by)[-1]) if nt > 2 else 0.0
-
-    return (
-        {
-            "potrf": TaskCost(nt * potrf_flops(nb), nt * 2 * tb_dense),
-            "trsm": TaskCost(trsm_f, LR_TRAFFIC_FACTOR * trsm_b),
-            "syrk": TaskCost(syrk_f, LR_TRAFFIC_FACTOR * syrk_b),
-            "gemm": TaskCost(gemm_f, LR_TRAFFIC_FACTOR * gemm_b),
-        },
-        ranks.astype(np.int64),
+    costs.update(
+        trsm=TaskCost(trsm_f, LR_TRAFFIC_FACTOR * trsm_b),
+        syrk=TaskCost(syrk_f, LR_TRAFFIC_FACTOR * syrk_b),
+        gemm=TaskCost(gemm_f, LR_TRAFFIC_FACTOR * gemm_b),
     )
+    return costs, ranks.astype(np.int64)
 
 
 def _generation_costs(
@@ -312,7 +336,9 @@ def estimate_mle_iteration(
         ranks = np.zeros(0, dtype=np.int64)
         eff = node.eff_dense
     elif variant == "tlr":
-        chol, ranks = _tlr_tile_costs(nt, nb, acc, rank_model)
+        # Shared memory prices the left-looking graph this code runs; the
+        # cluster projection keeps the paper's distributed HiCMA schedule.
+        chol, ranks = _tlr_tile_costs(nt, nb, acc, rank_model, hicma=machine is None)
         eff = node.eff_lr
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")

@@ -214,12 +214,16 @@ def run_probes(
         )
         tlr = TLRMatrix.from_dense(spd, s0, _PROBE_ACC)
         tlr_s = _time_call(clock, lambda: tlr_cholesky(tlr, _PROBE_ACC))
-        tlr_costs, _ = _tlr_tile_costs(_PROBE_NT, s0, _PROBE_ACC, DEFAULT_RANK_MODEL)
+        tlr_costs, ranks = _tlr_tile_costs(_PROBE_NT, s0, _PROBE_ACC, DEFAULT_RANK_MODEL)
+        # The left-looking graph compresses every factor tile once.
+        compress_flops = sum(
+            (_PROBE_NT - d) * compression_flops(s0, int(k)) for d, k in enumerate(ranks, 1)
+        )
         emit(
             "tlr_chol",
             s0,
             tlr_s,
-            sum(c.flops for k, c in tlr_costs.items() if k != "potrf"),
+            sum(c.flops for k, c in tlr_costs.items() if k != "potrf") + compress_flops,
             n=n0,
             n_tasks=_tlr_task_count(_PROBE_NT),
             potrf_flops=tlr_costs["potrf"].flops,
@@ -233,8 +237,8 @@ def _dense_task_count(nt: int) -> int:
 
 
 def _tlr_task_count(nt: int) -> int:
-    """Task population of the per-tile TLR Cholesky with ``nt`` tile rows."""
-    return nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) // 6  # POTRF, TRSM+SYRK, GEMM
+    """Task population of the left-looking TLR Cholesky: DIAG + OFFDIAG."""
+    return nt + nt * (nt - 1) // 2
 
 
 # --------------------------------------------------------------------------

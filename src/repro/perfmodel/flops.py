@@ -88,7 +88,8 @@ def lr_syrk_flops(nb: int, k: int) -> float:
 
 
 def lr_gemm_flops(nb: int, k_ij: int, k_ik: int, k_jk: int) -> float:
-    """TLR GEMM + recompression for one trailing-update tile.
+    """TLR GEMM + recompression for one trailing-update tile of the
+    right-looking (HiCMA) schedule that the cluster projections model.
 
     Product: ``V_ik V_jk^T`` (``2 k_ik k_jk nb``) and ``W U_jk^T``
     (``2 k_ik k_jk nb``). Rounding of the concatenated rank

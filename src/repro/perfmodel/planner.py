@@ -67,10 +67,10 @@ def task_counts(n: int, nb: int, variant: str) -> Dict[str, float]:
     one evaluator call). Full-tile: one generation task per tile column,
     the column-panel Cholesky's ``nt`` panels and ``nt(nt-1)/2`` stacked
     updates, and per solve sweep one triangular solve plus one panel
-    product per column. TLR: one generation task per diagonal tile and
-    per ``compression_batch`` off-diagonal tiles, the classic ``O(nt^3)``
-    Cholesky population, and a solve that sweeps lower tiles forward and
-    backward.
+    product per column. TLR: the left-looking Cholesky generates inside
+    its tasks — one per diagonal tile and, per column ``k``, one per
+    ``compression_batch`` of its ``nt - k - 1`` off-diagonal tiles — and
+    a solve that sweeps lower tiles forward and backward.
     """
     if variant == "full-block":
         return {"generation": 1.0, "factorization": 1.0, "solve": 2.0}
@@ -82,10 +82,10 @@ def task_counts(n: int, nb: int, variant: str) -> Dict[str, float]:
             "factorization": nt + off,
             "solve": 2.0 * (2 * nt - 1),
         }
-    gemm = float(nt * (nt - 1) * (nt - 2) // 6)  # sum of (nt-a)(a-1), a = 2..nt-1
+    batch = get_config().compression_batch
     return {
-        "generation": float(nt + math.ceil(off / get_config().compression_batch)),
-        "factorization": nt + 2.0 * off + gemm,
+        "generation": 0.0,
+        "factorization": float(nt + sum(-(-(nt - k - 1) // batch) for k in range(nt))),
         "solve": 2.0 * (nt + off),
     }
 

@@ -7,8 +7,9 @@ writer, readers since last write) and a monotonically increasing version
 for debugging/assertions.
 
 Payloads are held behind an indirection (``get``/``set``) because TLR
-codelets *replace* tile contents (a recompression changes the U/V array
-shapes); tasks that read the handle later must observe the replacement.
+codelets *replace* tile contents (compressing a factor tile changes the
+U/V array shapes); tasks that read the handle later must observe the
+replacement.
 """
 
 from __future__ import annotations

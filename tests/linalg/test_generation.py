@@ -21,7 +21,6 @@ from repro.linalg.generation import (
 )
 from repro.linalg.tile_cholesky import tile_cholesky
 from repro.linalg.tile_matrix import TileGrid, TileMatrix
-from repro.linalg.tlr_cholesky import tlr_cholesky
 from repro.linalg.tlr_matrix import TLRMatrix
 from repro.mle.loglik import LikelihoodEvaluator
 from repro.runtime import Runtime
@@ -154,17 +153,18 @@ class TestFusedGeneration:
         np.testing.assert_allclose(fused.to_dense(), reference.to_dense(), atol=1e-12)
 
     def test_fused_tlr_cholesky_matches_serial(self, locs):
+        from repro.linalg.generation import generate_and_factor_tlr_matrix
+
         model = MaternCovariance(1.0, 0.1, 0.5)
         gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        reference = TLRMatrix.from_generator(N, NB, gen, acc=1e-9, method="svd")
-        tlr_cholesky(reference)
+        reference = generate_and_factor_tlr_matrix(
+            N, NB, gen, 1e-9, method="svd", rule="relative"
+        )
         with Runtime(num_workers=4) as rt:
-            fused = empty_tlr_matrix(N, NB, 1e-9)
-            handles = insert_tlr_generation_tasks(
-                rt, fused, gen, method="svd", rule="relative"
+            fused = generate_and_factor_tlr_matrix(
+                N, NB, gen, 1e-9, method="svd", rule="relative", runtime=rt, fused=True
             )
-            tlr_cholesky(fused, runtime=rt, handles=handles)
-        np.testing.assert_allclose(fused.to_dense(), reference.to_dense(), atol=1e-10)
+        np.testing.assert_array_equal(fused.to_dense(), reference.to_dense())
 
     def test_handles_require_runtime(self):
         from repro.exceptions import ShapeError
@@ -172,9 +172,6 @@ class TestFusedGeneration:
         tm = empty_tile_matrix(8, 4)
         with pytest.raises(ShapeError):
             tile_cholesky(tm, handles={})
-        tlr = empty_tlr_matrix(8, 4, 1e-8)
-        with pytest.raises(ShapeError):
-            tlr_cholesky(tlr, handles=({}, {}))
 
 
 class TestEvaluatorPipeline:
@@ -303,14 +300,15 @@ class TestBatchedCompression:
 
         model = MaternCovariance(1.0, 0.1, 0.5)
         gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        reference = TLRMatrix.from_generator(N, NB, gen, acc=1e-9, method="svd")
-        tlr_cholesky(reference)
+        reference = generate_and_factor_tlr_matrix(
+            N, NB, gen, 1e-9, method="svd", rule="relative"
+        )
         with Runtime(num_workers=4) as rt:
             fused = generate_and_factor_tlr_matrix(
                 N, NB, gen, 1e-9, method="svd", rule="relative",
                 runtime=rt, fused=True, compression_batch=3,
             )
-        np.testing.assert_allclose(fused.to_dense(), reference.to_dense(), atol=1e-10)
+        np.testing.assert_array_equal(fused.to_dense(), reference.to_dense())
 
     def test_config_knob_reaches_task_insertion(self, locs):
         model = MaternCovariance(1.0, 0.1, 0.5)

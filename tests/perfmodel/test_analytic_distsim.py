@@ -7,11 +7,13 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.perfmodel.analytic import (
+    _tlr_tile_costs,
     estimate_mle_iteration,
     estimate_prediction,
 )
 from repro.perfmodel.cluster import ClusterSpec, shaheen2
 from repro.perfmodel.distsim import DistributedSimulator
+from repro.perfmodel.flops import lr_gemm_flops
 from repro.perfmodel.machine import MachineSpec, get_machine
 
 
@@ -84,6 +86,26 @@ class TestSharedMemoryEstimates:
         assert est.time_s == pytest.approx(
             sum(v for k, v in est.breakdown.items() if k != "communication_overlapped")
         )
+
+    @pytest.mark.parametrize("nt", [2, 3, 9])
+    def test_tlr_sweeps_match_their_loops(self, nt):
+        """The O(nt) prefix-sum sweeps equal the task loops they price."""
+        from repro.perfmodel.rankmodel import DEFAULT_RANK_MODEL
+
+        nb = 200
+        left, ranks = _tlr_tile_costs(nt, nb, 1e-7, DEFAULT_RANK_MODEL)
+        right, _ = _tlr_tile_costs(nt, nb, 1e-7, DEFAULT_RANK_MODEL, hicma=True)
+        r = {d: float(k) for d, k in enumerate(ranks, 1)}
+        update = gemm = 0.0
+        for i in range(nt):
+            for k in range(i):
+                for l in range(k):  # left-looking: tile (i, k) from column l
+                    update += 4 * r[i - l] * r[k - l] * nb + 2 * nb * nb * r[i - l]
+                for j in range(k + 1, i):  # right-looking: tile (i, j) at step k
+                    gemm += lr_gemm_flops(nb, r[i - j], r[i - k], r[j - k])
+        assert left["update"].flops == pytest.approx(update, rel=1e-12)
+        assert right["gemm"].flops == pytest.approx(gemm, rel=1e-12)
+        assert "gemm" not in left and "update" not in right
 
 
 class TestDistributedEstimates:

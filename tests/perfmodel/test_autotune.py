@@ -251,12 +251,15 @@ def test_task_counts_match_the_runtime_event_count(variant, n, nb):
         assert len(rt.trace) == counts["generation"] + counts["factorization"]
 
 
-def test_tlr_generation_count_follows_compression_batch():
+def test_tlr_task_count_follows_compression_batch():
+    # Left-looking graph: nt DIAG tasks, and column k's nt-k-1 off-diagonal
+    # tiles in runs of compression_batch (at nt = 8 and batch 5: 2+2+1*5).
     nt = 8
     off = nt * (nt - 1) // 2
-    assert task_counts(8 * 64, 64, "tlr")["generation"] == nt + off
+    counts = task_counts(8 * 64, 64, "tlr")
+    assert (counts["generation"], counts["factorization"]) == (0, nt + off)
     with use_config(compression_batch=5):
-        assert task_counts(8 * 64, 64, "tlr")["generation"] == nt + -(-off // 5)
+        assert task_counts(8 * 64, 64, "tlr")["factorization"] == nt + 9
 
 
 def test_full_tile_counts_are_the_panel_graph():
