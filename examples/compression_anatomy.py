@@ -46,9 +46,10 @@ def rank_structure() -> None:
         )
 
 
-#: ``||A - UV||_2 <= CONTRACT_SLACK * acc * ||A||_2`` for every compressor:
-#: the randomized compressor's slack, as in the unit tests.
-CONTRACT_SLACK = 10.0
+#: ``||A - UV||_2 <= CONTRACT_SLACK[method] * acc * ||A||_2``: ``svd`` is
+#: certified, so it gets no slack; the randomized compressor and ACA (which
+#: stops on the Frobenius norm) keep the unit tests' 10x.
+CONTRACT_SLACK = {"svd": 1.0, "rsvd": 10.0, "aca": 10.0}
 
 
 def accuracy_contract() -> list:
@@ -58,7 +59,7 @@ def accuracy_contract() -> list:
         table = compression_method_study(acc=acc)
         print(table.render())
         for tile, method, _rank, err, _ms in table.rows:
-            if not err <= CONTRACT_SLACK * acc:
+            if not err <= CONTRACT_SLACK[method] * acc:
                 misses.append(f"{method} on the {tile} tile at acc {acc:.0e}: error {err:.2e}")
     return misses
 

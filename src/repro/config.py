@@ -62,8 +62,10 @@ class Config:
     tlr_accuracy:
         TLR accuracy threshold ``eps`` (the paper sweeps 1e-5 … 1e-12).
     compression_method:
-        Per-tile compressor: ``"svd"`` (deterministic, reference),
-        ``"rsvd"`` (adaptive randomized) or ``"aca"`` (cross approximation).
+        Per-tile compressor: ``"svd"`` (deterministic and certified: a
+        pivoted QR, then an SVD of only the rows of ``R`` it keeps;
+        reference), ``"rsvd"`` (adaptive randomized) or ``"aca"`` (cross
+        approximation).
     truncation:
         ``"relative"`` keeps singular values above ``eps * sigma_1``;
         ``"absolute"`` keeps singular values above ``eps``.

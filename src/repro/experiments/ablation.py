@@ -104,7 +104,7 @@ def compression_method_study(
             table.add_row(tname, method, lr.rank, err, elapsed * 1e3)
     table.add_note(
         "all methods must satisfy the accuracy contract ||A - UV||_2 <= acc ||A||_2 "
-        "(rsvd: up to a randomized 10x slack); ranks/time differ"
+        "(svd is certified; rsvd and aca get up to 10x slack); ranks/time differ"
     )
     return table
 

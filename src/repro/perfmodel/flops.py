@@ -112,8 +112,10 @@ def compression_flops(nb: int, k: int) -> float:
     """Adaptive (RSVD/ACA-class) compression of an ``nb x nb`` tile to rank k.
 
     ``O(nb^2 k)`` with a modest constant (sketch multiply + QR + small
-    SVD); HiCMA's production path uses exactly this class of method
-    rather than the ``O(nb^3)`` full SVD.
+    SVD), the class of method HiCMA's production path uses. The code's
+    default ``svd`` compressor costs more: a column-pivoted QR
+    (``4/3 nb^3``) plus an SVD of the ``j ~ k`` rows of ``R`` it keeps
+    (``O(nb j^2)``). This model does not price that yet.
     """
     return 6.0 * nb * nb * max(1, k)
 
