@@ -40,7 +40,9 @@ factorization.
 
 **Options.** :class:`PredictionEngine`'s constructor is the one place
 the substrate and generation options are named, documented, defaulted
-and validated; every layer above forwards ``**engine_options`` to it.
+and validated; every estimator layer above forwards ``**engine_options``
+to it. An engine built from a bundle takes its substrate from the bundle
+and the defaults for the rest.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from ..telemetry import spans as _telemetry
 from ..utils.timer import StageTimes
 from ..utils.validation import as_float_array, check_locations
 
-__all__ = ["PredictionEngine", "VARIANTS", "GENERATION_OPTIONS"]
+__all__ = ["PredictionEngine", "VARIANTS"]
 
 #: A Sigma_22 Cholesky factor in any of the three substrate formats.
 Factor = Union[np.ndarray, TileMatrix, TLRMatrix]
@@ -87,11 +89,6 @@ _SUBSTRATES = {
 
 #: Supported computation variants.
 VARIANTS = tuple(_SUBSTRATES)
-
-#: The engine options a persisted bundle does not fix (they change how
-#: Sigma_22 is generated, never its values) — what a serving registry may
-#: set for the engines it builds.
-GENERATION_OPTIONS = ("cache_distances", "parallel_generation", "compression_batch")
 
 
 def _check_rhs(z: object, n: int, name: str = "z") -> np.ndarray:
@@ -499,7 +496,7 @@ class PredictionEngine:
 
     # -------------------------------------------------------------- serving
     @classmethod
-    def from_bundle(cls, bundle: object, **engine_options: object) -> "PredictionEngine":
+    def from_bundle(cls, bundle: object) -> "PredictionEngine":
         """Build an engine from a persisted model bundle — no re-fit.
 
         ``bundle`` is a :class:`~repro.serving.store.ModelBundle` or a
@@ -511,14 +508,15 @@ class PredictionEngine:
         distance blocks rehydrate the caches, so the first ``predict``
         after a process restart can skip generation *and* factorization
         entirely — predictions are bit-identical to the process that
-        ran the fit. ``engine_options`` are ``runtime=`` and the
-        :data:`GENERATION_OPTIONS` keywords of the constructor.
+        ran the fit. It returns
+        :meth:`~repro.serving.store.ModelBundle.build_engine`: every
+        substrate setting comes from the bundle, and there is no runtime.
         """
         from ..serving.store import ModelBundle, load_model  # local: serving imports mle
 
         if not isinstance(bundle, ModelBundle):
             bundle = load_model(bundle)
-        return bundle.build_engine(**engine_options)
+        return bundle.build_engine()
 
     # ------------------------------------------------------------- plumbing
     def stats(self) -> dict:

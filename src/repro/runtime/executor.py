@@ -169,11 +169,10 @@ class Runtime:
         """Stop the workers. The runtime cannot be reused afterwards.
 
         Idempotent and thread-safe: concurrent and repeated calls (for
-        example a ``with`` block followed by an explicit engine-recycle
-        in :class:`~repro.serving.registry.ModelRegistry`) serialize on
-        an internal guard, and every call returns only after the worker
-        threads are joined — no worker thread outlives the first
-        completed ``shutdown``.
+        example a ``with`` block followed by an explicit ``shutdown()``)
+        serialize on an internal guard, and every call returns only
+        after the worker threads are joined — no worker thread outlives
+        the first completed ``shutdown``.
 
         Unlike :meth:`wait_all`, the drain loop here keeps a generous
         safety timeout: shutdown must terminate even if a worker thread

@@ -12,8 +12,8 @@ PredictionEngine` — fast but trapped inside the process that ran
   optionally the ``Sigma_22`` Cholesky factor and distance caches), so
   a fit survives restarts and ships to serving workers;
 * :mod:`repro.serving.registry` — :class:`ModelRegistry`, a thread-safe
-  LRU-bounded keeper of warm engines, sharding models across runtime
-  worker pools;
+  LRU of warm engines over registered bundle paths, each engine built
+  from its bundle alone;
 * :mod:`repro.serving.service` — :class:`PredictionService`, an asyncio
   micro-batcher that coalesces concurrent predict requests for one
   model into single stacked-target engine calls, with backpressure and
@@ -27,9 +27,9 @@ PredictionEngine` — fast but trapped inside the process that ran
   wire;
 * :mod:`repro.serving.server` — :class:`ServingServer`, an HTTP
   front-end that spawns worker *processes* (each hosting a registry +
-  service), shards model ids onto them with the registry's stable
-  hash, and exposes predict / metrics / hot-reload endpoints over
-  JSON or the negotiated binary transport, including model
+  service) — the workers are the shards, model ids placed on them by
+  a stable hash — and exposes predict / metrics / hot-reload endpoints
+  over JSON or the negotiated binary transport, including model
   register-by-upload (:mod:`repro.serving.edge` holds its HTTP route
   table and handler, :mod:`repro.serving.worker` the worker process
   and the pipe protocol);

@@ -1,4 +1,4 @@
-"""The model registry: lazy bundles, warm engines, sharded runtimes.
+"""The model registry: lazy bundles and an LRU of warm engines.
 
 A serving worker holds many fitted models but only a bounded number of
 them warm: each warm model is a :class:`~repro.mle.prediction_engine.
@@ -11,37 +11,26 @@ working set:
 * **LRU bounding.** At most ``max_models`` engines stay resident;
   the least-recently-used engine is dropped and transparently
   rehydrated from its bundle when requested again.
-* **Sharding.** Models are assigned to ``num_shards`` shards by a
-  stable hash of their id. Each shard owns (lazily) one
-  :class:`~repro.runtime.Runtime` worker pool shared by its engines —
-  the single-process analogue of spreading models across serving
-  workers, bounding total thread count regardless of model count.
-  Runtime shutdown is idempotent, so :meth:`close` (or the context
-  manager) can always recycle the pools safely.
+
+A served engine is its bundle's :meth:`~repro.serving.store.ModelBundle.
+build_engine`, nothing added; :class:`~repro.serving.server.ServingServer`'s
+worker processes are the shards.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..exceptions import BundleCorruptError, ConfigurationError, ModelNotFoundError
-from ..mle.prediction_engine import GENERATION_OPTIONS, PredictionEngine
+from ..mle.prediction_engine import PredictionEngine
 from ..resilience.faults import fault_point
-from ..runtime import Runtime
 from ..telemetry import spans as _telemetry
-from .store import ModelBundle, load_model
+from .store import load_model
 
 __all__ = ["ModelRegistry"]
-
-
-def _stable_shard(model_id: str, num_shards: int) -> int:
-    """Deterministic shard assignment, stable across processes and runs."""
-    digest = hashlib.sha1(model_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % num_shards
 
 
 class ModelRegistry:
@@ -52,20 +41,6 @@ class ModelRegistry:
     max_models:
         Engines kept warm; least-recently-used eviction beyond that
         (an evicted model rehydrates from its bundle on the next request).
-    num_shards:
-        Shards the model space is hashed into. Only meaningful together
-        with ``workers_per_shard``.
-    workers_per_shard:
-        When set, each shard lazily creates a
-        :class:`~repro.runtime.Runtime` with that many workers, shared
-        by every engine on the shard (task-parallel factorizations).
-        ``None`` (default) builds serial engines — the right choice for
-        many small models.
-    **engine_options:
-        Any of :data:`~repro.mle.prediction_engine.GENERATION_OPTIONS`,
-        forwarded to every
-        :meth:`~repro.serving.store.ModelBundle.build_engine` call; see
-        :class:`~repro.mle.prediction_engine.PredictionEngine`.
 
     Examples
     --------
@@ -75,46 +50,21 @@ class ModelRegistry:
     >>> registry.engine("soil").predict(targets)    # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        *,
-        max_models: int = 8,
-        num_shards: int = 1,
-        workers_per_shard: Optional[int] = None,
-        **engine_options: object,
-    ) -> None:
-        # Nonsense knobs are rejected here, at construction, instead of
-        # being silently clamped or surfacing as a confusing failure on
-        # the first request.
+    def __init__(self, *, max_models: int = 8) -> None:
+        # A nonsense budget is rejected here, at construction, instead of
+        # being silently clamped or surfacing on the first request.
         if int(max_models) < 1:
             raise ConfigurationError(f"max_models must be >= 1, got {max_models}")
         self.max_models = int(max_models)
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        self.num_shards = int(num_shards)
-        if workers_per_shard is not None and int(workers_per_shard) < 1:
-            raise ConfigurationError(
-                f"workers_per_shard must be >= 1, got {workers_per_shard}"
-            )
-        self.workers_per_shard = workers_per_shard
-        unknown = sorted(set(engine_options) - set(GENERATION_OPTIONS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown registry options {unknown}; engine options are "
-                f"{GENERATION_OPTIONS}"
-            )
-        self.engine_options = engine_options
         self._lock = threading.RLock()
         self._load_locks: Dict[str, threading.Lock] = {}  # per-model cold loads
         self._paths: Dict[str, Path] = {}
-        self._bundles: Dict[str, ModelBundle] = {}  # in-memory (unsaved) bundles
         self._engines: "OrderedDict[str, PredictionEngine]" = OrderedDict()
         # Last-known-good engine per model, held *outside* the LRU so a
         # bundle that turns corrupt after its engine was evicted can still
         # be served (degraded) from the previous generation.
         self._lkg: Dict[str, PredictionEngine] = {}
         self._degraded: set = set()
-        self._runtimes: Dict[int, Runtime] = {}
         self._closed = False
         self.n_loads = 0
         self.n_evictions = 0
@@ -130,47 +80,23 @@ class ModelRegistry:
             self._paths[model_id] = Path(path)
         return self
 
-    def add_bundle(self, model_id: str, bundle: ModelBundle) -> "ModelRegistry":
-        """Register an in-memory bundle (kept resident; survives eviction)."""
-        with self._lock:
-            self._check_open()
-            self._bundles[model_id] = bundle
-        return self
-
     def add_engine(self, model_id: str, engine: PredictionEngine) -> "ModelRegistry":
         """Install a pre-built engine directly (counts toward ``max_models``).
 
-        Without a registered path or bundle for ``model_id`` the engine
-        cannot be rehydrated after eviction — intended for engines whose
-        fit just happened in this process, and for tests.
+        Without a registered path for ``model_id`` the engine cannot be
+        rehydrated after eviction — intended for engines whose fit just
+        happened in this process, and for tests.
         """
         with self._lock:
             self._install_locked(model_id, engine)
         return self
 
     # --------------------------------------------------------------- lookup
-    def shard_of(self, model_id: str) -> int:
-        """The shard ``model_id`` is hashed onto (stable across runs)."""
-        return _stable_shard(model_id, self.num_shards)
-
-    def path_of(self, model_id: str) -> Optional[Path]:
-        """The bundle path ``model_id`` is registered at, or ``None``
-        for purely in-memory models. The fitting service uses this to
-        point a warm-start refit (:class:`~repro.fitting.FitJobSpec`
-        ``bundle_path``) at a served model's data and theta."""
-        with self._lock:
-            return self._paths.get(model_id)
-
     def has(self, model_id: str) -> bool:
         """True when ``model_id`` can currently be served (warm or loadable)."""
         with self._lock:
-            return (
-                not self._closed
-                and (
-                    model_id in self._engines
-                    or model_id in self._bundles
-                    or model_id in self._paths
-                )
+            return not self._closed and (
+                model_id in self._engines or model_id in self._paths
             )
 
     def engine(self, model_id: str) -> PredictionEngine:
@@ -194,7 +120,7 @@ class ModelRegistry:
                 self._engines.move_to_end(model_id)
                 self.n_hits += 1
                 return engine
-            if model_id not in self._bundles and model_id not in self._paths:
+            if model_id not in self._paths:
                 raise ModelNotFoundError(
                     f"model {model_id!r} is not registered (or was evicted "
                     f"with no bundle to rehydrate from)"
@@ -208,27 +134,18 @@ class ModelRegistry:
                     self._engines.move_to_end(model_id)
                     self.n_hits += 1
                     return engine
-                bundle = self._bundles.get(model_id)
-                path = self._paths.get(model_id)
-                runtime = self._shard_runtime(model_id)
+                path = self._paths[model_id]
             try:
                 # A cold load is the largest single latency cliff a
                 # predict can hit — worth its own span on the trace.
                 with _telemetry.span("registry.load", model=model_id):
-                    if bundle is None:
-                        if path is None:
-                            raise ModelNotFoundError(
-                                f"model {model_id!r} is not registered (or was evicted "
-                                f"with no bundle to rehydrate from)"
-                            )
-                        fault_point("registry.rehydrate")
-                        bundle = load_model(path)
-                    engine = bundle.build_engine(runtime=runtime, **self.engine_options)
+                    fault_point("registry.rehydrate")
+                    engine = load_model(path).build_engine()
             except BundleCorruptError:
                 # The persisted bundle is gone (quarantined), but a
                 # previous engine generation may still be in memory —
                 # serve it, flagged degraded, instead of failing hard.
-                fallback = self._install_fallback_locked(model_id)
+                fallback = self._install_fallback(model_id)
                 if fallback is None:
                     raise
                 return fallback
@@ -252,9 +169,11 @@ class ModelRegistry:
         else:
             self._lkg[model_id] = engine
             self._degraded.discard(model_id)
-        self._evict_over_budget()
+        while len(self._engines) > self.max_models:
+            self._engines.popitem(last=False)
+            self.n_evictions += 1
 
-    def _install_fallback_locked(self, model_id: str) -> Optional[PredictionEngine]:
+    def _install_fallback(self, model_id: str) -> Optional[PredictionEngine]:
         """Re-install the last-known-good engine as the warm engine,
         marking the model degraded. ``None`` when no LKG exists."""
         with self._lock:
@@ -280,34 +199,9 @@ class ModelRegistry:
         with self._lock:
             return model_id in self._degraded
 
-    @property
-    def degraded_models(self) -> List[str]:
-        """Model ids currently serving from a fallback generation."""
-        with self._lock:
-            return sorted(self._degraded)
-
-    def _shard_runtime(self, model_id: str) -> Optional[Runtime]:
-        if self.workers_per_shard is None:
-            return None
-        shard = self.shard_of(model_id)
-        rt = self._runtimes.get(shard)
-        if rt is None or rt.closed:
-            rt = Runtime(num_workers=self.workers_per_shard)
-            self._runtimes[shard] = rt
-        return rt
-
-    def _evict_over_budget(self) -> None:
-        while len(self._engines) > self.max_models:
-            evicted_id, _ = self._engines.popitem(last=False)
-            self.n_evictions += 1
-
     # -------------------------------------------------------------- reload
     def reload(
-        self,
-        model_id: str,
-        *,
-        path: Optional[Union[str, Path]] = None,
-        bundle: Optional[ModelBundle] = None,
+        self, model_id: str, *, path: Optional[Union[str, Path]] = None
     ) -> PredictionEngine:
         """Atomically swap in a re-fitted bundle under a stable model id.
 
@@ -327,53 +221,33 @@ class ModelRegistry:
             registered path for future rehydrations). Default: re-read
             the currently registered path — the re-fit overwrote the
             bundle in place.
-        bundle:
-            An in-memory replacement bundle (mutually exclusive with
-            ``path``).
 
         Raises
         ------
         ModelNotFoundError
-            ``model_id`` has no registered path or bundle to load from.
+            ``model_id`` has no registered path to load from.
         BundleError
             The replacement bundle is missing or malformed (the old
             engine stays installed and keeps serving).
         """
-        if path is not None and bundle is not None:
-            raise ConfigurationError("pass either path or bundle to reload(), not both")
         with self._lock:
             self._check_open()
-            if bundle is not None:
-                src_bundle, src_path = bundle, None
-            elif path is not None:
-                src_bundle, src_path = None, Path(path)
-            else:
-                src_bundle = self._bundles.get(model_id)
-                src_path = self._paths.get(model_id)
-            if src_bundle is None and src_path is None:
+            src = self._paths.get(model_id) if path is None else Path(path)
+            if src is None:
                 raise ModelNotFoundError(
-                    f"model {model_id!r} has no bundle or path to reload from"
+                    f"model {model_id!r} has no bundle path to reload from"
                 )
             load_lock = self._load_locks.setdefault(model_id, threading.Lock())
         with load_lock:
+            self._check_open()
+            engine = load_model(src).build_engine()
             with self._lock:
-                self._check_open()
-                runtime = self._shard_runtime(model_id)
-            if src_bundle is None:
-                src_bundle = load_model(src_path)
-            engine = src_bundle.build_engine(runtime=runtime, **self.engine_options)
-            with self._lock:
-                self._check_open()
                 # Commit only now: a load/build failure above leaves the
                 # previous registration — and the warm engine — intact,
                 # so the model keeps serving and rehydrating from the
                 # last good bundle.
-                if bundle is not None:
-                    self._bundles[model_id] = bundle
-                    self._paths.pop(model_id, None)
-                elif path is not None:
-                    self._paths[model_id] = Path(path)
-                    self._bundles.pop(model_id, None)
+                self._check_open()
+                self._paths[model_id] = src
                 self._install_locked(model_id, engine)
                 self.n_reloads += 1
                 return engine
@@ -388,18 +262,13 @@ class ModelRegistry:
             return False
 
     def close(self) -> None:
-        """Drop every engine and shut down shard runtimes (idempotent)."""
+        """Drop every engine (idempotent); later lookups raise
+        :class:`~repro.exceptions.ModelNotFoundError`."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
             self._engines.clear()
             self._lkg.clear()
             self._degraded.clear()
-            runtimes = list(self._runtimes.values())
-            self._runtimes.clear()
-        for rt in runtimes:
-            rt.shutdown()
 
     @property
     def closed(self) -> bool:
@@ -421,7 +290,7 @@ class ModelRegistry:
     def known_models(self) -> List[str]:
         """Every registered model id (warm or not)."""
         with self._lock:
-            return sorted(set(self._paths) | set(self._bundles) | set(self._engines))
+            return sorted(set(self._paths) | set(self._engines))
 
     @property
     def loaded_models(self) -> List[str]:
@@ -441,16 +310,11 @@ class ModelRegistry:
                 "degraded": sorted(self._degraded),
                 "loaded": list(self._engines),
                 "known": self.known_models,
-                "shards": {
-                    mid: self.shard_of(mid)
-                    for mid in sorted(set(self._paths) | set(self._bundles))
-                },
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
             return (
                 f"ModelRegistry(known={len(self.known_models)}, "
-                f"warm={len(self._engines)}/{self.max_models}, "
-                f"shards={self.num_shards})"
+                f"warm={len(self._engines)}/{self.max_models})"
             )

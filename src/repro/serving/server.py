@@ -14,11 +14,9 @@ library, in three modules cut where the protocol's seams are:
   micro-batching service) and the router-side handle.
 * this module — :class:`ServingServer`: lifecycle, sharding, respawn /
   retry / breakers, and the operation behind every route. A model is
-  owned by the worker its stable hash
-  (:func:`~repro.serving.registry._stable_shard` — the same function
-  the registry uses for runtime shards) lands on, so a model id maps to
-  the same worker across restarts and across the fleet. Arrays cross
-  the pipe pickled and HTTP as JSON, whose ``repr``-based float
+  owned by the worker its stable hash (:func:`_stable_shard`) lands
+  on, so a model id maps to the same worker across restarts and across
+  the fleet. Arrays cross the pipe pickled and HTTP as JSON, whose ``repr``-based float
   encoding round-trips every finite ``float64`` exactly (or as raw
   binary frames), so served predictions are **bit-identical** to
   in-process
@@ -107,6 +105,7 @@ re-raises the matching typed exception.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -142,7 +141,7 @@ from ..telemetry.export import assemble_trace, render_prometheus
 from ..utils.logging import get_logger
 from . import wire
 from .edge import _Server
-from .registry import ModelRegistry, _stable_shard
+from .registry import ModelRegistry
 from .service import PredictionService, registry_view
 from .store import ModelBundle
 from .worker import _WorkerHandle
@@ -150,6 +149,12 @@ from .worker import _WorkerHandle
 __all__ = ["ServingServer"]
 
 logger = get_logger(__name__)
+
+
+def _stable_shard(model_id: str, num_shards: int) -> int:
+    """Deterministic shard assignment, stable across processes and runs."""
+    digest = hashlib.sha1(model_id.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % num_shards
 
 
 def _path_within(path: Union[str, Path], root: Union[str, Path]) -> bool:
@@ -193,20 +198,21 @@ class ServingServer:
         each id before startup. More models can be registered later via
         :meth:`register_request` / ``POST /v1/models/<id>``.
     num_workers:
-        Worker processes, each hosting its own registry + service.
-        Model ids are sharded onto workers by the same stable hash the
-        registry uses, so placement is reproducible everywhere.
+        Worker processes, each hosting its own registry + service: the
+        workers are the shards. Model ids are placed by a stable hash
+        (:meth:`worker_for`), so placement is reproducible everywhere.
     host, port:
         Bind address. ``port=0`` picks a free ephemeral port (read it
         back from :attr:`port` / :attr:`url` after :meth:`start`).
     registry_options, service_options:
         Keyword dicts forwarded to each worker's :class:`ModelRegistry`
-        and :class:`PredictionService` — ``max_batch``, ``max_queue``,
-        LRU budget, shard runtimes, ... Validated here, at
+        (``max_models``, its one setting) and :class:`PredictionService`
+        (``max_batch``, ``max_queue``, ...). Validated here, at
         construction, by building throwaway instances, so a typo or a
-        nonsense knob (``max_batch=0``) fails in the parent process
-        instead of crashing workers at first request. They ship verbatim
-        in every spawn config: start or respawn, fork or spawn, same settings.
+        nonsense knob (``max_batch=0``) fails in the parent process as a
+        :class:`ConfigurationError` instead of crashing workers at first
+        request. They ship verbatim in every spawn config: start or
+        respawn, fork or spawn, same settings.
     start_method:
         :mod:`multiprocessing` start method (default: ``fork`` where
         available, else ``spawn``).
@@ -304,8 +310,11 @@ class ServingServer:
         self.service_options = dict(service_options or {})
         # Fail fast on bad options: both constructors validate their
         # knobs, and a worker is the wrong place to discover a typo.
-        with ModelRegistry(**self.registry_options) as probe:
-            PredictionService(probe, **self.service_options)
+        try:
+            with ModelRegistry(**self.registry_options) as probe:
+                PredictionService(probe, **self.service_options)
+        except TypeError as exc:  # an unknown keyword
+            raise ConfigurationError(f"bad serving options: {exc}") from exc
         self.enable_fitting = bool(enable_fitting)
         self.fit_options = FitOrchestrator.validate_options(fit_options)
         self._jobs_dir = None if jobs_dir is None else Path(jobs_dir)

@@ -34,8 +34,9 @@ micro-batcher:
   the GIL in the heavy kernels).
 
 The service is asyncio-native (``async with PredictionService(...)``)
-and owns nothing global: registry and executor are injectable, and
-its counters and latencies live in instruments it owns (``service.metrics``).
+and owns nothing global: the registry is injected, the two-thread pool
+is its own, and its counters and latencies live in instruments it owns
+(``service.metrics``).
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ class PredictionService:
         :class:`~repro.exceptions.CircuitOpenError` when none exists.
     breaker_recovery:
         Seconds an open breaker waits before admitting probe traffic.
-    executor:
-        Thread pool for engine calls (default: one owned worker per
-        registry shard, minimum 2).
+
+    Engine calls run on a two-thread pool the service creates in
+    :meth:`start` and shuts down in :meth:`stop`.
 
     Examples
     --------
@@ -214,7 +215,6 @@ class PredictionService:
         default_deadline: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_recovery: float = 2.0,
-        executor: Optional[concurrent.futures.Executor] = None,
     ) -> None:
         # Nonsense knobs fail here, at construction — not by silent
         # clamping, and not as a confusing error on the first request.
@@ -235,8 +235,7 @@ class PredictionService:
         self._breakers = BreakerPool(
             failure_threshold=breaker_threshold, recovery_time=breaker_recovery
         )
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queues: Dict[str, "asyncio.Queue[_Request]"] = {}
         self._batchers: Dict[str, "asyncio.Task[None]"] = {}
@@ -248,11 +247,9 @@ class PredictionService:
         if self._loop is not None and not self._closed:
             return self
         self._loop = asyncio.get_running_loop()
-        if self._owns_executor:
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=max(2, self.registry.num_shards),
-                thread_name_prefix="repro-serving",
-            )
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=2, thread_name_prefix="repro-serving"
+        )
         self._closed = False
         return self
 
@@ -281,7 +278,7 @@ class PredictionService:
                     break
                 self._fail(req, ServiceClosedError("service stopped"))
         self._queues.clear()
-        if self._owns_executor and self._executor is not None:
+        if self._executor is not None:
             executor, self._executor = self._executor, None
             # Off-loop: shutdown(wait=True) blocks until in-flight engine
             # calls finish, and must not freeze the event loop meanwhile.

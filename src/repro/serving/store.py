@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import get_config
+from ..config import _VALID_COMPRESSION, _VALID_TRUNCATION, get_config, use_config
 from ..exceptions import BundleCorruptError, BundleError
 from ..resilience.faults import fault_point
 from ..kernels import covariance as _covariance
@@ -46,7 +46,7 @@ from ..kernels.covariance import CovarianceModel
 from ..linalg.compression import LowRank
 from ..linalg.tile_matrix import TileGrid, TileMatrix
 from ..linalg.tlr_matrix import TLRMatrix
-from ..mle.prediction_engine import Factor, PredictionEngine
+from ..mle.prediction_engine import VARIANTS, Factor, PredictionEngine
 from ..utils.durable import atomic_write
 
 __all__ = [
@@ -252,7 +252,8 @@ class ModelBundle:
         """Rebuild a bundle from :meth:`to_payload` output (or from a
         decoded wire message / a read ``meta.json`` + ``arrays.npz``
         pair). Raises :class:`BundleError` on version or structure
-        problems. The tiles of a dense tile factor are moved out of
+        problems and on an unknown ``variant``, ``compression_method`` or
+        ``truncation``. The tiles of a dense tile factor are moved out of
         ``arrays`` as they are copied into the factor's storage."""
         if not isinstance(meta, dict):
             raise BundleError(
@@ -273,6 +274,13 @@ class ModelBundle:
                 raise BundleError(
                     f"substrate section must be an object, got {type(sub).__name__}"
                 )
+            for key, known in (
+                ("variant", VARIANTS),
+                ("compression_method", _VALID_COMPRESSION),
+                ("truncation", _VALID_TRUNCATION),
+            ):
+                if sub[key] not in known:
+                    raise BundleError(f"unknown {key} {sub[key]!r}; known: {known}")
             if "locations" not in arrays:
                 raise BundleError("bundle payload is missing the locations array")
             bundle = cls(
@@ -432,28 +440,28 @@ class ModelBundle:
         raise BundleError(f"unknown factor kind {kind!r}")
 
     # --------------------------------------------------------------- engine
-    def build_engine(self, **engine_options: object) -> PredictionEngine:
+    def build_engine(self) -> PredictionEngine:
         """A ready-to-serve :class:`PredictionEngine` for this bundle.
 
         The engine is bound to the bundle's training set, observations
-        and substrate; a persisted factor is adopted (first predict
-        skips generation + factorization) and persisted distance data
-        rehydrates the engine's caches. No fitting, no data pipeline.
-        ``engine_options`` are the engine keywords the bundle does not
-        fix: ``runtime=`` and
-        :data:`~repro.mle.prediction_engine.GENERATION_OPTIONS`.
+        and substrate — variant, ``acc``, ``nb``, compressor and
+        truncation rule all come from the bundle, never from the
+        caller's :class:`~repro.config.Config`; a persisted factor is
+        adopted (first predict skips generation + factorization) and
+        persisted distance data rehydrates the engine's caches. No
+        fitting, no data pipeline. The engine is serial (no runtime).
         """
-        engine = PredictionEngine(
-            self.locations,
-            self.z,
-            self.model,
-            variant=self.variant,
-            acc=self.acc,
-            tile_size=self.tile_size,
-            compression_method=self.compression_method,
-            full_distances=self.full_distances,
-            **engine_options,
-        )
+        with use_config(truncation=self.truncation):
+            engine = PredictionEngine(
+                self.locations,
+                self.z,
+                self.model,
+                variant=self.variant,
+                acc=self.acc,
+                tile_size=self.tile_size,
+                compression_method=self.compression_method,
+                full_distances=self.full_distances,
+            )
         if self.distance_blocks and engine.distance_cache is not None:
             engine.distance_cache.load_blocks(self.distance_blocks)
         if self.factor is not None:

@@ -3,9 +3,8 @@
 The contract being proven: :meth:`ModelRegistry.reload` swaps a
 re-fitted bundle under a stable model id with **zero failed requests**
 — in-flight predicts finish on the old engine, later predicts see the
-new one, every answer is bit-identical to one of the two engines — and
-the churn (LRU evictions, rehydrations, reloads, pool recycling) leaks
-no runtime workers.
+new one, every answer is bit-identical to one of the two engines —
+while LRU evictions and rehydrations churn underneath.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ import threading
 import numpy as np
 import pytest
 
-import repro.serving.registry as registry_module
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import ModelNotFoundError
 from repro.kernels import MaternCovariance
 from repro.mle import PredictionEngine
-from repro.runtime import Runtime
 from repro.serving import (
     ModelBundle,
     ModelRegistry,
@@ -68,29 +65,16 @@ def targets():
     return np.ascontiguousarray(np.random.default_rng(9).random((7, 2)))
 
 
-class _TrackingRuntime(Runtime):
-    """Runtime that records every instance so leak checks can audit them."""
-
-    instances: list = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        type(self).instances.append(self)
-
-
 # --------------------------------------------------------------------------
 # In-process soak: asyncio clients vs concurrent reloads vs LRU churn.
 # --------------------------------------------------------------------------
 
 
-def test_soak_reload_under_concurrent_traffic(soak_paths, targets, monkeypatch):
+def test_soak_reload_under_concurrent_traffic(soak_paths, targets):
     """Concurrent clients hammer 3 models (LRU budget 2 → constant
     evict/rehydrate) while reload() swaps each model A→B mid-flight.
     Zero failures, every answer bit-identical to the A- or B-engine,
-    counters reconcile, and every Runtime the registry created is
-    closed afterwards."""
-    monkeypatch.setattr(_TrackingRuntime, "instances", [])
-    monkeypatch.setattr(registry_module, "Runtime", _TrackingRuntime)
+    and the counters reconcile."""
     models = ("full-block", "full-tile", "tlr")
     references = {
         (m, gen): PredictionEngine.from_bundle(soak_paths[m, gen]).predict(targets)
@@ -102,7 +86,7 @@ def test_soak_reload_under_concurrent_traffic(soak_paths, targets, monkeypatch):
         assert not np.array_equal(references[m, "A"], references[m, "B"])
 
     n_clients, rounds = 6, 10
-    registry = ModelRegistry(max_models=2, num_shards=2, workers_per_shard=1)
+    registry = ModelRegistry(max_models=2)
     for m in models:
         registry.register(m, soak_paths[m, "A"])
 
@@ -147,9 +131,6 @@ def test_soak_reload_under_concurrent_traffic(soak_paths, targets, monkeypatch):
     stats = registry.stats()
     assert stats["n_reloads"] == len(models)
     assert stats["n_evictions"] > 0  # the LRU actually churned
-    # Zero worker leaks: every runtime the registry ever built is closed.
-    assert _TrackingRuntime.instances, "soak never built a shard runtime"
-    assert all(rt.closed for rt in _TrackingRuntime.instances)
 
 
 def test_reload_swaps_predictions_and_keeps_id_stable(soak_paths, targets):

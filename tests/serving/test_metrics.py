@@ -122,8 +122,6 @@ def test_service_rejects_nonsense_knobs_at_construction(kwargs):
     "kwargs",
     [
         {"max_models": 0},
-        {"num_shards": 0},
-        {"workers_per_shard": 0},
     ],
 )
 def test_registry_rejects_nonsense_knobs_at_construction(kwargs):

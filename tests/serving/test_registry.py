@@ -1,5 +1,5 @@
-"""ModelRegistry: lazy loading, LRU eviction + rehydration, sharding,
-thread safety, and runtime lifecycle."""
+"""ModelRegistry: lazy loading, LRU eviction + rehydration, thread
+safety, and lifecycle."""
 
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def test_recency_order_protects_hot_models(bundles):
     paths, _, targets = bundles
     with ModelRegistry(max_models=2) as reg:
         reg.register("a", paths["a"]).register("b", paths["b"])
-        reg.add_bundle("c", ModelBundle.load(paths["a"]))
+        reg.register("c", paths["a"])
         reg.engine("a")
         reg.engine("b")
         reg.engine("a")  # refresh a: now b is least recently used
@@ -110,35 +110,27 @@ def test_concurrent_access_loads_each_model_once(bundles):
             np.testing.assert_array_equal(got, references[name])
 
 
-def test_sharding_stable_and_runtimes_recycled(bundles):
+def test_served_engine_is_serial_and_close_is_idempotent(bundles):
     paths, references, targets = bundles
-    reg = ModelRegistry(max_models=4, num_shards=2, workers_per_shard=2)
-    try:
-        reg.register("a", paths["a"]).register("b", paths["b"])
-        shard_a, shard_b = reg.shard_of("a"), reg.shard_of("b")
-        assert shard_a == reg.shard_of("a")  # deterministic
-        assert {shard_a, shard_b} <= {0, 1}
-        engine = reg.engine("a")
-        assert engine.runtime is not None
-        np.testing.assert_array_equal(engine.predict(targets), references["a"])
-        runtimes = list(reg._runtimes.values())
-        assert runtimes
-    finally:
-        reg.close()
-    assert all(rt.closed for rt in runtimes)
-    reg.close()  # idempotent
+    reg = ModelRegistry(max_models=4)
+    reg.register("a", paths["a"])
+    engine = reg.engine("a")
+    assert engine.runtime is None  # built from the bundle alone
+    np.testing.assert_array_equal(engine.predict(targets), references["a"])
+    reg.close()
+    assert reg.closed and reg.loaded_models == []
+    reg.close()  # idempotent: a second close is a no-op
+    assert reg.closed
     with pytest.raises(ModelNotFoundError):
         reg.engine("a")
 
 
 def test_stats_surface(bundles):
     paths, _, targets = bundles
-    with ModelRegistry(max_models=2, num_shards=3) as reg:
+    with ModelRegistry(max_models=2) as reg:
         reg.register("a", paths["a"]).register("b", paths["b"])
         reg.engine("a")
         stats = reg.stats()
         assert stats["n_loads"] == 1
         assert stats["loaded"] == ["a"]
         assert set(stats["known"]) == {"a", "b"}
-        assert set(stats["shards"]) == {"a", "b"}
-        assert all(0 <= s < 3 for s in stats["shards"].values())

@@ -32,7 +32,7 @@ from repro.exceptions import (
 from repro.kernels import MaternCovariance
 from repro.mle import PredictionEngine
 from repro.serving import ModelBundle, ServingClient, ServingServer
-from repro.serving.registry import _stable_shard
+from repro.serving.server import _stable_shard
 
 N, NB, ACC = 144, 36, 1e-9
 VARIANTS = ("full-block", "full-tile", "tlr")
@@ -296,6 +296,12 @@ def test_bad_options_fail_in_parent_before_spawning(bundle_paths):
         ServingServer(dict(bundle_paths), service_options={"max_batch": 0})
     with pytest.raises(ConfigurationError):
         ServingServer(dict(bundle_paths), registry_options={"max_models": 0})
+    # A typo'd or removed keyword is a ConfigurationError too, not a
+    # bare TypeError.
+    with pytest.raises(ConfigurationError):
+        ServingServer(dict(bundle_paths), registry_options={"workers_per_shard": 2})
+    with pytest.raises(ConfigurationError):
+        ServingServer(dict(bundle_paths), service_options={"executor": None})
     with pytest.raises(ConfigurationError):
         ServingServer(dict(bundle_paths), num_workers=0)
     with pytest.raises(ConfigurationError):

@@ -37,13 +37,21 @@ def problem():
     return locs, z, model
 
 
-def make_registry(problem, variant="full-block", **bundle_kwargs) -> ModelRegistry:
+@pytest.fixture(scope="module")
+def bundle_paths(problem, tmp_path_factory):
+    """One saved bundle per substrate, over ``problem``."""
     locs, z, model = problem
-    bundle = ModelBundle(
-        model=model, locations=locs, z=z, variant=variant,
-        tile_size=NB, acc=ACC, **bundle_kwargs,
-    )
-    return ModelRegistry(max_models=4).add_bundle("m", bundle)
+    root = tmp_path_factory.mktemp("bundles")
+    return {
+        variant: ModelBundle(
+            model=model, locations=locs, z=z, variant=variant, tile_size=NB, acc=ACC
+        ).save(root / f"{variant}.bundle")
+        for variant in VARIANTS
+    }
+
+
+def make_registry(bundle_paths, variant="full-block") -> ModelRegistry:
+    return ModelRegistry(max_models=4).register("m", bundle_paths[variant])
 
 
 # --------------------------------------------------------------------------
@@ -52,8 +60,8 @@ def make_registry(problem, variant="full-block", **bundle_kwargs) -> ModelRegist
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_concurrent_requests_bit_identical_to_sequential(problem, variant):
-    registry = make_registry(problem, variant)
+def test_concurrent_requests_bit_identical_to_sequential(bundle_paths, variant):
+    registry = make_registry(bundle_paths, variant)
     rng = np.random.default_rng(5)
     target_sets = [
         np.ascontiguousarray(rng.random((m, 2))) for m in (7, 3, 11, 5, 9, 4)
@@ -79,13 +87,13 @@ def test_concurrent_requests_bit_identical_to_sequential(problem, variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_concurrent_explicit_z_requests_bit_identical(problem, variant):
+def test_concurrent_explicit_z_requests_bit_identical(problem, bundle_paths, variant):
     """Same targets, different ``z``, in one round: every explicit-z
     request is its own engine call, bit-identical to a standalone
     predict (regression: they were stacked into one multi-RHS solve,
     off by solver rounding)."""
     locs, z, model = problem
-    registry = make_registry(problem, variant)
+    registry = make_registry(bundle_paths, variant)
     targets = generate_irregular_grid(8, seed=7)
     rng = np.random.default_rng(3)
     zs = [z, z + 0.1 * rng.standard_normal(N), rng.standard_normal(N)]
@@ -106,9 +114,9 @@ def test_concurrent_explicit_z_requests_bit_identical(problem, variant):
     assert snap["counters"]["engine_calls"] == len(zs)
 
 
-def test_mixed_traffic_grouping(problem):
+def test_mixed_traffic_grouping(problem, bundle_paths):
     locs, z, model = problem
-    registry = make_registry(problem)
+    registry = make_registry(bundle_paths)
     t_shared = generate_irregular_grid(6, seed=11)
     t_solo = generate_irregular_grid(4, seed=12)
     engine = registry.engine("m")
@@ -131,8 +139,8 @@ def test_mixed_traffic_grouping(problem):
     assert snap["counters"]["engine_calls"] <= 2
 
 
-def test_unbatched_mode_one_call_per_request(problem):
-    registry = make_registry(problem)
+def test_unbatched_mode_one_call_per_request(bundle_paths):
+    registry = make_registry(bundle_paths)
     targets = generate_irregular_grid(5, seed=2)
 
     async def main():
@@ -152,8 +160,8 @@ def test_unbatched_mode_one_call_per_request(problem):
 # --------------------------------------------------------------------------
 
 
-def test_expired_deadline_rejected_before_dispatch(problem):
-    registry = make_registry(problem)
+def test_expired_deadline_rejected_before_dispatch(bundle_paths):
+    registry = make_registry(bundle_paths)
     targets = generate_irregular_grid(5, seed=2)
 
     async def main():
@@ -306,8 +314,8 @@ def test_engine_errors_propagate_to_callers(problem):
     assert snap["counters"]["errors"] == 1
 
 
-def test_closed_service_rejects_and_stop_fails_queued(problem):
-    registry = make_registry(problem)
+def test_closed_service_rejects_and_stop_fails_queued(bundle_paths):
+    registry = make_registry(bundle_paths)
     targets = generate_irregular_grid(5, seed=2)
     svc = PredictionService(registry)
 
@@ -413,11 +421,11 @@ def test_stop_fails_requests_waiting_behind_a_blocked_group():
         asyncio.run(main())
 
 
-def test_unknown_model_rejected_at_submission(problem):
+def test_unknown_model_rejected_at_submission(bundle_paths):
     """Regression: bogus model ids must not allocate queues/batcher tasks."""
     from repro.exceptions import ModelNotFoundError
 
-    registry = make_registry(problem)
+    registry = make_registry(bundle_paths)
 
     async def main():
         async with PredictionService(registry) as svc:
@@ -475,10 +483,10 @@ def test_priority_group_dispatches_before_bulk(problem):
     assert kinds.index("single") < kinds.index("stack")
 
 
-def test_malformed_request_does_not_poison_batch(problem):
+def test_malformed_request_does_not_poison_batch(bundle_paths):
     """Regression: one bad request in a coalesced group fails alone; the
     group retries per-request so innocent callers still get answers."""
-    registry = make_registry(problem)
+    registry = make_registry(bundle_paths)
     rng = np.random.default_rng(13)
     good_sets = [np.ascontiguousarray(rng.random((m, 2))) for m in (6, 4)]
     bad = rng.random((5, 3))  # 3-D targets: fails only inside the engine

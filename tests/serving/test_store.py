@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import use_config
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import BundleCorruptError, BundleError
 from repro.kernels import ExponentialCovariance, MaternCovariance
@@ -331,14 +332,37 @@ def test_malformed_meta_json_raises_bundle_error(tmp_path, content):
         load_model(path)
 
 
-def test_unknown_family_rejected(problem, tmp_path):
-    est, fit = _fit(problem, "full-block")
-    path = est.save_fit(fit, tmp_path / "m.bundle")
+@pytest.mark.parametrize("key", ["family", "variant", "compression_method", "truncation"])
+def test_unknown_family_rejected(tmp_path, key):
+    """An unknown name fails at load as a BundleError (HTTP 400 on
+    register-by-upload), not as a confusing error at the first
+    factorization."""
+    path = _small_bundle(tmp_path)
     meta = json.loads((path / "meta.json").read_text())
-    meta["model"]["family"] = "NoSuchCovariance"
+    meta["model" if key == "family" else "substrate"][key] = "bogus"
     (path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(BundleError):
+    with pytest.raises(BundleError, match="bogus"):
         load_model(path)
+
+
+def test_served_engine_keeps_the_bundles_truncation_rule(tmp_path):
+    """A bundle's truncation rule, not the serving process's Config,
+    decides how a re-factorization rounds."""
+    locs = generate_irregular_grid(N, seed=0)
+    model = MaternCovariance(4.0, 0.1, 0.5)
+    z = sample_gaussian_field(locs, model, seed=1)
+    kwargs = dict(variant="tlr", tile_size=NB, acc=1e-3)
+    path = ModelBundle(
+        model=model, locations=locs, z=z, truncation="absolute", **kwargs
+    ).save(tmp_path / "abs.bundle")
+    served = load_model(path).build_engine()  # caller's rule: "relative"
+    assert served.truncation_rule == "absolute"
+    with use_config(truncation="absolute"):
+        absolute = PredictionEngine(locs, z, model, **kwargs)
+    relative = PredictionEngine(locs, z, model, **kwargs)
+    ranks = served.factor().rank_matrix()
+    np.testing.assert_array_equal(ranks, absolute.factor().rank_matrix())
+    assert not np.array_equal(ranks, relative.factor().rank_matrix())
 
 
 # --------------------------------------------------------------------------

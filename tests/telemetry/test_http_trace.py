@@ -5,9 +5,7 @@ The headline acceptance checks of the telemetry PR:
 * One ``client.predict`` yields **one connected trace** — client,
   router, worker, service, and engine spans all share the trace id and
   nest under a single root — on every substrate and both transports.
-* Child durations nest inside their parents (parallel ``task:*`` spans
-  adopted from the runtime are checked individually, not summed —
-  they overlap by design).
+* Child durations nest inside their parents.
 * JSON and binary transports produce the same service/engine span
   structure (transport-layer ``wire.*`` spans and cold-load
   ``registry.load`` naturally differ and are excluded).
@@ -36,21 +34,19 @@ N, NB, ACC = 144, 36, 1e-9
 VARIANTS = ("full-block", "full-tile", "tlr")
 
 # Structure comparison ignores spans whose presence legitimately varies
-# per request: transport codecs (JSON requests never hit wire.*), cold
-# vs warm engine loads, and runtime task adoption (task count depends
-# on scheduling).
-_STRUCTURAL_EXCLUDE = ("wire.", "registry.load", "task:")
+# per request: transport codecs (JSON requests never hit wire.*) and cold
+# vs warm engine loads.
+_STRUCTURAL_EXCLUDE = ("wire.", "registry.load")
 
 
-def _make_bundle(variant, *, factor=True):
+def _make_bundle(variant):
     locs = generate_irregular_grid(N, seed=0)
     model = MaternCovariance(1.0, 0.1, 0.5)
     z = sample_gaussian_field(locs, model, seed=1)
     bundle = ModelBundle(
         model=model, locations=locs, z=z, variant=variant, tile_size=NB, acc=ACC
     )
-    if factor:
-        bundle.factor = bundle.build_engine().factor()
+    bundle.factor = bundle.build_engine().factor()
     return bundle
 
 
@@ -65,13 +61,7 @@ def _armed():
 @pytest.fixture(scope="module")
 def bundle_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
-    paths = {v: _make_bundle(v).save(root / f"{v}.bundle") for v in VARIANTS}
-    # No precomputed factor: the first predict factorizes inside the
-    # request, which is where runtime task adoption happens.
-    paths["cold-tile"] = _make_bundle("full-tile", factor=False).save(
-        root / "cold-tile.bundle"
-    )
-    return paths
+    return {v: _make_bundle(v).save(root / f"{v}.bundle") for v in VARIANTS}
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +70,6 @@ def server(bundle_paths):
     with ServingServer(
         dict(bundle_paths),
         num_workers=2,
-        registry_options={"workers_per_shard": 2},
         service_options={"max_batch": 8},
     ) as srv:
         yield srv
@@ -157,15 +146,10 @@ def test_single_connected_trace(client, bclient, targets, variant, which):
 
 def _check_nesting(node, eps=0.05):
     children = node["children"]
-    # Parallel task:* spans run concurrently on runtime workers; their
-    # durations overlap, so they are bounded individually, not summed.
     # service.coalesce is a different *view* of time already counted by
-    # service.queue_wait (the lead request's batching wait) — also
-    # excluded from the sum.
-    summable = [
-        c for c in children
-        if not c["name"].startswith("task:") and c["name"] != "service.coalesce"
-    ]
+    # service.queue_wait (the lead request's batching wait), so it is
+    # bounded on its own, not summed.
+    summable = [c for c in children if c["name"] != "service.coalesce"]
     assert sum(c["duration"] for c in summable) <= node["duration"] + eps, node["name"]
     for c in children:
         assert c["duration"] <= node["duration"] + eps, c["name"]
@@ -196,18 +180,6 @@ def test_structure_identical_json_vs_binary(client, bclient, targets, variant):
     _, via_json = _traced_predict(client, variant, targets)
     _, via_binary = _traced_predict(bclient, variant, targets)
     assert _structure(via_json) == _structure(via_binary)
-
-
-def test_runtime_task_spans_adopted(client, targets):
-    # workers_per_shard=2 gives tiled engines a real Runtime; the
-    # cold-tile bundle carries no factor, so this request runs the
-    # factorization and its TraceEvents must surface as task:* spans.
-    _, tree = _traced_predict(client, "cold-tile", targets)
-    tasks = [s for s in tree["spans"] if s["name"].startswith("task:")]
-    assert tasks
-    ids = {s["span_id"] for s in tree["spans"]}
-    for t in tasks:
-        assert t["parent_id"] in ids
 
 
 # --------------------------------------------------------------------------
