@@ -21,20 +21,26 @@ How an entry is computed, with ``x = r/θ2`` and ``ν = θ3``:
 * **A per-ν table** for every other ν (ν = 1 included). Writing
   ``C(x) = h(log x) · exp(-x)`` leaves
   ``h(t) = 2^{1-ν}/Γ(ν) · e^{νt} · kve(ν, e^t)``, a smooth and slowly
-  varying function of ``t = log x``. It is interpolated by degree-8
-  Chebyshev polynomials on uniform pieces of ``t`` over
-  ``x ∈ [1e-6, 700]``, fitted from ``scipy.special.kve`` at the Chebyshev
-  nodes of each piece. An entry then costs a ``log``, a piece index, a
-  Horner sweep over gathered coefficients and an ``exp`` (~20 ns against
-  ~330 ns for one ``kv``), streamed in cache-sized chunks. A table starts
-  at 128 pieces (1 152 Bessel calls, ~0.3 ms) and doubles until every
+  varying function of ``t = log x``. It is fitted by degree-8 Chebyshev
+  polynomials on uniform pieces of ``t`` over ``x ∈ [1e-6, 700]``, from
+  ``scipy.special.kve`` at the Chebyshev nodes of each piece. A table
+  starts at 128 pieces (1 152 Bessel calls) and doubles until every
   piece's last Chebyshev coefficient is below 1e-12 of its first: 128
-  pieces up to ν ≈ 3.3, 256 up to ν ≈ 6, 2048 at ν = 40. Stated bound:
-  for ν ∈ [0.1, 5], within 1e-13 absolute and 1e-12 relative (down to
-  values of 1e-300) of the Bessel expression; measured against 40-digit
-  ``mpmath`` it is ≤ 1.3e-13 relative for ν up to 40. Tables live in a
-  small per-ν LRU cache: serving reuses one, an MLE builds one per ν it
-  visits.
+  pieces up to ν ≈ 3.3, 256 up to ν ≈ 6, 2048 at ν = 40. One matrix
+  product, with no further Bessel call, then re-expands every fitted piece
+  into 32 evaluation pieces of degree 4 (the interpolants at their own
+  Chebyshev nodes) and appends one padding piece, the last one continued:
+  32·pieces + 1 evaluation pieces, 160 KiB at 128 fitted pieces, ~0.6 ms
+  to build. An entry then costs a ``log``, a piece index (one truncating
+  cast), a degree-4 Horner sweep over 5 gathered coefficients and an
+  ``exp`` (~12–20 ns against ~330 ns for one ``kv``), streamed in
+  cache-sized chunks. Stated bound: for ν ∈ [0.1, 5], within 1e-13
+  absolute and 1e-12 relative (down to values of 1e-300) of the Bessel
+  expression. Against 40-digit ``mpmath`` it is ≤ 1e-13 relative up to
+  ν ≈ 20 and ≤ 2.1e-13 up to ν = 39, where the rounding of ``log x``,
+  amplified ~ν-fold, sets it; the tests gate 1.3e-13 on 200 points of
+  ``[1e-6, 700]`` for ν ∈ [0.1, 39]. Tables live in a small per-ν LRU
+  cache: serving reuses one, an MLE builds one per ν it visits.
 * **The exact Bessel expression** ``2^{1-ν}/Γ(ν) x^ν K_ν(x)``, one
   ``kve`` per entry, for entries outside the table's domain (``x = 0``
   gives exactly 1) and for every entry at a ν whose table is not finite
@@ -44,6 +50,8 @@ How an entry is computed, with ``x = r/θ2`` and ``ν = θ3``:
 
 An entry's value depends only on ``x`` and ν, never on the array it sits
 in: tiles, full matrices and cross-covariance blocks agree bit for bit.
+On every path a NaN distance gives NaN, and an ``x`` so large that
+``exp(-x)`` underflows (``inf`` included) gives 0.
 """
 
 from __future__ import annotations
@@ -72,12 +80,20 @@ SPECIAL_SMOOTHNESS = (0.5, 1.5, 2.5)
 #: Bessel branch is numerically ill-behaved as r -> 0+ where the limit is 1.
 _TINY = 1e-300
 
+#: ``exp(-x)`` is exactly 0 above this. The closed forms clamp ``x`` to it,
+#: so a huge or infinite ``x`` gives 0 and not ``inf * 0``.
+_EXP_ZERO = 1000.0
+
 #: Domain of the per-ν table in scaled distance ``x = r/θ2``.
 _X_MIN, _X_MAX = 1e-6, 700.0
 _T_MIN = math.log(_X_MIN)
 _T_SPAN = math.log(_X_MAX) - _T_MIN
 _DEGREE = 8
 _MIN_PIECES, _MAX_PIECES = 128, 2048
+#: Each fitted piece is evaluated as ``_SPLIT`` pieces of this degree. At
+#: 16 pieces the interpolation error shows: 1.9e-13 against ``mpmath`` at
+#: ν = 39, over the 1.3e-13 that the tests hold.
+_EVAL_DEGREE, _SPLIT = 4, 32
 #: A table is accepted when every piece's last Chebyshev coefficient is
 #: below this fraction of its first.
 _TAIL_TOL = 1e-12
@@ -106,9 +122,24 @@ def _chebyshev_matrices(degree: int):
 _NODES, _TO_CHEB, _TO_MONO = _chebyshev_matrices(_DEGREE)
 
 
+def _split_matrix() -> np.ndarray:
+    """A fitted piece's monomial coefficients → those of the degree-4
+    interpolants at the Chebyshev nodes of its ``_SPLIT`` sub-pieces and of
+    one more past its right end, each in its own ``v ∈ [0, 1]``: shape
+    ``((_SPLIT + 1) * 5, 9)``."""
+    nodes, to_cheb, to_mono = _chebyshev_matrices(_EVAL_DEGREE)
+    v = (np.arange(_SPLIT + 1)[:, None] + nodes) / _SPLIT
+    at_nodes = v[..., None] ** np.arange(_DEGREE + 1)
+    return (to_mono.T @ to_cheb @ at_nodes).reshape(-1, _DEGREE + 1)
+
+
+_SPLIT_W = _split_matrix()
+
+
 class _Table(NamedTuple):
-    """``coef[k, i]`` multiplies ``v**k`` on piece ``i``, where
-    ``v = s - i`` and ``s = (log x - t_min) * pieces_per_t``."""
+    """``coef[k, i]`` multiplies ``v**k`` on evaluation piece ``i``, where
+    ``v = s - i`` and ``s = (log x - t_min) * pieces_per_t``; the last
+    column is the padding piece that ``x = X_MAX`` lands on."""
 
     coef: np.ndarray
     pieces_per_t: float
@@ -138,11 +169,13 @@ def gaussian_correlation(r: np.ndarray, range_: float) -> np.ndarray:
 
 def _matern_15(x: np.ndarray) -> np.ndarray:
     """Matérn ν=3/2 in the ``(r/θ2)`` scaling used by eq. (5)."""
+    x = np.minimum(x, _EXP_ZERO)
     return (1.0 + x) * np.exp(-x)
 
 
 def _matern_25(x: np.ndarray) -> np.ndarray:
     """Matérn ν=5/2 in the ``(r/θ2)`` scaling used by eq. (5)."""
+    x = np.minimum(x, _EXP_ZERO)
     return (1.0 + x + x * x / 3.0) * np.exp(-x)
 
 
@@ -152,7 +185,8 @@ def _log_prefactor(nu: float) -> float:
 
 def _matern_exact(x: np.ndarray, nu: float) -> np.ndarray:
     """``2^{1-ν}/Γ(ν) x^ν K_ν(x)`` entry by entry; ``x`` is 1-D."""
-    out = np.ones_like(x)
+    # A NaN distance stays NaN (``x > _TINY`` is False there).
+    out = np.where(np.isnan(x), np.nan, 1.0)
     pos = x > _TINY
     xp = x[pos]
     if not xp.size:  # a diagonal tile's zeros
@@ -168,16 +202,15 @@ def _matern_exact(x: np.ndarray, nu: float) -> np.ndarray:
         prod = math.exp(log_pref) * xp**nu * kve * np.exp(-xp)
     use = (xp < 1.0) & (prod >= np.finfo(np.float64).tiny) & (prod < np.inf)
     vals[use] = prod[use]
-    out[pos] = vals
     # kve overflow at tiny x and large ν reads +inf (the limit there is 1).
-    out = np.nan_to_num(out, nan=0.0, posinf=1.0, neginf=0.0, copy=False)
-    np.clip(out, 0.0, 1.0, out=out)
+    vals = np.nan_to_num(vals, nan=0.0, posinf=1.0, neginf=0.0, copy=False)
+    out[pos] = np.clip(vals, 0.0, 1.0, out=vals)
     return out
 
 
 @functools.lru_cache(maxsize=16)
 def _table(nu: float) -> Optional[_Table]:
-    """The piecewise Chebyshev table of ``h`` at ``nu``, or None."""
+    """The piecewise polynomial table of ``h`` at ``nu``, or None."""
     log_pref = _log_prefactor(nu)
     pieces = _MIN_PIECES
     while pieces <= _MAX_PIECES:
@@ -189,9 +222,12 @@ def _table(nu: float) -> Optional[_Table]:
             return None
         cheb = h @ _TO_CHEB.T
         if np.all(np.abs(cheb[:, -1]) <= _TAIL_TOL * cheb[:, 0]):
-            coef = np.ascontiguousarray((cheb @ _TO_MONO).T)
+            sub = (cheb @ _TO_MONO @ _SPLIT_W.T).reshape(pieces, _SPLIT + 1, -1)
+            # The last piece continued pads the table: x = X_MAX needs no clip.
+            coef = np.vstack([np.vstack(sub[:, :_SPLIT]), sub[-1, _SPLIT:]])
+            coef = np.ascontiguousarray(coef.T)
             coef.setflags(write=False)
-            return _Table(coef, pieces / _T_SPAN)
+            return _Table(coef, pieces * _SPLIT / _T_SPAN)
         pieces *= 2
     return None
 
@@ -199,7 +235,6 @@ def _table(nu: float) -> Optional[_Table]:
 def _matern_table(x: np.ndarray, nu: float, table: _Table) -> np.ndarray:
     """Evaluate the table over 1-D contiguous ``x``, chunk by chunk."""
     coef, pieces_per_t = table
-    last = float(coef.shape[1] - 1)
     out = np.empty_like(x)
     size = min(x.size, _CHUNK)
     s, e = np.empty(size), np.empty(size)
@@ -208,20 +243,22 @@ def _matern_table(x: np.ndarray, nu: float, table: _Table) -> np.ndarray:
         xc = x[lo : lo + _CHUNK]
         n = xc.size
         sc, ec, ic, oc = s[:n], e[:n], idx[:n], out[lo : lo + n]
-        # s = (log x - t_min) * pieces_per_t: piece floor(s), v = s - floor(s).
-        # fmax/fmin map NaN into the domain; the fix-up below replaces it.
-        np.fmax(xc, _X_MIN, out=sc)
-        np.fmin(sc, _X_MAX, out=sc)
-        np.log(sc, out=sc)
+        # min/max are NaN if any entry is: such a chunk is fixed up below.
+        inside = xc.min() >= _X_MIN and xc.max() <= _X_MAX
+        if inside:
+            np.log(xc, out=sc)
+        else:  # fmax/fmin also map NaN into the domain
+            np.fmax(xc, _X_MIN, out=sc)
+            np.fmin(sc, _X_MAX, out=sc)
+            np.log(sc, out=sc)
+        # s = (log x - t_min) * pieces_per_t >= 0: piece int(s), v = s - int(s).
         sc -= _T_MIN
         sc *= pieces_per_t
-        np.floor(sc, out=ec)
-        np.clip(ec, 0.0, last, out=ec)
-        np.copyto(ic, ec, casting="unsafe")
-        sc -= ec
+        np.copyto(ic, sc, casting="unsafe")
+        sc -= ic
         # Indices are in range already; "clip" is take's fastest mode.
-        coef[_DEGREE].take(ic, out=oc, mode="clip")
-        for k in range(_DEGREE - 1, -1, -1):
+        coef[_EVAL_DEGREE].take(ic, out=oc, mode="clip")
+        for k in range(_EVAL_DEGREE - 1, -1, -1):
             oc *= sc
             coef[k].take(ic, out=ec, mode="clip")
             oc += ec
@@ -229,9 +266,9 @@ def _matern_table(x: np.ndarray, nu: float, table: _Table) -> np.ndarray:
         np.exp(ec, out=ec)
         oc *= ec
         np.minimum(oc, 1.0, out=oc)
-    outside = np.flatnonzero(~((x >= _X_MIN) & (x <= _X_MAX)))
-    if outside.size:
-        out[outside] = _matern_exact(x[outside], nu)
+        if not inside:
+            outside = np.flatnonzero(~((xc >= _X_MIN) & (xc <= _X_MAX)))
+            oc[outside] = _matern_exact(xc[outside], nu)
     return out
 
 

@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 #: Estimated flops per covariance-matrix element (distance + Matérn from a
-#: closed form or the per-ν Chebyshev table: a ``log``, a degree-8 Horner
-#: sweep and an ``exp``); used for the generation stage cost.
+#: closed form or the per-ν table: a ``log``, a degree-4 Horner sweep over 5
+#: gathered coefficients and an ``exp``); used for the generation stage cost.
 KERNEL_EVAL_FLOPS = 60.0
 
 

@@ -121,6 +121,24 @@ class TestNumericalRobustness:
         with pytest.raises(ShapeError):
             matern_correlation(np.array([1.0]), 0.1, 0.0)
 
+    @pytest.mark.parametrize("x, expected", [(1e155, 0.0), (np.inf, 0.0), (np.nan, np.nan)])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8, 45.0])
+    def test_far_and_nan_distances_on_every_path(self, nu, x, expected):
+        # Closed forms, table and exact path alike: 0 where exp(-x) underflows
+        # (not inf * 0), and a NaN distance is NaN (not perfect correlation).
+        np.testing.assert_array_equal(matern_correlation(x, 1.0, nu), expected)
+        got = matern_correlation(np.array([0.3, x, 2.0]), 1.0, nu)
+        np.testing.assert_array_equal(got[1], expected)
+        rest = matern_correlation(np.array([0.3, 2.0]), 1.0, nu)
+        np.testing.assert_array_equal(got[[0, 2]], rest)
+
+    def test_closed_forms_unchanged_where_finite(self):
+        x = np.concatenate([np.linspace(0.0, 800.0, 4001), np.geomspace(800.0, 1e150, 50)])
+        np.testing.assert_array_equal(matern_correlation(x, 1.0, 1.5), (1.0 + x) * np.exp(-x))
+        np.testing.assert_array_equal(
+            matern_correlation(x, 1.0, 2.5), (1.0 + x + x * x / 3.0) * np.exp(-x)
+        )
+
     @given(
         st.floats(0.01, 5.0),
         st.floats(0.05, 2.0),
@@ -199,6 +217,69 @@ class TestTable:
             matern_correlation(d, 0.1, nu)
         info = matern._table.cache_info()
         assert (info.hits, info.misses) == (2, 2)
+
+
+class TestTableEdges:
+    """The domain ends, piece boundaries and the padded last piece."""
+
+    @staticmethod
+    def piece_boundaries(nu):
+        coef, pieces_per_t = matern._table(nu)
+        t = matern._T_MIN + np.arange(coef.shape[1]) / pieces_per_t
+        return np.exp(t), coef.shape[1] - 1
+
+    @pytest.mark.parametrize("nu", [0.1, 0.8, 1.0, 3.3])
+    def test_domain_ends(self, nu):
+        x = []
+        for end in (matern._X_MIN, matern._X_MAX):
+            x += [np.nextafter(end, 0.0), end, np.nextafter(end, np.inf)]
+        TestTable.assert_matches_kv_reference(np.array(x), nu)
+
+    @pytest.mark.parametrize("nu", [0.8, 3.3])
+    def test_fitted_and_sub_piece_boundaries(self, nu):
+        x, evaluation_pieces = self.piece_boundaries(nu)
+        assert evaluation_pieces % matern._SPLIT == 0
+        fitted = x[:: matern._SPLIT]
+        x = x[(x >= matern._X_MIN) & (x <= matern._X_MAX)]
+        for xs in (fitted, x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)):
+            TestTable.assert_matches_kv_reference(xs, nu)
+
+    @pytest.mark.parametrize("nu", [0.8, 3.3])
+    def test_last_sub_piece(self, nu):
+        x, last = self.piece_boundaries(nu)
+        TestTable.assert_matches_kv_reference(np.geomspace(x[last - 1], matern._X_MAX, 500), nu)
+
+    @pytest.mark.parametrize("nu", [0.8, 3.3, 45.0])
+    def test_mixed_array_matches_each_value_alone(self, nu):
+        x = np.concatenate(
+            [
+                [0.0, 1e-300, matern._X_MIN, matern._X_MAX, np.nextafter(matern._X_MAX, 0.0)],
+                [np.nextafter(matern._X_MIN, 0.0), np.nextafter(matern._X_MAX, np.inf)],
+                [800.0, 1e155, np.inf, np.nan],
+                np.geomspace(1e-7, 750.0, 60),
+            ]
+        )
+        x = np.random.default_rng(0).permutation(x)
+        alone = [matern_correlation(v, 1.0, nu) for v in x]
+        np.testing.assert_array_equal(matern_correlation(x, 1.0, nu), alone)
+
+
+class TestAgainstMpmath:
+    """The module docstring's bound against 40-digit ``mpmath``."""
+
+    @pytest.mark.parametrize("nu", [0.1, 0.37, 0.8, 1.0, 3.3, 5.0, 15.0, 39.0])
+    def test_relative_error_within_stated_bound(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-6, 700.0, 200)
+        with mpmath.workdps(40):
+            mnu = mpmath.mpf(nu)
+            pref = 2 ** (1 - mnu) / mpmath.gamma(mnu)
+            ref = np.array(
+                [float(pref * mpmath.mpf(v) ** mnu * mpmath.besselk(mnu, v)) for v in x]
+            )
+        ok = ref >= 1e-300
+        got = matern_correlation(x, 1.0, nu)
+        assert np.max(np.abs(got[ok] - ref[ok]) / ref[ok]) <= 1.3e-13
 
 
 class TestBesselCallGuard:
