@@ -33,11 +33,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from ..config import get_config
 from ..exceptions import CompressionError, ShapeError
 from ..utils.rng import SeedLike, as_generator
+from . import nogil_lapack
 
 __all__ = [
     "LowRank",
@@ -194,8 +194,11 @@ def svd_compress(a: np.ndarray, acc: float, *, rule: Optional[str] = None) -> Lo
     p = min(m, n)
     if p == 0:
         return _empty(m, n)
-    # The blocked-QR optimum; f2py's default is the unblocked minimum.
-    qr, jpvt, tau, _, _ = lapack.dgeqp3(a, lwork=2 * n + (n + 1) * 32)
+    # dgeqp3 overwrites a column-major matrix: hand it a C-ordered copy of
+    # a.T. qr is then its result, column-major.
+    qt = np.array(a.T, order="C")
+    jpvt, tau = nogil_lapack.geqp3(qt)
+    qr = qt.T
     r = np.triu(qr[:p])
     row2 = np.einsum("ij,ij->i", r, r)
     tail = np.sqrt(np.append(np.cumsum(row2[::-1])[::-1], 0.0))
@@ -205,20 +208,18 @@ def svd_compress(a: np.ndarray, acc: float, *, rule: Optional[str] = None) -> Lo
     j = int(np.argmax(tail <= ETA * acc * scale))
     if j == 0:
         return _empty(m, n)
-    ub, s, vt = sla.svd(r[:j], full_matrices=False, check_finite=False)
+    ub, s, vt = nogil_lapack.gesdd(np.ascontiguousarray(r[:j].T))
     thresh = (acc * float(s[0]) if rule == "relative" else acc) - float(tail[j])
     k = int(np.count_nonzero(s > thresh))
     if k == 0:
         return _empty(m, n)
-    c = np.zeros((m, k), order="F")
-    c[:j] = ub[:, :k] * s[:k]
-    # Reflectors past j act on rows >= j, where c is zero: skip them. The
-    # blocked dormqr wants 32 work entries per column of c plus its
-    # 65 x 64 block-reflector buffer.
-    u, _, _ = lapack.dormqr("L", "N", qr[:, :j], tau[:j], c, lwork=32 * k + 65 * 64, overwrite_c=1)
+    ct = np.zeros((k, m))  # c.T: u before the reflectors, column-major
+    ct[:, :j] = (ub[:, :k] * s[:k]).T
+    # Reflectors past j act on rows >= j, where c is zero: skip them.
+    nogil_lapack.ormqr(qt[:j], tau[:j], ct)
     v = np.empty((k, n))
     v[:, jpvt - 1] = vt[:k]
-    return LowRank(np.ascontiguousarray(u), v)
+    return LowRank(np.ascontiguousarray(ct.T), v)
 
 
 def rsvd_compress(

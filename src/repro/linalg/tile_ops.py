@@ -5,15 +5,15 @@ the C-contiguous column arrays of a
 :class:`~repro.linalg.tile_matrix.TileMatrix`, mutating their output
 column in place — called directly by the serial loop or inserted as
 runtime tasks (the runtime passes the column payloads positionally).
+Every BLAS/LAPACK call goes through :mod:`~repro.linalg.nogil_lapack`,
+which releases the GIL, so two workers' kernels overlap.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.blas import dtrsm
 
-from ..exceptions import NotPositiveDefiniteError
+from . import nogil_lapack
 
 __all__ = ["potrf_codelet", "panel_codelet", "update_codelet"]
 
@@ -21,14 +21,18 @@ __all__ = ["potrf_codelet", "panel_codelet", "update_codelet"]
 def potrf_codelet(dkk: np.ndarray) -> None:
     """In-place lower Cholesky of a diagonal tile: ``dkk <- chol(dkk)``.
 
-    The strict upper triangle is zeroed so the stored factor is exactly
-    lower-triangular (simplifies ``to_dense`` and debugging).
+    Reads only the lower triangle. The strict upper triangle is zeroed
+    so the stored factor is exactly lower-triangular (simplifies
+    ``to_dense`` and debugging). The DIAG task of the TLR Cholesky calls
+    it too.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If the tile is not positive definite.
     """
-    try:
-        factor = sla.cholesky(dkk, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"diagonal tile not positive definite: {exc}") from exc
-    dkk[:] = np.tril(factor)
+    nogil_lapack.potrf(dkk)
+    np.copyto(dkk, 0.0, where=~np.tri(dkk.shape[0], dtype=bool))
 
 
 def panel_codelet(pk: np.ndarray) -> None:
@@ -39,20 +43,17 @@ def panel_codelet(pk: np.ndarray) -> None:
     lkk = pk[:nb]
     potrf_codelet(lkk)
     if pk.shape[0] > nb:
-        # Solve lkk @ X^T = pk[nb:]^T. The transposes of C-contiguous
-        # arrays are Fortran-contiguous, so BLAS gets them without a copy
-        # and ``overwrite_b`` lands in the caller's storage.
-        dtrsm(1.0, lkk.T, pk[nb:].T, side=0, lower=0, trans_a=1, overwrite_b=1)
+        nogil_lapack.trsm(lkk, pk[nb:])
 
 
 def update_codelet(pk: np.ndarray, pj: np.ndarray, off: int) -> None:
     """Apply factored column ``k`` to column ``j``: ``pj -= pk[off:] @ ljk.T``.
 
     ``off`` is the row of ``pk`` where column ``j``'s rows start, so
-    ``ljk = pk[off : off + nb_j]`` is tile ``(j, k)``. One stacked GEMM
-    covers the SYRK on the diagonal tile of column ``j`` and every GEMM
-    below it; ``numpy.matmul`` releases the GIL around it (the f2py BLAS
-    wrappers do not), which is what lets two updates overlap.
+    ``ljk = pk[off : off + nb_j]`` is tile ``(j, k)``. One in-place
+    ``dgemm`` (``alpha = -1, beta = 1``) covers the SYRK on the diagonal
+    tile of column ``j`` and every GEMM below it, with no temporary and
+    without the GIL.
     """
     rows = pk[off:]
-    pj -= rows @ rows[: pj.shape[1]].T
+    nogil_lapack.gemm(rows, rows[: pj.shape[1]], pj)

@@ -33,13 +33,9 @@ from ..config import get_config
 from ..exceptions import NotPositiveDefiniteError
 from ..runtime import AccessMode, Runtime
 from .compression import compress
+from .tile_ops import potrf_codelet
 from .tlr_matrix import TLRMatrix
-from .tlr_ops import (
-    tlr_potrf_codelet,
-    tlr_syrk_codelet,
-    tlr_trsm_codelet,
-    tlr_update_codelet,
-)
+from .tlr_ops import tlr_syrk_codelet, tlr_trsm_codelet, tlr_update_codelet
 
 __all__ = ["tlr_cholesky", "tlr_cholesky_from_source", "logdet_from_tlr_factor"]
 
@@ -56,7 +52,7 @@ def _diag_task(*_payloads: object, a: TLRMatrix, k: int, source: TileSource) -> 
         dkk[...] = src
     for l in range(k):
         tlr_syrk_codelet(a.low[(k, l)], dkk)
-    tlr_potrf_codelet(dkk)
+    potrf_codelet(dkk)
 
 
 def _offdiag_task(

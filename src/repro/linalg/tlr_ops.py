@@ -1,13 +1,14 @@
 """TLR codelets: the kernels of the left-looking TLR Cholesky (paper §V).
 
-Each codelet mutates its output in place (dense tiles) or rebinds the
-factors of its output :class:`LowRank` block, so the same functions
-serve the serial loop and the task runtime.
+Each codelet mutates its output in place (a dense tile, or the ``V``
+factor of a :class:`LowRank` block), so the same functions serve the
+serial loop and the task runtime.
 
 Kernel inventory (lower Cholesky, column ``k``, updates from columns
 ``l < k``):
 
-* :func:`tlr_potrf_codelet` — dense POTRF on ``D_kk``;
+* :func:`~repro.linalg.tile_ops.potrf_codelet` (shared with the dense
+  PANEL) — dense POTRF on ``D_kk``;
 * :func:`tlr_trsm_codelet` — ``A_ik <- A_ik L_kk^{-T}`` touches only the
   ``k x nb`` factor ``V_ik`` (this is where TLR wins its flops);
 * :func:`tlr_syrk_codelet` — dense diagonal update
@@ -15,45 +16,34 @@ Kernel inventory (lower Cholesky, column ``k``, updates from columns
 * :func:`tlr_update_codelet` — dense off-diagonal update
   ``A_ik -= U_il ((V_il V_kl^T) U_kl^T)`` of a tile that is compressed
   only after its last update.
+
+The POTRF and TRSM go through :mod:`~repro.linalg.nogil_lapack` and the
+GEMMs through ``numpy.matmul``; both release the GIL.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
-from ..exceptions import NotPositiveDefiniteError
+from . import nogil_lapack
 from .compression import LowRank
 
 __all__ = [
-    "tlr_potrf_codelet",
     "tlr_trsm_codelet",
     "tlr_syrk_codelet",
     "tlr_update_codelet",
 ]
 
 
-def tlr_potrf_codelet(dkk: np.ndarray) -> None:
-    """In-place lower Cholesky of a dense diagonal tile."""
-    try:
-        factor = sla.cholesky(dkk, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"diagonal tile not positive definite under TLR updates: {exc}"
-        ) from exc
-    dkk[:] = np.tril(factor)
-
-
 def tlr_trsm_codelet(lkk: np.ndarray, block: LowRank) -> None:
-    """``block <- block @ inv(lkk).T`` applied to the V factor only.
+    """``block <- block @ inv(lkk).T`` applied to the V factor only, in place.
 
     With ``A_ik = U V``, the panel TRSM ``A_ik L_kk^{-T}`` equals
     ``U (V L_kk^{-T})``; cost ``O(k nb^2)`` instead of ``O(nb^3)``.
     """
     if block.rank == 0:
         return
-    vt = sla.solve_triangular(lkk, block.v.T, lower=True, check_finite=False)
-    block.set_factors(block.u, np.ascontiguousarray(vt.T))
+    nogil_lapack.trsm(lkk, block.v)
 
 
 def tlr_syrk_codelet(aik: LowRank, dii: np.ndarray) -> None:

@@ -9,8 +9,12 @@ programming model in pure Python:
 * :class:`DataHandle` — a registered piece of data (typically one tile);
 * :class:`AccessMode` — ``READ`` / ``WRITE`` / ``READWRITE`` declarations;
 * :class:`Runtime` — sequential-task-flow insertion with automatic
-  dependency inference and out-of-order execution on a thread pool
-  (numpy/scipy BLAS release the GIL, so tile tasks genuinely overlap);
+  dependency inference and out-of-order execution on a thread pool.
+  Tasks overlap only inside calls that release the GIL: ``numpy.matmul``
+  and :mod:`repro.linalg.nogil_lapack` do, most of scipy's f2py
+  wrappers (``scipy.linalg.cholesky``, ``svd``, ``solve_triangular``,
+  ``scipy.linalg.blas`` / ``lapack``) do not, so the Cholesky task
+  bodies call BLAS/LAPACK through the former;
 * a priority ready queue, an optional per-task event list
   (``Runtime(trace=True).trace``) and ``task:*`` telemetry spans.
 

@@ -9,12 +9,7 @@ import scipy.linalg as sla
 from repro.exceptions import NotPositiveDefiniteError
 from repro.linalg.compression import LowRank, svd_compress
 from repro.linalg.tile_ops import panel_codelet, potrf_codelet, update_codelet
-from repro.linalg.tlr_ops import (
-    tlr_potrf_codelet,
-    tlr_syrk_codelet,
-    tlr_trsm_codelet,
-    tlr_update_codelet,
-)
+from repro.linalg.tlr_ops import tlr_syrk_codelet, tlr_trsm_codelet, tlr_update_codelet
 
 
 @pytest.fixture()
@@ -80,8 +75,11 @@ class TestDenseCodelets:
 
 class TestTLRCodelets:
     def test_tlr_potrf_matches_dense(self, spd_tile):
-        tile = spd_tile.copy()
-        tlr_potrf_codelet(tile)
+        """TLR DIAG factors with the dense PANEL's POTRF codelet: same bits."""
+        tile, panel = spd_tile.copy(), spd_tile.copy()
+        potrf_codelet(tile)
+        panel_codelet(panel)
+        np.testing.assert_array_equal(tile, panel)
         np.testing.assert_allclose(tile, np.linalg.cholesky(spd_tile), atol=1e-10)
 
     def test_tlr_trsm_only_touches_v(self, spd_tile, rng):
