@@ -15,10 +15,11 @@ fixed during a fit, so per-tile distance blocks are computed once and
 cached across the optimizer's likelihood evaluations (on by default;
 ``MLEstimator(..., cache_distances=False)`` trades the memory back —
 values are bit-identical either way). Passing a ``Runtime`` to
-``MLEstimator`` additionally fuses tile generation (+ TLR compression)
-into the factorization task graph (``parallel_generation=True``, the
-default), so factorization tasks start as soon as their own tile is
-generated:
+``MLEstimator`` runs generation as tasks of the factorization graph, so
+factorization tasks start as soon as their own tiles are generated. The
+TLR Cholesky always generates (and compresses) each tile inside its own
+task; for full-tile, ``parallel_generation=True`` (the default) adds one
+generation task per tile column:
 
     from repro.runtime import Runtime
     with Runtime() as rt:

@@ -9,12 +9,19 @@ Three families, mirroring the paper's three computation variants:
 * ``compression`` + ``tlr_*`` — the **TLR** data format and algorithms
   (HiCMA substitute): per-tile low-rank compression (SVD / RSVD / ACA),
   a left-looking TLR Cholesky that updates each tile while it is dense
-  and compresses it once, TLR solves and matvec.
+  and compresses it once, and TLR solves.
+
+Both Cholesky graphs read their tiles from one contract,
+:data:`~repro.linalg.tile_matrix.TileSource` (``source(i, j) -> dense
+tile``): ``tile_cholesky.tile_cholesky_from_source`` generates each tile
+column in a task of the factorization graph,
+``tlr_cholesky.tlr_cholesky_from_source`` each tile inside the task that
+updates and compresses it.
 
 ``generation`` is the covariance *generation pipeline* shared by the tile
 and TLR variants: a per-fit :class:`~repro.linalg.generation.TileDistanceCache`
 amortizing pairwise-distance work across likelihood evaluations, and
-task-parallel generation fused into the factorization task graph.
+``generate_and_factor_*``, which feed a tile generator to those graphs.
 """
 
 from .blocklapack import (
@@ -29,29 +36,18 @@ from .compression import LowRank, compress
 from .tlr_matrix import TLRMatrix
 from .tlr_cholesky import tlr_cholesky, logdet_from_tlr_factor
 from .tlr_solve import tlr_cholesky_solve, tlr_solve_triangular
-from .tlr_matvec import tlr_symmetric_matvec
 from .generation import (
     CrossDistanceCache,
     TileDistanceCache,
-    empty_tile_matrix,
-    empty_tlr_matrix,
     generate_and_factor_tile_matrix,
     generate_and_factor_tlr_matrix,
-    generate_tlr_matrix,
-    insert_tile_generation_tasks,
-    insert_tlr_generation_tasks,
 )
 
 __all__ = [
     "CrossDistanceCache",
     "TileDistanceCache",
-    "empty_tile_matrix",
-    "empty_tlr_matrix",
-    "generate_tlr_matrix",
     "generate_and_factor_tile_matrix",
     "generate_and_factor_tlr_matrix",
-    "insert_tile_generation_tasks",
-    "insert_tlr_generation_tasks",
     "block_cholesky",
     "block_cholesky_solve",
     "block_logdet_from_factor",
@@ -68,5 +64,4 @@ __all__ = [
     "logdet_from_tlr_factor",
     "tlr_cholesky_solve",
     "tlr_solve_triangular",
-    "tlr_symmetric_matvec",
 ]

@@ -16,53 +16,53 @@ implementation's serial regenerate-everything loop:
 
 2. **Generation is embarrassingly parallel and need not be a barrier.**
    The ExaGeoStat paper task-parallelizes generation on the same runtime
-   that executes the factorization. :func:`insert_tile_generation_tasks`
-   inserts one generation task per tile column into a
-   :class:`~repro.runtime.Runtime` and hands back the data handles, so
-   the tile Cholesky submitted on the *same* handles depends on each
-   generation task individually — the factorization of early panels
-   starts while late columns are still being generated
-   (sequential-task-flow, no global barrier). The TLR Cholesky goes one
+   that executes the factorization. Both substrates' Cholesky graphs
+   take their tiles from a
+   :data:`~repro.linalg.tile_matrix.TileSource` (``source(i, j) -> dense
+   tile``), and :func:`generate_and_factor_tile_matrix` /
+   :func:`generate_and_factor_tlr_matrix` feed them through one adapter
+   (:func:`~repro.linalg.tile_matrix.tile_source`). The full-tile graph
+   (:func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`) puts
+   one generation task per tile column ahead of the factorization, and
+   each column's factorization depends on its own generation task only —
+   early panels are factored while late columns are still being
+   generated (sequential-task-flow, no global barrier). The TLR graph
+   (:func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source`) goes one
    step further: each of its tasks generates its own tile, updates it
-   while dense and compresses it once
-   (:func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source`).
+   while dense and compresses it once.
 
 Both pieces are value-preserving: cached-distance tiles are bit-identical
 to directly generated ones (they share the
 :func:`~repro.kernels.distance.pairwise_distance_block` code path), and
-task-parallel generation produces identical matrices to the serial loop.
+the fused graphs give the factor of the serial generate-then-factor loop,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..config import get_config
 from ..exceptions import ShapeError
 from ..kernels.covariance import CovarianceModel
 from ..kernels.distance import pairwise_distance, pairwise_distance_block
-from ..runtime import AccessMode, Runtime
-from ..runtime.handle import DataHandle
+from ..runtime import Runtime
 from ..utils.validation import check_locations
-from .compression import LowRank, compress
-from .tile_matrix import TileGrid, TileMatrix, materialize_tile
+from .compression import LowRank
+from .tile_cholesky import tile_cholesky, tile_cholesky_from_source
+from .tile_matrix import TileGrid, TileMatrix, tile_source
+from .tlr_cholesky import tlr_cholesky_from_source
 from .tlr_matrix import TLRMatrix
 
 __all__ = [
     "TileDistanceCache",
     "CrossDistanceCache",
     "array_content_key",
-    "insert_tile_generation_tasks",
-    "insert_tlr_generation_tasks",
-    "generate_tlr_matrix",
     "generate_and_factor_tile_matrix",
     "generate_and_factor_tlr_matrix",
-    "empty_tile_matrix",
-    "empty_tlr_matrix",
 ]
 
 
@@ -281,154 +281,9 @@ class CrossDistanceCache:
 
 
 # --------------------------------------------------------------------------
-# Fused (task-parallel) generation: tasks write pre-registered tile payloads
-# so a factorization graph submitted on the same handles depends on each
-# tile's generation task individually.
+# Generate-and-factor: the two substrates' Cholesky graphs, fed by one
+# ``generate -> TileSource`` adapter.
 # --------------------------------------------------------------------------
-
-
-def empty_tile_matrix(n: int, nb: int, *, symmetric_lower: bool = True) -> TileMatrix:
-    """A :class:`TileMatrix` with uninitialized storage, for generation
-    tasks to fill in place."""
-    return TileMatrix(TileGrid(n, nb), symmetric_lower=symmetric_lower)
-
-
-def empty_tlr_matrix(n: int, nb: int, acc: float) -> TLRMatrix:
-    """A :class:`TLRMatrix` with empty diagonal buffers and rank-0 off-diagonals.
-
-    Generation (or factorization) tasks fill diagonal tiles in place and
-    *replace* the factors of the placeholder :class:`LowRank` blocks (rank
-    changes are part of the LowRank contract).
-    """
-    grid = TileGrid(n, nb)
-    tlr = TLRMatrix(grid, acc)
-    for i in range(grid.nt):
-        tlr.diag[i] = np.empty((grid.tile_size(i), grid.tile_size(i)))
-        for j in range(i):
-            m, k = grid.tile_size(i), grid.tile_size(j)
-            tlr.low[(i, j)] = LowRank(np.zeros((m, 0)), np.zeros((0, k)))
-    return tlr
-
-
-def _fill_dense_codelet(
-    out: np.ndarray,
-    generate: Callable[[slice, slice], np.ndarray],
-    rows: slice,
-    cols: slice,
-    i: int,
-    j: int,
-) -> None:
-    """Codelet: generate tile ``(i, j)`` into the pre-registered buffer."""
-    out[...] = materialize_tile(generate(rows, cols), out.shape, i, j)
-
-
-def _fill_lowrank_batch_codelet(*packed: object) -> None:
-    """Codelet: generate + compress one or more tiles in one runtime task.
-
-    The leading payloads are the batch's :class:`LowRank` blocks (in the
-    order of ``specs``); the single trailing argument carries everything
-    else, so the variable payload count stays unambiguous. Per-tile
-    arithmetic does not depend on the batch size — batching only
-    amortizes per-task runtime overhead when tiles are small.
-    ``method``/``rule``/``seed`` arrive resolved by the submitting thread.
-    """
-    lrs = packed[:-1]
-    generate, specs, acc, method, rule, seed = packed[-1]  # type: ignore[misc]
-    kwargs = {} if seed is None else {"seed": seed}
-    for lr, (rows, cols, i, j) in zip(lrs, specs):
-        dense = materialize_tile(generate(rows, cols), lr.shape, i, j)
-        c = compress(dense, acc, method=method, rule=rule, **kwargs)
-        lr.set_factors(c.u, c.v)
-
-
-def insert_tile_generation_tasks(
-    runtime: Runtime,
-    tiles: TileMatrix,
-    generate: Callable[[slice, slice], np.ndarray],
-) -> List[DataHandle]:
-    """Insert one generation task per tile column of ``tiles``.
-
-    Returns the per-column handles to pass to
-    :func:`~repro.linalg.tile_cholesky.tile_cholesky` so factorization
-    tasks depend on each column's generation task (no barrier). The
-    caller owns synchronization: the tiles are valid only after the
-    runtime's ``wait_all`` (which the fused Cholesky performs).
-
-    Each task fills its column tile by tile through ``generate`` — the
-    calls, and with them the :class:`TileDistanceCache` keys, of the
-    serial loop. Priorities sit above the factorization's panel tasks
-    and decrease with the column, the order the Cholesky consumes them.
-    """
-    nt = tiles.nt
-    handles = [runtime.register(tiles.panel(j)) for j in range(nt)]
-    for j in range(nt):
-        runtime.insert_task(
-            # The column payload only orders the task; the write goes
-            # through ``tiles``.
-            lambda _column, j=j: tiles.fill_column(j, generate),
-            [(handles[j], AccessMode.READWRITE)],
-            name=("gen", j),
-            priority=4 * (nt - j),
-        )
-    return handles
-
-
-def insert_tlr_generation_tasks(
-    runtime: Runtime,
-    tlr: TLRMatrix,
-    generate: Callable[[slice, slice], np.ndarray],
-    *,
-    method: str,
-    rule: str,
-    compression_batch: Optional[int] = None,
-) -> None:
-    """Insert generate(+compress) tasks for every tile of ``tlr``.
-
-    Standalone generation of a compressed matrix (the factorization
-    generates its own tiles, see :func:`generate_and_factor_tlr_matrix`).
-    ``method`` and ``rule`` must be pre-resolved (workers do not consult
-    the thread-local config). The caller owns synchronization: the tiles
-    are valid only after the runtime's ``wait_all``.
-
-    ``compression_batch`` groups that many off-diagonal tiles' SVDs into
-    one task (default: configured ``compression_batch``, resolved on the
-    submitting thread). When ``nb`` is small relative to ``nt`` each
-    per-tile compression is cheap and per-task overhead dominates;
-    batching amortizes it. Tiles are grouped in column-major order, and
-    values are identical for any batch size.
-    """
-    grid = tlr.grid
-    nt = grid.nt
-    batch = (
-        get_config().compression_batch
-        if compression_batch is None
-        else max(1, int(compression_batch))
-    )
-    # The adaptive randomized compressor seeds itself from the config when
-    # unseeded; resolve that here too, on the submitting thread.
-    seed = get_config().rng_seed if method == "rsvd" else None
-    RW = AccessMode.READWRITE
-    for k in range(nt):
-        runtime.insert_task(
-            _fill_dense_codelet,
-            [(runtime.register(tlr.diag[k], name=f"D[{k}]"), RW)],
-            args=(generate, grid.tile_slice(k), grid.tile_slice(k), k, k),
-            name=f"gen({k},{k})",
-            priority=4 * (nt - k),
-        )
-    keys = sorted(tlr.low, key=lambda ij: (ij[1], ij[0]))  # column-major
-    for start in range(0, len(keys), batch):
-        group = keys[start : start + batch]
-        specs = [
-            (grid.tile_slice(i), grid.tile_slice(j), i, j) for (i, j) in group
-        ]
-        runtime.insert_task(
-            _fill_lowrank_batch_codelet,
-            [(runtime.register(tlr.low[(i, j)], name=f"L[{i},{j}]"), RW) for (i, j) in group],
-            args=((generate, specs, tlr.acc, method, rule, seed),),
-            name=f"genb({group[0][0]},{group[0][1]})x{len(group)}",
-            priority=4 * (nt - group[0][1]),
-        )
 
 
 def generate_and_factor_tile_matrix(
@@ -445,30 +300,48 @@ def generate_and_factor_tile_matrix(
     The generation+factorization protocol shared by the MLE hot loop
     (:class:`~repro.mle.loglik.LikelihoodEvaluator`) and the prediction
     path (:class:`~repro.mle.prediction_engine.PredictionEngine`):
-    with ``fused`` (and a runtime), generation tasks are inserted via
-    :func:`insert_tile_generation_tasks` and the factorization's task
-    graph depends on them per column; otherwise generation is a serial
-    loop and the factorization runs serially or on the runtime.
+    with ``fused`` (and a runtime), the graph of
+    :func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`
+    generates each column in a task that the column's factorization
+    depends on; otherwise generation is a serial loop and the
+    factorization runs serially or on the runtime.
 
     ``times`` optionally accumulates the ``generation`` /
     ``factorization`` stage split (in fused mode the ``generation``
-    stage is task-submission time only — the generation work itself
-    overlaps the factorization).
+    stage is the allocation only — the generation work itself overlaps
+    the factorization).
     """
     from ..utils.timer import StageTimes  # local: utils must not import linalg
-    from .tile_cholesky import tile_cholesky  # local: avoid import cycle
 
     times = StageTimes() if times is None else times
-    handles = None
+    if fused and runtime is not None:
+        with times.stage("generation"):
+            tiles = TileMatrix(TileGrid(n, nb), symmetric_lower=True)
+        with times.stage("factorization"):
+            return tile_cholesky_from_source(
+                tiles, tile_source(tiles.grid, generate), runtime=runtime
+            )
     with times.stage("generation"):
-        if fused and runtime is not None:
-            tiles = empty_tile_matrix(n, nb, symmetric_lower=True)
-            handles = insert_tile_generation_tasks(runtime, tiles, generate)
-        else:
-            tiles = TileMatrix.from_generator(n, nb, generate, symmetric_lower=True)
+        tiles = TileMatrix.from_generator(n, nb, generate, symmetric_lower=True)
     with times.stage("factorization"):
-        tile_cholesky(tiles, runtime=runtime, handles=handles)
-    return tiles
+        return tile_cholesky(tiles, runtime=runtime)
+
+
+def _empty_tlr_matrix(n: int, nb: int, acc: float) -> TLRMatrix:
+    """A :class:`TLRMatrix` with empty diagonal buffers and rank-0 off-diagonals.
+
+    The factorization's tasks fill diagonal tiles in place and *replace*
+    the factors of the placeholder :class:`LowRank` blocks (rank changes
+    are part of the LowRank contract).
+    """
+    grid = TileGrid(n, nb)
+    tlr = TLRMatrix(grid, acc)
+    for i in range(grid.nt):
+        tlr.diag[i] = np.empty((grid.tile_size(i), grid.tile_size(i)))
+        for j in range(i):
+            m, k = grid.tile_size(i), grid.tile_size(j)
+            tlr.low[(i, j)] = LowRank(np.zeros((m, 0)), np.zeros((0, k)))
+    return tlr
 
 
 def generate_and_factor_tlr_matrix(
@@ -499,49 +372,12 @@ def generate_and_factor_tlr_matrix(
     empty matrix. ``method``/``rule`` must be pre-resolved.
     """
     from ..utils.timer import StageTimes  # local: utils must not import linalg
-    from .tlr_cholesky import tlr_cholesky_from_source  # local: avoid import cycle
 
     times = StageTimes() if times is None else times
     with times.stage("generation"):
-        tlr = empty_tlr_matrix(n, nb, acc)
-    grid = tlr.grid
-
-    def source(i: int, j: int) -> np.ndarray:
-        shape = (grid.tile_size(i), grid.tile_size(j))
-        return materialize_tile(generate(grid.tile_slice(i), grid.tile_slice(j)), shape, i, j)
-
+        tlr = _empty_tlr_matrix(n, nb, acc)
     with times.stage("factorization"):
-        tlr_cholesky_from_source(
-            tlr, source, acc, method=method, rule=rule, runtime=runtime,
-            compression_batch=compression_batch,
+        return tlr_cholesky_from_source(
+            tlr, tile_source(tlr.grid, generate), acc, method=method, rule=rule,
+            runtime=runtime, compression_batch=compression_batch,
         )
-    return tlr
-
-
-def generate_tlr_matrix(
-    n: int,
-    nb: int,
-    generate: Callable[[slice, slice], np.ndarray],
-    acc: float,
-    runtime: Runtime,
-    *,
-    method: str,
-    rule: str,
-    compression_batch: Optional[int] = None,
-) -> TLRMatrix:
-    """Task-parallel standalone generation of a :class:`TLRMatrix`.
-
-    One generate+compress task per ``compression_batch`` tiles, then a
-    barrier; used by ``TLRMatrix.from_generator(runtime=...)``.
-    ``method``/``rule`` must be pre-resolved.
-    """
-    tlr = empty_tlr_matrix(n, nb, acc)
-    insert_tlr_generation_tasks(
-        runtime, tlr, generate, method=method, rule=rule,
-        compression_batch=compression_batch,
-    )
-    try:
-        runtime.wait_all()
-    finally:
-        runtime.tracker.reset()
-    return tlr

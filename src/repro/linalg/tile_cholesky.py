@@ -19,36 +19,42 @@ order and the factor is bit-identical for any worker count. That is
 per-tile graph (``O(nt^3/6)`` tasks of one ``nb x nb`` call each) spends
 more time handing tasks over than in BLAS once ``nb`` is small.
 
-Priorities keep the look-ahead path short. Earlier steps outrank later
-ones; within a step ``PANEL(k)`` comes first, then ``UPDATE(k+1, k)`` —
-the only update ``PANEL(k+1)`` waits for — so the next panel is factored
-while the rest of the trailing matrix is still being updated.
+:func:`tile_cholesky_from_source` puts one more task per column ahead of
+that graph, ``GEN(P_j)``, which writes column ``j`` tile by tile from a
+:data:`~repro.linalg.tile_matrix.TileSource`. Each column's first
+factorization task depends on its own ``GEN`` task only, so early panels
+are factored while late columns are still being generated — generation
+as tasks on the runtime that factors, with no barrier between the two
+(ExaGeoStat's sequential-task-flow).
 
-``runtime=None`` runs the same two kernels in program order; otherwise
-the graph goes through the :class:`~repro.runtime.Runtime`, which is how
-ExaGeoStat drives Chameleon through StarPU.
+Priorities keep the look-ahead path short. ``GEN`` outranks everything
+and decreases with the column, the order the panels consume them.
+Earlier steps outrank later ones; within a step ``PANEL(k)`` comes
+first, then ``UPDATE(k+1, k)`` — the only update ``PANEL(k+1)`` waits
+for — so the next panel is factored while the rest of the trailing
+matrix is still being updated.
+
+``runtime=None`` runs the same tasks as they are inserted (every ``GEN``,
+then the column loop); otherwise the graph goes through the
+:class:`~repro.runtime.Runtime`, which is how ExaGeoStat drives Chameleon
+through StarPU.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..exceptions import NotPositiveDefiniteError, ShapeError
-from ..runtime import AccessMode, DataHandle, Runtime
-from .tile_matrix import TileMatrix
+from ..runtime import AccessMode, Runtime
+from .tile_matrix import TileMatrix, TileSource
 from .tile_ops import panel_codelet, update_codelet
 
-__all__ = ["tile_cholesky", "logdet_from_tile_factor"]
+__all__ = ["tile_cholesky", "tile_cholesky_from_source", "logdet_from_tile_factor"]
 
 
-def tile_cholesky(
-    a: TileMatrix,
-    runtime: Optional[Runtime] = None,
-    *,
-    handles: Optional[Sequence[DataHandle]] = None,
-) -> TileMatrix:
+def tile_cholesky(a: TileMatrix, runtime: Optional[Runtime] = None) -> TileMatrix:
     """Factor a lower-symmetric tile matrix in place: ``A = L L^T``.
 
     Parameters
@@ -58,51 +64,73 @@ def tile_cholesky(
         into its lower tile Cholesky factor.
     runtime:
         Optional task runtime; serial loop when omitted.
-    handles:
-        Pre-registered per-column handles of ``a`` (requires ``runtime``),
-        as returned by
-        :func:`~repro.linalg.generation.insert_tile_generation_tasks`:
-        each column's first factorization task then depends on that
-        column's generation task rather than on a global barrier.
 
     Returns
     -------
     The same object, now holding the factor.
     """
+    return _factor(a, None, runtime)
+
+
+def tile_cholesky_from_source(
+    a: TileMatrix, source: TileSource, *, runtime: Optional[Runtime] = None
+) -> TileMatrix:
+    """Generate ``a`` from ``source`` and factor it, in one graph.
+
+    ``a`` supplies the grid and the storage (its contents are
+    overwritten); ``source(i, j)`` is called once per stored tile, from a
+    ``GEN`` task per column. The factor is bit-identical to filling ``a``
+    first and calling :func:`tile_cholesky`, for any runtime.
+    """
+    return _factor(a, source, runtime)
+
+
+def _factor(
+    a: TileMatrix, source: Optional[TileSource], runtime: Optional[Runtime]
+) -> TileMatrix:
+    """The graph of both entry points: ``GEN`` tasks when there is a
+    ``source``, then PANEL/UPDATE."""
     if not a.symmetric_lower:
         raise ShapeError("tile_cholesky expects a symmetric_lower TileMatrix")
     nt, nb = a.nt, a.grid.nb
     if runtime is None:
-        if handles is not None:
-            raise ShapeError("handles require a runtime")
-        for k in range(nt):
-            pk = a.panel(k)
-            panel_codelet(pk)
-            for j in range(k + 1, nt):
-                update_codelet(pk, a.panel(j), (j - k) * nb)
-        return a
-    if handles is None:
-        handles = [runtime.register(a.panel(j)) for j in range(nt)]
+        columns = [a.panel(j) for j in range(nt)]
+
+        def insert(fn, accesses, *, args=(), **_):
+            fn(*(payload for payload, _ in accesses), *args)
+
+    else:
+        columns = [runtime.register(a.panel(j)) for j in range(nt)]
+        insert = runtime.insert_task
     R, RW = AccessMode.READ, AccessMode.READWRITE
+    if source is not None:
+        for j in range(nt):
+            insert(
+                # The column payload only orders the task; the write goes
+                # through ``a``.
+                lambda _column, j=j: a.fill_column(j, source),
+                [(columns[j], RW)],
+                name=("gen", j),
+                priority=4 * (nt - j),
+            )
     for k in range(nt):
         base = nt - k
-        runtime.insert_task(
-            panel_codelet, [(handles[k], RW)], name=("panel", k), priority=3 * base
-        )
+        insert(panel_codelet, [(columns[k], RW)], name=("panel", k), priority=3 * base)
         for j in range(k + 1, nt):
-            runtime.insert_task(
+            insert(
                 update_codelet,
-                [(handles[k], R), (handles[j], RW)],
+                [(columns[k], R), (columns[j], RW)],
                 args=((j - k) * nb,),
                 name=("update", j, k),
                 priority=2 * base if j == k + 1 else base,
             )
-    try:
-        runtime.wait_all()
-    finally:
-        # Drop the completed task graph so long-lived runtimes (one per MLE
-        # fit, many factorizations) do not accumulate bookkeeping.
-        runtime.tracker.reset()
+    if runtime is not None:
+        try:
+            runtime.wait_all()
+        finally:
+            # Drop the completed task graph so long-lived runtimes (one per
+            # MLE fit, many factorizations) do not accumulate bookkeeping.
+            runtime.tracker.reset()
     return a
 
 

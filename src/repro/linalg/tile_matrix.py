@@ -29,27 +29,14 @@ import numpy as np
 from ..exceptions import ShapeError
 from ..utils.validation import check_square
 
-__all__ = ["TileGrid", "TileMatrix", "materialize_tile"]
+__all__ = ["TileGrid", "TileMatrix", "TileSource", "tile_source"]
 
-
-def materialize_tile(
-    raw: np.ndarray, expected: Tuple[int, int], i: int, j: int
-) -> np.ndarray:
-    """Validate and take ownership of a generated tile buffer.
-
-    Generators may hand back views into a caller-owned dense matrix (e.g.
-    ``TLRMatrix.from_dense``); tiles must own contiguous float64 storage
-    because solvers factor them in place.
-    """
-    tile = np.asarray(raw, dtype=np.float64)
-    if tile.base is not None or not tile.flags["C_CONTIGUOUS"]:
-        tile = tile.copy()
-    if tile.shape != tuple(expected):
-        raise ShapeError(
-            f"generator returned shape {tile.shape} for tile ({i},{j}), "
-            f"expected {tuple(expected)}"
-        )
-    return tile
+#: ``source(i, j)`` returns dense tile ``(i, j)`` as a C-contiguous
+#: float64 array the caller owns (a factorization may overwrite it). The
+#: one contract the Cholesky graphs generate from
+#: (:func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`,
+#: :func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source`).
+TileSource = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -114,6 +101,34 @@ class TileGrid:
             raise ShapeError(f"tile index {i} out of range [0, {self.nt})")
 
 
+def tile_source(
+    grid: TileGrid, generate: Callable[[slice, slice], np.ndarray]
+) -> TileSource:
+    """Adapt a ``generate(row_slice, col_slice)`` tile generator (e.g.
+    :meth:`~repro.linalg.generation.TileDistanceCache.generator`) to the
+    :data:`TileSource` contract over ``grid``.
+
+    Generators may hand back views into a caller-owned dense matrix (e.g.
+    ``TLRMatrix.from_dense``); those are copied, since tiles must own
+    contiguous storage. A tile of the wrong shape raises
+    :class:`~repro.exceptions.ShapeError`.
+    """
+
+    def source(i: int, j: int) -> np.ndarray:
+        tile = np.asarray(generate(grid.tile_slice(i), grid.tile_slice(j)), dtype=np.float64)
+        if tile.base is not None or not tile.flags["C_CONTIGUOUS"]:
+            tile = tile.copy()
+        expected = (grid.tile_size(i), grid.tile_size(j))
+        if tile.shape != expected:
+            raise ShapeError(
+                f"generator returned shape {tile.shape} for tile ({i},{j}), "
+                f"expected {expected}"
+            )
+        return tile
+
+    return source
+
+
 class TileMatrix:
     """Dense matrix stored as one contiguous array per tile column.
 
@@ -162,36 +177,24 @@ class TileMatrix:
         generate: Callable[[slice, slice], np.ndarray],
         *,
         symmetric_lower: bool = False,
-        runtime=None,
     ) -> "TileMatrix":
         """Build tiles by calling ``generate(row_slice, col_slice)``.
 
         This is the covariance *generation* stage of ExaGeoStat: the dense
-        matrix never exists as a single allocation. With a
-        :class:`~repro.runtime.Runtime`, one generation task per tile
-        column runs on it (columns are independent) and the call blocks
-        until all are done; tile contents are identical either way.
+        matrix never exists as a single allocation. Generation as tasks
+        of the factorization graph is
+        :func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`.
         """
         tm = cls(TileGrid(n, nb), symmetric_lower=symmetric_lower)
-        if runtime is None:
-            for j in range(tm.nt):
-                tm.fill_column(j, generate)
-            return tm
-        from .generation import insert_tile_generation_tasks  # local: avoid cycle
-
-        insert_tile_generation_tasks(runtime, tm, generate)
-        try:
-            runtime.wait_all()
-        finally:
-            runtime.tracker.reset()
+        source = tile_source(tm.grid, generate)
+        for j in range(tm.nt):
+            tm.fill_column(j, source)
         return tm
 
-    def fill_column(self, j: int, generate: Callable[[slice, slice], np.ndarray]) -> None:
-        """Generate every stored tile of column ``j``, tile by tile."""
-        g = self.grid
-        cols = g.tile_slice(j)
-        for i in range(j if self.symmetric_lower else 0, g.nt):
-            self.set_tile(i, j, generate(g.tile_slice(i), cols))
+    def fill_column(self, j: int, source: TileSource) -> None:
+        """Write every stored tile of column ``j`` from ``source``, tile by tile."""
+        for i in range(j if self.symmetric_lower else 0, self.nt):
+            self.set_tile(i, j, source(i, j))
 
     # ------------------------------------------------------------ accessors
     @property

@@ -25,23 +25,20 @@ waits for.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..config import get_config
-from ..exceptions import NotPositiveDefiniteError
+from ..exceptions import ConfigurationError, NotPositiveDefiniteError
 from ..runtime import AccessMode, Runtime
 from .compression import compress
+from .tile_matrix import TileSource
 from .tile_ops import potrf_codelet
 from .tlr_matrix import TLRMatrix
 from .tlr_ops import tlr_syrk_codelet, tlr_trsm_codelet, tlr_update_codelet
 
 __all__ = ["tlr_cholesky", "tlr_cholesky_from_source", "logdet_from_tlr_factor"]
-
-#: ``source(i, j)`` returns dense tile ``(i, j)`` (``i >= j``) as an array
-#: the factorization may overwrite.
-TileSource = Callable[[int, int], np.ndarray]
 
 
 def _diag_task(*_payloads: object, a: TLRMatrix, k: int, source: TileSource) -> None:
@@ -95,8 +92,13 @@ def tlr_cholesky_from_source(
     tiles are compressed to ``acc``. ``method``/``rule`` must be
     pre-resolved: runtime workers do not read the thread-local config,
     so the ``rsvd`` seed and ``compression_batch`` are resolved here.
+    ``compression_batch`` below 1 raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     nt, cfg = a.nt, get_config()
+    batch = cfg.compression_batch if compression_batch is None else int(compression_batch)
+    if batch < 1:
+        raise ConfigurationError(f"compression_batch must be >= 1, got {compression_batch}")
     comp = {
         "acc": float(acc),
         "method": method,
@@ -108,7 +110,6 @@ def tlr_cholesky_from_source(
             _diag_task(a=a, k=k, source=source)
             _offdiag_task(a=a, k=k, rows=range(k + 1, nt), source=source, **comp)
         return a
-    batch = max(1, int(compression_batch or cfg.compression_batch))
     dh = [runtime.register(a.diag[k], name=f"D[{k}]") for k in range(nt)]
     lh = {key: runtime.register(lr, name=f"L[{key[0]},{key[1]}]") for key, lr in a.low.items()}
     R, RW = AccessMode.READ, AccessMode.READWRITE

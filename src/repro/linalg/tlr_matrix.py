@@ -22,7 +22,7 @@ import numpy as np
 from ..config import get_config
 from ..exceptions import ShapeError
 from .compression import LowRank, compress
-from .tile_matrix import TileGrid, materialize_tile
+from .tile_matrix import TileGrid, tile_source
 
 __all__ = ["TLRMatrix"]
 
@@ -60,7 +60,6 @@ class TLRMatrix:
         *,
         method: Optional[str] = None,
         rule: Optional[str] = None,
-        runtime=None,
     ) -> "TLRMatrix":
         """Build from a tile generator, compressing off-diagonals on the fly.
 
@@ -73,37 +72,18 @@ class TLRMatrix:
             Accuracy threshold (default: configured ``tlr_accuracy``).
         method, rule:
             Compression method / truncation rule overrides.
-        runtime:
-            Optional :class:`~repro.runtime.Runtime`. When given, one
-            generate+compress task per tile is inserted (tiles are
-            independent, so generation *and* compression run
-            concurrently) and the call blocks until the matrix is
-            complete. Contents are identical to the serial path.
         """
         cfg = get_config()
         acc = cfg.tlr_accuracy if acc is None else float(acc)
-        # Resolve config-dependent choices here: runtime workers must not
-        # consult the (thread-local) config.
         method = method or cfg.compression_method
         rule = rule or cfg.truncation
-        if runtime is not None:
-            from .generation import generate_tlr_matrix  # local: avoid cycle
-
-            return generate_tlr_matrix(
-                n, nb, generate, acc, runtime, method=method, rule=rule
-            )
         grid = TileGrid(n, nb)
         tlr = cls(grid, acc)
+        source = tile_source(grid, generate)
         for i in range(grid.nt):
-            for j in range(i + 1):
-                expected = (grid.tile_size(i), grid.tile_size(j))
-                dense = materialize_tile(
-                    generate(grid.tile_slice(i), grid.tile_slice(j)), expected, i, j
-                )
-                if i == j:
-                    tlr.diag[i] = dense
-                else:
-                    tlr.low[(i, j)] = compress(dense, acc, method=method, rule=rule)
+            tlr.diag[i] = source(i, i)
+            for j in range(i):
+                tlr.low[(i, j)] = compress(source(i, j), acc, method=method, rule=rule)
         return tlr
 
     @classmethod

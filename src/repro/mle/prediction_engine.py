@@ -28,15 +28,16 @@ cached across factorizations
 (:class:`~repro.linalg.generation.TileDistanceCache`; the full-block
 substrate caches the full distance matrix) and ``Sigma_12`` cross
 distances by a content digest of the targets
-(:class:`~repro.linalg.generation.CrossDistanceCache`). With a
-:class:`~repro.runtime.Runtime` attached and ``parallel_generation`` on,
-tile/TLR generation is *fused* into the Cholesky task graph — one
-generation task per tile column (full-tile) or one generate+compress
-task per tile batch (TLR), no barrier before the factorization; the
-``generation`` stage time is then submission time only and the work is
-accounted in the ``factorization`` stage. Both knobs preserve values:
-cached tiles are bit-identical and fused execution computes the same
-factorization.
+(:class:`~repro.linalg.generation.CrossDistanceCache`). Generation runs
+inside the Cholesky task graph, with no barrier before the
+factorization: the TLR Cholesky's tasks always generate their own tiles
+(each DIAG/OFFDIAG task generates, updates and compresses its tile),
+and with a :class:`~repro.runtime.Runtime` attached and
+``parallel_generation`` on, the full-tile graph starts with one
+generation task per tile column. The ``generation`` stage time is then
+the allocation only, and the work is accounted in the
+``factorization`` stage. Both knobs preserve values: cached tiles are
+bit-identical and the fused graph computes the same factorization.
 
 **Options.** :class:`PredictionEngine`'s constructor is the one place
 the substrate and generation options are named, documented, defaulted

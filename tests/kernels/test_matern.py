@@ -19,7 +19,8 @@ from repro.kernels.matern import (
     matern_correlation,
     whittle_correlation,
 )
-from repro.linalg.tile_matrix import TileMatrix
+from repro.linalg.tile_cholesky import tile_cholesky_from_source
+from repro.linalg.tile_matrix import TileGrid, TileMatrix, tile_source
 from repro.runtime import Runtime
 
 
@@ -312,23 +313,30 @@ class TestBesselCallGuard:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_building_tables_match_serial(self, workers, rng):
+        """Generation tasks of the fused full-tile graph build the tables
+        concurrently; the factor matches the serial one bit for bit."""
         locs = rng.random((160, 2))
         models = [MaternCovariance(1.0, 0.1, nu) for nu in (0.6131, 1.7717)]
 
         def gen(rows, cols):
-            return models[(rows.start // 40 + cols.start // 40) % 2].tile(locs, rows, cols)
+            # The sum of two Matérn covariances is SPD; alternate which
+            # table a tile asks for first (IEEE addition commutes).
+            a, b = models[:: 1 if (rows.start // 40 + cols.start // 40) % 2 else -1]
+            return a.tile(locs, rows, cols) + b.tile(locs, rows, cols)
+
+        def factor(runtime):
+            grid = TileGrid(160, 40)
+            a = TileMatrix(grid, symmetric_lower=True)
+            return tile_cholesky_from_source(a, tile_source(grid, gen), runtime=runtime)
 
         matern._table.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with Runtime(num_workers=workers) as rt:
-                parallel = TileMatrix.from_generator(
-                    160, 40, gen, symmetric_lower=True, runtime=rt
-                )
+                parallel = factor(rt)
         finally:
             sys.setswitchinterval(interval)
         matern._table.cache_clear()
-        serial = TileMatrix.from_generator(160, 40, gen, symmetric_lower=True)
-        for i, j, tile in serial.iter_stored():
-            np.testing.assert_array_equal(parallel.tile(i, j), tile)
+        serial = factor(None)
+        np.testing.assert_array_equal(parallel.to_dense(), serial.to_dense())

@@ -1,4 +1,6 @@
-"""Tests for the generation pipeline: distance cache + parallel/fused generation."""
+"""Tests for the generation pipeline: the distance caches, and the
+generate-and-factor graphs fed from a tile generator (the fused graph ≡
+the serial generate-then-factor loop, bit for bit)."""
 
 from __future__ import annotations
 
@@ -12,16 +14,10 @@ from repro.kernels import (
     GaussianCovariance,
     MaternCovariance,
 )
-from repro.linalg.generation import (
-    TileDistanceCache,
-    empty_tile_matrix,
-    empty_tlr_matrix,
-    insert_tile_generation_tasks,
-    insert_tlr_generation_tasks,
-)
-from repro.linalg.tile_cholesky import tile_cholesky
-from repro.linalg.tile_matrix import TileGrid, TileMatrix
-from repro.linalg.tlr_matrix import TLRMatrix
+from repro.exceptions import ConfigurationError
+from repro.linalg.generation import TileDistanceCache, generate_and_factor_tlr_matrix
+from repro.linalg.tile_cholesky import tile_cholesky, tile_cholesky_from_source
+from repro.linalg.tile_matrix import TileGrid, TileMatrix, tile_source
 from repro.mle.loglik import LikelihoodEvaluator
 from repro.runtime import Runtime
 
@@ -96,61 +92,18 @@ class TestTileDistanceCache:
         np.testing.assert_array_equal(model.matrix_from_distances(d), model.matrix(locs))
 
 
-class TestParallelGeneration:
-    def test_tile_matrix_serial_vs_threads_identical(self, locs):
-        model = MaternCovariance(1.0, 0.1, 0.5)
-        gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        serial = TileMatrix.from_generator(N, NB, gen, symmetric_lower=True)
-        with Runtime(num_workers=4) as rt:
-            parallel = TileMatrix.from_generator(
-                N, NB, gen, symmetric_lower=True, runtime=rt
-            )
-        for i, j, tile in serial.iter_stored():
-            np.testing.assert_array_equal(parallel.tile(i, j), tile)
-
-    @pytest.mark.parametrize("engine", ["threads", "serial"])
-    def test_tlr_serial_vs_runtime_identical(self, locs, engine):
-        model = MaternCovariance(1.0, 0.1, 0.5)
-        gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        serial = TLRMatrix.from_generator(N, NB, gen, acc=1e-8, method="svd")
-        with Runtime(num_workers=4, engine=engine) as rt:
-            parallel = TLRMatrix.from_generator(
-                N, NB, gen, acc=1e-8, method="svd", runtime=rt
-            )
-        for k in range(serial.nt):
-            np.testing.assert_array_equal(parallel.diag[k], serial.diag[k])
-        assert set(parallel.low) == set(serial.low)
-        for key, lr in serial.low.items():
-            np.testing.assert_array_equal(parallel.low[key].u, lr.u)
-            np.testing.assert_array_equal(parallel.low[key].v, lr.v)
-
-    def test_tlr_rsvd_respects_configured_seed(self, locs):
-        # rsvd seeds itself from the config; workers have their own
-        # thread-local config, so the seed must be resolved at submission.
-        model = MaternCovariance(1.0, 0.1, 0.5)
-        gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        with use_config(rng_seed=777):
-            serial = TLRMatrix.from_generator(N, NB, gen, acc=1e-6, method="rsvd")
-            with Runtime(num_workers=4) as rt:
-                parallel = TLRMatrix.from_generator(
-                    N, NB, gen, acc=1e-6, method="rsvd", runtime=rt
-                )
-        for key, lr in serial.low.items():
-            np.testing.assert_array_equal(parallel.low[key].u, lr.u)
-            np.testing.assert_array_equal(parallel.low[key].v, lr.v)
-
-
 class TestFusedGeneration:
-    def test_fused_tile_cholesky_matches_serial(self, locs):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fused_tile_cholesky_matches_serial(self, locs, workers):
         model = MaternCovariance(1.0, 0.1, 0.5)
         gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        reference = TileMatrix.from_generator(N, NB, gen, symmetric_lower=True)
-        tile_cholesky(reference)
-        with Runtime(num_workers=4) as rt:
-            fused = empty_tile_matrix(N, NB, symmetric_lower=True)
-            handles = insert_tile_generation_tasks(rt, fused, gen)
-            tile_cholesky(fused, runtime=rt, handles=handles)
-        np.testing.assert_allclose(fused.to_dense(), reference.to_dense(), atol=1e-12)
+        reference = tile_cholesky(TileMatrix.from_generator(N, NB, gen, symmetric_lower=True))
+        grid = TileGrid(N, NB)
+        with Runtime(num_workers=workers) as rt:
+            fused = tile_cholesky_from_source(
+                TileMatrix(grid, symmetric_lower=True), tile_source(grid, gen), runtime=rt
+            )
+        np.testing.assert_array_equal(fused.to_dense(), reference.to_dense())
 
     def test_fused_tlr_cholesky_matches_serial(self, locs):
         from repro.linalg.generation import generate_and_factor_tlr_matrix
@@ -165,13 +118,6 @@ class TestFusedGeneration:
                 N, NB, gen, 1e-9, method="svd", rule="relative", runtime=rt, fused=True
             )
         np.testing.assert_array_equal(fused.to_dense(), reference.to_dense())
-
-    def test_handles_require_runtime(self):
-        from repro.exceptions import ShapeError
-
-        tm = empty_tile_matrix(8, 4)
-        with pytest.raises(ShapeError):
-            tile_cholesky(tm, handles={})
 
 
 class TestEvaluatorPipeline:
@@ -272,29 +218,6 @@ class TestCacheRehydration:
 class TestBatchedCompression:
     """compression_batch: several tiles' SVDs per runtime task, same values."""
 
-    @pytest.mark.parametrize("batch", [1, 2, 4, 5, 7, 64])
-    def test_batched_generation_bit_identical(self, locs, batch):
-        model = MaternCovariance(1.0, 0.1, 0.5)
-        gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        serial = TLRMatrix.from_generator(N, NB, gen, acc=1e-8, method="svd")
-        with Runtime(num_workers=4, trace=True) as rt:
-            batched = empty_tlr_matrix(N, NB, 1e-8)
-            insert_tlr_generation_tasks(
-                rt, batched, gen, method="svd", rule="relative",
-                compression_batch=batch,
-            )
-            rt.wait_all()
-            names = [e.name for e in rt.trace]
-        for k in range(serial.nt):
-            np.testing.assert_array_equal(batched.diag[k], serial.diag[k])
-        assert set(batched.low) == set(serial.low)
-        for key, lr in serial.low.items():
-            np.testing.assert_array_equal(batched.low[key].u, lr.u)
-            np.testing.assert_array_equal(batched.low[key].v, lr.v)
-        # Task-count amortization: ceil(n_offdiag / batch) batch tasks.
-        n_batch_tasks = sum(1 for name in names if name.startswith("genb"))
-        assert n_batch_tasks == -(-len(serial.low) // batch)
-
     def test_fused_cholesky_with_batching_matches_serial(self, locs):
         from repro.linalg.generation import generate_and_factor_tlr_matrix
 
@@ -310,17 +233,16 @@ class TestBatchedCompression:
             )
         np.testing.assert_array_equal(fused.to_dense(), reference.to_dense())
 
-    def test_config_knob_reaches_task_insertion(self, locs):
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_raises(self, locs, batch):
         model = MaternCovariance(1.0, 0.1, 0.5)
         gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        with use_config(compression_batch=5):
-            with Runtime(num_workers=2, trace=True) as rt:
-                tlr = empty_tlr_matrix(N, NB, 1e-8)
-                insert_tlr_generation_tasks(rt, tlr, gen, method="svd", rule="relative")
-                rt.wait_all()
-                names = [e.name for e in rt.trace]
-        n_off = len(tlr.low)
-        assert sum(1 for n in names if n.startswith("genb")) == -(-n_off // 5)
+        with Runtime(num_workers=2) as rt:
+            with pytest.raises(ConfigurationError, match="compression_batch"):
+                generate_and_factor_tlr_matrix(
+                    N, NB, gen, 1e-9, method="svd", rule="relative",
+                    runtime=rt, compression_batch=batch,
+                )
 
     def test_evaluator_loglik_identical_with_batching(self, locs):
         model = MaternCovariance(1.0, 0.1, 0.5)

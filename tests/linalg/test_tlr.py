@@ -1,4 +1,4 @@
-"""Tests for the TLR matrix format, Cholesky, solves, and matvec."""
+"""Tests for the TLR matrix format, Cholesky and solves."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.exceptions import NotPositiveDefiniteError, ShapeError
 from repro.kernels import MaternCovariance
 from repro.linalg.tlr_cholesky import logdet_from_tlr_factor, tlr_cholesky
 from repro.linalg.tlr_matrix import TLRMatrix
-from repro.linalg.tlr_matvec import tlr_symmetric_matvec
 from repro.linalg.tlr_solve import tlr_cholesky_solve, tlr_solve_triangular
 from repro.runtime import Runtime
 
@@ -191,26 +190,6 @@ class TestTLRSolve:
         tlr = TLRMatrix.from_dense(sigma, 45, acc=1e-9)
         with pytest.raises(ShapeError):
             tlr_solve_triangular(tlr, rng.random(7))
-
-
-class TestTLRMatvec:
-    def test_matches_dense(self, setup, rng):
-        _, _, sigma = setup
-        tlr = TLRMatrix.from_dense(sigma, 45, acc=1e-10)
-        x = rng.random(225)
-        np.testing.assert_allclose(tlr_symmetric_matvec(tlr, x), sigma @ x, atol=1e-6)
-
-    def test_multivector(self, setup, rng):
-        _, _, sigma = setup
-        tlr = TLRMatrix.from_dense(sigma, 45, acc=1e-10)
-        x = rng.random((225, 3))
-        np.testing.assert_allclose(tlr_symmetric_matvec(tlr, x), sigma @ x, atol=1e-6)
-
-    def test_shape_guard(self, setup, rng):
-        _, _, sigma = setup
-        tlr = TLRMatrix.from_dense(sigma, 45, acc=1e-9)
-        with pytest.raises(ShapeError):
-            tlr_symmetric_matvec(tlr, rng.random(10))
 
 
 def _tlr_factor_to_dense(tlr: TLRMatrix) -> np.ndarray:
