@@ -17,7 +17,7 @@ A walk through the resilience layer, end to end:
    and fall back to the last-known-good engine generation, with the
    response flagged ``degraded``.
 5. **Inspect the wreckage**: the plan's fired-fault journal and the
-   server's breaker/admission metrics reconcile with what happened.
+   server's counters and breaker states reconcile with what happened.
 
 Run:  python examples/chaos_demo.py
 """
@@ -137,7 +137,9 @@ def main() -> None:
                 print(f"  fired: {event['site']:>16} hit {event['hit']:>3} "
                       f"-> {event['action']} (pid {event['pid']})")
             metrics = cli.metrics()
-            print(f"  admission: {metrics['admission']}")
+            counters = metrics["aggregate"]["counters"]
+            print(f"  service counters: "
+                  f"{ {k: counters[k] for k in ('requests', 'completed', 'rejected_overload', 'errors', 'degraded')} }")
             print(f"  worker breakers: "
                   f"{ {k: v['state'] for k, v in metrics['worker_breakers'].items()} }")
     disarm()

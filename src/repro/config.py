@@ -49,10 +49,14 @@ class Config:
     default in the signature, range check in the constructor:
     ``Runtime(engine=)``, ``sample_gaussian_field(jitter=)``,
     ``PredictionEngine(cache_distances=, parallel_generation=)``, and the
-    ``max_batch``, capacity, restart and breaker keywords of
-    ``PredictionService``, ``ModelRegistry``, ``ServingServer``,
-    ``ServingClient``, ``FitOrchestrator``, ``CircuitBreaker`` and
-    ``AdmissionGate``.
+    batch, capacity, restart and breaker keywords of the serving and
+    fitting objects: ``PredictionService(max_batch=, max_queue=,
+    breaker_threshold=, breaker_recovery=)``, ``ModelRegistry(
+    max_models=)``, ``ServingServer(request_timeout=,
+    max_worker_restarts=, max_body=)``, ``ServingClient(timeout=,
+    retry_policy=, max_body=)``, ``FitOrchestrator(max_workers=,
+    checkpoint_every=, max_restarts=)`` and ``CircuitBreaker(
+    failure_threshold=, recovery_time=)``.
 
     Attributes
     ----------

@@ -180,12 +180,14 @@ class CircuitOpenError(ServingError):
 
 
 class LoadShedError(ServingError):
-    """A request was shed at admission because the server is saturated.
+    """A request was shed before execution because the server is saturated.
 
-    Unlike :class:`ServiceOverloadedError` (a per-model bounded queue,
-    HTTP 429), this is the server-wide in-flight cap rejecting work
-    before any model is chosen; it maps to 503 + ``Retry-After`` and the
-    request was **not** executed, so clients may safely retry.
+    No server path raises it: the per-model bounded queue's
+    :class:`ServiceOverloadedError` (HTTP 429) is the one admission
+    bound. The class stays because the wire mapping (503 +
+    ``Retry-After``) and clients that count rejections name it; a
+    request shed this way was **not** executed, so clients may safely
+    retry.
     """
 
     def __init__(self, message: str = "", retry_after: float = None) -> None:

@@ -56,7 +56,6 @@ import numpy as np
 from ..exceptions import CheckpointError, FittingError
 from ..optim.result import OptimizeResult
 from ..resilience.faults import fault_point
-from ..resilience.policy import RetryPolicy
 from ..telemetry import spans as _telemetry
 from ..utils.logging import get_logger
 from .checkpoint import Checkpointer
@@ -290,13 +289,6 @@ class FitOrchestrator:
         self.max_workers = int(max_workers)
         self.checkpoint_every = int(checkpoint_every)
         self.max_restarts = int(max_restarts)
-        # The respawn budget expressed as the unified retry policy: the
-        # first spawn plus ``max_restarts`` retries, consulted by the
-        # reaper as ``allows(used + 1)``. Backoff stays zero — the
-        # scheduler thread must never sleep while holding the lock.
-        self.restart_policy = RetryPolicy(
-            max_attempts=self.max_restarts + 1, base_delay=0.0, jitter=0.0
-        )
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -547,7 +539,7 @@ class FitOrchestrator:
             # per leg, so one machine-wide event that kills every leg of
             # a multistart job once does not exhaust it.
             used = self._restarts.get(key, 0)
-            if self.restart_policy.allows(used + 1):
+            if used < self.max_restarts:
                 logger.warning(
                     "fit job %s %s died (exitcode %s); respawning%s",
                     job_id, _leg_name(idx), proc.exitcode,

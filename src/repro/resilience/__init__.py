@@ -1,22 +1,21 @@
-"""Resilience primitives: fault injection, retry/deadline policies, breakers.
+"""Resilience primitives: fault injection, client backoff, deadlines, breakers.
 
 Long-running MLE and kriging services meet partial failure long before
 they meet FLOP limits: torn bundle writes, killed workers, stragglers,
-overload. This package makes failure handling a *tested subsystem*
-instead of scattered ad-hoc code:
+overload. This package holds the pieces the serving and fitting code
+handles failure with:
 
 * :mod:`~repro.resilience.faults` — a seeded, deterministic
   :class:`FaultPlan` with named injection sites threaded through
   serving, fitting, and the runtime; a no-op when unarmed.
-* :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (jittered
-  exponential backoff, idempotency-aware) and :class:`Deadline`
+* :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (the serving
+  client's jittered exponential backoff) and :class:`Deadline`
   (absolute, propagated from the HTTP edge down to the engine).
 * :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`
-  (closed/open/half-open, per model and per worker) and
-  :class:`AdmissionGate` (bounded in-flight load shedding).
+  (closed/open/half-open, per model and per worker).
 """
 
-from .breaker import AdmissionGate, BreakerPool, CircuitBreaker
+from .breaker import CircuitBreaker
 from .faults import (
     PLAN_ENV,
     SITES,
@@ -41,6 +40,4 @@ __all__ = [
     "RetryPolicy",
     "Deadline",
     "CircuitBreaker",
-    "AdmissionGate",
-    "BreakerPool",
 ]

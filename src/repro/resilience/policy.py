@@ -1,36 +1,26 @@
-"""Unified retry and deadline policies for serving + fitting.
+"""Client backoff and request deadlines.
 
-Before this module, three retry/timeout snippets had grown
-independently: the client's retry-once on a stale keep-alive
-connection, the router's retry-once on a dead worker, and the fit
-orchestrator's per-leg restart budget. Each hand-rolled its own
-attempt counting; none shared backoff, jitter, or a notion of "time
-left". :class:`RetryPolicy` and :class:`Deadline` are the shared
-vocabulary they now consult.
-
-Design points:
-
-* **Deterministic jitter.** Backoff delays are jittered to avoid
-  thundering herds, but the jitter derives from a seed (default: the
-  configured ``rng_seed``), so a test run's retry timing — like
-  everything else in this library — replays exactly.
-* **Idempotency awareness.** A policy carries ``retry_on`` exception
-  types but the *caller* decides whether the failed attempt could have
-  had side effects; :meth:`RetryPolicy.should_retry` takes an
-  ``idempotent`` flag so "the request may have executed" can veto a
-  retry regardless of the error type.
-* **Absolute deadlines.** A :class:`Deadline` is a point on the
-  monotonic clock, created once at the edge (the HTTP handler) and
-  passed down; every layer re-derives "seconds remaining" from it, so
-  queueing time in one layer shrinks the budget of the next instead of
-  each layer granting itself a fresh timeout.
+* :class:`RetryPolicy` is the backoff of
+  :class:`~repro.serving.client.ServingClient` when it resubmits a
+  rejection the server did not execute (a full model queue, an open
+  breaker): a bounded attempt budget and a jittered exponential delay
+  curve. The jitter derives from a seed (default: the configured
+  ``rng_seed``), so a test run's retry timing — like everything else in
+  this library — replays exactly. The router's retry-once after a
+  worker respawn and the fit orchestrator's per-leg restart budget are
+  plain counters where they live; neither sleeps.
+* A :class:`Deadline` is a point on the monotonic clock, created once
+  at the edge (the HTTP handler) and passed down; every layer
+  re-derives "seconds remaining" from it, so queueing time in one
+  layer shrinks the budget of the next instead of each layer granting
+  itself a fresh timeout.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Optional, Tuple, Type
+from typing import Optional
 
 from ..config import get_config
 from ..exceptions import ConfigurationError, DeadlineExceededError
@@ -126,9 +116,6 @@ class RetryPolicy:
         Fraction in [0, 1] by which each delay is randomized:
         ``delay * (1 ± jitter)``, clamped non-negative. ``0`` disables
         jitter entirely.
-    retry_on:
-        Exception types that are retryable; anything else re-raises
-        immediately.
     seed:
         Seed of the deterministic jitter stream (default: configured
         ``rng_seed``) — two policies with equal settings produce equal
@@ -147,7 +134,6 @@ class RetryPolicy:
         "multiplier",
         "max_delay",
         "jitter",
-        "retry_on",
         "seed",
     )
 
@@ -159,7 +145,6 @@ class RetryPolicy:
         multiplier: float = 2.0,
         max_delay: float = 5.0,
         jitter: float = 0.5,
-        retry_on: Tuple[Type[BaseException], ...] = (Exception,),
         seed: Optional[int] = None,
     ) -> None:
         if int(max_attempts) < 1:
@@ -177,7 +162,6 @@ class RetryPolicy:
         self.multiplier = float(multiplier)
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
-        self.retry_on = tuple(retry_on)
         self.seed = get_config().rng_seed if seed is None else int(seed)
 
     # -------------------------------------------------------------- queries
@@ -197,60 +181,6 @@ class RetryPolicy:
             return raw
         u = random.Random(self.seed * 1_000_003 + int(attempt)).random()
         return max(0.0, raw * (1.0 + self.jitter * (2.0 * u - 1.0)))
-
-    def should_retry(
-        self,
-        exc: BaseException,
-        attempt: int,
-        *,
-        idempotent: bool = True,
-        deadline: Optional[Deadline] = None,
-    ) -> bool:
-        """Whether the failure of 0-based ``attempt`` warrants a retry.
-
-        A non-idempotent attempt is never retried — the work may have
-        executed even though the caller saw an error (a predict would
-        run twice, a reload would double-swap). An expired deadline
-        likewise vetoes: re-trying work nobody is waiting for just
-        burns an engine.
-        """
-        if not idempotent:
-            return False
-        if not self.allows(int(attempt) + 1):
-            return False
-        if deadline is not None and deadline.expired:
-            return False
-        return isinstance(exc, self.retry_on)
-
-    # ------------------------------------------------------------ execution
-    def call(
-        self,
-        fn: Callable[[], object],
-        *,
-        deadline: Optional[Deadline] = None,
-        sleep: Callable[[float], None] = time.sleep,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    ):
-        """Run ``fn`` under this policy, sleeping the backoff between tries.
-
-        ``sleep`` is injectable so tests capture the exact delays
-        instead of waiting them out.
-        """
-        attempt = 0
-        while True:
-            if deadline is not None:
-                deadline.check("retried call")
-            try:
-                return fn()
-            except self.retry_on as exc:
-                if not self.should_retry(exc, attempt, deadline=deadline):
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                pause = self.delay(attempt)
-                if pause > 0.0:
-                    sleep(pause if deadline is None else deadline.clamp(pause))
-                attempt += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -61,10 +61,11 @@ from . import wire
 
 __all__ = ["ServingClient"]
 
-#: Rejections the server produced *without executing* the request —
-#: load shedding at admission, an open circuit breaker, a full model
-#: queue. Retrying them is always safe, even for POSTs whose body was
-#: sent; whether they ARE retried is the retry policy's call.
+#: Rejections the server produced *without executing* the request — a
+#: full model queue, an open circuit breaker, or a load-shed 503 (a
+#: mapped wire type no path of this server raises). Retrying them is
+#: always safe, even for POSTs whose body was sent; whether they ARE
+#: retried is the retry policy's call.
 _NOT_EXECUTED = (LoadShedError, CircuitOpenError, ServiceOverloadedError)
 
 
@@ -100,8 +101,8 @@ class ServingClient:
         Socket timeout in seconds for each request.
     retry_policy:
         A :class:`~repro.resilience.RetryPolicy` applied to rejections
-        the server guarantees it did **not** execute (load shedding,
-        open circuit breakers, full model queues): the client backs off
+        the server guarantees it did **not** execute (full model
+        queues, open circuit breakers): the client backs off
         — honoring the server's ``Retry-After`` hint when one came back
         — and resubmits, up to the policy's attempt budget. ``None``
         (default) surfaces those rejections to the caller unchanged.
@@ -152,21 +153,21 @@ class ServingClient:
         self.max_body = int(max_body)
         self.timeout = float(timeout)
         self.retry_policy = retry_policy
-        self.n_retries = 0  # response-level (shed/breaker) resubmissions
+        self.n_retries = 0  # response-level (queue/breaker) resubmissions
         self._lock = threading.Lock()
         self._conn: Optional[http.client.HTTPConnection] = None
 
     # ------------------------------------------------------------- transport
     def _with_policy(self, fn: Callable[[], object]):
-        """Run one request, resubmitting not-executed rejections (load
-        shed, open breaker, full queue) under the retry policy."""
+        """Run one request, resubmitting not-executed rejections (full
+        queue, open breaker) under the retry policy."""
         attempt = 0
         while True:
             try:
                 return fn()
             except _NOT_EXECUTED as exc:
                 policy = self.retry_policy
-                if policy is None or not policy.should_retry(exc, attempt):
+                if policy is None or not policy.allows(attempt + 1):
                     raise
                 # The server's Retry-After hint wins over the policy's
                 # backoff curve — it knows when the breaker re-opens.

@@ -233,9 +233,9 @@ class _Handler(BaseHTTPRequestHandler):
         headers = None
         retry_after = getattr(exc, "retry_after", None)
         if retry_after is not None:
-            # Load shedding / open breakers tell clients *when* to come
-            # back — both in the JSON (typed clients) and as the
-            # standard header (generic HTTP clients).
+            # An open breaker tells clients *when* to come back — both
+            # in the JSON (typed clients) and as the standard header
+            # (generic HTTP clients).
             error["retry_after"] = float(retry_after)
             headers = {"Retry-After": f"{max(0.0, float(retry_after)):.3f}"}
         self._reply(status_for_exception(exc), {"error": error}, headers)

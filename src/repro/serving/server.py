@@ -33,6 +33,12 @@ What the router adds over a single process:
   respawned on demand with its shard's models re-registered, and the
   request that observed the death is retried once on the fresh worker —
   a crash costs latency, not availability.
+* **Per-worker breaker**: after a worker that is alive but silent has
+  timed out ``failure_threshold`` requests in a row, its requests fail
+  fast (:class:`~repro.exceptions.CircuitOpenError`, 503 +
+  ``Retry-After``) and the fleet-wide routes report it as dead without
+  asking it. Overload is not the router's business: each model's
+  bounded queue in its worker rejects the excess (429).
 * **Fitting service**: the router process hosts a
   :class:`~repro.fitting.orchestrator.FitOrchestrator`; ``POST
   /v1/fit`` submits a durable fit job (fresh fit, refit on new
@@ -58,7 +64,8 @@ Endpoints
 ``GET /healthz``
     Liveness of the router and every worker process.
 ``GET /v1/models``
-    Model ids known to each worker.
+    Model ids known to each worker; dead workers and workers whose
+    breaker is open are listed under ``dead_workers``.
 ``GET /v1/metrics``
     Per-worker service metrics + registry stats, plus fleet aggregates.
     ``?format=prometheus`` renders the merged telemetry registries of
@@ -132,8 +139,7 @@ from ..exceptions import (
 from ..fitting.jobs import FitJobSpec, JobStore
 from ..fitting.orchestrator import FitOrchestrator
 from ..perfmodel.planner import Planner, default_profile
-from ..resilience.breaker import AdmissionGate
-from ..resilience.policy import Deadline, RetryPolicy
+from ..resilience.policy import Deadline
 from ..telemetry import context as _trace_context
 from ..telemetry import metrics as _registry_mod
 from ..telemetry import spans as _telemetry
@@ -207,7 +213,10 @@ class ServingServer:
     registry_options, service_options:
         Keyword dicts forwarded to each worker's :class:`ModelRegistry`
         (``max_models``, its one setting) and :class:`PredictionService`
-        (``max_batch``, ``max_queue``, ...). Validated here, at
+        (``max_batch``, ``max_queue``, ...). Each model's ``max_queue``
+        is the server's one admission bound: the excess is rejected
+        with :class:`~repro.exceptions.ServiceOverloadedError` (429)
+        before it executes. Validated here, at
         construction, by building throwaway instances, so a typo or a
         nonsense knob (``max_batch=0``) fails in the parent process as a
         :class:`ConfigurationError` instead of crashing workers at first
@@ -242,12 +251,6 @@ class ServingServer:
         (per worker) before ``/healthz`` degrades permanently. The
         request that observed the death is retried once on the fresh
         worker.
-    max_inflight:
-        Server-wide cap on concurrently in-flight predict requests
-        (an :class:`~repro.resilience.AdmissionGate`). Requests beyond
-        the cap are shed immediately with 503 + ``Retry-After``
-        (:class:`~repro.exceptions.LoadShedError`) instead of queueing
-        without bound; admin and fit routes are never shed.
     max_body:
         Byte cap on a single request body, JSON or binary (default:
         :data:`repro.serving.wire.MAX_BODY`, which is also the
@@ -283,7 +286,6 @@ class ServingServer:
         jobs_dir: Optional[Union[str, Path]] = None,
         fit_options: Optional[dict] = None,
         max_worker_restarts: int = 2,
-        max_inflight: int = 128,
         max_body: int = wire.MAX_BODY,
         upload_dir: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -342,14 +344,6 @@ class ServingServer:
         self.n_worker_restarts = 0
         self._restarts_by_worker: Dict[int, int] = {}
         self._respawn_lock = threading.Lock()
-        # Resilience plumbing: the admission gate sheds predict load
-        # past the in-flight cap, each worker handle's breaker fails
-        # fast on a hung worker, and the retry policy is the single
-        # statement of "dead worker → respawn → retry exactly once".
-        self._gate = AdmissionGate(max_inflight=max_inflight)
-        self._worker_retry = RetryPolicy(
-            max_attempts=2, base_delay=0.0, jitter=0.0, retry_on=(ServerError,)
-        )
         # Telemetry settings resolved once, here, and shipped in every
         # worker's spawn config — a respawn on a handler thread must
         # arm the fresh worker the same way the original was armed.
@@ -519,10 +513,9 @@ class ServingServer:
     ):
         """One worker op with crash recovery: when the owning worker is
         found dead — before the send or while the request was in flight
-        — it is respawned and the request retried (``_worker_retry``:
-        exactly once). Typed per-request failures and timeouts pass
-        through untouched (a hung worker may still be executing;
-        re-running would double-execute).
+        — it is respawned and the request retried exactly once. Typed
+        per-request failures and timeouts pass through untouched (a hung
+        worker may still be executing; re-running would double-execute).
 
         A ``deadline`` shrinks with every hop: each (re)send carries the
         seconds *remaining* (queue/respawn time already spent is gone)
@@ -536,7 +529,7 @@ class ServingServer:
         pipe timeout. Respawned workers start with a fresh breaker.
         """
         handle = self._handle(model_id)
-        attempt = 0
+        retried = False
         while True:
             if deadline is not None:
                 deadline.check(op)
@@ -553,13 +546,12 @@ class ServingServer:
                 )
             try:
                 result = handle.request(op, payload, timeout=timeout)
-            except ServerError as exc:
+            except ServerError:
                 handle.breaker.record_failure()
-                dead = not handle.alive and self._started
-                if not dead or not self._worker_retry.should_retry(exc, attempt):
+                if retried or handle.alive or not self._started:
                     raise
                 handle = self._respawn(self.worker_for(model_id))
-                attempt += 1
+                retried = True
                 continue
             except BaseException:
                 # Typed per-request failure produced *by* the worker:
@@ -591,39 +583,36 @@ class ServingServer:
         worker queue, engine executor) re-derives the time remaining
         from it rather than granting itself a fresh timeout.
         """
-        with self._gate.admit():
-            try:
-                model_id = str(body["model_id"])
-                targets = np.asarray(body["targets"], dtype=np.float64)
-            except KeyError as exc:
-                raise ValueError(
-                    f"predict body is missing required key {exc}"
-                ) from None
-            z = body.get("z")
-            if deadline is None:
-                if budget is None:
-                    budget = body.get("deadline")
-                deadline = Deadline.after(None if budget is None else float(budget))
-            payload = {
-                "model_id": model_id,
-                "targets": targets,
-                "z": None if z is None else np.asarray(z, dtype=np.float64),
-                "deadline": None,  # filled per send from the Deadline
-                "priority": int(body.get("priority", 0)),
-            }
-            if _telemetry.enabled():
-                ctx = _trace_context.current()
-                if ctx is not None:
-                    # The ids travel; the worker's spans stay worker-side
-                    # and are re-joined by trace_request().
-                    payload["trace"] = _trace_context.to_wire(ctx)
-            result = self._request(model_id, "predict", payload, deadline=deadline)
-            return {
-                "model_id": model_id,
-                "prediction": np.asarray(result["prediction"], dtype=np.float64),
-                "degraded": bool(result["degraded"]),
-                "worker": self.worker_for(model_id),
-            }
+        try:
+            model_id = str(body["model_id"])
+            targets = np.asarray(body["targets"], dtype=np.float64)
+        except KeyError as exc:
+            raise ValueError(f"predict body is missing required key {exc}") from None
+        z = body.get("z")
+        if deadline is None:
+            if budget is None:
+                budget = body.get("deadline")
+            deadline = Deadline.after(None if budget is None else float(budget))
+        payload = {
+            "model_id": model_id,
+            "targets": targets,
+            "z": None if z is None else np.asarray(z, dtype=np.float64),
+            "deadline": None,  # filled per send from the Deadline
+            "priority": int(body.get("priority", 0)),
+        }
+        if _telemetry.enabled():
+            ctx = _trace_context.current()
+            if ctx is not None:
+                # The ids travel; the worker's spans stay worker-side
+                # and are re-joined by trace_request().
+                payload["trace"] = _trace_context.to_wire(ctx)
+        result = self._request(model_id, "predict", payload, deadline=deadline)
+        return {
+            "model_id": model_id,
+            "prediction": np.asarray(result["prediction"], dtype=np.float64),
+            "degraded": bool(result["degraded"]),
+            "worker": self.worker_for(model_id),
+        }
 
     def predict_request(
         self,
@@ -792,31 +781,37 @@ class ServingServer:
     def _ask_all(self, op: str, payload: Optional[dict] = None):
         """Ask every worker one op: ``({worker_id: answer}, dead ids)``.
 
-        A worker that is not alive, or whose pipe fails with
-        :class:`ServerError`, lands in ``dead`` instead of failing the
-        fleet-wide question — the callers degrade, they do not raise.
+        A worker that is not alive, whose breaker is open, or whose pipe
+        fails with :class:`ServerError` lands in ``dead`` instead of
+        failing the fleet-wide question — the callers degrade, they do
+        not raise. An open breaker means nothing is sent: a hung worker
+        costs a scrape nothing once its breaker has opened. The answers
+        feed the breaker like any other transport outcome, so a scrape
+        may be the probe that closes it again.
         """
         answers: Dict[int, Any] = {}
         dead: List[int] = []
         for handle in self._workers:
-            try:
-                if handle.alive:
+            if handle.alive and handle.breaker.allow():
+                try:
                     answers[handle.worker_id] = handle.request(
                         op, payload, timeout=self.request_timeout
                     )
+                except ServerError:
+                    handle.breaker.record_failure()
+                else:
+                    handle.breaker.record_success()
                     continue
-            except ServerError:
-                pass
             dead.append(handle.worker_id)
         return answers, dead
 
     def models(self) -> dict:
         """Model ids known to each worker, plus degradation state.
 
-        One dead or unresponsive worker degrades the answer instead of
-        failing it: its shard is listed under ``dead_workers`` and the
-        response carries ``degraded: true`` while the live workers'
-        models are still reported.
+        One dead, unresponsive or breaker-open worker degrades the
+        answer instead of failing it: its shard is listed under
+        ``dead_workers`` and the response carries ``degraded: true``
+        while the live workers' models are still reported.
         """
         answers, dead = self._ask_all("models")
         return {
@@ -828,11 +823,12 @@ class ServingServer:
     def metrics(self) -> dict:
         """Per-worker metrics + fleet-wide counter aggregates.
 
-        A dead worker is reported with ``"dead": true`` and its last
-        observed counters (if any), so aggregates stay monotonic across
-        a crash instead of silently shrinking between polls — and the
-        whole response carries ``degraded: true`` with the dead workers
-        listed, rather than failing because one shard is down.
+        A dead worker (or one whose breaker is open) is reported with
+        ``"dead": true`` and its last observed counters (if any), so
+        aggregates stay monotonic across a crash instead of silently
+        shrinking between polls — and the whole response carries
+        ``degraded: true`` with the dead workers listed, rather than
+        failing because one shard is down.
         """
         answers, dead = self._ask_all("metrics")
         workers = {}
@@ -852,7 +848,6 @@ class ServingServer:
         return {
             "workers": workers,
             "aggregate": {"counters": totals},
-            "admission": self._gate.snapshot(),
             "worker_breakers": {
                 str(h.worker_id): h.breaker.snapshot() for h in self._workers
             },

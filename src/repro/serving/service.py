@@ -57,7 +57,7 @@ from ..exceptions import (
     ServiceOverloadedError,
     ShapeError,
 )
-from ..resilience.breaker import BreakerPool
+from ..resilience.breaker import CircuitBreaker
 from ..resilience.faults import fault_point
 from ..telemetry import context as _trace_context
 from ..telemetry import spans as _telemetry
@@ -184,10 +184,6 @@ class PredictionService:
     max_queue:
         Per-model queue bound; beyond it submissions are rejected with
         :class:`ServiceOverloadedError` (backpressure).
-    default_deadline:
-        Default per-request deadline in seconds from submission
-        (``None``: no deadline). A request whose deadline passes before
-        dispatch fails with :class:`DeadlineExceededError`.
     breaker_threshold:
         Consecutive infrastructure failures that open a model's circuit
         breaker. While open, the model serves from its last-known-good engine generation with
@@ -212,7 +208,6 @@ class PredictionService:
         *,
         max_batch: int = 64,
         max_queue: int = 256,
-        default_deadline: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_recovery: float = 2.0,
     ) -> None:
@@ -222,19 +217,19 @@ class PredictionService:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         if int(max_queue) < 1:
             raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
-        if default_deadline is not None and float(default_deadline) <= 0:
-            raise ConfigurationError(
-                f"default_deadline must be > 0 seconds, got {default_deadline}"
-            )
+        self._breaker_options = {
+            "failure_threshold": breaker_threshold,
+            "recovery_time": breaker_recovery,
+        }
+        CircuitBreaker(**self._breaker_options)  # validates both knobs
         self.registry = registry
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
-        self.default_deadline = default_deadline
         self.metrics = ServiceInstruments()
         self._count = self.metrics.counters
-        self._breakers = BreakerPool(
-            failure_threshold=breaker_threshold, recovery_time=breaker_recovery
-        )
+        # One breaker per model, made with its queue on the event loop
+        # and kept across stop/start; executor threads only read the map.
+        self._breakers: Dict[str, CircuitBreaker] = {}
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queues: Dict[str, "asyncio.Queue[_Request]"] = {}
@@ -313,8 +308,8 @@ class PredictionService:
             Optional observation override (else the model's bound
             observations — the coalescing-friendly path).
         deadline:
-            Seconds from now this request stays valid (default:
-            ``default_deadline``); expired requests fail with
+            Seconds from now this request stays valid (``None``: no
+            deadline); expired requests fail with
             :class:`DeadlineExceededError` instead of occupying an
             engine. Non-positive values are already expired.
         priority:
@@ -348,13 +343,12 @@ class PredictionService:
             z = np.asarray(z, dtype=np.float64)
         with _telemetry.span("service.predict", model=model_id):
             now = time.monotonic()
-            limit = self.default_deadline if deadline is None else deadline
             req = _Request(
                 targets,
                 z,
                 self._loop.create_future(),
                 now,
-                None if limit is None else now + float(limit),
+                None if deadline is None else now + float(deadline),
                 int(priority),
                 trace_ctx=_trace_context.current() if _telemetry.enabled() else None,
             )
@@ -378,6 +372,8 @@ class PredictionService:
         if queue is None:
             queue = asyncio.Queue(maxsize=self.max_queue)
             self._queues[model_id] = queue
+            if model_id not in self._breakers:
+                self._breakers[model_id] = CircuitBreaker(**self._breaker_options)
             assert self._loop is not None
             self._batchers[model_id] = self._loop.create_task(
                 self._batch_loop(model_id, queue), name=f"repro-batcher-{model_id}"
@@ -527,7 +523,7 @@ class PredictionService:
                 raise DeadlineExceededError(
                     f"request expired {now - req.deadline:.3f}s before execution"
                 )
-        breaker = self._breakers.get(model_id)
+        breaker = self._breakers[model_id]
         if not breaker.allow():
             fallback = self.registry.fallback_engine(model_id)
             if fallback is None:
@@ -561,7 +557,7 @@ class PredictionService:
 
     def breaker_states(self) -> Dict[str, dict]:
         """Per-model circuit-breaker snapshots (for metrics surfaces)."""
-        return self._breakers.snapshot()
+        return {mid: breaker.snapshot() for mid, breaker in self._breakers.items()}
 
     def _fail(self, req: _Request, exc: BaseException) -> None:
         if not req.future.done():

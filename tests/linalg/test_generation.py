@@ -4,6 +4,8 @@ the serial generate-then-factor loop, bit for bit)."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -95,10 +97,20 @@ class TestTileDistanceCache:
 class TestFusedGeneration:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_fused_tile_cholesky_matches_serial(self, locs, workers):
+        # nt = 7 tiles per side, and a generator that yields the GIL
+        # (as the GIL-free task bodies do) for 1 ms per tile: a GEN task
+        # that lost its column's dependency edge is then overtaken by a
+        # PANEL or UPDATE of that column on every run, serial or not.
+        nb = 28
         model = MaternCovariance(1.0, 0.1, 0.5)
-        gen = lambda rs, cs: model.tile(locs, rs, cs)  # noqa: E731
-        reference = tile_cholesky(TileMatrix.from_generator(N, NB, gen, symmetric_lower=True))
-        grid = TileGrid(N, NB)
+
+        def gen(rs, cs):
+            time.sleep(1e-3)
+            return model.tile(locs, rs, cs)
+
+        reference = tile_cholesky(TileMatrix.from_generator(N, nb, gen, symmetric_lower=True))
+        grid = TileGrid(N, nb)
+        assert grid.nt == 7
         with Runtime(num_workers=workers) as rt:
             fused = tile_cholesky_from_source(
                 TileMatrix(grid, symmetric_lower=True), tile_source(grid, gen), runtime=rt

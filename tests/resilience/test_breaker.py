@@ -1,13 +1,11 @@
-"""Circuit breakers and admission control: state machine + shedding."""
+"""The circuit breaker's closed / open / half-open state machine."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.exceptions import ConfigurationError, LoadShedError
-from repro.resilience import AdmissionGate, BreakerPool, CircuitBreaker
+from repro.exceptions import ConfigurationError
+from repro.resilience import CircuitBreaker
 
 
 class FakeClock:
@@ -84,12 +82,14 @@ def test_open_becomes_half_open_after_recovery_time(clock):
 
 
 def test_half_open_admits_only_the_probe_quota(clock):
-    brk = _breaker(clock, threshold=1, recovery=1.0, half_open_max=2)
+    brk = _breaker(clock, threshold=1, recovery=1.0)
     brk.record_failure()
     clock.advance(1.0)
     assert brk.allow()
-    assert brk.allow()
-    assert not brk.allow()  # quota of 2 spent, outcome still pending
+    assert not brk.allow()  # the one probe is out, outcome still pending
+    brk.record_failure()
+    clock.advance(1.0)
+    assert brk.allow()  # a re-opened breaker hands out a fresh probe
 
 
 def test_probe_success_recloses(clock):
@@ -133,86 +133,3 @@ def test_invalid_settings_rejected(clock):
         CircuitBreaker(failure_threshold=0, clock=clock)
     with pytest.raises(ConfigurationError):
         CircuitBreaker(recovery_time=0.0, clock=clock)
-    with pytest.raises(ConfigurationError):
-        CircuitBreaker(half_open_max=0, clock=clock)
-
-
-# ---------------------------------------------------------------------------
-# BreakerPool
-# ---------------------------------------------------------------------------
-
-
-def test_pool_creates_one_breaker_per_key_lazily(clock):
-    pool = BreakerPool(failure_threshold=1, recovery_time=9.0, clock=clock)
-    assert pool.snapshot() == {}
-    a = pool.get("model-a")
-    assert pool.get("model-a") is a  # stable identity per key
-    assert a.failure_threshold == 1 and a.recovery_time == 9.0
-    a.record_failure()
-    snap = pool.snapshot()
-    assert snap["model-a"]["state"] == "open"
-    assert pool.get("model-b").state == "closed"  # keys are independent
-
-
-# ---------------------------------------------------------------------------
-# AdmissionGate
-# ---------------------------------------------------------------------------
-
-
-def test_gate_sheds_beyond_the_inflight_cap():
-    gate = AdmissionGate(max_inflight=2, retry_after=0.5)
-    first, second = gate.admit(), gate.admit()
-    with pytest.raises(LoadShedError) as excinfo:
-        gate.admit()
-    assert excinfo.value.retry_after == 0.5
-    first.__exit__(None, None, None)
-    with gate.admit():  # a released slot readmits
-        pass
-    second.__exit__(None, None, None)
-    assert gate.snapshot() == {
-        "inflight": 0,
-        "max_inflight": 2,
-        "n_shed": 1,
-        "n_admitted": 3,
-    }
-
-
-def test_gate_releases_on_exception():
-    gate = AdmissionGate(max_inflight=1)
-    with pytest.raises(RuntimeError):
-        with gate.admit():
-            raise RuntimeError("handler blew up")
-    assert gate.inflight == 0
-    with gate.admit():  # the slot came back
-        pass
-
-
-def test_gate_is_thread_safe_under_contention():
-    gate = AdmissionGate(max_inflight=4)
-    peak, lock = [0], threading.Lock()
-    barrier = threading.Barrier(16)
-
-    def worker():
-        barrier.wait()
-        for _ in range(200):
-            if gate.try_acquire():
-                with lock:
-                    peak[0] = max(peak[0], gate.inflight)
-                gate.release()
-
-    threads = [threading.Thread(target=worker) for _ in range(16)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert gate.inflight == 0
-    assert 1 <= peak[0] <= 4  # the cap held under contention
-    snap = gate.snapshot()
-    assert snap["n_admitted"] + snap["n_shed"] == 16 * 200
-
-
-def test_gate_invalid_settings_rejected():
-    with pytest.raises(ConfigurationError):
-        AdmissionGate(max_inflight=0)
-    with pytest.raises(ConfigurationError):
-        AdmissionGate(retry_after=-1.0)

@@ -143,7 +143,6 @@ def test_models_and_metrics_degrade_to_partial_results(tmp_path, targets):
             metrics = cli.metrics()
             assert metrics["degraded"] is True
             assert victim in metrics["dead_workers"]
-            assert metrics["admission"]["n_admitted"] >= 1
     assert _await_no_children() == []
 
 

@@ -1,4 +1,4 @@
-"""Unified retry/deadline policies: determinism, idempotency, budgets."""
+"""Client backoff and deadlines: determinism, budgets, clamping."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.exceptions import ConfigurationError, DeadlineExceededError, ServerError
+from repro.exceptions import ConfigurationError, DeadlineExceededError
 from repro.resilience import Deadline, RetryPolicy
 
 
@@ -101,7 +101,7 @@ def test_seed_defaults_to_configured_rng_seed():
 
 
 # ---------------------------------------------------------------------------
-# should_retry: budget, idempotency, deadline, exception type
+# Attempt budget
 # ---------------------------------------------------------------------------
 
 
@@ -111,101 +111,8 @@ def test_allows_counts_total_attempts():
 
 
 def test_budget_exhaustion_stops_retries():
+    # The client's question after a not-executed rejection of 0-based
+    # attempt ``a`` is ``allows(a + 1)``.
     pol = RetryPolicy(max_attempts=2)
-    exc = ServerError("boom")
-    assert pol.should_retry(exc, 0)
-    assert not pol.should_retry(exc, 1)  # attempt 1 was the last of 2
-
-
-def test_non_idempotent_attempts_are_never_retried():
-    pol = RetryPolicy(max_attempts=5)
-    assert not pol.should_retry(ServerError("boom"), 0, idempotent=False)
-
-
-def test_expired_deadline_vetoes_a_retry():
-    pol = RetryPolicy(max_attempts=5)
-    expired = Deadline(time.monotonic() - 1.0)
-    assert not pol.should_retry(ServerError("boom"), 0, deadline=expired)
-    live = Deadline.after(30.0)
-    assert pol.should_retry(ServerError("boom"), 0, deadline=live)
-
-
-def test_only_configured_exception_types_are_retryable():
-    pol = RetryPolicy(retry_on=(ServerError,))
-    assert pol.should_retry(ServerError("boom"), 0)
-    assert not pol.should_retry(ValueError("boom"), 0)
-
-
-# ---------------------------------------------------------------------------
-# call(): the execution loop
-# ---------------------------------------------------------------------------
-
-
-def test_call_retries_to_success_with_policy_delays():
-    pol = RetryPolicy(max_attempts=4, base_delay=0.1, seed=5)
-    failures = iter([ServerError("one"), ServerError("two")])
-    calls, slept, retried = [], [], []
-
-    def flaky():
-        calls.append(1)
-        exc = next(failures, None)
-        if exc is not None:
-            raise exc
-        return "ok"
-
-    assert (
-        pol.call(flaky, sleep=slept.append, on_retry=lambda a, e: retried.append(a))
-        == "ok"
-    )
-    assert len(calls) == 3
-    assert slept == [pol.delay(0), pol.delay(1)]  # the deterministic curve
-    assert retried == [0, 1]
-
-
-def test_call_exhausts_the_budget_and_reraises_the_last_error():
-    pol = RetryPolicy(max_attempts=3, base_delay=0.0)
-    calls = []
-
-    def always_fails():
-        calls.append(1)
-        raise ServerError(f"failure {len(calls)}")
-
-    with pytest.raises(ServerError, match="failure 3"):
-        pol.call(always_fails, sleep=lambda _: None)
-    assert len(calls) == 3
-
-
-def test_call_does_not_retry_unlisted_exceptions():
-    pol = RetryPolicy(max_attempts=5, retry_on=(ServerError,))
-    calls = []
-
-    def wrong_kind():
-        calls.append(1)
-        raise ValueError("not retryable")
-
-    with pytest.raises(ValueError):
-        pol.call(wrong_kind, sleep=lambda _: None)
-    assert len(calls) == 1
-
-
-def test_call_checks_the_deadline_before_each_attempt():
-    pol = RetryPolicy(max_attempts=5, base_delay=0.0)
-    with pytest.raises(DeadlineExceededError):
-        pol.call(lambda: "never runs", deadline=Deadline(time.monotonic() - 1.0))
-
-
-def test_call_clamps_sleeps_to_the_deadline():
-    pol = RetryPolicy(max_attempts=3, base_delay=10.0, jitter=0.0)
-    deadline = Deadline.after(0.05)
-    slept = []
-    failures = iter([ServerError("one")])
-
-    def flaky():
-        exc = next(failures, None)
-        if exc is not None:
-            raise exc
-        return "ok"
-
-    assert pol.call(flaky, deadline=deadline, sleep=slept.append) == "ok"
-    (pause,) = slept
-    assert pause <= 0.05  # the 10s backoff was clamped to the time left
+    assert pol.allows(0 + 1)
+    assert not pol.allows(1 + 1)  # attempt 1 was the last of 2

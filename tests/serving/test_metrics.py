@@ -106,8 +106,8 @@ def test_concurrent_incs_are_never_lost(metrics):
         {"max_batch": 0},
         {"max_batch": -3},
         {"max_queue": 0},
-        {"default_deadline": 0.0},
-        {"default_deadline": -2.0},
+        {"breaker_threshold": 0},
+        {"breaker_recovery": 0.0},
     ],
 )
 def test_service_rejects_nonsense_knobs_at_construction(kwargs):

@@ -314,6 +314,49 @@ def test_engine_errors_propagate_to_callers(problem):
     assert snap["counters"]["errors"] == 1
 
 
+def test_model_breakers_are_per_model_and_made_on_first_use():
+    """Each model gets its own breaker with the service's settings, made
+    on its first request: one model's engine failure opens its breaker
+    (threshold 1) and leaves the other's closed."""
+    registry = ModelRegistry(max_models=2)
+
+    class _Broken:
+        def predict(self, targets, z=None):
+            raise RuntimeError("engine down")
+
+    healthy = _BlockingEngine()
+    healthy.release.set()
+    registry.add_engine("broken", _Broken())
+    registry.add_engine("healthy", healthy)
+    targets = np.zeros((3, 2))
+
+    async def main():
+        async with PredictionService(
+            registry, breaker_threshold=1, breaker_recovery=30.0
+        ) as svc:
+            before = svc.breaker_states()
+            with pytest.raises(RuntimeError, match="engine down"):
+                await svc.predict("broken", targets)
+            await svc.predict("healthy", targets)
+            return before, svc.breaker_states()
+
+    with registry:
+        before, after = asyncio.run(main())
+    assert before == {}
+    assert after["broken"] == {
+        "state": "open",
+        "n_opens": 1,
+        "n_failures": 1,
+        "n_successes": 0,
+    }
+    assert after["healthy"] == {
+        "state": "closed",
+        "n_opens": 0,
+        "n_failures": 0,
+        "n_successes": 1,
+    }
+
+
 def test_closed_service_rejects_and_stop_fails_queued(bundle_paths):
     registry = make_registry(bundle_paths)
     targets = generate_irregular_grid(5, seed=2)

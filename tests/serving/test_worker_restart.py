@@ -16,9 +16,15 @@ import numpy as np
 import pytest
 
 from repro.data import generate_irregular_grid, sample_gaussian_field
-from repro.exceptions import ConfigurationError, DeadlineExceededError, ServerError
+from repro.exceptions import (
+    CircuitOpenError,
+    ConfigurationError,
+    InjectedFaultError,
+    ServerError,
+)
 from repro.kernels import MaternCovariance
 from repro.mle import PredictionEngine
+from repro.resilience import FaultPlan, FaultRule, arm, disarm
 from repro.serving import ModelBundle, ServingClient, ServingServer
 
 N, NB = 100, 36
@@ -170,21 +176,38 @@ def test_service_options_survive_a_respawn(tmp_path, targets, start_method):
     (regression: a thread-local default used to reach fork-started
     workers only, and only until their first respawn)."""
     path = _bundle().save(tmp_path / "m.bundle")
-    with ServingServer(
-        {"m": str(path)},
-        num_workers=1,
-        enable_fitting=False,
-        start_method=start_method,
-        # A default deadline no request can meet: the setting is
-        # observable as every predict failing before dispatch.
-        service_options={"default_deadline": 1e-9},
-    ) as srv, ServingClient(srv.url) as cli:
-        with pytest.raises(DeadlineExceededError):
-            cli.predict("m", targets)
-        _kill_worker(srv, "m")
-        with pytest.raises(DeadlineExceededError):
-            cli.predict("m", targets)  # triggers the respawn, then expires there
-        assert srv.n_worker_restarts == 1
+    # The model never loads. With breaker_threshold=1 its breaker opens
+    # on the first failure, so the setting is observable as the SECOND
+    # predict failing fast (the default threshold of 5 would let it
+    # reach the registry and fail with the injected error again).
+    arm(
+        FaultPlan(
+            rules=[FaultRule(site="registry.rehydrate", action="raise", count=1000)],
+            seed=7,
+            state_dir=tmp_path / "faults",
+        ),
+        propagate=True,
+    )
+    try:
+        with ServingServer(
+            {"m": str(path)},
+            num_workers=1,
+            enable_fitting=False,
+            start_method=start_method,
+            service_options={"breaker_threshold": 1, "breaker_recovery": 30.0},
+        ) as srv, ServingClient(srv.url) as cli:
+            with pytest.raises(InjectedFaultError):
+                cli.predict("m", targets)
+            with pytest.raises(CircuitOpenError):
+                cli.predict("m", targets)
+            _kill_worker(srv, "m")
+            with pytest.raises(InjectedFaultError):
+                cli.predict("m", targets)  # triggers the respawn, fails there
+            with pytest.raises(CircuitOpenError):
+                cli.predict("m", targets)
+            assert srv.n_worker_restarts == 1
+    finally:
+        disarm()
 
 
 def test_restart_budget_exhausts_into_server_error(server, targets):
