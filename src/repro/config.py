@@ -29,7 +29,7 @@ from .exceptions import ConfigurationError
 __all__ = ["Config", "get_config", "set_config", "use_config", "reset_config"]
 
 
-_VALID_COMPRESSION = ("svd", "rsvd", "aca")
+_VALID_COMPRESSION = ("svd", "rsvd")
 _VALID_TRUNCATION = ("relative", "absolute")
 
 
@@ -68,16 +68,15 @@ class Config:
     compression_method:
         Per-tile compressor: ``"svd"`` (deterministic and certified: a
         pivoted QR, then an SVD of only the rows of ``R`` it keeps;
-        reference), ``"rsvd"`` (adaptive randomized) or ``"aca"`` (cross
-        approximation).
+        reference) or ``"rsvd"`` (adaptive randomized).
     truncation:
         ``"relative"`` keeps singular values above ``eps * sigma_1``;
         ``"absolute"`` keeps singular values above ``eps``.
     compression_batch:
         Off-diagonal TLR tiles per runtime task: consecutive rows of one
-        column of the TLR Cholesky (each updated, then compressed once),
-        or of standalone TLR generation. Amortizes per-task overhead for
-        small tiles; values are identical for any batch.
+        column of the TLR Cholesky (each updated, then compressed once).
+        Amortizes per-task overhead for small tiles; values are identical
+        for any batch.
     num_workers:
         Worker threads for the task runtime. ``0`` means "auto": the
         ``REPRO_NUM_WORKERS`` environment variable, else ``os.cpu_count()``.

@@ -4,7 +4,7 @@
   for TLR — TLR kernels have low arithmetic intensity and need larger
   tiles. :func:`tile_size_sweep` measures factorization time vs nb on
   the host, and models it at paper scale.
-* **Compression method** (§V): SVD vs RSVD vs ACA — accuracy contract,
+* **Compression method** (§V): SVD vs RSVD — accuracy contract,
   resulting ranks, and compression time.
 * **Morton ordering**: TLR compressibility with and without
   space-filling-curve ordering of the locations.
@@ -81,7 +81,7 @@ def compression_method_study(
     theta: Sequence[float] = (1.0, 0.1, 0.5),
     seed: int = 5,
 ) -> ResultTable:
-    """SVD vs RSVD vs ACA on representative near/far covariance tiles."""
+    """SVD vs RSVD on representative near/far covariance tiles."""
     n = 4 * nb
     locs = generate_irregular_grid(n, seed=seed)
     locs, _, _ = sort_locations(locs)
@@ -96,15 +96,15 @@ def compression_method_study(
     }
     for tname, dense in tiles.items():
         norm = np.linalg.norm(dense, 2)
-        for method in ("svd", "rsvd", "aca"):
+        for method in ("svd", "rsvd"):
             t0 = time.perf_counter()
             lr = compress(dense, acc, method=method)
             elapsed = time.perf_counter() - t0
             err = float(np.linalg.norm(dense - lr.to_dense(), 2) / norm)
             table.add_row(tname, method, lr.rank, err, elapsed * 1e3)
     table.add_note(
-        "all methods must satisfy the accuracy contract ||A - UV||_2 <= acc ||A||_2 "
-        "(svd is certified; rsvd and aca get up to 10x slack); ranks/time differ"
+        "both methods must satisfy the accuracy contract ||A - UV||_2 <= acc ||A||_2 "
+        "(svd is certified; rsvd gets up to 10x slack); ranks/time differ"
     )
     return table
 

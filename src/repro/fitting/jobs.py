@@ -46,10 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import get_config
+from ..config import _VALID_COMPRESSION, get_config
 from ..exceptions import FittingError, JobNotFoundError
 from ..kernels.covariance import MaternCovariance
 from ..mle.estimator import FitPlan, MLEstimator
+from ..mle.prediction_engine import VARIANTS
 from ..optim.bounds import validate_bounds
 from ..optim.result import HistoryEntry
 from ..utils.durable import atomic_write
@@ -176,6 +177,13 @@ class FitJobSpec:
                 )
         if self.locations is not None and self.z is None and self.bundle_path is None:
             raise FittingError("locations were given without observations z")
+        for name, known in (
+            ("variant", VARIANTS),
+            ("compression_method", _VALID_COMPRESSION),
+        ):
+            value = getattr(self, name)
+            if value is not None and value not in known:
+                raise FittingError(f"unknown {name} {value!r}; known: {known}")
         if self.warm_start and self.bundle_path is None:
             raise FittingError("warm_start needs a bundle_path to take theta from")
         if self.n_starts < 1:

@@ -7,7 +7,7 @@ Three families, mirroring the paper's three computation variants:
 * ``tile_*`` — the **Full-tile** dense tile algorithms (Chameleon
   substitute): tile matrices, task-based tile Cholesky, tile solves;
 * ``compression`` + ``tlr_*`` — the **TLR** data format and algorithms
-  (HiCMA substitute): per-tile low-rank compression (SVD / RSVD / ACA),
+  (HiCMA substitute): per-tile low-rank compression (SVD / RSVD),
   a left-looking TLR Cholesky that updates each tile while it is dense
   and compresses it once, and TLR solves.
 

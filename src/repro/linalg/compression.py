@@ -7,19 +7,17 @@ user-defined accuracy threshold — low thresholds give small ranks
 (memory-bound regime), high thresholds give large ranks (compute-bound),
 exactly the trade-off the paper studies.
 
-Three compressors, mirroring the options named in the paper:
+Two compressors:
 
 * :func:`svd_compress` — deterministic and certified: a column-pivoted
   QR reveals how many leading rows of ``R`` carry the tile, and an SVD
   of only those rows picks the truncation (reference and default);
 * :func:`rsvd_compress` — adaptive randomized SVD (Halko et al. style
-  range finder with doubling rank until the threshold is met);
-* :func:`aca_compress` — cross approximation with full pivoting on the
-  explicit residual (robust; tiles are materialized anyway during
-  generation), with Frobenius-norm stopping.
+  range finder with doubling rank until the threshold is met).
 
-All three honour ``||A - U V||_2 <= acc ||A||_2`` (relative rule) or
-``<= acc`` (absolute rule), and all three raise
+Both aim at ``||A - U V||_2 <= acc ||A||_2`` (relative rule) or
+``<= acc`` (absolute rule) — ``svd`` certifies it, ``rsvd`` meets it
+with high probability — and both raise
 :class:`~repro.exceptions.CompressionError` on a tile with a NaN or
 infinite entry. The TLR Cholesky compresses each factor tile once,
 after its last update (:mod:`~repro.linalg.tlr_cholesky`), so no
@@ -43,7 +41,6 @@ __all__ = [
     "LowRank",
     "svd_compress",
     "rsvd_compress",
-    "aca_compress",
     "compress",
     "truncation_rank",
 ]
@@ -222,22 +219,27 @@ def svd_compress(a: np.ndarray, acc: float, *, rule: Optional[str] = None) -> Lo
     return LowRank(np.ascontiguousarray(ct.T), v)
 
 
+#: :func:`rsvd_compress`'s sketch: ``RSVD_INITIAL_RANK`` to start, doubled
+#: until resolved, plus ``RSVD_OVERSAMPLE`` columns, with
+#: ``RSVD_POWER_ITERS`` orthonormalised power passes per sketch.
+RSVD_INITIAL_RANK = 8
+RSVD_OVERSAMPLE = 8
+RSVD_POWER_ITERS = 1
+
+
 def rsvd_compress(
     a: np.ndarray,
     acc: float,
     *,
     rule: Optional[str] = None,
-    oversample: int = 8,
-    power_iters: int = 1,
-    initial_rank: int = 8,
     seed: SeedLike = None,
 ) -> LowRank:
     """Adaptive randomized-SVD compression (Halko-Martinsson-Tropp).
 
-    Starts from ``initial_rank`` and doubles the sketch size until the
-    truncation threshold is resolved inside the captured range (i.e. the
-    smallest captured singular value falls below the threshold), falling
-    back to the exact SVD when the block is effectively full-rank.
+    Starts from a sketch of rank ``RSVD_INITIAL_RANK`` and doubles it
+    until the truncation threshold is resolved inside the captured range
+    (the smallest captured singular value falls below the threshold) or
+    the sketch spans the whole block, whose SVD is then exact.
 
     The range finder is orthonormalised subspace iteration (Halko et al.
     2011, Alg. 4.4): a QR after every product with ``a`` or ``a.T``. An
@@ -255,19 +257,19 @@ def rsvd_compress(
     rng = as_generator(seed)
     m, n = a.shape
     max_rank = min(m, n)
-    k_try = min(max_rank, max(1, initial_rank))
+    k_try = min(max_rank, RSVD_INITIAL_RANK)
 
     def orth(y: np.ndarray) -> np.ndarray:
         return sla.qr(y, mode="economic", check_finite=False)[0]
 
     while True:
-        ell = min(max_rank, k_try + oversample)
+        ell = min(max_rank, k_try + RSVD_OVERSAMPLE)
         omega = rng.standard_normal((n, ell))
         y = a @ omega
         if not np.isfinite(y).all():  # O(m ell), against O(m n ell) for the sketch
             raise CompressionError("cannot compress a tile with a NaN or infinite entry")
         q = orth(y)
-        for _ in range(power_iters):
+        for _ in range(RSVD_POWER_ITERS):
             q = orth(a @ orth(a.T @ q))
         b = q.T @ a
         ub, s, vt = sla.svd(b, full_matrices=False, check_finite=False)
@@ -280,90 +282,7 @@ def rsvd_compress(
         k_try = min(max_rank, 2 * k_try)
 
 
-def aca_compress(
-    a: np.ndarray,
-    acc: float,
-    *,
-    rule: Optional[str] = None,
-    max_rank: Optional[int] = None,
-) -> LowRank:
-    """Cross-approximation compression with full pivoting.
-
-    Greedily peels rank-1 crosses off an explicit residual until its
-    Frobenius norm drops below ``acc * ||a||_F`` (relative) or ``acc``
-    (absolute). Since ``||.||_F >= ||.||_2``, the spectral-norm accuracy
-    contract of :func:`svd_compress` is met (often with a slightly larger
-    rank).
-
-    Raises
-    ------
-    CompressionError
-        If ``a`` has a NaN or infinite entry, or ``max_rank`` crosses do
-        not reach the target accuracy.
-    """
-    rule = rule or get_config().truncation
-    m, n = a.shape
-    limit = min(m, n) if max_rank is None else min(max_rank, min(m, n))
-    norm_a = float(np.linalg.norm(a))
-    if not math.isfinite(norm_a):
-        raise CompressionError("cannot compress a tile with a NaN or infinite entry")
-    target = acc * norm_a if rule == "relative" else acc
-    if rule not in ("relative", "absolute"):
-        raise ShapeError(f"unknown truncation rule {rule!r}")
-    if norm_a == 0.0 or norm_a <= target:
-        return _empty(m, n)
-    residual = np.array(a, dtype=np.float64, copy=True)
-    # Squared residual norm, maintained incrementally across rank-1 steps
-    # via the standard update identity
-    #   ||R - c r||^2 = ||R||^2 - 2 <R, c r>_F + ||c||^2 ||r||^2,
-    # with <R, c r>_F = c' (R r') — one BLAS gemv instead of the full
-    # O(m n) Frobenius pass the seed recomputed on every step (and again
-    # after the loop). The maintained value carries O(k n eps ||a||^2)
-    # rounding drift, so it cannot certify thresholds below its drift
-    # floor; when it reaches the floor or the target we confirm with one
-    # exact pass over the residual — at most one per iteration, and only
-    # in the convergence endgame.
-    norm2 = norm_a * norm_a
-    target2 = target * target
-    drift_unit = 16.0 * max(m, n) * float(np.finfo(np.float64).eps) * norm2
-    exact = True  # norm2 currently equals the exact squared norm
-    us, vs = [], []
-
-    def _finish() -> LowRank:
-        u = np.ascontiguousarray(np.column_stack(us))
-        v = np.ascontiguousarray(np.vstack(vs))
-        return LowRank(u, v)
-
-    for step in range(limit):
-        flat = np.argmax(np.abs(residual))
-        i, j = divmod(int(flat), n)
-        pivot = residual[i, j]
-        if pivot == 0.0:
-            break
-        col = residual[:, j].copy()
-        row = residual[i, :] / pivot
-        us.append(col)
-        vs.append(row)
-        cross = float(col @ (residual @ row))
-        norm2 = max(0.0, norm2 - 2.0 * cross + float(col @ col) * float(row @ row))
-        residual -= np.outer(col, row)
-        exact = False
-        if norm2 <= max(target2, (step + 1) * drift_unit):
-            norm2 = float(np.einsum("ij,ij->", residual, residual))
-            exact = True
-        if exact and norm2 <= target2:
-            return _finish()
-    if not exact:
-        norm2 = float(np.einsum("ij,ij->", residual, residual))
-    if us and norm2 <= target2:
-        return _finish()
-    raise CompressionError(
-        f"ACA did not reach accuracy {acc:g} within rank {limit} "
-        f"(residual {math.sqrt(norm2):.3e}, target {target:.3e})"
-    )
-
-
-_METHODS = {"svd": svd_compress, "rsvd": rsvd_compress, "aca": aca_compress}
+_METHODS = {"svd": svd_compress, "rsvd": rsvd_compress}
 
 
 def compress(

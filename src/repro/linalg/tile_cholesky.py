@@ -125,12 +125,7 @@ def _factor(
                 priority=2 * base if j == k + 1 else base,
             )
     if runtime is not None:
-        try:
-            runtime.wait_all()
-        finally:
-            # Drop the completed task graph so long-lived runtimes (one per
-            # MLE fit, many factorizations) do not accumulate bookkeeping.
-            runtime.tracker.reset()
+        runtime.wait_all()
     return a
 
 

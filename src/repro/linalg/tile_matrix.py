@@ -238,10 +238,6 @@ class TileMatrix:
             )
         out[...] = tile
 
-    def has_tile(self, i: int, j: int) -> bool:
-        """True when tile ``(i, j)`` is physically stored."""
-        return 0 <= j < self.nt and (j if self.symmetric_lower else 0) <= i < self.nt
-
     def iter_stored(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Iterate physically stored tiles as ``(i, j, view)``, row-major."""
         for i in range(self.nt):

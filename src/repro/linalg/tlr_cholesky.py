@@ -134,12 +134,7 @@ def tlr_cholesky_from_source(
                 name=("offdiag", start, k),
                 priority=2 * base if start == k + 1 else base,
             )
-    try:
-        runtime.wait_all()
-    finally:
-        # Drop the completed task graph so long-lived runtimes (one per MLE
-        # fit, many factorizations) do not accumulate bookkeeping.
-        runtime.tracker.reset()
+    runtime.wait_all()
     return a
 
 

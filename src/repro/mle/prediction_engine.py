@@ -53,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg as sla
 
-from ..config import get_config
+from ..config import _VALID_COMPRESSION, get_config
 from ..exceptions import ConfigurationError, ShapeError
 from ..kernels.covariance import CovarianceModel
 from ..kernels.distance import pairwise_distance
@@ -129,8 +129,8 @@ class PredictionEngine:
     runtime:
         Optional task runtime shared across factorizations (tile/TLR).
     compression_method:
-        Per-tile compressor for the TLR variant (``"svd"``, ``"rsvd"``
-        or ``"aca"``). ``None`` takes ``Config.compression_method``.
+        Per-tile compressor for the TLR variant (``"svd"`` or
+        ``"rsvd"``). ``None`` takes ``Config.compression_method``.
     cache_distances:
         Cache ``Sigma_22`` distance blocks and ``Sigma_12`` cross-distance
         matrices across calls: locations are fixed while theta varies,
@@ -197,6 +197,11 @@ class PredictionEngine:
         self.tile_size = cfg.tile_size if tile_size is None else int(tile_size)
         self.runtime = runtime
         self.compression_method = compression_method or cfg.compression_method
+        if self.compression_method not in _VALID_COMPRESSION:
+            raise ConfigurationError(
+                f"compression_method must be one of {_VALID_COMPRESSION}, "
+                f"got {self.compression_method!r}"
+            )
         self.truncation_rule = cfg.truncation
         self.compression_batch = (
             cfg.compression_batch if compression_batch is None else int(compression_batch)

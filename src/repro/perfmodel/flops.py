@@ -109,7 +109,7 @@ def generation_flops(rows: int, cols: int) -> float:
 
 
 def compression_flops(nb: int, k: int) -> float:
-    """Adaptive (RSVD/ACA-class) compression of an ``nb x nb`` tile to rank k.
+    """Adaptive (RSVD-class) compression of an ``nb x nb`` tile to rank k.
 
     ``O(nb^2 k)`` with a modest constant (sketch multiply + QR + small
     SVD), the class of method HiCMA's production path uses. The code's

@@ -15,8 +15,9 @@ programming model in pure Python:
   wrappers (``scipy.linalg.cholesky``, ``svd``, ``solve_triangular``,
   ``scipy.linalg.blas`` / ``lapack``) do not, so the Cholesky task
   bodies call BLAS/LAPACK through the former;
-* a priority ready queue, an optional per-task event list
-  (``Runtime(trace=True).trace``) and ``task:*`` telemetry spans.
+* one ready heap (highest priority first, then push order), an
+  optional per-task event list (``Runtime(trace=True).trace``) and
+  ``task:*`` telemetry spans.
 
 A ``serial`` engine executes tasks synchronously at insertion in program
 order, which is always a legal schedule — used for debugging and as a
@@ -26,7 +27,7 @@ determinism oracle in tests.
 from .task import AccessMode, Task, TaskState, TraceEvent
 from .handle import DataHandle
 from .executor import Runtime
-from .graph import DependencyTracker, build_networkx_dag
+from .graph import DependencyTracker
 
 __all__ = [
     "AccessMode",
@@ -36,5 +37,4 @@ __all__ = [
     "Runtime",
     "TraceEvent",
     "DependencyTracker",
-    "build_networkx_dag",
 ]

@@ -4,8 +4,11 @@
 thread pool. ``insert_task`` is non-blocking (with the ``threads``
 engine): it registers accesses, infers dependencies via
 :class:`~repro.runtime.graph.DependencyTracker`, and enqueues the task
-when its dependency count reaches zero. Workers pull from a pluggable
-ready queue; completion cascades decrement dependents' counters.
+when its dependency count reaches zero. Workers pull from one ready
+heap — highest priority first, then push order — and completion
+cascades decrement dependents' counters. ``wait_all`` forgets the graph
+it drained, so a long-lived runtime keeps no finished task (nor the
+payloads its handles hold) alive.
 
 Error model: a failing codelet marks the task FAILED and records the
 exception. Until ``wait_all`` has re-raised that *first* error, a task
@@ -22,6 +25,8 @@ and is used as the determinism oracle in tests and for debugging.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -34,7 +39,6 @@ from ..telemetry import spans as _telemetry
 from ..utils.logging import get_logger
 from .graph import DependencyTracker
 from .handle import DataHandle
-from .scheduler import PriorityReadyQueue
 from .task import AccessMode, Task, TaskState, TraceEvent
 
 __all__ = ["Runtime"]
@@ -90,7 +94,10 @@ class Runtime:
         )
         self.tracker = DependencyTracker()
         self.trace: Optional[List[TraceEvent]] = [] if trace else None
-        self._queue = PriorityReadyQueue()
+        # Ready tasks as (-priority, push order, task): the earliest pushed
+        # of the highest priority pops first.
+        self._ready: List[Tuple[int, int, Task]] = []
+        self._pushed = itertools.count()
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._all_done = threading.Condition(self._lock)
@@ -145,9 +152,7 @@ class Runtime:
                 d.dependents.append(task)
             self._inflight += 1
             if task.unresolved == 0:
-                task.state = TaskState.READY
-                self._queue.push(task)
-                self._work_available.notify()
+                self._push_ready(task)
         return task
 
     def wait_all(self) -> None:
@@ -155,14 +160,15 @@ class Runtime:
 
         Purely notification-driven: completion of the last in-flight task
         signals ``_all_done`` (no polling — per-task overhead is the cost
-        of a notify, not of a timeout slice).
+        of a notify, not of a timeout slice). Once nothing is in flight
+        the dependency tracker is reset under the runtime lock, for
+        either engine and also when an error is re-raised: the drained
+        graph's tasks, and the payloads their handles hold, are released.
         """
-        if self.engine == "serial":
-            self._raise_pending()
-            return
         with self._lock:
             while self._inflight > 0:
                 self._all_done.wait()
+            self.tracker.reset()
         self._raise_pending()
 
     def shutdown(self, *, wait: bool = True) -> None:
@@ -229,33 +235,43 @@ class Runtime:
             self._first_error = None
             raise err
 
+    def _push_ready(self, task: Task) -> None:
+        """Queue a task whose dependencies are met (caller holds the lock)."""
+        task.state = TaskState.READY
+        heapq.heappush(self._ready, (-task.priority, next(self._pushed), task))
+        self._work_available.notify()
+
     def _worker_loop(self, worker_id: int) -> None:
         while True:
             with self._lock:
-                task = self._queue.pop()
-                while task is None and not self._shutdown:
-                    # Notification-driven: every ready-queue push and the
+                while not self._ready and not self._shutdown:
+                    # Notification-driven: every ready push and the
                     # shutdown flag flip each notify this condition, so no
                     # poll timeout is needed (workers sleep only while the
-                    # queue is verifiably empty, under the lock).
+                    # heap is verifiably empty, under the lock).
                     self._work_available.wait()
-                    task = self._queue.pop()
-                if task is None and self._shutdown:
-                    return
-            assert task is not None
+                if not self._ready:
+                    return  # shut down, nothing left to run
+                task = heapq.heappop(self._ready)[2]
             self._run_task(task, worker=worker_id)
-            with self._lock:
-                failed = task.state is TaskState.FAILED
-                for dep in task.dependents:
-                    dep.poisoned |= failed
-                    dep.unresolved -= 1
-                    if dep.unresolved == 0:
-                        dep.state = TaskState.READY
-                        self._queue.push(dep)
-                        self._work_available.notify()
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._all_done.notify_all()
+            self._complete(task)
+            del task  # an idle worker holds nothing of a drained graph
+
+    def _complete(self, task: Task) -> None:
+        """Release the dependents of a finished task."""
+        with self._lock:
+            failed = task.state is TaskState.FAILED
+            for dep in task.dependents:
+                dep.poisoned |= failed
+                dep.unresolved -= 1
+                if dep.unresolved == 0:
+                    self._push_ready(dep)
+            # A finished task keeps no later part of the graph alive (an
+            # error's traceback holds the task that raised it).
+            task.dependents = []
+            self._inflight -= 1
+            if self._inflight == 0:
+                self._all_done.notify_all()
 
     def _run_task(self, task: Task, worker: int) -> None:
         if task.poisoned:
@@ -266,10 +282,9 @@ class Runtime:
         task.t_start = time.perf_counter()
         try:
             fault_point("runtime.task")
-            task.result = task.execute()
+            task.execute()
             task.state = TaskState.DONE
         except BaseException as exc:  # noqa: BLE001 - error channel, re-raised in wait_all
-            task.error = exc
             with self._lock:
                 if self._first_error is None:
                     self._first_error = exc

@@ -8,20 +8,17 @@ the three hazards on each handle:
 * WAR — a writer depends on all readers since the last write;
 * WAW — a writer depends on the last writer.
 
-Concurrent readers are allowed. The resulting DAG can be exported as a
-:mod:`networkx` digraph for analysis (critical path, visualization,
-property tests).
+Concurrent readers are allowed. Each task records its dependencies'
+ids in ``Task.deps``, which is all :func:`critical_path_length` needs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
-import networkx as nx
-
 from .task import AccessMode, Task
 
-__all__ = ["DependencyTracker", "build_networkx_dag", "critical_path_length"]
+__all__ = ["DependencyTracker", "critical_path_length"]
 
 
 class DependencyTracker:
@@ -58,7 +55,11 @@ class DependencyTracker:
         return deps
 
     def reset(self) -> None:
-        """Forget all recorded tasks (handles keep their payloads)."""
+        """Forget all recorded tasks (handles keep their payloads).
+
+        :meth:`Runtime.wait_all <repro.runtime.Runtime.wait_all>` calls
+        it once the graph has drained.
+        """
         for task in self.tasks:
             for handle, _ in task.accesses:
                 handle.last_writer = None
@@ -66,36 +67,16 @@ class DependencyTracker:
         self.tasks.clear()
 
 
-def build_networkx_dag(tasks: Iterable[Task]) -> "nx.DiGraph":
-    """Build a networkx DiGraph of the task DAG.
-
-    Nodes are task ids with ``name``, ``priority`` and ``duration``
-    attributes; edges point from dependency to dependent.
-    """
-    g = nx.DiGraph()
-    tasks = list(tasks)
-    by_id: Dict[int, Task] = {t.id: t for t in tasks}
-    for t in tasks:
-        g.add_node(t.id, name=t.name, priority=t.priority, duration=t.duration)
-    for t in tasks:
-        for dep in t.deps:
-            if dep in by_id:
-                g.add_edge(dep, t.id)
-    return g
-
-
 def critical_path_length(tasks: Iterable[Task]) -> float:
     """Sum of task durations along the longest (time-weighted) path.
 
-    Useful lower bound on any parallel schedule's makespan; tests compare
-    it against measured makespans and against the performance model.
+    Useful lower bound on any parallel schedule's makespan. One pass in
+    insertion order: under sequential task flow every dependency was
+    registered before its dependent. Dependencies outside ``tasks`` are
+    ignored.
     """
-    g = build_networkx_dag(tasks)
-    if g.number_of_nodes() == 0:
-        return 0.0
-    dist: Dict[int, float] = {}
-    for node in nx.topological_sort(g):
-        d = g.nodes[node]["duration"]
-        preds = list(g.predecessors(node))
-        dist[node] = d + (max(dist[p] for p in preds) if preds else 0.0)
-    return max(dist.values())
+    finish: Dict[int, float] = {}
+    for t in tasks:
+        start = max((finish[d] for d in t.deps if d in finish), default=0.0)
+        finish[t.id] = start + t.duration
+    return max(finish.values(), default=0.0)

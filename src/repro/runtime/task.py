@@ -69,7 +69,7 @@ class Task:
         a trace recorder or a log line). Defaults to the codelet's
         ``__name__``.
     priority:
-        Larger runs earlier under the ``priority`` ready-queue policy.
+        Larger runs earlier when several tasks are ready at once.
         Tile Cholesky assigns higher priority to critical-path (panel)
         tasks, mirroring Chameleon/HiCMA.
     """
@@ -87,8 +87,6 @@ class Task:
         "dependents",
         "unresolved",
         "poisoned",
-        "result",
-        "error",
         "t_start",
         "t_end",
         "worker",
@@ -122,8 +120,6 @@ class Task:
         self.dependents: List["Task"] = []
         self.unresolved = 0
         self.poisoned = False  # a dependency failed; the executor skips the body
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
         self.t_start = 0.0
         self.t_end = 0.0
         self.worker = -1

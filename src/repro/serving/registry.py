@@ -8,9 +8,16 @@ working set:
 
 * **Lazy loading.** Models are *registered* by bundle path (cheap);
   the bundle is read and its engine built on the first request.
-* **LRU bounding.** At most ``max_models`` engines stay resident;
-  the least-recently-used engine is dropped and transparently
-  rehydrated from its bundle when requested again.
+* **LRU bounding.** At most ``max_models`` engines stay warm in the
+  LRU; the least-recently-used one is dropped from it and rehydrated
+  from its bundle when requested again.
+* **Last-known-good.** Each model's last healthy engine is also kept
+  outside the LRU, as the fallback when its bundle turns corrupt, so
+  an evicted engine stays in memory until the model's next load or
+  reload replaces it, or the registry closes. Resident engines are
+  therefore bounded by the number of models served since startup (one
+  each, plus a replaced engine still finishing in-flight predicts),
+  not by ``max_models``.
 
 A served engine is its bundle's :meth:`~repro.serving.store.ModelBundle.
 build_engine`, nothing added; :class:`~repro.serving.server.ServingServer`'s
@@ -39,8 +46,10 @@ class ModelRegistry:
     Parameters
     ----------
     max_models:
-        Engines kept warm; least-recently-used eviction beyond that
-        (an evicted model rehydrates from its bundle on the next request).
+        Engines kept warm in the LRU; least-recently-used eviction
+        beyond that (an evicted model rehydrates from its bundle on the
+        next request). The last-known-good engines are held outside
+        this bound (see the module docstring).
 
     Examples
     --------

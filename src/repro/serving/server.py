@@ -343,6 +343,9 @@ class ServingServer:
         self.max_worker_restarts = int(max_worker_restarts)
         self.n_worker_restarts = 0
         self._restarts_by_worker: Dict[int, int] = {}
+        # Service counters of replaced workers, as last scraped: the
+        # base every fleet aggregate starts from.
+        self._retired_counters: Dict[str, int] = {}
         self._respawn_lock = threading.Lock()
         # Telemetry settings resolved once, here, and shipped in every
         # worker's spawn config — a respawn on a handler thread must
@@ -399,6 +402,7 @@ class ServingServer:
         )
         self._http_thread.start()
         self._restarts_by_worker = {}
+        self._retired_counters = {}
         self.n_worker_restarts = 0
         self._started = True
         return self
@@ -503,6 +507,12 @@ class ServingServer:
                 fresh.stop()
                 raise
             handle.stop(timeout=0.1)  # reap the corpse, fail its stragglers
+            if handle.last_metrics is not None:
+                # Swapped in whole: metrics() reads it without this lock.
+                retired = dict(self._retired_counters)
+                for name, value in handle.last_metrics["service"]["counters"].items():
+                    retired[name] = retired.get(name, 0) + int(value)
+                self._retired_counters = retired
             self._workers[worker_id] = fresh
             self._restarts_by_worker[worker_id] = used + 1
             self.n_worker_restarts += 1
@@ -824,15 +834,17 @@ class ServingServer:
         """Per-worker metrics + fleet-wide counter aggregates.
 
         A dead worker (or one whose breaker is open) is reported with
-        ``"dead": true`` and its last observed counters (if any), so
-        aggregates stay monotonic across a crash instead of silently
-        shrinking between polls — and the whole response carries
-        ``degraded: true`` with the dead workers listed, rather than
-        failing because one shard is down.
+        ``"dead": true`` and its last observed counters (if any), and the
+        whole response carries ``degraded: true`` with the dead workers
+        listed, rather than failing because one shard is down. When a
+        dead worker is respawned, its last observed counters move into a
+        router-side retired total that every aggregate starts from, so
+        aggregates stay monotonic across a crash and a respawn. Counts a
+        worker made after its last scrape are lost with it.
         """
         answers, dead = self._ask_all("metrics")
         workers = {}
-        totals: Dict[str, int] = {}
+        totals: Dict[str, int] = dict(self._retired_counters)
         for handle in self._workers:
             snap = answers.get(handle.worker_id)
             if snap is not None:

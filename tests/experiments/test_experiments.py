@@ -111,8 +111,8 @@ class TestAblations:
     def test_compression_method_study(self):
         t = ablation.compression_method_study(nb=48, acc=1e-6)
         methods = {row[1] for row in t.rows}
-        assert methods == {"svd", "rsvd", "aca"}
-        # Every method satisfies the accuracy contract (with ACA slack).
+        assert methods == {"svd", "rsvd"}
+        # Both methods satisfy the accuracy contract (with rsvd's slack).
         assert all(row[3] < 1e-4 for row in t.rows)
 
     def test_ordering_study(self):

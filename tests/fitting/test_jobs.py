@@ -208,6 +208,13 @@ class TestFitJobSpec:
             FitJobSpec(locations=locs, z=z, bounds={"lower": [0.1]})
         with pytest.raises(FittingError):
             FitJobSpec(locations=locs, z=np.stack([z, z], axis=1))  # 2-D z
+        # Unknown substrate names fail at submission, not inside a leg.
+        with pytest.raises(FittingError, match="variant"):
+            FitJobSpec(locations=locs, z=z, variant="bogus")
+        with pytest.raises(FittingError, match="compression_method"):
+            FitJobSpec(locations=locs, z=z, compression_method="bogus")
+        with pytest.raises(FittingError, match="compression_method"):
+            FitJobSpec(locations=locs, z=z, compression_method="aca")
 
 
 class TestMergeRule:

@@ -1,4 +1,4 @@
-"""Tests for low-rank compression: SVD, RSVD, ACA and dispatch.
+"""Tests for low-rank compression: SVD, RSVD and dispatch.
 
 ``svd_compress`` is held against an exact oracle kept here only: a full
 ``np.linalg.svd`` truncated by ``truncation_rank``.
@@ -17,7 +17,6 @@ from repro.linalg import compression
 from repro.linalg.compression import (
     ETA,
     LowRank,
-    aca_compress,
     compress,
     rsvd_compress,
     svd_compress,
@@ -234,7 +233,7 @@ class TestNonFiniteTile:
     """Every compressor ends a NaN or infinite tile in a typed error."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("method", ["svd", "rsvd", "aca"])
+    @pytest.mark.parametrize("method", ["svd", "rsvd"])
     def test_typed_error(self, rng, method, bad):
         for base in (covariance_tile(rng, 30, 20), np.zeros((20, 30))):
             for pos in [(0, 0), (base.shape[0] - 1, base.shape[1] - 1), (5, 3)]:
@@ -313,7 +312,7 @@ class TestRSVDCompress:
 
     def test_adaptivity_grows_rank(self, rng):
         a = random_lowrank_matrix(rng, 80, 80, 40)
-        lr = rsvd_compress(a, 1e-9, initial_rank=4, seed=1)
+        lr = rsvd_compress(a, 1e-9, seed=1)  # sketches of rank 8, 16, 32, 64
         assert lr.rank >= 39
         np.testing.assert_allclose(lr.to_dense(), a, atol=1e-5)
 
@@ -323,42 +322,17 @@ class TestRSVDCompress:
         np.testing.assert_allclose(lr.to_dense(), a, atol=1e-8)
 
 
-class TestACACompress:
-    @pytest.mark.parametrize("acc", [1e-3, 1e-7])
-    def test_error_contract_frobenius(self, acc, rng):
-        a = covariance_tile(rng)
-        lr = aca_compress(a, acc, rule="relative")
-        err = np.linalg.norm(a - lr.to_dense())
-        assert err <= acc * np.linalg.norm(a) + 1e-14
-
-    def test_zero_matrix_rank0(self):
-        lr = aca_compress(np.zeros((8, 12)), 1e-6)
-        assert lr.rank == 0
-        assert lr.shape == (8, 12)
-
-    def test_max_rank_failure(self, rng):
-        a = rng.standard_normal((30, 30))
-        with pytest.raises(CompressionError):
-            aca_compress(a, 1e-12, max_rank=3)
-
-    def test_exact_low_rank(self, rng):
-        a = random_lowrank_matrix(rng, 25, 25, 3)
-        lr = aca_compress(a, 1e-10)
-        assert lr.rank <= 6
-        np.testing.assert_allclose(lr.to_dense(), a, atol=1e-7)
-
-
 class TestDispatchAndConfig:
     def test_compress_dispatch(self, rng):
         a = covariance_tile(rng)
-        for method in ("svd", "rsvd", "aca"):
+        for method in ("svd", "rsvd"):
             lr = compress(a, 1e-5, method=method)
             assert lr.rank >= 1
 
     def test_config_default_method(self, rng):
         a = covariance_tile(rng)
-        with use_config(compression_method="aca"):
-            lr = compress(a, 1e-5)
+        with use_config(compression_method="rsvd"):
+            lr = compress(a, 1e-5, seed=0)
         assert lr.rank >= 1
 
     def test_unknown_method(self, rng):

@@ -375,3 +375,16 @@ def test_predict_without_observations_raises(problem):
         engine.predict(xnew)
     # But variance-only use works.
     assert engine.conditional_variance(xnew).shape == (M,)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(variant="bogus"), dict(compression_method="bogus"), dict(compression_method="aca")],
+)
+def test_unknown_substrate_name_fails_at_construction(problem, kwargs):
+    """An unknown variant or compressor is a ConfigurationError from the
+    constructor, not a late error from the first factorization."""
+    locs, z, _, model = problem
+    kwargs = {"variant": "tlr", **kwargs}
+    with pytest.raises(ConfigurationError, match="bogus|aca"):
+        PredictionEngine(locs, z, model, tile_size=16, **kwargs)

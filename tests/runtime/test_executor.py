@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +201,49 @@ class TestSchedulerQueues:
             release.set()
             rt.wait_all()
         assert order == [1, 2, 0]
+
+
+class TestWaitAllForgetsTheGraph:
+    """``wait_all`` drops the drained graph: the runtime keeps no task, and
+    through the tasks no payload, alive once it returns or raises."""
+
+    @staticmethod
+    def _insert_and_release(rt, codelet):
+        payload = np.zeros(4)
+        ref = weakref.ref(payload)
+        rt.insert_task(codelet, [(rt.register(payload), RW)])
+        return ref
+
+    @pytest.mark.parametrize("engine", ["threads", "serial"])
+    def test_after_wait_all(self, engine):
+        with Runtime(num_workers=2, engine=engine) as rt:
+            ref = self._insert_and_release(rt, lambda x: x.__iadd__(1.0))
+            rt.wait_all()
+            gc.collect()
+            assert rt.tracker.tasks == []
+            assert ref() is None
+
+    @pytest.mark.parametrize("engine", ["threads", "serial"])
+    def test_after_a_wait_all_that_raised(self, engine):
+        with Runtime(num_workers=2, engine=engine) as rt:
+            a = rt.register(np.zeros(1))
+
+            def fail(x):
+                raise ArithmeticError("injected")
+
+            rt.insert_task(fail, [(a, RW)])
+            # A dependent of the failure (skipped) and an independent task.
+            payload = np.zeros(4)
+            ref_dependent = weakref.ref(payload)
+            rt.insert_task(lambda x, y: None, [(a, R), (rt.register(payload), RW)])
+            del payload
+            ref_independent = self._insert_and_release(rt, lambda x: None)
+            with pytest.raises(ArithmeticError, match="injected"):
+                rt.wait_all()
+            gc.collect()
+            assert rt.tracker.tasks == []
+            assert ref_dependent() is None
+            assert ref_independent() is None
 
 
 class TestShutdownLifecycle:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.runtime.graph import DependencyTracker, build_networkx_dag, critical_path_length
+from dag_helpers import build_networkx_dag
+from repro.runtime.graph import DependencyTracker, critical_path_length
 from repro.runtime.handle import DataHandle
 from repro.runtime.task import AccessMode, Task
 
@@ -122,6 +124,32 @@ class TestDagExport:
             tasks.append(t)
         assert critical_path_length(tasks) == pytest.approx(3.0)
 
+    def test_critical_path_matches_networkx_longest_path(self):
+        """The one-pass longest path against networkx on a random graph
+        recorded through the tracker (so in insertion order)."""
+        import networkx as nx
+
+        rng = np.random.default_rng(3)
+        tr = DependencyTracker()
+        handles = [DataHandle(i) for i in range(6)]
+        tasks = []
+        for i in range(60):
+            picks = rng.choice(len(handles), size=rng.integers(1, 4), replace=False)
+            accesses = [(handles[p], R if rng.random() < 0.5 else RW) for p in picks]
+            t = make_task(accesses, name=f"t{i}")
+            t.t_start, t.t_end = 0.0, float(rng.random())
+            tr.register(t)
+            tasks.append(t)
+        g = build_networkx_dag(tasks)
+        # networkx weighs edges; put each task's duration on its out-edges
+        # and add a sink so the last task's duration counts too.
+        for u, v in g.edges:
+            g.edges[u, v]["w"] = g.nodes[u]["duration"]
+        for node in list(g.nodes):
+            g.add_edge(node, "sink", w=g.nodes[node]["duration"])
+        expected = nx.dag_longest_path_length(g, weight="w")
+        assert critical_path_length(tasks) == pytest.approx(expected)
+
 
 class TestTaskValidation:
     def test_bad_access_types(self):
@@ -147,3 +175,15 @@ class TestTaskValidation:
         h = DataHandle(10)
         t = Task(lambda x, y, z=0: x + y + z, [(h, R)], args=(5,), kwargs={"z": 2})
         assert t.execute() == 17
+
+
+def test_import_repro_does_not_load_networkx():
+    """networkx is a test dependency only: the product never imports it."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import repro, sys; assert 'networkx' not in sys.modules, 'networkx loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

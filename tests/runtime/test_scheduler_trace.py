@@ -1,28 +1,36 @@
-"""Unit tests for the ready queue."""
+"""Ready order: when several tasks are ready, the highest priority runs
+first and ties run in the order they became ready."""
 
 from __future__ import annotations
 
-from repro.runtime.scheduler import PriorityReadyQueue
-from repro.runtime.task import Task
+import threading
+
+import numpy as np
+
+from repro.runtime import AccessMode, Runtime
+
+RW = AccessMode.READWRITE
 
 
-def t(name, priority=0):
-    return Task(lambda: None, [], name=name, priority=priority)
+def _run_blocked(priorities):
+    """Queue independent tasks behind a blocking first task on one worker;
+    return the order their bodies ran in."""
+    order: list[int] = []
+    release = threading.Event()
+    with Runtime(num_workers=1) as rt:
+        gate = rt.register(np.zeros(1))
+        rt.insert_task(lambda x: release.wait(timeout=5), [(gate, RW)])
+        for i, prio in enumerate(priorities):
+            h = rt.register(np.zeros(1))
+            rt.insert_task(lambda x, i=i: order.append(i), [(h, RW)], priority=prio)
+        release.set()
+        rt.wait_all()
+    return order
 
 
 class TestQueues:
     def test_priority_order_with_fifo_ties(self):
-        q = PriorityReadyQueue()
-        lo1, hi, lo2 = t("lo1", 1), t("hi", 9), t("lo2", 1)
-        for x in (lo1, hi, lo2):
-            q.push(x)
-        assert q.pop() is hi
-        assert q.pop() is lo1  # tie broken by insertion
-        assert q.pop() is lo2
-        assert len(q) == 0
+        assert _run_blocked((1, 9, 1)) == [1, 0, 2]  # hi, then lo1 before lo2
 
-    def test_len(self):
-        q = PriorityReadyQueue()
-        assert len(q) == 0
-        q.push(t("x"))
-        assert len(q) == 1
+    def test_equal_priorities_run_in_push_order(self):
+        assert _run_blocked((0,) * 8) == list(range(8))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dag_helpers import build_networkx_dag
 from repro.runtime import AccessMode, Runtime
-from repro.runtime.graph import build_networkx_dag
 
 R, RW = AccessMode.READ, AccessMode.READWRITE
 
@@ -68,6 +68,31 @@ class TestStress:
             rt.wait_all()
             counters = [h.get()[0] for h in handles]
         assert counters == [1.0] * 200
+
+    def test_ready_heap_under_a_short_switch_interval(self):
+        """More workers than cores, thread switches every microsecond:
+        each handle's RW chain still counts every increment, and the
+        drained graph is forgotten."""
+        import sys
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Runtime(num_workers=8) as rt:
+                handles = [rt.register(np.zeros(1)) for _ in range(4)]
+                seen = rt.register(np.zeros(1))
+                for i in range(400):
+                    h = handles[i % 4]
+                    rt.insert_task(lambda x: x.__iadd__(1.0), [(h, RW)], priority=i % 3)
+                    if i % 50 == 0:
+                        rt.insert_task(lambda x, s: s.__iadd__(x), [(h, R), (seen, RW)])
+                rt.wait_all()
+                assert rt.tracker.tasks == []
+        finally:
+            sys.setswitchinterval(old)
+        assert [h.get()[0] for h in handles] == [100.0] * 4
+        # Reads at i = 0, 50, ..., 350 see 1, 13, 26, 38, 51, 63, 76, 88.
+        assert seen.get()[0] == sum(i // 4 + 1 for i in range(0, 400, 50))
 
     def test_dag_export_of_real_factorization(self, small_sigma):
         from repro.linalg.tile_matrix import TileMatrix

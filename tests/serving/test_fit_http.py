@@ -213,6 +213,32 @@ def test_fit_error_mapping(client, initial_bundle):
         client.fit(model_id="x", maxiter=5)  # no data source at all
 
 
+def test_unknown_compressor_is_a_400_and_queues_no_job(initial_bundle):
+    """A fit naming a compressor that does not exist is refused at
+    submission (FittingError, HTTP 400) instead of failing in its leg."""
+    import http.client
+    import json as _json
+
+    with ServingServer({"m": str(initial_bundle["path"])}, num_workers=1) as srv:
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+        try:
+            body = _json.dumps(
+                {"from_model": "m", "compression_method": "aca", "maxiter": 5}
+            )
+            conn.request(
+                "POST", "/v1/fit", body=body, headers={"Content-Type": "application/json"}
+            )
+            resp = conn.getresponse()
+            payload = _json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert payload["error"]["type"] == "FittingError"
+        assert "aca" in payload["error"]["message"]
+        with ServingClient(srv.url) as cli:
+            assert cli.jobs() == []
+
+
 def test_failed_fit_surfaces_through_wait_job(client, initial_bundle):
     submitted = client.fit(
         model_id="doomed",

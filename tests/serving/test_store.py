@@ -242,7 +242,7 @@ def _bundles(draw):
         variant=draw(st.sampled_from(["full-block", "full-tile", "tlr"])),
         acc=draw(st.floats(1e-12, 1e-2, allow_nan=False)),
         tile_size=draw(st.integers(2, 64)),
-        compression_method=draw(st.sampled_from(["svd", "rsvd", "aca"])),
+        compression_method=draw(st.sampled_from(["svd", "rsvd"])),
         truncation=draw(st.sampled_from(["relative", "absolute"])),
         distance_blocks=blocks,
         info={
@@ -342,6 +342,17 @@ def test_unknown_family_rejected(tmp_path, key):
     meta["model" if key == "family" else "substrate"][key] = "bogus"
     (path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(BundleError, match="bogus"):
+        load_model(path)
+
+
+def test_bundle_naming_the_deleted_aca_compressor_fails_typed(tmp_path):
+    """Only ``svd`` and ``rsvd`` remain; an older bundle whose meta names
+    ``aca`` is a BundleError (HTTP 400 on register), not a late failure."""
+    path = _small_bundle(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["substrate"]["compression_method"] = "aca"
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(BundleError, match="aca"):
         load_model(path)
 
 

@@ -83,6 +83,24 @@ def test_request_after_worker_death_respawns_and_succeeds(server, targets):
         assert health["worker_restarts"] == 1
 
 
+def test_fleet_counters_keep_a_respawned_workers_last_scrape(server, targets):
+    """The aggregate counters never fall below an earlier scrape: the
+    dead worker's last observed counts are folded into the router's
+    retired total when its replacement is swapped in."""
+    n = 5
+    with ServingClient(server.url) as cli:
+        for _ in range(n):
+            cli.predict("m", targets)
+        before = cli.metrics()["aggregate"]["counters"]
+        assert before["requests"] >= n
+        _kill_worker(server, "m")
+        cli.predict("m", targets)  # respawns the worker, then answers
+        after = cli.metrics()["aggregate"]["counters"]
+    assert after["requests"] >= n + 1
+    for name, value in before.items():
+        assert after[name] >= value, name
+
+
 def test_in_flight_requests_fail_over_to_the_respawned_worker(server, targets):
     """Kill the worker under continuous traffic: every request issued
     across the crash must be answered (retried on the fresh worker),

@@ -128,6 +128,7 @@ class TestConfig:
             dict(tlr_accuracy=0.0),
             dict(tlr_accuracy=2.0),
             dict(compression_method="qr"),
+            dict(compression_method="aca"),  # deleted: svd and rsvd remain
             dict(truncation="weird"),
             dict(num_workers=-1),
             dict(compression_batch=0),
