@@ -17,7 +17,9 @@ A walk through the resilience layer, end to end:
    and fall back to the last-known-good engine generation, with the
    response flagged ``degraded``.
 5. **Inspect the wreckage**: the plan's fired-fault journal and the
-   server's counters and breaker states reconcile with what happened.
+   server's counters and breaker states reconcile with what happened —
+   the fleet's request count includes the killed worker's, because the
+   demo scrapes metrics on the last pipe message before the kill.
 
 Run:  python examples/chaos_demo.py
 """
@@ -89,29 +91,40 @@ def main() -> None:
         print(f"\n=== hammering {server.url} with {N_CLIENTS} retrying clients ===")
         answers, errors = [], []
         lock = threading.Lock()
-        countdown = [N_REQUESTS]
 
-        def client_loop() -> None:
-            policy = RetryPolicy(max_attempts=3, base_delay=0.02, seed=5)
-            with ServingClient(server.url, retry_policy=policy) as cli:
-                while True:
-                    with lock:
-                        if countdown[0] <= 0:
-                            return
-                        countdown[0] -= 1
-                    try:
-                        got = cli.predict("a", targets, deadline=30.0)
-                        with lock:
-                            answers.append(got)
-                    except Exception as exc:  # noqa: BLE001 - demo tally
-                        with lock:
-                            errors.append(exc)
+        def hammer(n_requests: int) -> None:
+            countdown = [n_requests]
 
-        threads = [threading.Thread(target=client_loop) for _ in range(N_CLIENTS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            def client_loop() -> None:
+                policy = RetryPolicy(max_attempts=3, base_delay=0.02, seed=5)
+                with ServingClient(server.url, retry_policy=policy) as cli:
+                    while True:
+                        with lock:
+                            if countdown[0] <= 0:
+                                return
+                            countdown[0] -= 1
+                        try:
+                            got = cli.predict("a", targets, deadline=30.0)
+                            with lock:
+                                answers.append(got)
+                        except Exception as exc:  # noqa: BLE001 - demo tally
+                            with lock:
+                                errors.append(exc)
+
+            threads = [threading.Thread(target=client_loop) for _ in range(N_CLIENTS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+
+        # The router keeps a dead worker's counters only as last scraped,
+        # so scrape on the last pipe message before the kill rule fires:
+        # every predict is one pipe message, and so is the scrape.
+        kill = next(rule for rule in plan.rules if rule.action == "kill")
+        hammer(kill.after - 1)
+        with ServingClient(server.url) as cli:
+            cli.metrics()
+        hammer(N_REQUESTS - (kill.after - 1))
 
         wrong = sum(not np.array_equal(got, ref_a) for got in answers)
         print(f"  {len(answers)} answered, {len(errors)} errored, {wrong} wrong")
@@ -140,6 +153,9 @@ def main() -> None:
             counters = metrics["aggregate"]["counters"]
             print(f"  service counters: "
                   f"{ {k: counters[k] for k in ('requests', 'completed', 'rejected_overload', 'errors', 'degraded')} }")
+            # Every predict sent (the hammering plus b's and a's above)
+            # is counted once, across the kill and the respawn.
+            assert counters["requests"] == len(answers) + len(errors) + 2, counters
             print(f"  worker breakers: "
                   f"{ {k: v['state'] for k, v in metrics['worker_breakers'].items()} }")
     disarm()

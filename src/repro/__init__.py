@@ -44,6 +44,7 @@ Quickstart
 
 from .version import __version__
 from .config import Config, get_config, set_config, use_config
+from .substrate import Substrate
 from .kernels import (
     CovarianceModel,
     ExponentialCovariance,
@@ -107,6 +108,7 @@ __all__ = [
     "get_config",
     "set_config",
     "use_config",
+    "Substrate",
     "CovarianceModel",
     "MaternCovariance",
     "ExponentialCovariance",

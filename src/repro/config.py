@@ -25,25 +25,21 @@ import threading
 from typing import Iterator
 
 from .exceptions import ConfigurationError
+from .substrate import Substrate
 
 __all__ = ["Config", "get_config", "set_config", "use_config", "reset_config"]
-
-
-_VALID_COMPRESSION = ("svd", "rsvd")
-_VALID_TRUNCATION = ("relative", "absolute")
 
 
 @dataclasses.dataclass
 class Config:
     """Defaults for the paper's substrate knobs, plus per-process switches.
 
-    Thread-local. Public constructors
-    (:class:`~repro.mle.prediction_engine.PredictionEngine`,
-    :class:`~repro.serving.store.ModelBundle`,
-    :class:`~repro.runtime.Runtime`, ``JobStore.create``) read it once,
-    on the caller's thread, and carry the resolved values explicitly
-    from there — into worker threads, worker processes and persisted
-    job specs — so nothing downstream consults its own (default) copy.
+    Thread-local, and read once, on the caller's thread, by public
+    constructors: the substrate defaults (and ``auto_tune``) only by
+    :meth:`~repro.substrate.Substrate.resolve`, whose resolved value is
+    what travels on — into worker threads, worker processes, bundle
+    ``meta.json`` and job ``spec.json`` — so nothing downstream consults
+    its own (default) copy.
 
     A setting of one object is that object's constructor keyword —
     default in the signature, range check in the constructor:
@@ -60,23 +56,11 @@ class Config:
 
     Attributes
     ----------
-    tile_size:
-        Tile size ``nb`` for tile and TLR algorithms (the paper tunes 560
-        dense / 1900 TLR on Shaheen-2; Python scale wants smaller).
-    tlr_accuracy:
-        TLR accuracy threshold ``eps`` (the paper sweeps 1e-5 … 1e-12).
-    compression_method:
-        Per-tile compressor: ``"svd"`` (deterministic and certified: a
-        pivoted QR, then an SVD of only the rows of ``R`` it keeps;
-        reference) or ``"rsvd"`` (adaptive randomized).
-    truncation:
-        ``"relative"`` keeps singular values above ``eps * sigma_1``;
-        ``"absolute"`` keeps singular values above ``eps``.
-    compression_batch:
-        Off-diagonal TLR tiles per runtime task: consecutive rows of one
-        column of the TLR Cholesky (each updated, then compressed once).
-        Amortizes per-task overhead for small tiles; values are identical
-        for any batch.
+    tile_size, tlr_accuracy, compression_method, truncation, compression_batch:
+        Defaults of the :class:`~repro.substrate.Substrate` fields of
+        the same names (``tlr_accuracy`` is its ``acc``). The paper tunes
+        ``nb`` to 560 dense / 1900 TLR on Shaheen-2 (Python scale wants
+        smaller) and sweeps the accuracy over 1e-5 … 1e-12.
     num_workers:
         Worker threads for the task runtime. ``0`` means "auto": the
         ``REPRO_NUM_WORKERS`` environment variable, else ``os.cpu_count()``.
@@ -91,8 +75,9 @@ class Config:
         Bound on spans kept per process (the ring drops the oldest and
         counts drops; the JSONL sink stops writing past the bound).
     auto_tune:
-        Opt-in: with ``tile_size`` left unset, ``MLEstimator`` and
-        ``ModelBundle`` adopt the tile size the calibrated planner
+        Opt-in: with ``tile_size`` left unset, ``MLEstimator``,
+        ``ModelBundle`` and an inline-data ``FitJobSpec`` adopt the tile
+        size the calibrated planner
         (:mod:`repro.perfmodel.planner`) picks for the problem; planning
         failures fall back silently to ``tile_size``. The planner's
         host constants come from one in-process calibration, run on
@@ -117,27 +102,12 @@ class Config:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` if any field is invalid."""
-        for name, minimum in (
-            ("tile_size", 2),
-            ("compression_batch", 1),
-            ("num_workers", 0),  # 0 = auto
-            ("telemetry_max_spans", 1),
-        ):
+        Substrate("full-block", self.tile_size, self.tlr_accuracy,  # the substrate check
+                  self.compression_method, self.truncation, self.compression_batch)
+        for name, minimum in (("num_workers", 0), ("telemetry_max_spans", 1)):  # 0: auto
             if getattr(self, name) < minimum:
                 raise ConfigurationError(
                     f"{name} must be >= {minimum}, got {getattr(self, name)}"
-                )
-        if not (0.0 < self.tlr_accuracy < 1.0):
-            raise ConfigurationError(
-                f"tlr_accuracy must be in (0, 1), got {self.tlr_accuracy}"
-            )
-        for name, valid in (
-            ("compression_method", _VALID_COMPRESSION),
-            ("truncation", _VALID_TRUNCATION),
-        ):
-            if getattr(self, name) not in valid:
-                raise ConfigurationError(
-                    f"{name} must be one of {valid}, got {getattr(self, name)!r}"
                 )
         if not isinstance(self.auto_tune, bool):
             raise ConfigurationError(

@@ -40,19 +40,19 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import _VALID_COMPRESSION, get_config
+from ..config import get_config
 from ..exceptions import FittingError, JobNotFoundError
 from ..kernels.covariance import MaternCovariance
 from ..mle.estimator import FitPlan, MLEstimator
-from ..mle.prediction_engine import VARIANTS
 from ..optim.bounds import validate_bounds
 from ..optim.result import HistoryEntry
+from ..substrate import Substrate, substrate_view
 from ..utils.durable import atomic_write
 
 __all__ = ["FitJobSpec", "JobStore"]
@@ -109,14 +109,20 @@ class FitJobSpec:
         format); default: the bundle's model, else Matérn.
     metric:
         Distance metric when no model/bundle supplies one.
-    variant, acc, tile_size, compression_method:
-        Substrate overrides; default: the bundle's, else config.
+    substrate:
+        The job's :class:`~repro.substrate.Substrate`, resolved on the
+        submitter's thread from the keywords ``variant``, ``acc``,
+        ``tile_size`` and ``compression_method`` (which read it back)
+        over the bundle's substrate, else the submitter's ``Config``.
+        ``spec.json`` persists it whole, so every leg factors on it.
     use_morton:
         Morton-reorder the locations (as every fit does by default).
     maxiter, ftol, xtol:
         Optimizer controls (see :func:`~repro.optim.nelder_mead`).
     n_starts, seed:
-        Multistart width and the seed of its deterministic start draw.
+        Multistart width and the seed of its deterministic start draw
+        (unset: the submitter's ``Config.rng_seed``, pinned like the
+        substrate).
     x0:
         Explicit starting theta (overrides warm start and the
         empirical default).
@@ -139,10 +145,10 @@ class FitJobSpec:
     bundle_path: Optional[str] = None
     model_spec: Optional[dict] = None
     metric: str = "euclidean"
-    variant: Optional[str] = None
-    acc: Optional[float] = None
-    tile_size: Optional[int] = None
-    compression_method: Optional[str] = None
+    variant: InitVar[Union[str, Substrate, None]] = None
+    acc: InitVar[Optional[float]] = None
+    tile_size: InitVar[Optional[int]] = None
+    compression_method: InitVar[Optional[str]] = None
     use_morton: bool = True
     maxiter: int = 200
     ftol: float = 1e-6
@@ -155,8 +161,9 @@ class FitJobSpec:
     model_id: Optional[str] = None
     include_factor: bool = True
     include_distance_cache: bool = False
+    substrate: Substrate = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, variant, acc, tile_size, compression_method) -> None:
         if self.locations is not None:
             self.locations = np.ascontiguousarray(self.locations, dtype=np.float64)
         if self.z is not None:
@@ -177,13 +184,19 @@ class FitJobSpec:
                 )
         if self.locations is not None and self.z is None and self.bundle_path is None:
             raise FittingError("locations were given without observations z")
-        for name, known in (
-            ("variant", VARIANTS),
-            ("compression_method", _VALID_COMPRESSION),
-        ):
-            value = getattr(self, name)
-            if value is not None and value not in known:
-                raise FittingError(f"unknown {name} {value!r}; known: {known}")
+        base = None
+        if self.bundle_path is not None and not isinstance(variant, Substrate):
+            from ..serving.store import read_meta  # serving imports fitting
+
+            meta = read_meta(self.bundle_path).get("substrate")
+            base = Substrate.from_meta(meta, error=FittingError)
+        self.substrate = Substrate.resolve(
+            variant, acc=acc, tile_size=tile_size, compression_method=compression_method,
+            base=base, n=None if self.locations is None else self.locations.shape[0],
+            error=FittingError,
+        )
+        if self.seed is None:
+            self.seed = get_config().rng_seed
         if self.warm_start and self.bundle_path is None:
             raise FittingError("warm_start needs a bundle_path to take theta from")
         if self.n_starts < 1:
@@ -210,6 +223,7 @@ class FitJobSpec:
             for f in fields(self)
             if f.name not in ("locations", "z")
         }
+        out["substrate"] = self.substrate.to_meta()
         if self.x0 is not None:
             out["x0"] = [float(v) for v in self.x0]
         out["has_locations"] = self.locations is not None
@@ -253,6 +267,8 @@ class FitJobSpec:
                 locations = npz["locations"] if raw.get("has_locations") else None
                 z = npz["z"] if raw.get("has_z") else None
         raw = {k: v for k, v in raw.items() if k not in ("has_locations", "has_z")}
+        if "substrate" in raw:  # absent from specs written before it was pinned whole
+            raw["variant"] = Substrate.from_meta(raw.pop("substrate"), error=FittingError)
         return cls(locations=locations, z=z, **raw)
 
     # -------------------------------------------------------------- resolve
@@ -310,26 +326,13 @@ class FitJobSpec:
             model = bundle.model
         else:
             model = MaternCovariance(metric=self.metric)
-        variant = self.variant or (bundle.variant if bundle is not None else "full-block")
-        acc = self.acc if self.acc is not None else (
-            bundle.acc if bundle is not None else None
-        )
-        tile_size = self.tile_size if self.tile_size is not None else (
-            bundle.tile_size if bundle is not None else None
-        )
-        compression = self.compression_method or (
-            bundle.compression_method if bundle is not None else None
-        )
         estimator = MLEstimator(
             locations,
             z,
             model=model,
-            variant=variant,
-            acc=acc,
-            tile_size=tile_size,
+            variant=self.substrate,
             use_morton=self.use_morton,
             runtime=runtime,
-            compression_method=compression,
         )
         if self.locations is None and bundle is not None and bundle.perm is not None:
             # The bundle's rows are already Morton-permuted relative to
@@ -361,6 +364,10 @@ class FitJobSpec:
         return estimator, plan
 
 
+for _name in ("variant", "acc", "tile_size", "compression_method"):
+    setattr(FitJobSpec, _name, substrate_view(_name))
+
+
 class JobStore:
     """On-disk ledger of fit jobs (single-writer ``state.json`` per job).
 
@@ -376,26 +383,7 @@ class JobStore:
 
     # --------------------------------------------------------------- create
     def create(self, spec: FitJobSpec) -> str:
-        """Persist ``spec`` as a new ``queued`` job; returns the job id.
-
-        Everything the spec leaves to the configuration is pinned to
-        the *submitter's* resolved values here, before the spec hits
-        disk: the multistart ``seed`` and — unless a bundle supplies
-        its own — the substrate (``tile_size``, ``acc``,
-        ``compression_method``). Legs and finalizers run in other
-        processes (with default config), possibly under an orchestrator
-        restarted later; they must all regenerate the identical start
-        list and factor on the identical substrate.
-        """
-        cfg = get_config()
-        if spec.seed is None:
-            spec.seed = cfg.rng_seed
-        if spec.bundle_path is None:
-            if spec.tile_size is None:
-                spec.tile_size = cfg.tile_size
-            if spec.acc is None:
-                spec.acc = cfg.tlr_accuracy
-            spec.compression_method = spec.compression_method or cfg.compression_method
+        """Persist ``spec`` as a new ``queued`` job; returns the job id."""
         with self._lock:
             existing = [
                 int(p.name.split("-", 1)[1])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,9 +42,9 @@ from ..kernels.covariance import CovarianceModel, MaternCovariance
 from ..optim.bounds import default_matern_bounds, empirical_start, validate_bounds
 from ..optim.neldermead import SimplexState, multistart_points, nelder_mead
 from ..optim.result import OptimizeResult
+from ..substrate import Substrate, substrate_view
 from ..utils.validation import as_float_array, check_locations, check_vector
 from .loglik import LikelihoodEvaluator
-from .prediction import predict as _predict
 from .prediction_engine import PredictionEngine
 
 __all__ = ["MLEstimator", "FitPlan", "FitResult"]
@@ -128,8 +128,9 @@ class FitResult:
     stage_times:
         Generation / factorization / solve seconds spent during this
         fit (empty for a fit job, whose legs ran in other processes).
-    variant, acc:
-        Substrate used.
+    substrate:
+        The resolved :class:`~repro.substrate.Substrate` every
+        evaluation ran on; ``variant`` and ``acc`` read it back.
     options:
         The optimizer settings the fit actually ran with —
         :meth:`FitPlan.options` plus ``best_start``, the index of the
@@ -145,9 +146,11 @@ class FitResult:
     time_total: float
     time_per_iteration: float
     stage_times: dict = field(default_factory=dict)
-    variant: str = "full-block"
-    acc: Optional[float] = None
+    substrate: Optional[Substrate] = None
     options: dict = field(default_factory=dict)
+
+    variant = substrate_view("variant")
+    acc = substrate_view("acc")
 
     @property
     def history(self):
@@ -171,12 +174,10 @@ class MLEstimator:
         Template covariance model; defaults to Matérn with the data's
         metric. Its current ``theta`` is irrelevant — only the family,
         metric, and nugget matter.
-    variant:
-        ``"full-block"`` (default), ``"full-tile"`` or ``"tlr"``.
-    acc:
-        TLR accuracy threshold (TLR only).
-    tile_size:
-        Tile size ``nb`` for tile/TLR substrates.
+    variant, acc, tile_size:
+        Substrate keywords of the
+        :class:`~repro.mle.prediction_engine.PredictionEngine`; left
+        unset with ``Config.auto_tune`` on, ``tile_size`` is planned.
     metric:
         Distance metric when no template model is given.
     use_morton:
@@ -186,9 +187,10 @@ class MLEstimator:
         The remaining keywords of the fit's
         :class:`~repro.mle.prediction_engine.PredictionEngine` —
         ``runtime`` (shared task runtime for parallel factorizations
-        and fused generation), ``compression_method``,
-        ``cache_distances``, ``parallel_generation``,
-        ``compression_batch``.
+        and fused generation), ``compression_method``, ``truncation``,
+        ``compression_batch``, ``cache_distances``,
+        ``parallel_generation``. The substrate keywords are resolved
+        once, here, into :attr:`substrate`.
 
     Examples
     --------
@@ -203,13 +205,16 @@ class MLEstimator:
     (3,)
     """
 
+    variant = substrate_view("variant")
+    acc = substrate_view("acc")
+
     def __init__(
         self,
         locations: np.ndarray,
         z: np.ndarray,
         *,
         model: Optional[CovarianceModel] = None,
-        variant: str = "full-block",
+        variant: Union[str, Substrate] = "full-block",
         acc: Optional[float] = None,
         tile_size: Optional[int] = None,
         metric: str = "euclidean",
@@ -227,29 +232,13 @@ class MLEstimator:
         self.locations = locations
         self.z = z
         self.model = model or MaternCovariance(metric=metric)
-        self.variant = variant
-        self.acc = acc
-        if (
-            tile_size is None
-            and variant in ("full-tile", "tlr")
-            and get_config().auto_tune
-        ):
-            # Opt-in self-tuning: adopt the calibrated planner's nb when
-            # the caller left tile_size at its default. None (planning
-            # failed) falls through to the static config default.
-            from ..perfmodel.planner import planned_tile_size
-
-            tile_size = planned_tile_size(
-                locations.shape[0], variant=variant, acc=acc
-            )
+        others = ("compression_method", "truncation", "compression_batch")
+        self.substrate = Substrate.resolve(
+            variant, acc=acc, tile_size=tile_size, n=locations.shape[0],
+            **{key: engine_options.pop(key, None) for key in others},
+        )
         self.evaluator = LikelihoodEvaluator(
-            locations,
-            z,
-            self.model,
-            variant=variant,
-            acc=acc,
-            tile_size=tile_size,
-            **engine_options,
+            locations, z, self.model, variant=self.substrate, **engine_options
         )
 
     @classmethod
@@ -438,8 +427,7 @@ class MLEstimator:
             time_total=elapsed,
             time_per_iteration=elapsed / max(1, nfev),
             stage_times=dict(stage_times or {}),
-            variant=self.variant,
-            acc=self.acc,
+            substrate=self.substrate,
             options={**plan.options(), "best_start": best},
         )
 
@@ -476,33 +464,18 @@ class MLEstimator:
         ``(n, k)`` for batched multi-RHS prediction). A ``z`` override
         follows the *constructor's* row order — when the estimator
         Morton-reordered the training locations, the override is
-        permuted the same way before the solve. Overriding
-        ``variant``/``acc``/``tile_size`` to a different substrate falls
-        back to the stateless :func:`repro.mle.prediction.predict` with
-        this estimator's (possibly Morton-reordered) training data;
-        values are identical either way.
+        permuted the same way before the solve. ``variant``/``acc``/
+        ``tile_size`` override those fields of :attr:`substrate` for a
+        fresh engine on this estimator's training data; values are
+        identical either way.
         """
         if z is not None and self._perm is not None:
             z = np.asarray(z, dtype=np.float64)[self._perm]
-        v = variant or self.variant
-        nb = tile_size or self.evaluator.tile_size
-        same_substrate = (
-            v == self.variant
-            and nb == self.evaluator.tile_size
-            and (v != "tlr" or acc is None or float(acc) == self.evaluator.acc)
-        )
-        if same_substrate:
+        sub = Substrate.resolve(variant, acc=acc, tile_size=tile_size, base=self.substrate)
+        if sub == self.substrate:
             return self.predictor(fit).predict(new_locations, z=z)
-        model = self.model.with_theta(fit.theta)
-        return _predict(
-            self.locations,
-            self.z if z is None else z,
-            new_locations,
-            model,
-            variant=v,
-            acc=self.acc if acc is None else acc,
-            tile_size=nb,
-        )
+        model, z = self.model.with_theta(fit.theta), self.z if z is None else z
+        return PredictionEngine(self.locations, z, model, variant=sub).predict(new_locations)
 
     def conditional_variance(self, fit: FitResult, new_locations: np.ndarray) -> np.ndarray:
         """Pointwise kriging variance at ``new_locations`` (eq. (3)).

@@ -32,9 +32,9 @@ from ..kernels.covariance import CovarianceModel
 from ..linalg.blocklapack import block_cholesky, block_logdet_from_factor
 from ..telemetry import spans as _telemetry
 from ..utils.validation import as_float_array, check_locations, check_vector
-from .prediction_engine import VARIANTS, PredictionEngine
+from .prediction_engine import PredictionEngine
 
-__all__ = ["exact_loglikelihood", "LikelihoodEvaluator", "VARIANTS"]
+__all__ = ["exact_loglikelihood", "LikelihoodEvaluator"]
 
 #: Log-likelihood assigned when a trial theta yields a non-SPD covariance
 #: (the optimizer treats it as an infinitely bad point and moves on).
@@ -91,7 +91,7 @@ class LikelihoodEvaluator:
         ``model.with_theta``.
     **engine_options:
         Substrate and generation-pipeline keywords (``variant``, ``acc``,
-        ``tile_size``, ``runtime``, ...) of the
+        ``tile_size``, ``truncation``, ``runtime``, ...) of the
         :class:`~repro.mle.prediction_engine.PredictionEngine` this
         evaluator builds as :attr:`engine`; the resolved values read
         back as attributes of the evaluator.
@@ -105,14 +105,12 @@ class LikelihoodEvaluator:
     that factor, or no factor after a failed evaluation.
     """
 
-    variant = _engine_attr("variant")
+    substrate = _engine_attr("substrate")
     acc = _engine_attr("acc")
     tile_size = _engine_attr("tile_size")
-    runtime = _engine_attr("runtime")
     compression_method = _engine_attr("compression_method")
     truncation_rule = _engine_attr("truncation_rule")
     compression_batch = _engine_attr("compression_batch")
-    cache_distances = _engine_attr("cache_distances")
     parallel_generation = _engine_attr("parallel_generation")
     distance_cache = _engine_attr("distance_cache")
     times = _engine_attr("times")

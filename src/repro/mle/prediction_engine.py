@@ -39,11 +39,12 @@ the allocation only, and the work is accounted in the
 ``factorization`` stage. Both knobs preserve values: cached tiles are
 bit-identical and the fused graph computes the same factorization.
 
-**Options.** :class:`PredictionEngine`'s constructor is the one place
-the substrate and generation options are named, documented, defaulted
-and validated; every estimator layer above forwards ``**engine_options``
-to it. An engine built from a bundle takes its substrate from the bundle
-and the defaults for the rest.
+**Options.** The substrate (variant, ``nb``, accuracy, compressor,
+truncation rule, compression batch) is one
+:class:`~repro.substrate.Substrate`, resolved and checked once, in the
+constructor; the layers above forward ``**engine_options`` or hand a
+resolved one over as ``variant=``. ``runtime``, ``cache_distances`` and
+``parallel_generation`` are the engine's own.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg as sla
 
-from ..config import _VALID_COMPRESSION, get_config
 from ..exceptions import ConfigurationError, ShapeError
 from ..kernels.covariance import CovarianceModel
 from ..kernels.distance import pairwise_distance
@@ -71,11 +71,12 @@ from ..linalg.tlr_cholesky import logdet_from_tlr_factor
 from ..linalg.tlr_matrix import TLRMatrix
 from ..linalg.tlr_solve import tlr_solve_triangular
 from ..runtime import Runtime
+from ..substrate import Substrate, substrate_view
 from ..telemetry import spans as _telemetry
 from ..utils.timer import StageTimes
 from ..utils.validation import as_float_array, check_locations
 
-__all__ = ["PredictionEngine", "VARIANTS"]
+__all__ = ["PredictionEngine"]
 
 #: A Sigma_22 Cholesky factor in any of the three substrate formats.
 Factor = Union[np.ndarray, TileMatrix, TLRMatrix]
@@ -87,9 +88,6 @@ _SUBSTRATES = {
     "full-tile": (TileMatrix, logdet_from_tile_factor),
     "tlr": (TLRMatrix, logdet_from_tlr_factor),
 }
-
-#: Supported computation variants.
-VARIANTS = tuple(_SUBSTRATES)
 
 
 def _check_rhs(z: object, n: int, name: str = "z") -> np.ndarray:
@@ -118,19 +116,14 @@ class PredictionEngine:
         Fitted covariance model (defines ``Sigma_22`` and ``Sigma_12``).
         Rebindable via :meth:`set_model` — distance caches survive a
         theta change, the factorization cache does not.
-    variant:
-        ``"full-block"`` (default), ``"full-tile"`` or ``"tlr"``.
-    acc:
-        TLR accuracy threshold (TLR variant only). ``None`` takes the
-        constructing thread's ``Config.tlr_accuracy``.
-    tile_size:
-        Tile size ``nb`` (tile/TLR variants). ``None`` takes
-        ``Config.tile_size``.
+    variant, acc, tile_size, compression_method, truncation, compression_batch:
+        The substrate (:class:`~repro.substrate.Substrate` documents and
+        checks each field). ``None`` takes the constructing thread's
+        ``Config`` default; ``variant`` defaults to ``"full-block"`` and
+        may be a whole ``Substrate``. Read back as :attr:`substrate` and
+        same-named read-only attributes (``truncation_rule``).
     runtime:
         Optional task runtime shared across factorizations (tile/TLR).
-    compression_method:
-        Per-tile compressor for the TLR variant (``"svd"`` or
-        ``"rsvd"``). ``None`` takes ``Config.compression_method``.
     cache_distances:
         Cache ``Sigma_22`` distance blocks and ``Sigma_12`` cross-distance
         matrices across calls: locations are fixed while theta varies,
@@ -143,10 +136,6 @@ class PredictionEngine:
         barrier before the factorization. No effect without a runtime,
         for the full-block variant, or for TLR, whose Cholesky always
         generates (and compresses) each tile inside its own task.
-    compression_batch:
-        Off-diagonal TLR tiles per Cholesky task (``>= 1``; values are
-        identical for any batch size). ``None`` takes
-        ``Config.compression_batch``.
     full_distances:
         Pre-computed ``(n, n)`` distance matrix to seed the full-block
         cache with (a bundle's persisted distances).
@@ -167,13 +156,20 @@ class PredictionEngine:
     1
     """
 
+    variant = substrate_view("variant")
+    tile_size = substrate_view("tile_size")
+    acc = substrate_view("acc")
+    compression_method = substrate_view("compression_method")
+    truncation_rule = substrate_view("truncation")
+    compression_batch = substrate_view("compression_batch")
+
     def __init__(
         self,
         locations: np.ndarray,
         z: Optional[np.ndarray],
         model: CovarianceModel,
         *,
-        variant: str = "full-block",
+        variant: Union[str, Substrate] = "full-block",
         acc: Optional[float] = None,
         tile_size: Optional[int] = None,
         runtime: Optional[Runtime] = None,
@@ -181,35 +177,20 @@ class PredictionEngine:
         cache_distances: bool = True,
         parallel_generation: bool = True,
         compression_batch: Optional[int] = None,
+        truncation: Optional[str] = None,
         full_distances: Optional[np.ndarray] = None,
     ) -> None:
-        if variant not in VARIANTS:
-            raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
         # The one read of the config, on the constructing thread: every
-        # later factor()/predict() — on whatever thread — uses these.
-        cfg = get_config()
+        # later factor()/predict() — on whatever thread — uses this.
+        self.substrate = Substrate.resolve(
+            variant, tile_size=tile_size, acc=acc, compression_method=compression_method,
+            truncation=truncation, compression_batch=compression_batch,
+        )
         self.locations = check_locations(locations, "locations")
         self._n = self.locations.shape[0]
         self.z = None if z is None else _check_rhs(z, self._n, "z")
         self.model = model
-        self.variant = variant
-        self.acc = cfg.tlr_accuracy if acc is None else float(acc)
-        self.tile_size = cfg.tile_size if tile_size is None else int(tile_size)
         self.runtime = runtime
-        self.compression_method = compression_method or cfg.compression_method
-        if self.compression_method not in _VALID_COMPRESSION:
-            raise ConfigurationError(
-                f"compression_method must be one of {_VALID_COMPRESSION}, "
-                f"got {self.compression_method!r}"
-            )
-        self.truncation_rule = cfg.truncation
-        self.compression_batch = (
-            cfg.compression_batch if compression_batch is None else int(compression_batch)
-        )
-        if self.compression_batch < 1:
-            raise ConfigurationError(
-                f"compression_batch must be >= 1, got {compression_batch}"
-            )
         self.cache_distances = bool(cache_distances)
         self.parallel_generation = bool(parallel_generation)
 
@@ -217,7 +198,7 @@ class PredictionEngine:
         self.cross_cache: Optional[CrossDistanceCache] = None
         self.full_distances: Optional[np.ndarray] = None
         if self.cache_distances:
-            if variant in ("full-tile", "tlr"):
+            if self.variant in ("full-tile", "tlr"):
                 self.distance_cache = TileDistanceCache(
                     self.locations, self.tile_size, metric=model.metric
                 )
@@ -339,27 +320,16 @@ class PredictionEngine:
             if self.distance_cache is not None
             else lambda rs, cs: model.tile(self.locations, rs, cs)
         )
-        fused = self.runtime is not None and self.parallel_generation
-        if self.variant == "full-tile":
+        sub, fused = self.substrate, self.runtime is not None and self.parallel_generation
+        if sub.variant == "full-tile":
             return generate_and_factor_tile_matrix(
-                self._n,
-                self.tile_size,
-                generate,
-                runtime=self.runtime,
-                fused=fused,
-                times=self.times,
+                self._n, sub.tile_size, generate,
+                runtime=self.runtime, fused=fused, times=self.times,
             )
         return generate_and_factor_tlr_matrix(
-            self._n,
-            self.tile_size,
-            generate,
-            self.acc,
-            method=self.compression_method,
-            rule=self.truncation_rule,
-            runtime=self.runtime,
-            fused=fused,
-            times=self.times,
-            compression_batch=self.compression_batch,
+            self._n, sub.tile_size, generate, sub.acc, method=sub.compression_method,
+            rule=sub.truncation, compression_batch=sub.compression_batch,
+            runtime=self.runtime, fused=fused, times=self.times,
         )
 
     # --------------------------------------------------------------- solves
@@ -506,17 +476,8 @@ class PredictionEngine:
         """Build an engine from a persisted model bundle — no re-fit.
 
         ``bundle`` is a :class:`~repro.serving.store.ModelBundle` or a
-        path to one saved with :meth:`ModelBundle.save` /
-        :meth:`~repro.mle.estimator.MLEstimator.save_fit`. The engine is
-        bound to the bundle's (already Morton-ordered) training set,
-        observations, substrate, and fitted model; a persisted
-        ``Sigma_22`` Cholesky factor is adopted directly and persisted
-        distance blocks rehydrate the caches, so the first ``predict``
-        after a process restart can skip generation *and* factorization
-        entirely — predictions are bit-identical to the process that
-        ran the fit. It returns
-        :meth:`~repro.serving.store.ModelBundle.build_engine`: every
-        substrate setting comes from the bundle, and there is no runtime.
+        path to one; this is its
+        :meth:`~repro.serving.store.ModelBundle.build_engine`.
         """
         from ..serving.store import ModelBundle, load_model  # local: serving imports mle
 

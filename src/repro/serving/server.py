@@ -113,13 +113,13 @@ re-raises the matching typed exception.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import multiprocessing
 import os
 import shutil
 import tempfile
 import threading
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -176,8 +176,8 @@ def _path_within(path: Union[str, Path], root: Union[str, Path]) -> bool:
 
 
 #: What a ``POST /v1/fit`` body may carry besides ``from_model``: the
-#: :class:`FitJobSpec` fields by name, ``model_spec`` spelled ``model``.
-_FIT_BODY = ({f.name for f in fields(FitJobSpec)} - {"model_spec"}) | {"model"}
+#: :class:`FitJobSpec` keywords by name, ``model_spec`` spelled ``model``.
+_FIT_BODY = (set(inspect.signature(FitJobSpec).parameters) - {"model_spec"}) | {"model"}
 
 
 def _query_number(query: Dict[str, List[str]], key: str, cast: Callable, kind: str):

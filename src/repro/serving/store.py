@@ -9,8 +9,8 @@ shipment. It captures
 
 * the fitted covariance model (family, ``theta``, metric, nugget),
 * the (Morton-ordered) training locations and observations,
-* the substrate configuration (variant, ``nb``, ``acc``, compressor,
-  truncation rule),
+* the substrate (a :class:`~repro.substrate.Substrate`: variant,
+  ``nb``, ``acc``, compressor, truncation rule, compression batch),
 * optionally the ``Sigma_22`` Cholesky factor in its native substrate
   format (dense / tile / TLR), so a loaded engine adopts the *exact*
   factor the fit produced — predictions from a fresh process are then
@@ -32,13 +32,12 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import _VALID_COMPRESSION, _VALID_TRUNCATION, get_config, use_config
 from ..exceptions import BundleCorruptError, BundleError
 from ..resilience.faults import fault_point
 from ..kernels import covariance as _covariance
@@ -46,7 +45,8 @@ from ..kernels.covariance import CovarianceModel
 from ..linalg.compression import LowRank
 from ..linalg.tile_matrix import TileGrid, TileMatrix
 from ..linalg.tlr_matrix import TLRMatrix
-from ..mle.prediction_engine import VARIANTS, Factor, PredictionEngine
+from ..mle.prediction_engine import Factor, PredictionEngine
+from ..substrate import Substrate, substrate_view
 from ..utils.durable import atomic_write
 
 __all__ = [
@@ -95,6 +95,24 @@ def _quarantine(path: Path) -> Path:
     except OSError:
         return path  # e.g. concurrent quarantine; the error still raises
     return target
+
+
+def read_meta(path: Union[str, Path]) -> dict:
+    """A bundle directory's ``meta.json`` (its arrays are not read)."""
+    path = Path(path)
+    meta_path = path / META_NAME
+    if not meta_path.is_file() or not (path / ARRAYS_NAME).is_file():
+        raise BundleError(
+            f"{path} is not a model bundle (missing {META_NAME} or {ARRAYS_NAME})"
+        )
+    try:
+        with meta_path.open() as fh:
+            meta = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"{meta_path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise BundleError(f"{meta_path} must hold a JSON object, got {type(meta).__name__}")
+    return meta
 
 
 def model_to_spec(model: CovarianceModel) -> dict:
@@ -146,8 +164,11 @@ class ModelBundle:
     z:
         ``(n,)`` or ``(n, k)`` observations in the same order, or
         ``None`` for a variance-only model.
-    variant, acc, tile_size, compression_method, truncation:
-        Substrate configuration of the fit (and of the serving engine).
+    substrate:
+        The fit's :class:`~repro.substrate.Substrate` (and the serving
+        engine's), resolved once from the keywords ``variant`` (a name or
+        a ``Substrate``), ``acc``, ``tile_size``, ``compression_method``
+        and ``truncation``, which read it back. Bad values: BundleError.
     factor:
         Optional ``Sigma_22`` Cholesky factor in the substrate's native
         format; adopted verbatim by :meth:`build_engine`.
@@ -171,39 +192,26 @@ class ModelBundle:
     model: CovarianceModel
     locations: np.ndarray
     z: Optional[np.ndarray]
-    variant: str = "full-block"
-    acc: Optional[float] = None
-    tile_size: Optional[int] = None
-    compression_method: Optional[str] = None
-    truncation: Optional[str] = None
+    variant: InitVar[Union[str, Substrate]] = "full-block"
+    acc: InitVar[Optional[float]] = None
+    tile_size: InitVar[Optional[int]] = None
+    compression_method: InitVar[Optional[str]] = None
+    truncation: InitVar[Optional[str]] = None
     factor: Optional[Factor] = None
     distance_blocks: Optional[Dict[Tuple[int, int, int, int], np.ndarray]] = None
     full_distances: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
     info: dict = field(default_factory=dict)
+    substrate: Substrate = field(init=False)
 
-    def __post_init__(self) -> None:
-        cfg = get_config()
+    def __post_init__(self, variant, acc, tile_size, compression_method, truncation) -> None:
         self.locations = np.ascontiguousarray(self.locations, dtype=np.float64)
         if self.z is not None:
             self.z = np.ascontiguousarray(self.z, dtype=np.float64)
-        self.acc = cfg.tlr_accuracy if self.acc is None else float(self.acc)
-        if self.tile_size is None:
-            planned = None
-            if cfg.auto_tune and self.variant in ("full-tile", "tlr"):
-                # Opt-in self-tuning (Config.auto_tune): registration-time
-                # tile size from the calibrated planner; None (planning
-                # failed) falls back to the static default.
-                from ..perfmodel.planner import planned_tile_size
-
-                planned = planned_tile_size(
-                    int(self.locations.shape[0]), variant=self.variant, acc=self.acc
-                )
-            self.tile_size = cfg.tile_size if planned is None else planned
-        else:
-            self.tile_size = int(self.tile_size)
-        self.compression_method = self.compression_method or cfg.compression_method
-        self.truncation = self.truncation or cfg.truncation
+        self.substrate = Substrate.resolve(
+            variant, acc=acc, tile_size=tile_size, compression_method=compression_method,
+            truncation=truncation, n=self.locations.shape[0], error=BundleError,
+        )
 
     # -------------------------------------------------------------- payload
     def to_payload(self) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -230,13 +238,7 @@ class ModelBundle:
         meta = {
             "format_version": FORMAT_VERSION,
             "model": model_to_spec(self.model),
-            "substrate": {
-                "variant": self.variant,
-                "acc": self.acc,
-                "tile_size": self.tile_size,
-                "compression_method": self.compression_method,
-                "truncation": self.truncation,
-            },
+            "substrate": self.substrate.to_meta(),
             "n": int(self.locations.shape[0]),
             "dim": int(self.locations.shape[1]),
             "has_z": self.z is not None,
@@ -252,9 +254,9 @@ class ModelBundle:
         """Rebuild a bundle from :meth:`to_payload` output (or from a
         decoded wire message / a read ``meta.json`` + ``arrays.npz``
         pair). Raises :class:`BundleError` on version or structure
-        problems and on an unknown ``variant``, ``compression_method`` or
-        ``truncation``. The tiles of a dense tile factor are moved out of
-        ``arrays`` as they are copied into the factor's storage."""
+        problems and on a substrate that fails its check. The tiles of a
+        dense tile factor are moved out of ``arrays`` as they are copied
+        into the factor's storage."""
         if not isinstance(meta, dict):
             raise BundleError(
                 f"bundle meta must be an object, got {type(meta).__name__}"
@@ -269,29 +271,13 @@ class ModelBundle:
         if missing:
             raise BundleError(f"bundle meta is missing {missing}")
         try:
-            sub = meta["substrate"]
-            if not isinstance(sub, dict):
-                raise BundleError(
-                    f"substrate section must be an object, got {type(sub).__name__}"
-                )
-            for key, known in (
-                ("variant", VARIANTS),
-                ("compression_method", _VALID_COMPRESSION),
-                ("truncation", _VALID_TRUNCATION),
-            ):
-                if sub[key] not in known:
-                    raise BundleError(f"unknown {key} {sub[key]!r}; known: {known}")
             if "locations" not in arrays:
                 raise BundleError("bundle payload is missing the locations array")
             bundle = cls(
                 model=model_from_spec(meta["model"]),
                 locations=arrays["locations"],
                 z=arrays.get("z"),
-                variant=sub["variant"],
-                acc=sub["acc"],
-                tile_size=sub["tile_size"],
-                compression_method=sub["compression_method"],
-                truncation=sub["truncation"],
+                variant=Substrate.from_meta(meta["substrate"], error=BundleError),
                 info=dict(meta.get("info", {})),
             )
             bundle.factor = cls._unpack_factor(meta, arrays, bundle)
@@ -356,21 +342,8 @@ class ModelBundle:
     def load(cls, path: Union[str, Path]) -> "ModelBundle":
         """Read a bundle directory written by :meth:`save`."""
         path = Path(path)
-        meta_path = path / META_NAME
+        meta = read_meta(path)
         arrays_path = path / ARRAYS_NAME
-        if not meta_path.is_file() or not arrays_path.is_file():
-            raise BundleError(
-                f"{path} is not a model bundle (missing {META_NAME} or {ARRAYS_NAME})"
-            )
-        try:
-            with meta_path.open() as fh:
-                meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"{meta_path} is not valid JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise BundleError(
-                f"{meta_path} must hold a JSON object, got {type(meta).__name__}"
-            )
         fault_point("store.load", path=str(arrays_path))
         checksums = meta.get("checksums")
         if isinstance(checksums, dict) and ARRAYS_NAME in checksums:
@@ -444,24 +417,16 @@ class ModelBundle:
         """A ready-to-serve :class:`PredictionEngine` for this bundle.
 
         The engine is bound to the bundle's training set, observations
-        and substrate — variant, ``acc``, ``nb``, compressor and
-        truncation rule all come from the bundle, never from the
-        caller's :class:`~repro.config.Config`; a persisted factor is
+        and :attr:`substrate` — never the caller's
+        :class:`~repro.config.Config`; a persisted factor is
         adopted (first predict skips generation + factorization) and
         persisted distance data rehydrates the engine's caches. No
         fitting, no data pipeline. The engine is serial (no runtime).
         """
-        with use_config(truncation=self.truncation):
-            engine = PredictionEngine(
-                self.locations,
-                self.z,
-                self.model,
-                variant=self.variant,
-                acc=self.acc,
-                tile_size=self.tile_size,
-                compression_method=self.compression_method,
-                full_distances=self.full_distances,
-            )
+        engine = PredictionEngine(
+            self.locations, self.z, self.model,
+            variant=self.substrate, full_distances=self.full_distances,
+        )
         if self.distance_blocks and engine.distance_cache is not None:
             engine.distance_cache.load_blocks(self.distance_blocks)
         if self.factor is not None:
@@ -479,6 +444,10 @@ class ModelBundle:
             f"model={type(self.model).__name__}, "
             f"factor={'yes' if self.factor is not None else 'no'})"
         )
+
+
+for _name in ("variant", "acc", "tile_size", "compression_method", "truncation"):
+    setattr(ModelBundle, _name, substrate_view(_name))
 
 
 def save_model(bundle: ModelBundle, path: Union[str, Path]) -> Path:
@@ -527,11 +496,7 @@ def bundle_from_fit(
         model=engine.model,
         locations=estimator.locations,
         z=estimator.z,
-        variant=estimator.variant,
-        acc=engine.acc,
-        tile_size=engine.tile_size,
-        compression_method=engine.compression_method,
-        truncation=engine.truncation_rule,
+        variant=engine.substrate,
         factor=factor,
         distance_blocks=distance_blocks,
         full_distances=full_distances,

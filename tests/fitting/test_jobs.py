@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
+from repro.config import use_config
 from repro.data import generate_irregular_grid, sample_gaussian_field
 from repro.exceptions import FittingError, JobNotFoundError
+from repro.fitting import FitOrchestrator
 from repro.fitting.checkpoint import save_state
 from repro.fitting.jobs import FitJobSpec, JobStore
 from repro.kernels import MaternCovariance
+from repro.mle import MLEstimator
+from repro.serving import ModelBundle, load_model
+from repro.substrate import Substrate
 from repro.optim import OptimizeResult
 from repro.optim.neldermead import SimplexState, multistart_points
 
@@ -381,3 +388,82 @@ class TestJobStore:
         record = store.record(job)
         assert record["trace"]["1"][0]["loglik"] == -1.0
         assert "trace" not in store.record(job, include_trace=False)
+
+
+# A TLR substrate on which the truncation rule changes the factor's ranks.
+TLR = dict(variant="tlr", tile_size=16, acc=1e-3)
+SETTINGS = dict(maxiter=12, seed=4)
+
+
+def _absolute_fit(locs, z):
+    """The in-process reference (module level: a spawned child imports it)."""
+    with use_config(truncation="absolute"):
+        return MLEstimator(locs, z, **TLR).fit(**SETTINGS)
+
+
+class TestJobsKeepTheWholeSubstrate:
+    """Regression: a job dropped the truncation rule twice — a refit of an
+    ``absolute`` bundle ran (and republished) ``relative``, and a job built
+    under ``use_config(truncation="absolute")`` ran ``relative`` once its
+    spec was resolved in a default-config process."""
+
+    def test_refit_of_a_bundle_runs_on_the_bundles_truncation(self, data, tmp_path):
+        locs, z = data
+        path = ModelBundle(
+            model=MaternCovariance(1.0, 0.1, 0.5), locations=locs, z=z,
+            truncation="absolute", **TLR,
+        ).save(tmp_path / "abs.bundle")
+        spec = FitJobSpec(bundle_path=str(path), acc=1e-4)
+        assert spec.substrate == Substrate.resolve(load_model(path).substrate, acc=1e-4)
+        estimator, _ = spec.resolve()
+        assert estimator.evaluator.truncation_rule == "absolute"
+        assert estimator.evaluator.acc == 1e-4  # the override still wins
+
+    def test_spec_pins_the_submitters_truncation(self, data, tmp_path):
+        locs, z = data
+        store = JobStore(tmp_path)
+        with use_config(truncation="absolute", compression_batch=2):
+            job = store.create(FitJobSpec(locations=locs, z=z, **TLR))
+        seen = {}
+
+        def leg():  # a fresh thread starts from the default config
+            seen["substrate"] = store.spec(job).resolve()[0].substrate
+
+        thread = threading.Thread(target=leg)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen["substrate"].truncation == "absolute"
+        assert seen["substrate"].compression_batch == 2
+        raw = json.loads((store.job_dir(job) / "spec.json").read_text())
+        assert raw["substrate"] == seen["substrate"].to_meta()
+
+    @pytest.mark.parametrize(
+        "start_method",
+        [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
+    )
+    def test_job_matches_in_process_fit_and_republishes_the_rule(
+        self, data, tmp_path, start_method, monkeypatch
+    ):
+        locs, z = data
+        # Same BLAS-thread pinning as the orchestrator's parity test: the
+        # reference runs in a child of the legs' kind.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with multiprocessing.get_context(start_method).Pool(1) as pool:
+            ref = pool.apply(_absolute_fit, (locs, z))
+        with use_config(truncation="absolute"):
+            fresh = FitJobSpec(locations=locs, z=z, **TLR, **SETTINGS)
+        with FitOrchestrator(tmp_path, max_workers=2, start_method=start_method) as orch:
+            first = orch.wait(orch.submit(fresh), timeout=300)
+            assert first["status"] == "done", first
+            refit = orch.wait(
+                orch.submit(
+                    FitJobSpec(bundle_path=first["bundle_path"], warm_start=True, **SETTINGS)
+                ),
+                timeout=300,
+            )
+            assert refit["status"] == "done", refit
+        np.testing.assert_array_equal(first["result"]["theta"], ref.theta)
+        assert first["result"]["loglik"] == ref.loglik  # the rule moves ranks, so bits
+        for record in (first, refit):
+            assert load_model(record["bundle_path"]).substrate == ref.substrate

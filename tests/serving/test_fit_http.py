@@ -239,6 +239,40 @@ def test_unknown_compressor_is_a_400_and_queues_no_job(initial_bundle):
             assert cli.jobs() == []
 
 
+def test_out_of_range_accuracy_is_a_400_and_creates_no_job_directory(
+    initial_bundle, tmp_path
+):
+    """``acc=5`` fails the one substrate check at submission (FittingError,
+    HTTP 400); nothing reaches the job ledger."""
+    import http.client
+    import json as _json
+
+    jobs = tmp_path / "jobs"
+    with ServingServer(
+        {"m": str(initial_bundle["path"])}, num_workers=1, jobs_dir=jobs
+    ) as srv:
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+        try:
+            body = _json.dumps({
+                "locations": initial_bundle["locations"].tolist(),
+                "z": initial_bundle["z"].tolist(),
+                "variant": "tlr",
+                "acc": 5,
+                "maxiter": 5,
+            })
+            conn.request(
+                "POST", "/v1/fit", body=body, headers={"Content-Type": "application/json"}
+            )
+            resp = conn.getresponse()
+            payload = _json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert payload["error"]["type"] == "FittingError"
+        assert "acc" in payload["error"]["message"]
+        assert [p for p in jobs.iterdir() if p.is_dir()] == []
+
+
 def test_failed_fit_surfaces_through_wait_job(client, initial_bundle):
     submitted = client.fit(
         model_id="doomed",

@@ -12,8 +12,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import http.client
+import inspect
 import json
 import multiprocessing
 import os
@@ -331,9 +331,9 @@ def test_open_model_breaker_keeps_retry_after_across_the_worker_pipe(
 
 def test_fit_accepts_every_scalar_fitjobspec_field_and_nothing_else(server, bundle_path):
     scalars = {
-        f.name: f.default
-        for f in dataclasses.fields(FitJobSpec)
-        if isinstance(f.default, (bool, int, float, str)) or f.default is None
+        name: p.default
+        for name, p in inspect.signature(FitJobSpec).parameters.items()
+        if isinstance(p.default, (bool, int, float, str)) or p.default is None
     }
     for name in ("locations", "z", "bundle_path", "model_spec", "x0", "bounds"):
         scalars.pop(name)
