@@ -200,9 +200,9 @@ class TileDistanceCache:
 
 
 class CrossDistanceCache:
-    """Cache of cross-distance matrices ``d(targets, locations)``.
+    """Byte-bounded LRU of cross-distance matrices ``d(targets, locations)``.
 
-    The prediction operation (paper eq. (4)) builds the ``m x n``
+    The prediction operation (paper eq. (4)) needs the ``m x n``
     cross-covariance ``Sigma_12`` between the prediction targets and the
     fixed training locations on every call. Targets are routinely reused
     — repeated prediction over realizations of one fitted model, or a
@@ -210,41 +210,53 @@ class CrossDistanceCache:
     distance matrix by a content digest of the target coordinates, the
     cross analogue of :class:`TileDistanceCache`.
 
+    Only small target sets are worth holding: the distances are a
+    fraction of the cross-covariance cost (the correlation function is
+    the rest), so a large matrix costs more memory than it saves time.
+    A target set whose matrix alone exceeds ``max_bytes`` is never
+    stored — :meth:`lookup` reports it as a miss and returns ``None``,
+    and the engine streams its distances in row blocks instead.
+
     Parameters
     ----------
     locations:
         ``(n, d)`` training locations (fixed for the cache's lifetime).
     metric:
         Distance metric, as in :func:`~repro.kernels.distance.pairwise_distance`.
-    max_entries:
-        Bound on retained target sets (least-recently-used eviction);
-        each entry holds an ``m x n`` float64 matrix.
+    max_bytes:
+        Bound on the bytes of stored matrices (least-recently-used
+        eviction). The default holds nine ``32 x 1600`` target sets;
+        an ``18 x 18`` grid against 1 600 locations (4.1 MB) is streamed.
     """
 
     def __init__(
-        self, locations: np.ndarray, *, metric: str = "euclidean", max_entries: int = 8
+        self, locations: np.ndarray, *, metric: str = "euclidean", max_bytes: int = 4_000_000
     ) -> None:
         self.locations = check_locations(locations, "locations")
         self.metric = metric
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
+        if max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[Tuple[Tuple[int, ...], bytes], np.ndarray]" = OrderedDict()
+        self.nbytes = 0  # bytes held by stored matrices
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(targets: np.ndarray) -> Tuple[Tuple[int, ...], bytes]:
-        return array_content_key(targets)
+    def lookup(self, targets: np.ndarray) -> Optional[np.ndarray]:
+        """Distance matrix ``targets x locations`` if it fits the budget.
 
-    def matrix(self, targets: np.ndarray) -> np.ndarray:
-        """Distance matrix ``targets x locations`` (cached by content).
-
-        The returned array is shared across calls — callers must treat it
-        as read-only (covariance application allocates fresh output).
+        A hit returns the stored matrix; a miss computes and stores it,
+        evicting least-recently-used sets down to ``max_bytes``. A set
+        whose matrix exceeds ``max_bytes`` counts as a miss and returns
+        ``None``. Stored matrices are read-only: they are shared across
+        calls, and a write into one raises instead of corrupting later
+        predictions.
         """
         t = check_locations(targets, "targets")
-        key = self._key(t)
+        if t.shape[0] * self.locations.shape[0] * 8 > self.max_bytes:
+            self.misses += 1
+            return None
+        key = array_content_key(t)
         d = self._entries.get(key)
         if d is not None:
             self.hits += 1
@@ -252,14 +264,25 @@ class CrossDistanceCache:
             return d
         self.misses += 1
         d = pairwise_distance(t, self.locations, metric=self.metric)
+        d.setflags(write=False)
         self._entries[key] = d
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self.nbytes += d.nbytes
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+        return d
+
+    def matrix(self, targets: np.ndarray) -> np.ndarray:
+        """Distance matrix ``targets x locations``: :meth:`lookup`'s, or
+        a fresh one for a set over the budget."""
+        d = self.lookup(targets)
+        if d is None:
+            d = pairwise_distance(targets, self.locations, metric=self.metric)
         return d
 
     def clear(self) -> None:
         """Drop all cached target sets (and hit/miss counters)."""
         self._entries.clear()
+        self.nbytes = 0
         self.hits = 0
         self.misses = 0
 
@@ -267,11 +290,6 @@ class CrossDistanceCache:
     def n_entries(self) -> int:
         """Number of cached target sets."""
         return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by cached cross-distance matrices."""
-        return int(sum(d.nbytes for d in self._entries.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

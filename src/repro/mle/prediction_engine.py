@@ -26,9 +26,13 @@ substrate, a jitter fallback, a concentrated likelihood) lands once.
 **Generation.** Locations are fixed, so ``Sigma_22`` distance blocks are
 cached across factorizations
 (:class:`~repro.linalg.generation.TileDistanceCache`; the full-block
-substrate caches the full distance matrix) and ``Sigma_12`` cross
+substrate caches the full distance matrix) and small target sets' cross
 distances by a content digest of the targets
-(:class:`~repro.linalg.generation.CrossDistanceCache`). Generation runs
+(:class:`~repro.linalg.generation.CrossDistanceCache`, bounded in
+bytes). A prediction never forms ``Sigma_12``: it is generated and
+applied to ``alpha`` in row blocks of about
+:data:`PREDICT_BLOCK_ENTRIES` entries, so its working set is a few
+blocks whatever the number of targets. Generation runs
 inside the Cholesky task graph, with no barrier before the
 factorization: the TLR Cholesky's tasks always generate their own tiles
 (each DIAG/OFFDIAG task generates, updates and compresses its tile),
@@ -49,7 +53,7 @@ resolved one over as ``variant=``. ``runtime``, ``cache_distances`` and
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -78,6 +82,10 @@ from ..utils.validation import as_float_array, check_locations
 
 __all__ = ["PredictionEngine"]
 
+#: Entries of ``Sigma_12`` a prediction generates and applies per row
+#: block (512 KiB of float64; a predict's working set is a few blocks).
+PREDICT_BLOCK_ENTRIES = 1 << 16
+
 #: A Sigma_22 Cholesky factor in any of the three substrate formats.
 Factor = Union[np.ndarray, TileMatrix, TLRMatrix]
 
@@ -98,6 +106,24 @@ def _check_rhs(z: object, n: int, name: str = "z") -> np.ndarray:
     if arr.shape[0] != n:
         raise ShapeError(f"{name} must have leading dimension {n}, got {arr.shape[0]}")
     return arr
+
+
+def _row_blocks(m: int, n: int) -> Iterator[slice]:
+    """Row blocks of an ``(m, n)`` cross-covariance, about
+    :data:`PREDICT_BLOCK_ENTRIES` entries each.
+
+    A block is a multiple of 8 rows and a one-row tail joins the block
+    before it: BLAS GEMV kernels unroll over output rows, and numpy
+    hands one-row products to other kernels, so each row meets the
+    kernel it would meet in the unblocked product and (on one BLAS
+    thread) the result is bit-identical to it.
+    """
+    rows = max(8, PREDICT_BLOCK_ENTRIES // n // 8 * 8)
+    starts = list(range(0, m, rows))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [m]):
+        yield slice(start, stop)
 
 
 class PredictionEngine:
@@ -381,10 +407,34 @@ class PredictionEngine:
                 d12 = pairwise_distance(xnew, self.locations, metric=self.model.metric)
             return self.model(d12)
 
+    def _apply_cross(self, xnew: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """``Sigma_12 @ alpha``, generated and applied in row blocks.
+
+        Each block is distances (a cached target set's stored rows, else
+        freshly computed), then the covariance, then a GEMV/GEMM into its
+        rows of the output — no ``(m, n)`` array is formed beyond a
+        cached set's distances.
+        """
+        with self.times.stage("cross"):
+            d12 = None if self.cross_cache is None else self.cross_cache.lookup(xnew)
+            out = np.empty(xnew.shape[:1] + alpha.shape[1:])
+            for rows in _row_blocks(xnew.shape[0], self._n):
+                d = (
+                    d12[rows] if d12 is not None
+                    else pairwise_distance(xnew[rows], self.locations, metric=self.model.metric)
+                )
+                np.matmul(self.model(d), alpha, out=out[rows])
+            return out
+
     def predict(
         self, new_locations: np.ndarray, *, z: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Conditional mean ``Sigma_12 Sigma_22^{-1} z`` (eq. (4)).
+
+        ``Sigma_12`` is streamed: generated and applied to
+        ``Sigma_22^{-1} z`` in row blocks of about
+        :data:`PREDICT_BLOCK_ENTRIES` entries inside the ``cross`` stage,
+        so memory does not grow with the number of targets.
 
         Parameters
         ----------
@@ -401,11 +451,10 @@ class PredictionEngine:
         ``(m,)`` predictions, or ``(m, k)`` for a batched ``z``.
         """
         with _telemetry.span("engine.predict", variant=self.variant):
-            sigma12 = self.cross_covariance(new_locations)
+            xnew = check_locations(new_locations, "new_locations")
             alpha = self._weights() if z is None else self.solve(z)
             self.n_predicts += 1
-            with _telemetry.span("engine.gemv"):
-                return sigma12 @ alpha
+            return self._apply_cross(xnew, alpha)
 
     def predict_many(
         self,
@@ -423,13 +472,10 @@ class PredictionEngine:
         (cached) solve instead of one each.
 
         Per-request results are **bit-identical** to calling
-        :meth:`predict` once per target set: cross-covariances and the
-        conditional-mean GEMV are evaluated per set, with exactly the
-        shapes a standalone call would use. (Deliberately *not* stacked
-        into one tall matrix: the GEMM inside the euclidean distance
-        kernel and BLAS GEMV both block by row count — a stacked
-        evaluation differs in the last bits — and per-set ufunc passes
-        stay cache-resident where one ``(sum m_i, n)`` pass spills.)
+        :meth:`predict` once per target set: each set is streamed
+        through the same row blocks a standalone call would use.
+        (Deliberately *not* stacked into one tall matrix: the block
+        boundaries would move, and BLAS GEMV blocks by row count.)
 
         Counts as one predict (``n_predicts += 1``): it is one pass over
         one request group.
@@ -448,12 +494,7 @@ class PredictionEngine:
         ):
             alpha = self._weights() if z is None else self.solve(z)
             self.n_predicts += 1
-            out = []
-            for t in checked:
-                sigma12 = self.cross_covariance(t)
-                with _telemetry.span("engine.gemv"):
-                    out.append(sigma12 @ alpha)
-            return out
+            return [self._apply_cross(t, alpha) for t in checked]
 
     def conditional_variance(self, new_locations: np.ndarray) -> np.ndarray:
         """Pointwise kriging variance (eq. (3)) on any substrate.

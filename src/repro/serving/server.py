@@ -246,6 +246,8 @@ class ServingServer:
         :class:`~repro.fitting.FitOrchestrator` (``max_workers``,
         ``checkpoint_every``, ``max_restarts``, ``start_method``).
         Validated here, at construction, like the other option dicts.
+        Without a ``start_method`` of its own, fit legs use the
+        server's.
     max_worker_restarts:
         Times the router respawns a *serving* worker process that died
         (per worker) before ``/healthz`` degrades permanently. The
@@ -391,10 +393,11 @@ class ServingServer:
             if self._jobs_dir is None:
                 self._jobs_dir = self._temp_dir("repro-fit-jobs-")
             self._fit_store = JobStore(self._jobs_dir)
+            options = dict(self.fit_options)
+            if options.get("start_method") is None:  # fit legs start like the workers
+                options["start_method"] = self._ctx.get_start_method()
             self._orchestrator = FitOrchestrator(
-                self._fit_store,
-                on_complete=self._serve_fit_result,
-                **self.fit_options,
+                self._fit_store, on_complete=self._serve_fit_result, **options
             ).start()
         self._http = _Server((self.host, self._requested_port), self)
         self._http_thread = threading.Thread(

@@ -154,7 +154,7 @@ def test_tile_distance_cache_keys_every_block_correctly(model, seed, n, nb):
 @settings(max_examples=25)
 def test_cross_distance_cache_keys_by_content(seed, n, sizes):
     x = cloud(seed, n)
-    cache = CrossDistanceCache(x, max_entries=len(sizes) + 1)
+    cache = CrossDistanceCache(x, max_bytes=(len(sizes) + 1) * 12 * 30 * 8)
     targets = [cloud(seed + 1 + k, m) for k, m in enumerate(sizes)]
     for t in targets:
         np.testing.assert_array_equal(cache.matrix(t), pairwise_distance(t, x))

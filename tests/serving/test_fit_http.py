@@ -10,6 +10,7 @@ the new engine bit-for-bit.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -369,3 +370,21 @@ def test_durable_jobs_dir_survives_server_restart(initial_bundle, tmp_path):
             assert record["status"] == "done"
             assert record["result"]["theta"]
     del locs
+
+
+@pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods(), reason="no spawn start method"
+)
+def test_fit_legs_start_like_the_servers_workers(initial_bundle):
+    """Fit legs take the server's start method unless ``fit_options``
+    names one, so a ``spawn`` server spawns its fit legs too."""
+    models = {"station": str(initial_bundle["path"])}
+    with ServingServer(models, num_workers=1, start_method="spawn") as srv:
+        assert srv._orchestrator._ctx.get_start_method() == "spawn"
+        assert srv._orchestrator._ctx.get_start_method() == srv._ctx.get_start_method()
+    methods = multiprocessing.get_all_start_methods()
+    other = "fork" if "fork" in methods else "spawn"
+    with ServingServer(
+        models, num_workers=1, start_method=other, fit_options={"start_method": "spawn"}
+    ) as srv:
+        assert srv._orchestrator._ctx.get_start_method() == "spawn"
