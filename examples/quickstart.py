@@ -10,16 +10,17 @@ Reproduces the paper's core workflow (Figure 2 setup) end to end:
    approximation at two accuracy thresholds;
 4. predict the held-out values and compare mean squared errors.
 
-Every fit below runs through the *generation pipeline*: locations are
-fixed during a fit, so per-tile distance blocks are computed once and
-cached across the optimizer's likelihood evaluations (on by default;
-``MLEstimator(..., cache_distances=False)`` trades the memory back —
-values are bit-identical either way). Passing a ``Runtime`` to
-``MLEstimator`` runs generation as tasks of the factorization graph, so
-factorization tasks start as soon as their own tiles are generated. The
-TLR Cholesky always generates (and compresses) each tile inside its own
-task; for full-tile, ``parallel_generation=True`` (the default) adds one
-generation task per tile column:
+Every fit below runs through the *generation pipeline*: each
+likelihood evaluation generates ``Sigma_22`` with its distances computed
+in the task, from coordinates, so a fit holds the locations and the
+factor and no distance data (the paper's point: TLR compresses the
+O(n²) storage away, and a distance cache would put it back). Passing a
+``Runtime`` to ``MLEstimator`` runs generation as tasks of the
+factorization graph, so factorization tasks start as soon as their own
+tiles are generated. The TLR Cholesky always generates (and compresses)
+each tile inside its own task; for full-tile, ``parallel_generation=True``
+(the default) adds one generation task per tile column, which writes the
+whole column panel in place:
 
     from repro.runtime import Runtime
     with Runtime() as rt:

@@ -135,7 +135,7 @@ class FitJobSpec:
         Serving model id the finished fit should be published under
         (the orchestrator's ``on_complete`` hook handles the actual
         registration / hot-reload).
-    include_factor, include_distance_cache:
+    include_factor:
         Forwarded to :meth:`MLEstimator.save_fit` when the finished
         fit is bundled.
     """
@@ -160,7 +160,6 @@ class FitJobSpec:
     warm_start: bool = False
     model_id: Optional[str] = None
     include_factor: bool = True
-    include_distance_cache: bool = False
     substrate: Substrate = field(init=False)
 
     def __post_init__(self, variant, acc, tile_size, compression_method) -> None:
@@ -266,6 +265,7 @@ class FitJobSpec:
             with np.load(arrays_path) as npz:
                 locations = npz["locations"] if raw.get("has_locations") else None
                 z = npz["z"] if raw.get("has_z") else None
+        raw.pop("include_distance_cache", None)  # from builds that persisted distances
         raw = {k: v for k, v in raw.items() if k not in ("has_locations", "has_z")}
         if "substrate" in raw:  # absent from specs written before it was pinned whole
             raw["variant"] = Substrate.from_meta(raw.pop("substrate"), error=FittingError)

@@ -212,12 +212,7 @@ def _finalize_job(root: str, job_id: str) -> None:
                 "elapsed": fit.time_total,
             },
         )
-        estimator.save_fit(
-            fit,
-            store.bundle_dir(job_id),
-            include_factor=spec.include_factor,
-            include_distance_cache=spec.include_distance_cache,
-        )
+        estimator.save_fit(fit, store.bundle_dir(job_id), include_factor=spec.include_factor)
     except Exception as exc:
         store.write_start_error(job_id, FINALIZE, exc)
 

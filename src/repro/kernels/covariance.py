@@ -99,10 +99,10 @@ class CovarianceModel:
         """
         x = check_locations(x, "x")
         d = pairwise_distance(x, y, metric=self.metric)
-        cov = self(d)
-        if y is None and self.nugget > 0.0:
-            cov[np.diag_indices_from(cov)] += self.nugget
-        return cov
+        # The covariance overwrites the distances: one (n, m) array in all.
+        return self.tile_from_distances(
+            d, slice(0, d.shape[0]), slice(0, d.shape[1]), symmetric=y is None, out=d
+        )
 
     def tile(
         self,
@@ -121,7 +121,7 @@ class CovarianceModel:
         x = check_locations(x, "x")
         y_arr = None if y is None else check_locations(y, "y")
         d = pairwise_distance_block(x, rows, cols, y_arr, metric=self.metric)
-        return self.tile_from_distances(d, rows, cols, symmetric=y is None)
+        return self.tile_from_distances(d, rows, cols, symmetric=y is None, out=d)
 
     def tile_from_distances(
         self,
@@ -130,20 +130,19 @@ class CovarianceModel:
         cols: slice,
         *,
         symmetric: bool = True,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Covariance tile from a precomputed distance block.
+        """Covariance tile from a distance block.
 
-        This is the theta-dependent half of tile *generation*: distances
-        depend only on the (fixed) locations, so a per-fit
-        :class:`~repro.linalg.generation.TileDistanceCache` computes each
-        block once and every subsequent likelihood evaluation pays only
-        for this call — correlation + variance scaling (+ nugget).
+        The theta-dependent half of tile *generation*: correlation +
+        variance scaling (+ nugget) applied to the block
+        :func:`~repro.kernels.distance.pairwise_distance_block` computed.
 
         Parameters
         ----------
         d:
             Distance block for ``locations[rows]`` x ``locations[cols]``
-            (not mutated).
+            (not mutated unless it is ``out``).
         rows, cols:
             The global slices the block covers; used to place the nugget
             on true diagonal entries.
@@ -151,8 +150,15 @@ class CovarianceModel:
             True when rows and columns index the *same* location set
             (the ``y=None`` case of :meth:`tile`); only then is the
             nugget applied.
+        out:
+            Optional float64 array of ``d``'s shape for the tile; it may
+            be ``d`` itself (a column panel is generated in place).
         """
-        cov = self(d)
+        if out is None:
+            cov = self(d)
+        else:
+            cov = self._correlation_into(d, out)
+            cov *= self.variance
         if symmetric and self.nugget > 0.0:
             r0 = rows.start or 0
             c0 = cols.start or 0
@@ -164,12 +170,16 @@ class CovarianceModel:
                 cov[g - r0, g - c0] += self.nugget
         return cov
 
+    def _correlation_into(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`correlation` into ``out`` (which may be ``r``)."""
+        out[...] = self.correlation(r)
+        return out
+
     def matrix_from_distances(self, d: np.ndarray, *, symmetric: bool = True) -> np.ndarray:
         """Full covariance matrix from a precomputed distance matrix.
 
-        The full-block analogue of :meth:`tile_from_distances`: with the
-        ``(n, n)`` distance matrix cached once per fit, each evaluation
-        builds ``Sigma(theta)`` without touching :func:`pairwise_distance`.
+        The full-block analogue of :meth:`tile_from_distances`, equal to
+        :meth:`matrix` bit for bit when ``d`` is ``pairwise_distance(x)``.
         ``d`` is not mutated; the result is freshly allocated.
         """
         cov = self(d)
@@ -215,6 +225,9 @@ class MaternCovariance(CovarianceModel):
 
     def correlation(self, r: np.ndarray) -> np.ndarray:
         return matern_correlation(r, self.range_, self.smoothness)
+
+    def _correlation_into(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return matern_correlation(r, self.range_, self.smoothness, out=out)
 
 
 class ExponentialCovariance(MaternCovariance):

@@ -9,8 +9,9 @@ Two metrics are used by the paper:
 Both are implemented as fully vectorized pairwise-matrix builders; the
 Euclidean path uses the expanded-square identity (one GEMM plus two
 row/column norms) rather than an ``O(n^2 d)`` Python loop, following the
-"vectorize, and lean on BLAS" idiom of the HPC guides. A chunked variant
-keeps peak memory bounded when only tiles of the matrix are needed.
+"vectorize, and lean on BLAS" idiom of the HPC guides. Every builder can
+compute in a caller's array (``out=``): that is how a column panel of
+``Sigma_22`` is generated in the tile matrix's own storage.
 """
 
 from __future__ import annotations
@@ -34,8 +35,13 @@ __all__ = [
 #: Mean Earth radius in kilometres (used when ``unit="km"``).
 EARTH_RADIUS_KM = 6371.0088
 
+#: Entries per chunk of the Euclidean norm sums (64 KiB: cache-resident).
+_CHUNK = 8192
 
-def euclidean_distance_matrix(x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+
+def euclidean_distance_matrix(
+    x: np.ndarray, y: Optional[np.ndarray] = None, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Pairwise Euclidean distances between rows of ``x`` and ``y``.
 
     Parameters
@@ -44,17 +50,21 @@ def euclidean_distance_matrix(x: np.ndarray, y: Optional[np.ndarray] = None) -> 
         ``(n, d)`` array of locations.
     y:
         ``(m, d)`` array; defaults to ``x`` (symmetric case).
+    out:
+        Optional C-contiguous ``(n, m)`` float64 array to compute in.
 
     Returns
     -------
-    ``(n, m)`` distance matrix.
+    ``(n, m)`` distance matrix (``out`` when given).
 
     Notes
     -----
     Uses ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` so the inner work is a
-    single BLAS GEMM. Tiny negative values from cancellation are clipped
-    before the square root, and the self-distance diagonal is forced to
-    exactly zero in the symmetric case.
+    single BLAS GEMM, in the result's storage (the norms are added in
+    row chunks of :data:`_CHUNK` entries). Tiny negative values from
+    cancellation are clipped before the square root, and the
+    self-distance diagonal is forced to exactly zero in the symmetric
+    case.
     """
     x = check_locations(x, "x")
     symmetric = y is None
@@ -65,9 +75,14 @@ def euclidean_distance_matrix(x: np.ndarray, y: Optional[np.ndarray] = None) -> 
         )
     xx = np.einsum("ij,ij->i", x, x)
     yy = xx if symmetric else np.einsum("ij,ij->i", y_arr, y_arr)
-    sq = xx[:, None] + yy[None, :] - 2.0 * (x @ y_arr.T)
-    np.maximum(sq, 0.0, out=sq)
-    d = np.sqrt(sq, out=sq)
+    d = np.matmul(x, y_arr.T, out=out)
+    # (-2 a.b) + (|a|^2 + |b|^2) is |a|^2 + |b|^2 - 2 a.b, bit for bit.
+    d *= -2.0
+    step = max(1, _CHUNK // max(1, d.shape[1]))
+    for lo in range(0, d.shape[0], step):
+        d[lo : lo + step] += xx[lo : lo + step, None] + yy
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     if symmetric:
         np.fill_diagonal(d, 0.0)
     return d
@@ -115,7 +130,11 @@ def haversine(
 
 
 def great_circle_distance_matrix(
-    x: np.ndarray, y: Optional[np.ndarray] = None, *, unit: str = "deg"
+    x: np.ndarray,
+    y: Optional[np.ndarray] = None,
+    *,
+    unit: str = "deg",
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pairwise great-circle distances between ``(lon, lat)`` rows.
 
@@ -127,6 +146,8 @@ def great_circle_distance_matrix(
         ``(m, 2)`` array; defaults to ``x``.
     unit:
         Passed through to :func:`haversine`.
+    out:
+        Optional ``(n, m)`` float64 array the result is written to.
     """
     x = check_locations(x, "x")
     symmetric = y is None
@@ -136,6 +157,9 @@ def great_circle_distance_matrix(
     d = haversine(
         x[:, 0][:, None], x[:, 1][:, None], y_arr[None, :, 0], y_arr[None, :, 1], unit=unit
     )
+    if out is not None:
+        out[...] = d
+        d = out
     if symmetric:
         np.fill_diagonal(d, 0.0)
     return d
@@ -154,6 +178,7 @@ def pairwise_distance(
     y: Optional[np.ndarray] = None,
     *,
     metric: str = "euclidean",
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Dispatch to a registered pairwise distance builder.
 
@@ -161,12 +186,14 @@ def pairwise_distance(
     ----------
     metric:
         One of ``"euclidean"``, ``"gcd"``/``"great_circle"``.
+    out:
+        Optional C-contiguous float64 array of the result's shape.
     """
     try:
         fn = METRICS[metric]
     except KeyError:
         raise ShapeError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}") from None
-    return fn(x, y)
+    return fn(x, y, out=out)
 
 
 def pairwise_distance_block(
@@ -176,24 +203,29 @@ def pairwise_distance_block(
     y: Optional[np.ndarray] = None,
     *,
     metric: str = "euclidean",
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Distance block between ``x[rows]`` and ``y[cols]`` (``y`` defaults to ``x``).
 
-    The single code path used both for on-demand tile generation
-    (:meth:`repro.kernels.covariance.CovarianceModel.tile`) and for the
-    per-fit distance cache
-    (:class:`repro.linalg.generation.TileDistanceCache`), so cached and
-    direct generation produce bit-identical blocks.
+    The single code path of every tile and column-panel generator
+    (:meth:`repro.kernels.covariance.CovarianceModel.tile`,
+    :class:`repro.linalg.generation.TileDistanceCache`), computed in
+    ``out`` when given, so an entry has the same bits in any block.
 
     Both operands are passed explicitly (never the ``y=None`` symmetric
-    fast path), so every block takes the same arithmetic; a diagonal
-    block's self-distances are then set to exactly 0, as the full
-    matrix's are — the GEMM-trick rounding (~1e-8) would otherwise make
-    the tile substrates disagree with full-block on ``Sigma``'s diagonal
-    and turn it into ``exp(-inf) = 0`` at a tiny range.
+    fast path), so every block takes the same arithmetic; self-distances
+    (where the row and column ranges overlap) are then set to exactly 0,
+    as the full matrix's are — the GEMM-trick rounding (~1e-8) would
+    otherwise make the tile substrates disagree with full-block on
+    ``Sigma``'s diagonal and turn it into ``exp(-inf) = 0`` at a tiny
+    range.
     """
     y_arr = x if y is None else y
-    d = pairwise_distance(x[rows], y_arr[cols], metric=metric)
-    if y is None and rows == cols:
-        np.fill_diagonal(d, 0.0)
+    d = pairwise_distance(x[rows], y_arr[cols], metric=metric, out=out)
+    if y is None:
+        r0, c0 = rows.indices(len(x))[0], cols.indices(len(x))[0]
+        lo, hi = max(r0, c0), min(r0 + d.shape[0], c0 + d.shape[1])
+        if hi > lo:
+            g = np.arange(lo, hi)
+            d[g - r0, g - c0] = 0.0
     return d

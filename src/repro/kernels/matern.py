@@ -272,7 +272,9 @@ def _matern_table(x: np.ndarray, nu: float, table: _Table) -> np.ndarray:
     return out
 
 
-def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.ndarray:
+def matern_correlation(
+    r: np.ndarray, range_: float, smoothness: float, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Matérn correlation ``C(r)/θ1`` for arbitrary positive smoothness.
 
     Parameters
@@ -285,6 +287,9 @@ def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.nd
     smoothness:
         Smoothness :math:`\\theta_3 > 0`; 0.5 = rough, 1 = smooth
         (paper §IV).
+    out:
+        Optional float64 array of ``r``'s shape for the result (it may be
+        ``r``); ν = 1/2 is then computed in it with no temporary.
 
     Returns
     -------
@@ -300,6 +305,13 @@ def matern_correlation(r: np.ndarray, range_: float, smoothness: float) -> np.nd
     """
     check_positive(range_, "range_")
     check_positive(smoothness, "smoothness")
+    if out is not None:
+        if smoothness != 0.5:
+            out[...] = matern_correlation(r, range_, smoothness)
+            return out
+        np.divide(r, range_, out=out)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
     x = np.asarray(r, dtype=np.float64) / range_
 
     if smoothness == 0.5:

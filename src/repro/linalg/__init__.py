@@ -12,16 +12,17 @@ Three families, mirroring the paper's three computation variants:
   and compresses it once, and TLR solves.
 
 Both Cholesky graphs read their tiles from one contract,
-:data:`~repro.linalg.tile_matrix.TileSource` (``source(i, j) -> dense
-tile``): ``tile_cholesky.tile_cholesky_from_source`` generates each tile
-column in a task of the factorization graph,
+:class:`~repro.linalg.tile_matrix.TileSource`:
+``tile_cholesky.tile_cholesky_from_source`` generates each tile column
+into its storage in a task of the factorization graph,
 ``tlr_cholesky.tlr_cholesky_from_source`` each tile inside the task that
 updates and compresses it.
 
 ``generation`` is the covariance *generation pipeline* shared by the tile
-and TLR variants: a per-fit :class:`~repro.linalg.generation.TileDistanceCache`
-amortizing pairwise-distance work across likelihood evaluations, and
-``generate_and_factor_*``, which feed a tile generator to those graphs.
+and TLR variants: :class:`~repro.linalg.generation.TileDistanceCache`,
+whose generator computes each block's distances in the task, from
+coordinates, and ``generate_and_factor_*``, which feed a generator to
+those graphs.
 """
 
 from .blocklapack import (

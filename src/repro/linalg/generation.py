@@ -1,40 +1,39 @@
-"""The covariance generation pipeline (distance caching + fused tasks).
+"""The covariance generation pipeline: distances computed in the task,
+from coordinates.
 
 The MLE hot loop evaluates ``theta -> loglik`` hundreds of times, and
-every evaluation starts by *generating* ``Sigma(theta)`` tile by tile.
-Two observations make this stage much cheaper than the seed
-implementation's serial regenerate-everything loop:
+every evaluation starts by *generating* ``Sigma(theta)`` block by block:
+``variance * correlation(distances) (+ nugget)``.
 
-1. **Locations are fixed for the whole fit.** A covariance tile is
-   ``variance * correlation(distances) (+ nugget)``; only the
-   correlation parameters change between evaluations. The
-   :class:`TileDistanceCache` computes each tile's pairwise-distance
-   block once (the GEMM + sqrt — or haversine trigonometry — that
-   dominates generation) and every subsequent evaluation only applies
-   the correlation function to the cached block. ExaGeoStatR makes the
-   same locations-fixed observation to amortize generation cost.
+1. **Distances are computed in the task, from coordinates.** The
+   generator of :class:`TileDistanceCache` computes a block's distances
+   inside the task that uses the block and applies the kernel in the
+   same storage — ExaGeoStat's generation codelet. Nothing is kept
+   between factorizations: an engine holds ``O(n)`` location data, not
+   the ``~4 n^2`` bytes of a distance cache (more than the TLR factor it
+   would feed). A full-tile ``GEN`` task generates its whole column
+   panel with one call, in the tile matrix's own storage.
 
 2. **Generation is embarrassingly parallel and need not be a barrier.**
    The ExaGeoStat paper task-parallelizes generation on the same runtime
    that executes the factorization. Both substrates' Cholesky graphs
-   take their tiles from a
-   :data:`~repro.linalg.tile_matrix.TileSource` (``source(i, j) -> dense
-   tile``), and :func:`generate_and_factor_tile_matrix` /
-   :func:`generate_and_factor_tlr_matrix` feed them through one adapter
-   (:func:`~repro.linalg.tile_matrix.tile_source`). The full-tile graph
-   (:func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`) puts
-   one generation task per tile column ahead of the factorization, and
-   each column's factorization depends on its own generation task only —
-   early panels are factored while late columns are still being
+   take their blocks from a :class:`~repro.linalg.tile_matrix.TileSource`
+   and :func:`generate_and_factor_tile_matrix` /
+   :func:`generate_and_factor_tlr_matrix` feed them one. The full-tile
+   graph (:func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`)
+   puts one generation task per tile column ahead of the factorization,
+   and each column's factorization depends on its own generation task
+   only — early panels are factored while late columns are still being
    generated (sequential-task-flow, no global barrier). The TLR graph
    (:func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source`) goes one
    step further: each of its tasks generates its own tile, updates it
    while dense and compresses it once.
 
-Both pieces are value-preserving: cached-distance tiles are bit-identical
-to directly generated ones (they share the
-:func:`~repro.kernels.distance.pairwise_distance_block` code path), and
-the fused graphs give the factor of the serial generate-then-factor loop,
+Both pieces are value-preserving: every block's distances come from
+:func:`~repro.kernels.distance.pairwise_distance_block`, whose entries
+do not depend on the block they are generated in (a one-row block
+excepted: numpy hands a one-row product to a vector kernel), and the
+fused graphs give the factor of the serial generate-then-factor loop,
 bit for bit.
 """
 
@@ -42,11 +41,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import ShapeError
 from ..kernels.covariance import CovarianceModel
 from ..kernels.distance import pairwise_distance, pairwise_distance_block
 from ..runtime import Runtime
@@ -73,29 +71,32 @@ def array_content_key(arr: np.ndarray) -> Tuple[Tuple[int, ...], bytes]:
 
 
 class TileDistanceCache:
-    """Per-fit cache of tile distance blocks over fixed locations.
+    """Distance blocks over fixed locations, computed from coordinates.
+
+    The engine's generator object: :meth:`generator` gives ``Sigma_22``'s
+    blocks (a TLR task's tiles, a full-tile ``GEN`` task's column panels)
+    with the distances computed in the task. :meth:`block` keeps nothing
+    it computes; only :meth:`warm` stores blocks (for tools that replay
+    one generation's kernels).
 
     Parameters
     ----------
     locations:
-        ``(n, d)`` spatial locations (fixed for the lifetime of the
-        cache — one MLE fit).
+        ``(n, d)`` spatial locations (fixed for the object's lifetime).
     nb:
-        Tile size; blocks are cached per ``(row_slice, col_slice)`` pair,
-        so any tiling-compatible slices work (the grid is advisory).
+        Tile size of :attr:`grid` (what :meth:`warm` stores); any
+        tiling-compatible slices may be asked for.
     metric:
         Distance metric, as in :func:`~repro.kernels.distance.pairwise_distance`.
 
     Notes
     -----
-    Memory: caching the lower triangle of an ``n x n`` problem costs
-    ``~4 n^2`` bytes of float64 distance data (half the dense matrix).
-    Disable with ``cache_distances=False`` on the engine when memory-bound.
+    Memory: unwarmed, the object holds the ``(n, d)`` locations only.
+    :meth:`warm` stores the lower triangle's distances, ``~4 n^2`` bytes
+    of float64 (half the dense matrix); the engine never calls it.
 
-    Thread safety: concurrent :meth:`block` calls are safe under the GIL.
-    Distinct tiles never collide; duplicate keys at worst recompute the
-    same values (a benign race — both arrays are identical and read-only
-    by convention).
+    Thread safety: concurrent :meth:`block` calls are safe under the GIL
+    (the hit/miss counters may undercount).
     """
 
     def __init__(self, locations: np.ndarray, nb: int, *, metric: str = "euclidean") -> None:
@@ -103,93 +104,63 @@ class TileDistanceCache:
         self.grid = TileGrid(self.locations.shape[0], nb)
         self.metric = metric
         self._blocks: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
+        self.hits = 0  # blocks served from warm()'s store
+        self.misses = 0  # blocks computed
 
-    def block(self, rows: slice, cols: slice) -> np.ndarray:
-        """Distance block for ``locations[rows] x locations[cols]`` (cached).
+    def block(self, rows: slice, cols: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Distance block for ``locations[rows] x locations[cols]``.
 
-        The returned array is shared across calls — callers must treat it
-        as read-only (covariance application allocates fresh output).
+        The block :meth:`warm` stored (shared: callers must treat it as
+        read-only), or one computed now — in ``out`` when given — and
+        not kept. With ``out``, a stored block is copied into it.
         """
-        key = (rows.start or 0, rows.stop, cols.start or 0, cols.stop)
-        d = self._blocks.get(key)
+        d = self._blocks.get((rows.start or 0, rows.stop, cols.start or 0, cols.stop))
         if d is None:
             self.misses += 1
-            d = pairwise_distance_block(self.locations, rows, cols, metric=self.metric)
-            self._blocks[key] = d
-        else:
-            self.hits += 1
-        return d
+            return pairwise_distance_block(self.locations, rows, cols, metric=self.metric, out=out)
+        self.hits += 1
+        if out is None:
+            return d
+        out[...] = d
+        return out
 
-    def generator(self, model: CovarianceModel) -> Callable[[slice, slice], np.ndarray]:
-        """A tile generator closure applying ``model`` to cached distances.
+    def generator(self, model: CovarianceModel) -> "_CovarianceGenerator":
+        """The covariance block generator of ``model`` over these locations.
 
-        Drop-in replacement for ``lambda rs, cs: model.tile(locs, rs, cs)``
-        with bit-identical output.
+        ``generate(rows, cols)`` returns a new block, bit-identical to
+        ``model.tile(locations, rows, cols)``; ``generate.fill(out, rows,
+        cols)`` computes it in ``out`` (what
+        :meth:`~repro.linalg.tile_matrix.TileSource.fill` calls).
         """
-
-        def generate(rows: slice, cols: slice) -> np.ndarray:
-            return model.tile_from_distances(self.block(rows, cols), rows, cols)
-
-        return generate
+        return _CovarianceGenerator(self, model)
 
     def warm(self) -> "TileDistanceCache":
-        """Precompute every lower-triangular block of the grid."""
+        """Compute and store every lower-triangular tile's distances."""
         for i in range(self.grid.nt):
             for j in range(i + 1):
-                self.block(self.grid.tile_slice(i), self.grid.tile_slice(j))
+                rows, cols = self.grid.tile_slice(i), self.grid.tile_slice(j)
+                self._blocks[(rows.start, rows.stop, cols.start, cols.stop)] = self.block(rows, cols)
         return self
 
     def clear(self) -> None:
-        """Drop all cached blocks (and hit/miss counters)."""
+        """Drop all stored blocks (and hit/miss counters)."""
         self._blocks.clear()
         self.hits = 0
         self.misses = 0
 
     def export_blocks(self) -> Dict[Tuple[int, int, int, int], np.ndarray]:
-        """Snapshot of the cached blocks, keyed ``(r0, r1, c0, c1)``.
-
-        Used by :mod:`repro.serving.store` to persist the distance work
-        of a fit alongside the fitted model; the arrays are shared (not
-        copied) and must be treated as read-only.
-        """
+        """Snapshot of the stored blocks, keyed ``(r0, r1, c0, c1)``; the
+        arrays are shared (not copied) and must be treated as read-only."""
         return dict(self._blocks)
-
-    def load_blocks(
-        self, blocks: Mapping[Tuple[int, int, int, int], np.ndarray]
-    ) -> int:
-        """Rehydrate previously exported blocks into this cache.
-
-        The serving counterpart of :meth:`export_blocks`: a cache built
-        over the same locations and metric can be pre-seeded from a
-        persisted bundle so a freshly loaded model pays no distance
-        computation at all. Keys are ``(row_start, row_stop, col_start,
-        col_stop)`` tuples; installing counts as neither hit nor miss.
-
-        Returns the number of blocks installed.
-        """
-        count = 0
-        for key, d in blocks.items():
-            r0, r1, c0, c1 = (int(v) for v in key)
-            arr = np.asarray(d, dtype=np.float64)
-            expected = (r1 - r0, c1 - c0)
-            if arr.shape != expected:
-                raise ShapeError(
-                    f"distance block {key} has shape {arr.shape}, expected {expected}"
-                )
-            self._blocks[(r0, r1, c0, c1)] = arr
-            count += 1
-        return count
 
     @property
     def n_blocks(self) -> int:
-        """Number of cached distance blocks."""
+        """Number of stored distance blocks."""
         return len(self._blocks)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by cached distance blocks."""
+        """Bytes held by stored distance blocks."""
         return int(sum(b.nbytes for b in self._blocks.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -197,6 +168,24 @@ class TileDistanceCache:
             f"TileDistanceCache(n={self.grid.n}, nb={self.grid.nb}, "
             f"blocks={self.n_blocks}, {self.nbytes / 1e6:.1f} MB)"
         )
+
+
+class _CovarianceGenerator:
+    """:meth:`TileDistanceCache.generator`: ``model``'s covariance blocks."""
+
+    def __init__(self, cache: TileDistanceCache, model: CovarianceModel) -> None:
+        self.cache = cache
+        self.model = model
+
+    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
+        n = self.cache.grid.n
+        out = np.empty((len(range(n)[rows]), len(range(n)[cols])))
+        self.fill(out, rows, cols)
+        return out
+
+    def fill(self, out: np.ndarray, rows: slice, cols: slice) -> None:
+        """Block ``[rows, cols]`` computed in ``out``: distances, then the kernel."""
+        self.model.tile_from_distances(self.cache.block(rows, cols, out), rows, cols, out=out)
 
 
 class CrossDistanceCache:

@@ -15,8 +15,9 @@ column-major, so it reads a C-ordered ``m x n`` array as the ``n x m``
 matrix ``a.T``: a C-ordered lower triangle is LAPACK's upper one, and
 each wrapper below states what it does to its C-ordered arguments.
 Dtype, rank, contiguity, writability, shape agreement and that no
-output overlaps an input are checked before any pointer reaches LAPACK; workspaces are sized by LAPACK's own
-query. A non-zero ``info`` raises: :class:`NotPositiveDefiniteError`
+output overlaps an input are checked before any pointer reaches LAPACK;
+workspaces are sized by LAPACK's own query, made once per routine and
+integer arguments (:data:`_LWORK`). A non-zero ``info`` raises: :class:`NotPositiveDefiniteError`
 from :func:`potrf`, :class:`numpy.linalg.LinAlgError` otherwise.
 
 A capsule missing from the installed scipy fails the import.
@@ -25,7 +26,7 @@ A capsule missing from the installed scipy fails the import.
 from __future__ import annotations
 
 import ctypes
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
@@ -125,9 +126,19 @@ def _query(routine: str, head: tuple, tail: tuple = ()) -> int:
     return max(1, int(work[0]))
 
 
-def _call(routine: str, head: tuple, tail: tuple = ()) -> None:
-    """``routine(*head, work, lwork, *tail, info)`` with the queried workspace."""
-    work, info = np.empty(_query(routine, head, tail)), ctypes.c_int()
+#: LAPACK's optimal ``lwork`` per ``(routine, integer arguments)``: the
+#: query depends on nothing else, and the same ``lwork`` gives the same
+#: blocking, so a cached size leaves every result bit-identical.
+_LWORK: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+
+
+def _call(routine: str, ints: Tuple[int, ...], head: tuple, tail: tuple = ()) -> None:
+    """``routine(*head, work, lwork, *tail, info)`` with the optimal workspace
+    for the call's integer arguments ``ints``, queried on their first use."""
+    lwork = _LWORK.get((routine, ints))
+    if lwork is None:
+        lwork = _LWORK[(routine, ints)] = _query(routine, head, tail)
+    work, info = np.empty(lwork), ctypes.c_int()
     _FN[routine](*head, work.ctypes.data, _i(work.size), *tail, ctypes.byref(info))
     _check(routine, info)
 
@@ -204,7 +215,8 @@ def geqp3(at: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n, m = at.shape
     jpvt = np.zeros(n, dtype=np.int32)
     tau = np.zeros(min(m, n))
-    _call("dgeqp3", (_i(m), _i(n), at.ctypes.data, _i(_ld(at)), jpvt.ctypes.data, tau.ctypes.data))
+    head = (_i(m), _i(n), at.ctypes.data, _i(_ld(at)), jpvt.ctypes.data, tau.ctypes.data)
+    _call("dgeqp3", (m, n, _ld(at)), head)
     return jpvt, tau
 
 
@@ -226,7 +238,7 @@ def gesdd(at: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         b"S", _i(m), _i(n), at.ctypes.data, _i(_ld(at)), s.ctypes.data,
         ut.ctypes.data, _i(max(1, m)), v.ctypes.data, _i(max(1, p)),
     )  # fmt: skip
-    _call("dgesdd", head, (iwork.ctypes.data,))
+    _call("dgesdd", (m, n, _ld(at), max(1, m), max(1, p)), head, (iwork.ctypes.data,))
     return ut.T, s, v.T
 
 
@@ -253,4 +265,4 @@ def ormqr(qt: np.ndarray, tau: np.ndarray, ct: np.ndarray) -> None:
         b"L", b"N", _i(m), _i(n), _i(k), qt.ctypes.data, _i(_ld(qt)),
         tau.ctypes.data, ct.ctypes.data, _i(_ld(ct)),
     )  # fmt: skip
-    _call("dormqr", head)
+    _call("dormqr", (m, n, k, _ld(qt), _ld(ct)), head)

@@ -20,8 +20,9 @@ per-tile graph (``O(nt^3/6)`` tasks of one ``nb x nb`` call each) spends
 more time handing tasks over than in BLAS once ``nb`` is small.
 
 :func:`tile_cholesky_from_source` puts one more task per column ahead of
-that graph, ``GEN(P_j)``, which writes column ``j`` tile by tile from a
-:data:`~repro.linalg.tile_matrix.TileSource`. Each column's first
+that graph, ``GEN(P_j)``, which writes column ``j`` with one
+:meth:`~repro.linalg.tile_matrix.TileSource.fill` of the whole panel, in
+its own storage. Each column's first
 factorization task depends on its own ``GEN`` task only, so early panels
 are factored while late columns are still being generated — generation
 as tasks on the runtime that factors, with no barrier between the two
@@ -78,9 +79,9 @@ def tile_cholesky_from_source(
     """Generate ``a`` from ``source`` and factor it, in one graph.
 
     ``a`` supplies the grid and the storage (its contents are
-    overwritten); ``source(i, j)`` is called once per stored tile, from a
-    ``GEN`` task per column. The factor is bit-identical to filling ``a``
-    first and calling :func:`tile_cholesky`, for any runtime.
+    overwritten); ``source`` fills each column panel once, from a ``GEN``
+    task per column. The factor is bit-identical to filling ``a`` first
+    and calling :func:`tile_cholesky`, for any runtime.
     """
     return _factor(a, source, runtime)
 

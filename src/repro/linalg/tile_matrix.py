@@ -31,14 +31,6 @@ from ..utils.validation import check_square
 
 __all__ = ["TileGrid", "TileMatrix", "TileSource", "tile_source"]
 
-#: ``source(i, j)`` returns dense tile ``(i, j)`` as a C-contiguous
-#: float64 array the caller owns (a factorization may overwrite it). The
-#: one contract the Cholesky graphs generate from
-#: (:func:`~repro.linalg.tile_cholesky.tile_cholesky_from_source`,
-#: :func:`~repro.linalg.tlr_cholesky.tlr_cholesky_from_source`).
-TileSource = Callable[[int, int], np.ndarray]
-
-
 @dataclass(frozen=True)
 class TileGrid:
     """Index arithmetic for a 1-D tiling of ``n`` rows with tile size ``nb``.
@@ -101,32 +93,52 @@ class TileGrid:
             raise ShapeError(f"tile index {i} out of range [0, {self.nt})")
 
 
-def tile_source(
-    grid: TileGrid, generate: Callable[[slice, slice], np.ndarray]
-) -> TileSource:
-    """Adapt a ``generate(row_slice, col_slice)`` tile generator (e.g.
-    :meth:`~repro.linalg.generation.TileDistanceCache.generator`) to the
-    :data:`TileSource` contract over ``grid``.
+class TileSource:
+    """Blocks of a matrix from a ``generate(row_slice, col_slice)`` generator
+    over ``grid``: the one contract the Cholesky graphs generate from.
 
-    Generators may hand back views into a caller-owned dense matrix (e.g.
-    ``TLRMatrix.from_dense``); those are copied, since tiles must own
-    contiguous storage. A tile of the wrong shape raises
-    :class:`~repro.exceptions.ShapeError`.
+    ``source(i, j)`` returns tile ``(i, j)`` as a C-contiguous float64
+    array the caller owns (a TLR task's tile); :meth:`fill` writes any
+    block into a given array (a full-tile ``GEN`` task's whole column).
+    A generator with a ``fill(out, rows, cols)`` method of its own
+    (:meth:`~repro.linalg.generation.TileDistanceCache.generator`'s)
+    computes in ``out``; any other is called and its block copied (it may
+    be a view, e.g. ``TLRMatrix.from_dense``'s). A block of the wrong
+    shape raises :class:`~repro.exceptions.ShapeError`.
     """
 
-    def source(i: int, j: int) -> np.ndarray:
-        tile = np.asarray(generate(grid.tile_slice(i), grid.tile_slice(j)), dtype=np.float64)
+    def __init__(self, grid: TileGrid, generate: Callable[[slice, slice], np.ndarray]) -> None:
+        self.grid = grid
+        self.generate = generate
+
+    def __call__(self, i: int, j: int) -> np.ndarray:
+        rows, cols = self.grid.tile_slice(i), self.grid.tile_slice(j)
+        tile = np.asarray(self.generate(rows, cols), dtype=np.float64)
         if tile.base is not None or not tile.flags["C_CONTIGUOUS"]:
             tile = tile.copy()
-        expected = (grid.tile_size(i), grid.tile_size(j))
-        if tile.shape != expected:
-            raise ShapeError(
-                f"generator returned shape {tile.shape} for tile ({i},{j}), "
-                f"expected {expected}"
-            )
+        _check_block(tile, (self.grid.tile_size(i), self.grid.tile_size(j)), (i, j))
         return tile
 
-    return source
+    def fill(self, out: np.ndarray, rows: slice, cols: slice) -> None:
+        """Write block ``[rows, cols]`` into ``out``, an array of its shape."""
+        fill = getattr(self.generate, "fill", None)
+        if fill is not None:
+            fill(out, rows, cols)
+            return
+        block = np.asarray(self.generate(rows, cols), dtype=np.float64)
+        _check_block(block, out.shape, (rows, cols))
+        out[...] = block
+
+
+def _check_block(block: np.ndarray, expected: Tuple[int, ...], where: object) -> None:
+    if block.shape != expected:
+        raise ShapeError(
+            f"generator returned shape {block.shape} for block {where}, expected {expected}"
+        )
+
+
+#: ``tile_source(grid, generate)``: the :class:`TileSource` of ``generate``.
+tile_source = TileSource
 
 
 class TileMatrix:
@@ -192,9 +204,11 @@ class TileMatrix:
         return tm
 
     def fill_column(self, j: int, source: TileSource) -> None:
-        """Write every stored tile of column ``j`` from ``source``, tile by tile."""
-        for i in range(j if self.symmetric_lower else 0, self.nt):
-            self.set_tile(i, j, source(i, j))
+        """Write every stored tile of column ``j`` with one
+        :meth:`TileSource.fill` of the whole column array (the panel of a
+        ``symmetric_lower`` matrix), in place."""
+        rows = slice(self._row0(j), self.grid.n)
+        source.fill(self._columns[j], rows, self.grid.tile_slice(j))
 
     # ------------------------------------------------------------ accessors
     @property

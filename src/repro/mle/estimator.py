@@ -20,8 +20,8 @@ functions, so they agree bit for bit by construction.
 Fit and prediction run on **one**
 :class:`~repro.mle.prediction_engine.PredictionEngine` — the
 evaluator's. :meth:`MLEstimator.predictor` only rebinds that engine's
-model to ``fit.theta``, so prediction inherits the fit's distance
-caches, runtime and knobs with nothing handed over, and when the last
+model to ``fit.theta``, so prediction inherits the fit's cross-distance
+cache, runtime and knobs with nothing handed over, and when the last
 likelihood evaluation was at ``fit.theta`` the engine's own cache key
 makes the first predict skip generation and factorization.
 """
@@ -436,7 +436,7 @@ class MLEstimator:
         """The fit's own :class:`PredictionEngine`, bound to ``fit.theta``.
 
         This is the engine every likelihood evaluation ran on, so it
-        already holds the fit's distance caches, runtime and knobs — and
+        already holds the fit's cross-distance cache, runtime and knobs — and
         the factor of the last evaluated ``theta``. If that was
         ``fit.theta`` the first ``predict`` skips generation *and*
         factorization of ``Sigma_22``; otherwise it factors once.
@@ -459,8 +459,8 @@ class MLEstimator:
         """Predict values at ``new_locations`` using the fitted model.
 
         With no substrate overrides this goes through :meth:`predictor`,
-        so repeated calls against one fit reuse the fit's distance cache
-        and a single ``Sigma_22`` factorization (pass ``z`` with shape
+        so repeated calls against one fit reuse the fit's cross-distance
+        cache and a single ``Sigma_22`` factorization (pass ``z`` with shape
         ``(n, k)`` for batched multi-RHS prediction). A ``z`` override
         follows the *constructor's* row order — when the estimator
         Morton-reordered the training locations, the override is
@@ -493,7 +493,6 @@ class MLEstimator:
         path: object,
         *,
         include_factor: bool = True,
-        include_distance_cache: bool = False,
     ):
         """Persist this fit as a serving bundle (``meta.json`` + ``.npz``).
 
@@ -504,18 +503,10 @@ class MLEstimator:
         ``include_factor`` (default) — the ``Sigma_22`` Cholesky factor
         of :meth:`predictor`, so the loaded engine's predictions are
         bit-identical to this process's and its first request skips
-        factorization. ``include_distance_cache`` additionally persists
-        the fit's distance blocks (large: ~half the dense matrix) so a
-        re-factorization at a *new* theta also pays no distance work.
+        factorization.
 
         Returns the bundle path. See :func:`repro.serving.store.save_model`.
         """
         from ..serving.store import bundle_from_fit  # local: serving imports mle
 
-        bundle = bundle_from_fit(
-            self,
-            fit,
-            include_factor=include_factor,
-            include_distance_cache=include_distance_cache,
-        )
-        return bundle.save(path)
+        return bundle_from_fit(self, fit, include_factor=include_factor).save(path)

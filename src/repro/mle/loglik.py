@@ -10,7 +10,7 @@ kriging, so :class:`LikelihoodEvaluator` owns none of it: it drives a
 ``half_solve`` and ``logdet``) and keeps only what is the likelihood's
 own — the observation vector, the constant, the evaluation/failure
 counters and the non-SPD penalty. Substrates (``full-block`` /
-``full-tile`` / ``tlr``), distance caching, fused task-parallel
+``full-tile`` / ``tlr``), generation from coordinates, fused task-parallel
 generation and per-stage times (generation / factorization / solve, the
 paper's "time of one iteration") are the engine's; see its module
 docstring.

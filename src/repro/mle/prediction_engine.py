@@ -23,25 +23,27 @@ This module holds the only ``variant`` dispatch for generate+factor,
 triangular solve and log-determinant, so a numerics change (a new
 substrate, a jitter fallback, a concentrated likelihood) lands once.
 
-**Generation.** Locations are fixed, so ``Sigma_22`` distance blocks are
-cached across factorizations
-(:class:`~repro.linalg.generation.TileDistanceCache`; the full-block
-substrate caches the full distance matrix) and small target sets' cross
-distances by a content digest of the targets
-(:class:`~repro.linalg.generation.CrossDistanceCache`, bounded in
-bytes). A prediction never forms ``Sigma_12``: it is generated and
-applied to ``alpha`` in row blocks of about
-:data:`PREDICT_BLOCK_ENTRIES` entries, so its working set is a few
-blocks whatever the number of targets. Generation runs
-inside the Cholesky task graph, with no barrier before the
-factorization: the TLR Cholesky's tasks always generate their own tiles
-(each DIAG/OFFDIAG task generates, updates and compresses its tile),
-and with a :class:`~repro.runtime.Runtime` attached and
-``parallel_generation`` on, the full-tile graph starts with one
-generation task per tile column. The ``generation`` stage time is then
-the allocation only, and the work is accounted in the
-``factorization`` stage. Both knobs preserve values: cached tiles are
-bit-identical and the fused graph computes the same factorization.
+**Generation.** ``Sigma_22``'s distances are computed in the task, from
+coordinates, on every factorization, and nothing of them is kept: the
+tile and TLR substrates generate through
+:attr:`~PredictionEngine.distance_cache`'s generator
+(:class:`~repro.linalg.generation.TileDistanceCache`, which holds the
+locations only), and full-block builds ``model.matrix(locations)``.
+Small target sets' cross distances are cached by a content digest of
+the targets (:class:`~repro.linalg.generation.CrossDistanceCache`,
+bounded in bytes). Neither a prediction nor a variance forms
+``Sigma_12``: it is generated and used in row blocks of about
+:data:`PREDICT_BLOCK_ENTRIES` entries, so the working set is a few
+blocks whatever the number of targets. Generation runs inside the
+Cholesky task graph, with no barrier before the factorization: the TLR
+Cholesky's tasks always generate their own tiles (each DIAG/OFFDIAG task
+generates, updates and compresses its tile), and with a
+:class:`~repro.runtime.Runtime` attached and ``parallel_generation`` on,
+the full-tile graph starts with one generation task per tile column,
+which writes the whole column panel in place. The ``generation`` stage
+time is then the allocation only, and the work is accounted in the
+``factorization`` stage. The knob preserves values: the fused graph
+computes the same factorization.
 
 **Options.** The substrate (variant, ``nb``, accuracy, compressor,
 truncation rule, compression batch) is one
@@ -140,8 +142,8 @@ class PredictionEngine:
         :meth:`predict`'s ``z=`` argument.
     model:
         Fitted covariance model (defines ``Sigma_22`` and ``Sigma_12``).
-        Rebindable via :meth:`set_model` — distance caches survive a
-        theta change, the factorization cache does not.
+        Rebindable via :meth:`set_model` — the cross-distance cache
+        survives a theta change, the factorization cache does not.
     variant, acc, tile_size, compression_method, truncation, compression_batch:
         The substrate (:class:`~repro.substrate.Substrate` documents and
         checks each field). ``None`` takes the constructing thread's
@@ -151,20 +153,17 @@ class PredictionEngine:
     runtime:
         Optional task runtime shared across factorizations (tile/TLR).
     cache_distances:
-        Cache ``Sigma_22`` distance blocks and ``Sigma_12`` cross-distance
-        matrices across calls: locations are fixed while theta varies,
-        so the distance work is a one-time cost, paid for with one extra
-        copy of the lower-triangular distance data. Values are
-        bit-identical either way; turn it off when memory-bound.
+        Cache the ``Sigma_12`` cross-distance matrices of small target
+        sets across predictions (up to the
+        :class:`~repro.linalg.generation.CrossDistanceCache` budget).
+        ``Sigma_22``'s distances are computed in the task, from
+        coordinates, either way. Values are bit-identical either way.
     parallel_generation:
         With a runtime attached, generate full-tile tiles as tasks fused
         into the Cholesky task graph instead of a serial loop with a
         barrier before the factorization. No effect without a runtime,
         for the full-block variant, or for TLR, whose Cholesky always
         generates (and compresses) each tile inside its own task.
-    full_distances:
-        Pre-computed ``(n, n)`` distance matrix to seed the full-block
-        cache with (a bundle's persisted distances).
 
     Examples
     --------
@@ -204,7 +203,6 @@ class PredictionEngine:
         parallel_generation: bool = True,
         compression_batch: Optional[int] = None,
         truncation: Optional[str] = None,
-        full_distances: Optional[np.ndarray] = None,
     ) -> None:
         # The one read of the config, on the constructing thread: every
         # later factor()/predict() — on whatever thread — uses this.
@@ -220,17 +218,10 @@ class PredictionEngine:
         self.cache_distances = bool(cache_distances)
         self.parallel_generation = bool(parallel_generation)
 
+        # The tile/TLR generator object: the locations, never distances.
         self.distance_cache: Optional[TileDistanceCache] = None
         self.cross_cache: Optional[CrossDistanceCache] = None
-        self.full_distances: Optional[np.ndarray] = None
-        if self.cache_distances:
-            if self.variant in ("full-tile", "tlr"):
-                self.distance_cache = TileDistanceCache(
-                    self.locations, self.tile_size, metric=model.metric
-                )
-            else:
-                self.full_distances = full_distances
-            self.cross_cache = CrossDistanceCache(self.locations, metric=model.metric)
+        self._bind_metric(model.metric)
 
         self._factor: Optional[Factor] = None
         self._factor_key: Optional[Tuple] = None
@@ -249,21 +240,22 @@ class PredictionEngine:
     def set_model(self, model: CovarianceModel) -> "PredictionEngine":
         """Rebind the fitted model; invalidates factor/solve caches on change.
 
-        Distance caches are theta-independent and survive a parameter
-        change; a *metric* change invalidates them too (cached distances
-        were measured in the old metric).
+        The cross-distance cache is theta-independent and survives a
+        parameter change; a *metric* change rebuilds it and the
+        generator object (distances are measured in the model's metric).
         """
         if self._model_key(model) != self._model_key(self.model):
             self.clear()
-        if model.metric != self.model.metric and self.cache_distances:
-            if self.distance_cache is not None:
-                self.distance_cache = TileDistanceCache(
-                    self.locations, self.tile_size, metric=model.metric
-                )
-            self.full_distances = None
-            self.cross_cache = CrossDistanceCache(self.locations, metric=model.metric)
+        if model.metric != self.model.metric:
+            self._bind_metric(model.metric)
         self.model = model
         return self
+
+    def _bind_metric(self, metric: str) -> None:
+        if self.variant != "full-block":
+            self.distance_cache = TileDistanceCache(self.locations, self.tile_size, metric=metric)
+        if self.cache_distances:
+            self.cross_cache = CrossDistanceCache(self.locations, metric=metric)
 
     def set_observations(self, z: Optional[np.ndarray]) -> "PredictionEngine":
         """Rebind the default observation vector/batch (drops its cached solve)."""
@@ -331,21 +323,10 @@ class PredictionEngine:
     def _compute_factor(self, model: CovarianceModel) -> Factor:
         if self.variant == "full-block":
             with self.times.stage("generation"):
-                if self.cache_distances:
-                    if self.full_distances is None:
-                        self.full_distances = pairwise_distance(
-                            self.locations, metric=model.metric
-                        )
-                    sigma = model.matrix_from_distances(self.full_distances)
-                else:
-                    sigma = model.matrix(self.locations)
+                sigma = model.matrix(self.locations)
             with self.times.stage("factorization"):
                 return block_cholesky(sigma, overwrite=True)
-        generate = (
-            self.distance_cache.generator(model)
-            if self.distance_cache is not None
-            else lambda rs, cs: model.tile(self.locations, rs, cs)
-        )
+        generate = self.distance_cache.generator(model)
         sub, fused = self.substrate, self.runtime is not None and self.parallel_generation
         if sub.variant == "full-tile":
             return generate_and_factor_tile_matrix(
@@ -397,34 +378,33 @@ class PredictionEngine:
         return self._alpha
 
     # ---------------------------------------------------------- predictions
-    def cross_covariance(self, new_locations: np.ndarray) -> np.ndarray:
-        """``Sigma_12``: ``(m, n)`` covariance between targets and training set."""
-        xnew = check_locations(new_locations, "new_locations")
-        with self.times.stage("cross"):
-            if self.cross_cache is not None:
-                d12 = self.cross_cache.matrix(xnew)
-            else:
-                d12 = pairwise_distance(xnew, self.locations, metric=self.model.metric)
-            return self.model(d12)
-
-    def _apply_cross(self, xnew: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """``Sigma_12 @ alpha``, generated and applied in row blocks.
+    def _cross_rows(self, xnew: np.ndarray) -> Iterator[Tuple[slice, np.ndarray]]:
+        """``Sigma_12`` in row blocks: ``(rows, Sigma_12[rows])`` pairs.
 
         Each block is distances (a cached target set's stored rows, else
-        freshly computed), then the covariance, then a GEMV/GEMM into its
-        rows of the output — no ``(m, n)`` array is formed beyond a
-        cached set's distances.
+        freshly computed), then the covariance, inside the ``cross``
+        stage — no ``(m, n)`` array is formed beyond a cached set's
+        distances.
         """
         with self.times.stage("cross"):
             d12 = None if self.cross_cache is None else self.cross_cache.lookup(xnew)
-            out = np.empty(xnew.shape[:1] + alpha.shape[1:])
-            for rows in _row_blocks(xnew.shape[0], self._n):
+        for rows in _row_blocks(xnew.shape[0], self._n):
+            with self.times.stage("cross"):
                 d = (
                     d12[rows] if d12 is not None
                     else pairwise_distance(xnew[rows], self.locations, metric=self.model.metric)
                 )
-                np.matmul(self.model(d), alpha, out=out[rows])
-            return out
+                block = self.model(d)
+            yield rows, block
+
+    def _apply_cross(self, xnew: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """``Sigma_12 @ alpha``: a GEMV/GEMM per row block into its rows
+        of the output."""
+        out = np.empty(xnew.shape[:1] + alpha.shape[1:])
+        for rows, sigma12 in self._cross_rows(xnew):
+            with self.times.stage("cross"):
+                np.matmul(sigma12, alpha, out=out[rows])
+        return out
 
     def predict(
         self, new_locations: np.ndarray, *, z: Optional[np.ndarray] = None
@@ -500,14 +480,18 @@ class PredictionEngine:
         """Pointwise kriging variance (eq. (3)) on any substrate.
 
         ``diag(Sigma_11 - Sigma_12 Sigma_22^{-1} Sigma_21)`` through the
-        cached factor: one ``(n, m)`` half-solve, then column norms. TLR
+        cached factor: per row block of ``Sigma_12`` (the blocks
+        :meth:`predict` streams), a half-solve ``L^{-1} Sigma_21[:, rows]``
+        and its column norms, so no ``(n, m)`` half-solve is formed. TLR
         results carry the compression accuracy of the factor.
         """
-        sigma12 = self.cross_covariance(new_locations)
+        xnew = check_locations(new_locations, "new_locations")
         factor = self.factor()  # outside the solve stage: may generate+factorize
-        with self.times.stage("solve"):
-            half = self._tri_solve(factor, sigma12.T, False)
-            reduction = np.einsum("ij,ij->j", half, half)
+        reduction = np.empty(xnew.shape[0])
+        for rows, sigma12 in self._cross_rows(xnew):
+            with self.times.stage("solve"):
+                half = self._tri_solve(factor, sigma12.T, False)
+                reduction[rows] = np.einsum("ij,ij->j", half, half)
         var_marginal = float(self.model(np.zeros(1))[0]) + self.model.nugget
         return np.maximum(var_marginal - reduction, 0.0)
 
@@ -534,12 +518,6 @@ class PredictionEngine:
             "n_predicts": self.n_predicts,
             "stage_times": dict(self.times.stages),
         }
-        if self.distance_cache is not None:
-            out["distance_cache"] = {
-                "hits": self.distance_cache.hits,
-                "misses": self.distance_cache.misses,
-                "nbytes": self.distance_cache.nbytes,
-            }
         if self.cross_cache is not None:
             out["cross_cache"] = {
                 "hits": self.cross_cache.hits,
@@ -549,7 +527,7 @@ class PredictionEngine:
         return out
 
     def clear(self) -> None:
-        """Drop the factorization and solve caches (distance caches kept)."""
+        """Drop the factorization and solve caches (the cross-distance cache is kept)."""
         self._factor = None
         self._factor_key = None
         self._logdet = None

@@ -9,7 +9,7 @@ PredictionEngine` — fast but trapped inside the process that ran
 * :mod:`repro.serving.store` — :class:`ModelBundle`, a ``meta.json`` +
   ``arrays.npz`` persistence format for fitted models (theta, kernel
   spec, Morton-ordered locations, observations, substrate config, and
-  optionally the ``Sigma_22`` Cholesky factor and distance caches), so
+  optionally the ``Sigma_22`` Cholesky factor), so
   a fit survives restarts and ships to serving workers;
 * :mod:`repro.serving.registry` — :class:`ModelRegistry`, a thread-safe
   LRU of warm engines over registered bundle paths, each engine built

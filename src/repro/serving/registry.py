@@ -2,8 +2,7 @@
 
 A serving worker holds many fitted models but only a bounded number of
 them warm: each warm model is a :class:`~repro.mle.prediction_engine.
-PredictionEngine` whose ``Sigma_22`` factor and distance caches are
-O(n²) memory. :class:`ModelRegistry` is the thread-safe keeper of that
+PredictionEngine` whose ``Sigma_22`` factor is O(n²) memory. :class:`ModelRegistry` is the thread-safe keeper of that
 working set:
 
 * **Lazy loading.** Models are *registered* by bundle path (cheap);

@@ -15,15 +15,17 @@ shipment. It captures
   format (dense / tile / TLR), so a loaded engine adopts the *exact*
   factor the fit produced — predictions from a fresh process are then
   bit-identical to the fitting process, and the first request skips
-  generation and factorization entirely,
-* optionally the fit's cached distance blocks, rehydrated into the
-  loaded engine's :class:`~repro.linalg.generation.TileDistanceCache`
-  so even a re-factorization at a new ``theta`` pays no distance work.
+  generation and factorization entirely.
+
+No distance data is stored: an engine computes ``Sigma_22``'s
+distances in the task, from the coordinates. Bundles written by older
+builds may carry distance arrays (``dist_*``, ``full_distances``);
+loading ignores them.
 
 On disk a bundle is a directory holding ``meta.json`` (everything
 scalar, versioned) and ``arrays.npz`` (every array, with structured
-keys for factor tiles and distance blocks). Both files are plain
-formats readable without this library.
+keys for factor tiles). Both files are plain formats readable without
+this library.
 """
 
 from __future__ import annotations
@@ -172,11 +174,6 @@ class ModelBundle:
     factor:
         Optional ``Sigma_22`` Cholesky factor in the substrate's native
         format; adopted verbatim by :meth:`build_engine`.
-    distance_blocks:
-        Optional exported :class:`TileDistanceCache` blocks
-        (tile/TLR substrates), keyed ``(r0, r1, c0, c1)``.
-    full_distances:
-        Optional ``(n, n)`` distance matrix (full-block substrate).
     perm:
         Optional ``(n,)`` permutation mapping the fit's *original*
         input row order to the stored (Morton-ordered) rows:
@@ -198,8 +195,6 @@ class ModelBundle:
     compression_method: InitVar[Optional[str]] = None
     truncation: InitVar[Optional[str]] = None
     factor: Optional[Factor] = None
-    distance_blocks: Optional[Dict[Tuple[int, int, int, int], np.ndarray]] = None
-    full_distances: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
     info: dict = field(default_factory=dict)
     substrate: Substrate = field(init=False)
@@ -220,19 +215,12 @@ class ModelBundle:
         (register-by-upload) share. ``meta`` is everything scalar
         (JSON-able, without file checksums); ``arrays`` holds every
         array under the structured key scheme (``factor_tile_i_j``,
-        ``dist_r0_r1_c0_c1``, ...).
+        ``factor_u_i_j``, ...).
         """
         arrays: Dict[str, np.ndarray] = {"locations": self.locations}
         if self.z is not None:
             arrays["z"] = self.z
         factor_kind = self._pack_factor(arrays)
-        n_dist = 0
-        if self.distance_blocks:
-            for (r0, r1, c0, c1), d in self.distance_blocks.items():
-                arrays[f"dist_{r0}_{r1}_{c0}_{c1}"] = d
-                n_dist += 1
-        if self.full_distances is not None:
-            arrays["full_distances"] = self.full_distances
         if self.perm is not None:
             arrays["perm"] = np.asarray(self.perm, dtype=np.int64)
         meta = {
@@ -243,8 +231,6 @@ class ModelBundle:
             "dim": int(self.locations.shape[1]),
             "has_z": self.z is not None,
             "factor_kind": factor_kind,
-            "n_distance_blocks": n_dist,
-            "has_full_distances": self.full_distances is not None,
             "info": dict(self.info),
         }
         return meta, arrays
@@ -285,13 +271,6 @@ class ModelBundle:
             raise BundleError(
                 f"bundle payload is malformed: missing required key {exc}"
             ) from exc
-        blocks = {
-            tuple(int(p) for p in name.split("_")[1:]): arr
-            for name, arr in arrays.items()
-            if name.startswith("dist_")
-        }
-        bundle.distance_blocks = blocks or None
-        bundle.full_distances = arrays.get("full_distances")
         bundle.perm = arrays.get("perm")
         return bundle
 
@@ -419,16 +398,10 @@ class ModelBundle:
         The engine is bound to the bundle's training set, observations
         and :attr:`substrate` — never the caller's
         :class:`~repro.config.Config`; a persisted factor is
-        adopted (first predict skips generation + factorization) and
-        persisted distance data rehydrates the engine's caches. No
+        adopted (first predict skips generation + factorization). No
         fitting, no data pipeline. The engine is serial (no runtime).
         """
-        engine = PredictionEngine(
-            self.locations, self.z, self.model,
-            variant=self.substrate, full_distances=self.full_distances,
-        )
-        if self.distance_blocks and engine.distance_cache is not None:
-            engine.distance_cache.load_blocks(self.distance_blocks)
+        engine = PredictionEngine(self.locations, self.z, self.model, variant=self.substrate)
         if self.factor is not None:
             engine.adopt_factor(self.factor, self.model)
         return engine
@@ -465,7 +438,6 @@ def bundle_from_fit(
     fit,
     *,
     include_factor: bool = True,
-    include_distance_cache: bool = False,
 ) -> ModelBundle:
     """Build a :class:`ModelBundle` from an :class:`MLEstimator` and its fit.
 
@@ -474,8 +446,6 @@ def bundle_from_fit(
     ``fit.theta`` is captured — computing it now if the fit did not
     leave one behind — so serving is bit-identical to in-process
     prediction and pays no first-request factorization.
-    ``include_distance_cache`` additionally snapshots the fit's distance
-    cache (tile/TLR blocks, or the full-block distance matrix).
 
     The fit's optimizer settings (:attr:`FitResult.options` — resolved
     seed, ``n_starts``, tolerances, bounds, starting point) are
@@ -486,20 +456,12 @@ def bundle_from_fit(
     """
     engine = estimator.predictor(fit)
     factor = engine.factor() if include_factor else None
-    distance_blocks = None
-    full_distances = None
-    if include_distance_cache:
-        if engine.distance_cache is not None:
-            distance_blocks = engine.distance_cache.export_blocks()
-        full_distances = engine.full_distances
     return ModelBundle(
         model=engine.model,
         locations=estimator.locations,
         z=estimator.z,
         variant=engine.substrate,
         factor=factor,
-        distance_blocks=distance_blocks,
-        full_distances=full_distances,
         perm=estimator._perm,
         info={
             "loglik": float(fit.loglik),

@@ -152,6 +152,30 @@ class TestBlock:
             assert np.all(np.diagonal(d) == 0.0)
             np.testing.assert_allclose(d, full[rows, rows], atol=1e-7)
 
+    def test_column_panel_is_its_tiles_stacked_with_zero_self_distances(self, rng):
+        # 70 = 4 * 16 + 6: the last tile has 6 rows. A panel computed in
+        # place has the bits of its tiles, and 0 wherever rows meet columns.
+        x, n, nb = rng.random((70, 2)), 70, 16
+        for j in range(5):
+            cols = slice(nb * j, min(n, nb * (j + 1)))
+            panel = np.empty((n - nb * j, cols.stop - cols.start))
+            assert pairwise_distance_block(x, slice(nb * j, n), cols, out=panel) is panel
+            tiles = [
+                pairwise_distance_block(x, slice(nb * i, min(n, nb * (i + 1))), cols)
+                for i in range(j, 5)
+            ]
+            np.testing.assert_array_equal(panel, np.vstack(tiles))
+            assert np.all(np.diagonal(panel) == 0.0)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "gcd"])
+    def test_out_is_the_fresh_result(self, rng, metric):
+        x, y = rng.random((33, 2)) * 10, rng.random((20, 2)) * 10
+        for a, b in ((x, y), (x, None)):
+            fresh = pairwise_distance(a, b, metric=metric)
+            out = np.full(fresh.shape, np.nan)
+            assert pairwise_distance(a, b, metric=metric, out=out) is out
+            np.testing.assert_array_equal(out, fresh)
+
     def test_other_blocks_are_the_plain_two_operand_distance(self, rng):
         x, y = rng.random((40, 2)), rng.random((40, 2))
         rows, cols = slice(0, 20), slice(20, 40)

@@ -61,23 +61,21 @@ class TestTileDistanceCache:
                     np.testing.assert_array_equal(gen(rs, cs), direct)
 
     def test_second_pass_hits_cache(self, locs):
+        # Generation keeps nothing: every block is computed from the
+        # coordinates; only warm() stores blocks, and a pass after it hits.
         model = MaternCovariance(1.0, 0.1, 0.5)
         cache = TileDistanceCache(locs, NB)
         gen = cache.generator(model)
         grid = cache.grid
-        for i in range(grid.nt):
-            for j in range(i + 1):
-                gen(grid.tile_slice(i), grid.tile_slice(j))
-        n_blocks = cache.n_blocks
-        assert cache.misses == n_blocks and cache.hits == 0
-        # A new theta reuses every block.
-        gen2 = cache.generator(model.with_theta([2.0, 0.3, 1.0]))
-        for i in range(grid.nt):
-            for j in range(i + 1):
-                gen2(grid.tile_slice(i), grid.tile_slice(j))
-        assert cache.misses == n_blocks
-        assert cache.hits == n_blocks
-        assert cache.nbytes > 0
+        lower = [(grid.tile_slice(i), grid.tile_slice(j)) for i in range(grid.nt) for j in range(i + 1)]
+        cold = [gen(rs, cs) for rs, cs in lower]
+        assert cache.misses == len(lower) and cache.hits == 0
+        assert cache.n_blocks == 0 and cache.nbytes == 0
+        cache.warm()
+        assert cache.misses == 2 * len(lower) and cache.nbytes > 0
+        for (rs, cs), tile in zip(lower, cold):
+            np.testing.assert_array_equal(gen(rs, cs), tile)
+        assert cache.hits == len(lower)
 
     def test_warm_and_clear(self, locs):
         cache = TileDistanceCache(locs, NB).warm()
@@ -177,13 +175,16 @@ class TestEvaluatorPipeline:
         with use_config(tile_size=NB, tlr_accuracy=1e-6, compression_batch=3):
             ev = LikelihoodEvaluator(locs, z, model, variant="tlr")
         assert (ev.tile_size, ev.acc, ev.compression_batch) == (NB, 1e-6, 3)
-        assert ev.distance_cache is not None and ev.parallel_generation
+        assert ev.engine.cross_cache is not None and ev.parallel_generation
         # ... the generation switches are constructor keywords only.
         ev = LikelihoodEvaluator(
             locs, z, model, variant="tlr", tile_size=NB,
             cache_distances=False, parallel_generation=False,
         )
-        assert ev.distance_cache is None and not ev.parallel_generation
+        assert ev.engine.cross_cache is None and not ev.parallel_generation
+        # Either way the generator object holds the locations, no distances.
+        ev(model.theta)
+        assert ev.distance_cache.n_blocks == 0
 
     def test_penalty_path_survives_fusion(self):
         # Duplicate locations -> exactly singular covariance for any theta.
@@ -198,33 +199,6 @@ class TestEvaluatorPipeline:
             )
             assert ev(model.theta) == PENALTY_LOGLIK
             assert ev.n_failures == 1
-
-
-class TestCacheRehydration:
-    """export_blocks/load_blocks: the serving-store persistence hooks."""
-
-    def test_round_trip_blocks_identical_and_hit_only(self, locs):
-        src = TileDistanceCache(locs, NB).warm()
-        blocks = src.export_blocks()
-        assert len(blocks) == src.n_blocks
-
-        dst = TileDistanceCache(locs, NB)
-        installed = dst.load_blocks(blocks)
-        assert installed == src.n_blocks
-        assert dst.misses == 0 and dst.hits == 0  # rehydration is neither
-        grid = dst.grid
-        for i in range(grid.nt):
-            for j in range(i + 1):
-                rs, cs = grid.tile_slice(i), grid.tile_slice(j)
-                np.testing.assert_array_equal(dst.block(rs, cs), src.block(rs, cs))
-        assert dst.misses == 0  # every block came from the rehydrated set
-
-    def test_load_blocks_rejects_wrong_shape(self, locs):
-        from repro.exceptions import ShapeError
-
-        cache = TileDistanceCache(locs, NB)
-        with pytest.raises(ShapeError):
-            cache.load_blocks({(0, NB, 0, NB): np.zeros((NB, NB - 1))})
 
 
 class TestBatchedCompression:

@@ -123,6 +123,41 @@ class TestMatchesF2py:
             np.testing.assert_array_equal(vt, vt_ref)
 
 
+class TestWorkspaceCache:
+    """LAPACK's workspace query runs once per routine and integer
+    arguments; a cached ``lwork`` gives the bits of a queried one."""
+
+    def test_one_query_per_routine_and_shape(self, rng, monkeypatch):
+        monkeypatch.setattr(nogil_lapack, "_LWORK", {})
+        queries = []
+        query = nogil_lapack._query
+        monkeypatch.setattr(
+            nogil_lapack, "_query", lambda routine, *a: queries.append(routine) or query(routine, *a)
+        )
+        a = rng.standard_normal((30, 12))
+
+        def qr_apply(x):
+            qt = np.array(x.T, order="C")
+            _, tau = nogil_lapack.geqp3(qt)
+            ct = np.array(rng.standard_normal((x.shape[0], 5)).T, order="C")
+            c0 = ct.copy()
+            nogil_lapack.ormqr(qt, tau, ct)
+            return qt, tau, c0, ct
+
+        first = [nogil_lapack.gesdd(np.array(a.T, order="C")), qr_apply(a)]
+        assert queries == ["dgesdd", "dgeqp3", "dormqr"]
+        for _ in range(2):
+            for got, ref in zip(nogil_lapack.gesdd(np.array(a.T, order="C")), first[0]):
+                np.testing.assert_array_equal(got, ref)
+            qt, tau, c0, _ = first[1]
+            ct = c0.copy()
+            nogil_lapack.ormqr(qt, tau, ct)
+            np.testing.assert_array_equal(ct, first[1][3])
+        assert queries == ["dgesdd", "dgeqp3", "dormqr"]
+        nogil_lapack.gesdd(np.array(a[:, :7].T, order="C"))  # a new shape queries
+        assert queries == ["dgesdd", "dgeqp3", "dormqr", "dgesdd"]
+
+
 # --------------------------------------------------------------------------
 # argument checks: every bad array is refused before LAPACK sees a pointer
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.exceptions import NotPositiveDefiniteError
 from repro.kernels import MaternCovariance
 from repro.linalg import (
     TileDistanceCache,
+    TileGrid,
     TileMatrix,
     generate_and_factor_tile_matrix,
     logdet_from_tile_factor,
@@ -127,18 +128,21 @@ class TestPanelCholeskyParity:
         np.testing.assert_allclose(ref_dense, seed_tile_cholesky(sigma, NB), rtol=0, atol=1e-12)
 
     def test_cached_distance_generator_matches_direct(self, problem):
-        """Fused column fills go through the per-tile generator: same cache
-        keys, same tile values as the serial loop."""
+        """Fused column fills write each panel from the generator in place,
+        keep no distances, and give the factor of a tile-by-tile fill."""
         n, locs, model, _, _ = problem
         cache = TileDistanceCache(locs, NB)
-        direct = generate_and_factor_tile_matrix(n, NB, lambda rs, cs: model.tile(locs, rs, cs))
+        direct = TileMatrix(TileGrid(n, NB), symmetric_lower=True)
+        for i, j, _ in direct.iter_stored():
+            rs, cs = direct.grid.tile_slice(i), direct.grid.tile_slice(j)
+            direct.set_tile(i, j, model.tile(locs, rs, cs))
+        tile_cholesky(direct)
         with Runtime(num_workers=2) as rt:
             fused = generate_and_factor_tile_matrix(
                 n, NB, cache.generator(model), runtime=rt, fused=True
             )
-        nt = RAGGED_SIZES[n]
-        assert cache.n_blocks == nt * (nt + 1) // 2
-        assert set(cache.export_blocks()) == set(TileDistanceCache(locs, NB).warm().export_blocks())
+        # One distance computation per column panel, none kept.
+        assert cache.misses == RAGGED_SIZES[n] and cache.n_blocks == 0
         np.testing.assert_array_equal(fused.to_dense(), direct.to_dense())
 
     def test_divisible_and_single_column_sizes(self, rng):

@@ -25,6 +25,7 @@ from repro.mle import MLEstimator, PredictionEngine
 from repro.serving import ModelBundle, bundle_from_fit, load_model, save_model
 
 N, NB, ACC = 144, 36, 1e-9
+FIXTURES = Path(__file__).parent.parent / "fixtures" / "compat"
 VARIANTS = ("full-block", "full-tile", "tlr")
 
 
@@ -135,20 +136,29 @@ def test_metadata_round_trip(problem, tmp_path):
     assert meta["model"]["family"] == "MaternCovariance"
 
 
-def test_distance_cache_rehydration_skips_distance_work(problem, tmp_path):
-    est, fit = _fit(problem, "full-tile")
-    path = est.save_fit(
-        fit, tmp_path / "m.bundle", include_factor=False, include_distance_cache=True
-    )
-    engine = PredictionEngine.from_bundle(path)
-    assert engine.n_factorizations == 0 and engine._factor is None
-    assert engine.distance_cache is not None
-    assert engine.distance_cache.n_blocks > 0
-    engine.factor()  # generates from rehydrated blocks, no distance misses
-    assert engine.distance_cache.misses == 0
-    # Values still match the in-process engine.
-    locs, z, targets = problem
-    np.testing.assert_array_equal(engine.predict(targets), est.predict(fit, targets))
+@pytest.mark.parametrize(
+    "name",
+    ["tile_distance_blocks.bundle", "full_block_distances.bundle"],
+    ids=["tile", "full-block"],
+)
+def test_bundle_with_distance_arrays_still_loads(name, tmp_path):
+    """Bundles written when fits could persist their distances (a tile
+    bundle with ``dist_*`` blocks, a full-block one with
+    ``full_distances``) load, drop those arrays and refactor from the
+    coordinates to the predictions their writer served."""
+    expected = json.loads((FIXTURES / "distance_arrays.json").read_text())
+    with np.load(FIXTURES / name / "arrays.npz") as npz:
+        assert any(k.startswith("dist_") or k == "full_distances" for k in npz.files)
+    bundle = load_model(FIXTURES / name)
+    assert bundle.factor is None
+    targets = np.array([[float.fromhex(v) for v in row] for row in expected["targets"]])
+    engine = bundle.build_engine()
+    assert [float(v).hex() for v in engine.predict(targets)] == expected[name]
+    assert engine.n_factorizations == 1
+    # Saved again, the bundle carries no distance data.
+    meta, arrays = load_model(bundle.save(tmp_path / name)).to_payload()
+    assert not any(k.startswith("dist_") or k == "full_distances" for k in arrays)
+    assert "n_distance_blocks" not in meta and "has_full_distances" not in meta
 
 
 def test_bundle_without_factor_refactorizes_to_same_values(problem, tmp_path):
@@ -229,12 +239,6 @@ def _bundles(draw):
         "vector": rng.standard_normal(n),
         "matrix": rng.standard_normal((n, draw(st.integers(1, 3)))),
     }[z_kind]
-    blocks = None
-    if draw(st.booleans()):
-        k = draw(st.integers(1, 3))
-        blocks = {
-            (i, i + k, 0, k): rng.random((k, k)) for i in range(draw(st.integers(1, 3)))
-        }
     return ModelBundle(
         model=model,
         locations=locations,
@@ -244,7 +248,6 @@ def _bundles(draw):
         tile_size=draw(st.integers(2, 64)),
         compression_method=draw(st.sampled_from(["svd", "rsvd"])),
         truncation=draw(st.sampled_from(["relative", "absolute"])),
-        distance_blocks=blocks,
         info={
             "loglik": draw(st.floats(-1e12, 1e12, allow_nan=False)),
             "n_evals": draw(st.integers(0, 10_000)),
@@ -274,12 +277,6 @@ def test_property_bundle_round_trip_exact(bundle):
     assert loaded.compression_method == bundle.compression_method
     assert loaded.truncation == bundle.truncation
     assert loaded.info == bundle.info
-    if bundle.distance_blocks is None:
-        assert loaded.distance_blocks is None
-    else:
-        assert set(loaded.distance_blocks) == set(bundle.distance_blocks)
-        for key, block in bundle.distance_blocks.items():
-            np.testing.assert_array_equal(loaded.distance_blocks[key], block)
 
 
 _META_KEYS = (
